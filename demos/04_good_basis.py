@@ -5,8 +5,9 @@ Modular symbols and the echelon basis of the invariant cusp forms
 Weight-2 modular symbols for Gamma_0(p) present the cusp forms exactly over
 Q.  Since every form of prime level is new, the Atkin-Lehner involution
 acts on the cuspidal subspace as -U_p, and its +1 eigenspace corresponds to
-the quotient curve.  Echelonizing the rational eigenform traces gives the
-unique basis f_i = q^{c_i} + ... with increasing pivots.
+the quotient curve.  For one cyclic vector x of that eigenspace, each
+coordinate of T_n x read as the coefficient of q^n is a form; echelonizing
+these gives the unique basis f_i = q^{c_i} + ... with increasing pivots.
 """
 
 from wplus import ModSymSpace, atkin_lehner_plus, good_basis, wt_infinity

@@ -2,7 +2,8 @@
 
 Matrices are small here (a few dozen rows), so plain Gaussian elimination
 over Fraction is both exact and fast enough.  The one large system in the
-package (the Manin-relation matrix) gets a dedicated sparse routine.
+package (the Manin-relation matrix) gets a dedicated sparse routine, and
+integer matrices get a fraction-free pivot search.
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ def mat_mul(a, b):
                     if bt[j]:
                         oi[j] += c * bt[j]
     return out
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c and x), _ZERO) for row in a]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_add(a, b, sb=1):
@@ -79,6 +73,31 @@ def rref(a):
 
 def rank(a):
     return len(rref(a)[1])
+
+
+def pivot_columns(a):
+    """Pivot columns of an integer matrix: each column that is independent
+    of the columns before it.  Fraction-free (Bareiss) elimination on Python
+    ints, where every entry stays a minor of a, so each division is exact."""
+    m = [[int(x) for x in row] for row in a]
+    rows = len(m)
+    pivots = []
+    prev = 1
+    for c in range(len(m[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r]
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            m[i] = [(piv[c] * x - f * y) // prev for x, y in zip(m[i], piv)]
+        prev = piv[c]
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return pivots
 
 
 def nullspace(a):
@@ -138,33 +157,6 @@ def charpoly(a):
         for i in range(n):
             m[i][i] += c
     return coeffs
-
-
-def poly_eval_matrix(coeffs, a):
-    """Evaluate a rational polynomial (low-first coefficients) at a matrix."""
-    n = len(a)
-    out = mat_scale(identity(n), coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out = mat_mul(out, a)
-        for i in range(n):
-            out[i][i] += c
-    return out
-
-
-def power_sums(minpoly_coeffs, upto):
-    """Power sums P_0..P_{upto-1} of the roots of a monic rational polynomial,
-    via Newton's identities.  Coefficients low degree first, leading 1."""
-    d = len(minpoly_coeffs) - 1
-    c = minpoly_coeffs
-    ps = [Fraction(d)]
-    for k in range(1, upto):
-        acc = _ZERO
-        for j in range(1, min(k, d) + 1):
-            acc -= c[d - j] * ps[k - j]
-        if k <= d:
-            acc -= k * c[d - k]
-        ps.append(acc)
-    return ps
 
 
 class SparseRREF:

@@ -2,26 +2,30 @@
 
 The space is presented on Manin symbols (c:d) over P^1(F_p), quotiented by
 the two- and three-term relations and by the star involution (so complex
-conjugation acts trivially and every Hecke eigenvalue appears once).  Hecke
-operators act through their coset representatives on paths, which come back
-to Manin symbols via continued-fraction convergents; Merel's determinant-n
-matrix family provides an independent cross-check.  See Stein, "Modular
-Forms: A Computational Approach", ch. 8, and Cremona, "Algorithms for
-Modular Elliptic Curves", ch. 2.
+conjugation acts trivially and every Hecke eigenvalue appears once).  T_ell
+acts on Manin symbols through a set of integer matrices of determinant ell,
+applied to all symbols at once: Cremona's Heilbronn matrices for an odd
+prime ell != p, Merel's matrices for ell = 2 and for U_p.  The coset
+representatives acting on paths, brought back to Manin symbols by
+continued-fraction convergents, remain as an independent route for tests.
+See Cremona, "Algorithms for Modular Elliptic Curves", ch. 2, and Stein,
+"Modular Forms: A Computational Approach", ch. 8-9.
 
 Since every cusp form of prime level is new, the Atkin-Lehner involution
-acts on the cuspidal subspace as -U_p; its +1 eigenspace corresponds to
-the quotient curve.  Eigenforms are computed blockwise in the quotient ring
-Q[x]/(minimal polynomial of a Hecke generator); rational forms are traces
-against the power basis, and the unique reduced echelon basis of their span
-is the good-basis candidate, with pivots c_1 < ... < c_g.
+acts on the cuspidal subspace as -U_p, and its +1 eigenspace M+ corresponds
+to the quotient curve.  M+ is free of rank one over the Hecke algebra, so
+for a cyclic vector x of M+ each coordinate i gives a form
+sum_n (T_n x)_i q^n of S_2^+(p), and these span it.  The unique reduced
+echelon basis of the rows ((T_n x)_i)_{n < prec} is the good basis, with
+pivots c_1 < ... < c_g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,11 @@ from .series import QExpansion
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: payload version of cached good bases; any other version is a miss
+_PAYLOAD_VERSION = 2
+#: trial vectors y tried before giving up on finding a cyclic x
+_TRIALS = 8
 
 
 def merel_set(n):
@@ -52,6 +61,40 @@ def merel_set(n):
                     if bc % b == 0:
                         out.append((a, b, bc // b, d))
     return out
+
+
+def heilbronn_cremona(ell):
+    """Cremona's Heilbronn matrices (a, b, c, d) of determinant ell, an odd
+    prime, as an int64 array: (1, 0; 0, ell), then for each r with
+    |r| <= ell // 2 the convergent matrices of ell / r under nearest-integer
+    division, ties rounded away from zero.  All r advance together."""
+    r = np.arange(-(ell // 2), ell // 2 + 1, dtype=np.int64)
+    a, b = np.full_like(r, -ell), r
+    x1, x2, y1, y2 = np.full_like(r, ell), -r, np.zeros_like(r), np.ones_like(r)
+    out = [np.array([[1, 0, 0, ell]], dtype=np.int64)]
+    while True:
+        out.append(np.stack([x1, x2, y1, y2], axis=1))
+        live = b != 0
+        if not live.any():
+            return np.concatenate(out)
+        a, b, x1, x2, y1, y2 = (v[live] for v in (a, b, x1, x2, y1, y2))
+        q = np.sign(a) * np.sign(b) * (
+            (2 * np.abs(a) + np.abs(b)) // (2 * np.abs(b)))
+        a, b = -b, a - b * q
+        x1, x2 = x2, q * x2 - x1
+        y1, y2 = y2, q * y2 - y1
+
+
+class HeckeMatrix(NamedTuple):
+    """An operator on the quotient, exactly: T = num / den, with num an
+    integer matrix (int64, or Python ints where int64 could overflow)."""
+
+    num: np.ndarray
+    den: int
+
+    def fractions(self):
+        """The matrix as lists of Fractions."""
+        return [[Fraction(int(x), self.den) for x in row] for row in self.num]
 
 
 class _SignedUnionFind:
@@ -167,55 +210,26 @@ class ModSymSpace:
         self.dim = len(free)
         pos = {r: t for t, r in enumerate(free)}
 
-        # reduction map: symbol index -> dense coordinate row over free basis
-        root_expr = {}
-        for r in roots:
-            if r in pivot_rows:
-                vec = [_ZERO] * self.dim
-                for c_, v in pivot_rows[r].items():
-                    if c_ != r:
-                        vec[pos[c_]] = -v
-                root_expr[r] = vec
-            else:
-                vec = [_ZERO] * self.dim
-                vec[pos[r]] = _ONE
-                root_expr[r] = vec
-        reduce_rows = []
+        # reduction map: R_num[t, i] / R_den is coordinate t of symbol i
+        den = lcm(*(v.denominator for row in pivot_rows.values()
+                    for v in row.values()))
+        rnum = np.zeros((self.dim, n), dtype=np.int64)
         for i in range(n):
             r, s = uf.resolve(i)
-            if s == 0:
-                reduce_rows.append([_ZERO] * self.dim)
-            elif s == 1:
-                reduce_rows.append(root_expr[r])
-            else:
-                reduce_rows.append([-x for x in root_expr[r]])
-        self._reduce = reduce_rows
-
-        # integer fast path: R_num[t, i] / R_den = reduce_rows[i][t]
-        den = 1
-        for row in reduce_rows:
-            for x in row:
-                den = lcm(den, x.denominator)
+            if s and r in pivot_rows:
+                for c_, v in pivot_rows[r].items():
+                    if c_ != r:
+                        rnum[pos[c_], i] = -s * int(v * den)
+            elif s:
+                rnum[pos[r], i] = s * den
         self._r_den = den
-        rnum = np.zeros((self.dim, n), dtype=np.int64)
-        big = 0
-        for i, row in enumerate(reduce_rows):
-            for t, x in enumerate(row):
-                v = int(x * den)
-                rnum[t, i] = v
-                big = max(big, abs(v))
         self._r_num = rnum
-        self._r_max = big
+        self._r_max = int(np.abs(rnum).max())
 
         # boundary: symbols (0:1) and (1:0) hit the two cusps, others vanish
-        boundary = [_ZERO] * self.dim
-        for i, s in ((0, 1), (self.index(1, 0), -1)):
-            for t in range(self.dim):
-                boundary[t] += s * self._reduce[i][t]
-        bmat = [boundary]
-        kern = linalg.nullspace(bmat) if any(boundary) else \
-            [[_ONE if i == j else _ZERO for i in range(self.dim)]
-             for j in range(self.dim)]
+        boundary = (rnum[:, 0] - rnum[:, self.index(1, 0)]).tolist()
+        kern = linalg.nullspace([boundary]) if any(boundary) \
+            else linalg.identity(self.dim)
         self.cuspidal = linalg.transpose(kern) if kern \
             else [[] for _ in range(self.dim)]  # dim x genus
         self.genus = len(kern)
@@ -231,20 +245,18 @@ class ModSymSpace:
         return (0, -1, 1, d)
 
     def _count_images(self, mats):
-        """counts[s, j] = number of matrices sending free symbol j to symbol s."""
-        p = self.p
-        arr = np.asarray(mats, dtype=np.int64)
-        a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        counts = np.zeros((self.n, self.dim), dtype=np.int64)
-        for j, s in enumerate(self.free):
-            u0, v0 = self.symbol_pair(s)
-            u = (u0 * a + v0 * c) % p
-            v = (u0 * b + v0 * d) % p
-            mask = (u != 0) | (v != 0)
-            u, v = u[mask], v[mask]
-            idx = np.where(u == 0, 0, 1 + (v * self._inv[u]) % p)
-            counts[:, j] = np.bincount(idx, minlength=self.n)
-        return counts
+        """counts[s, j] = number of matrices sending free symbol j to symbol
+        s, for all free symbols in one pass; images (0:0) are dropped."""
+        p, n = self.p, self.n
+        a, b, c, d = np.asarray(mats, dtype=np.int64).T
+        u0 = self._sym_c[self.free][:, None]
+        v0 = self._sym_d[self.free][:, None]
+        u = (u0 * a + v0 * c) % p
+        v = (u0 * b + v0 * d) % p
+        idx = np.where(u == 0, np.where(v == 0, n, 0), 1 + v * self._inv[u] % p)
+        idx += (n + 1) * np.arange(self.dim)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=(n + 1) * self.dim)
+        return counts.reshape(self.dim, n + 1)[:, :n].T
 
     def _accumulate_infty_path(self, num, den, coeff, out):
         """Manin symbols of the path from the infinite cusp to num/den, by
@@ -291,39 +303,32 @@ class ModSymSpace:
         return counts
 
     def hecke_matrix(self, ell):
-        """Matrix of T_ell on the quotient, exact rational entries.
+        """HeckeMatrix of T_ell on the quotient; ell must be prime, and
+        ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
+        Merel's matrices otherwise."""
+        mats = merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
+        return self._counts_to_matrix(self._count_images(mats))
 
-        ell must be prime; ell = p gives U_p.
-        """
-        counts = self._hecke_counts(ell)
-        return self._counts_to_matrix(counts)
+    def hecke_matrix_path(self, ell):
+        """T_ell by coset representatives acting on paths; kept only as an
+        independent test oracle for the production route."""
+        return self._counts_to_matrix(self._hecke_counts(ell))
 
     def hecke_matrix_merel(self, ell):
-        """T_ell from Merel's determinant-ell matrices; slower to enumerate,
-        kept as an independent cross-check of the path route."""
-        counts = self._count_images(merel_set(ell))
-        return self._counts_to_matrix(counts)
+        """T_ell from Merel's determinant-ell matrices for every ell; kept as
+        an independent cross-check."""
+        return self._counts_to_matrix(self._count_images(merel_set(ell)))
 
     def _counts_to_matrix(self, counts):
         maxcount = int(np.abs(counts).max()) if counts.size else 0
         if self._r_max * maxcount * self.n < 2 ** 62:
-            tnum = self._r_num @ counts
-            den = self._r_den
-            return [[Fraction(int(tnum[i, j]), den) for j in range(self.dim)]
-                    for i in range(self.dim)]
-        out = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for s in range(self.n):
-            row = self._reduce[s]
-            for j in range(self.dim):
-                cnt = int(counts[s, j])
-                if cnt:
-                    for i in range(self.dim):
-                        if row[i]:
-                            out[i][j] += cnt * row[i]
-        return out
+            return HeckeMatrix(self._r_num @ counts, self._r_den)
+        return HeckeMatrix(self._r_num.astype(object) @ counts.astype(object),
+                           self._r_den)
 
     def restrict_to_cuspidal(self, t):
-        """Matrix of t on the cuspidal subspace, in the cuspidal basis."""
+        """Matrix of t (over Q) on the cuspidal subspace, in the cuspidal
+        basis."""
         if self.genus == 0:
             return []
         tc = linalg.mat_mul(t, self.cuspidal)
@@ -346,7 +351,7 @@ def atkin_lehner_plus(space):
     """
     if space.genus == 0:
         return []
-    u = space.restrict_to_cuspidal(space.hecke_matrix(space.p))
+    u = space.restrict_to_cuspidal(space.hecke_matrix(space.p).fractions())
     g = space.genus
     usq = linalg.mat_mul(u, u)
     if usq != linalg.identity(g):
@@ -371,7 +376,6 @@ class GoodBasis:
     forms: list        # QExpansion, weight 2, level p
     pivots: list       # c_1 < ... < c_g
     p_integral: bool
-    galois_blocks: list  # partition of {1..g} by Hecke-irreducible block
 
     @property
     def precision(self):
@@ -387,244 +391,112 @@ def wt_infinity(basis):
     return basis.wt_infinity()
 
 
-#: deterministic schedule of Hecke generators used to split the +1 space
-_TIE_SCHEDULE = [
-    {2: 1}, {3: 1}, {5: 1}, {7: 1},
-    {2: 1, 3: 1}, {2: 1, 3: 2}, {2: 1, 3: 3}, {2: 2, 3: 1},
-    {2: 1, 5: 1}, {2: 1, 5: 2}, {3: 1, 5: 1}, {2: 1, 3: 1, 5: 1},
-    {2: 1, 3: 5}, {2: 3, 3: 7}, {2: 1, 7: 1}, {3: 1, 7: 2},
-]
-
-
 class BasisComputer:
-    """Hecke-eigenform engine for one prime, reusable across precisions."""
+    """Krylov good-basis engine for one prime, reusable across precisions.
+
+    x = (1 - U_p) y for a cuspidal y with fixed small integer weights lies in
+    M+; its columns T_n x are kept as Python-int vectors v_n with
+    T_n x = v_n / d_n.  ``rows`` are g coordinates that are independent over
+    n <= (p + 1) / 6 + 2, so x is cyclic and their forms span S_2^+(p).
+    """
 
     def __init__(self, p):
         self.p = p
-        self.space = ModSymSpace(p)
-        self.plus = atkin_lehner_plus(self.space)   # genus x g
-        self.g = len(self.plus[0]) if self.space.genus else 0
-        self._embed = linalg.mat_mul(self.space.cuspidal, self.plus) \
-            if self.g else []                        # dim x g
-        self._tfull_cache = {}
-        self._blocks = []
-        if self.g:
-            self._split_blocks()
+        self.space = space = ModSymSpace(p)
+        self._hecke = {}
+        self._cols, self._dens = [], []
+        self.g = 0
+        if space.genus == 0:
+            return
+        den = space._r_den
+        up = self._t(p)
+        scale = lcm(*(x.denominator for row in space.cuspidal for x in row))
+        cusp = np.array([[int(x * scale) for x in row]
+                         for row in space.cuspidal], dtype=object)
+        upc = up @ cusp
+        if not np.array_equal(up @ upc, den * den * cusp):
+            raise WplusError("U_p is not an involution on the cuspidal subspace")
+        minus = den * cusp - upc                   # den (1 - U_p) C
+        self.g = len(linalg.pivot_columns(minus))
+        if self.g == 0:
+            return
+        head = (p + 1) // 6 + 3                    # columns n < head
+        for trial in range(_TRIALS):
+            weights = np.array([(j + 1) ** trial for j in range(space.genus)],
+                               dtype=object)
+            x = minus @ weights
+            if not np.array_equal(up @ x, -den * x):
+                raise WplusError("x is not in the w_p = +1 space")
+            self._cols, self._dens = [x], [1]
+            self._extend(head)
+            rows = linalg.pivot_columns(self._cols)   # independent coordinates
+            if len(rows) > self.g:
+                raise WplusError("a Hecke operator left the w_p = +1 space")
+            if len(rows) == self.g:
+                self.rows = rows
+                return
+        raise WplusError(f"no cyclic vector of the +1 space found for p={p}")
 
-    # -- structure -------------------------------------------------------------
-
-    def _t_full(self, ell):
-        t = self._tfull_cache.get(ell)
+    def _t(self, ell):
+        """Numerator of T_ell as Python ints; the denominator is _r_den."""
+        t = self._hecke.get(ell)
         if t is None:
-            t = self.space.hecke_matrix(ell)
-            self._tfull_cache[ell] = t
+            t = self.space.hecke_matrix(ell).num.astype(object)
+            self._hecke[ell] = t
         return t
 
-    def _restrict_plus(self, t):
-        te = linalg.mat_mul(t, self._embed)
-        sol = linalg.solve(self._embed, te)
-        if sol is None:
-            raise WplusError("Hecke operator does not preserve the +1 subspace")
-        return sol
-
-    def _split_blocks(self):
-        g = self.g
-        h = None
-        for combo in _TIE_SCHEDULE:
-            cand = [[_ZERO] * g for _ in range(g)]
-            for ell, r in combo.items():
-                tl = self._restrict_plus(self._t_full(ell))
-                cand = linalg.mat_add(cand, linalg.mat_scale(tl, Fraction(r)))
-            chi = linalg.charpoly(cand)
-            if _squarefree_q(chi):
-                h = cand
-                break
-        if h is None:
-            raise WplusError(
-                f"no squarefree Hecke generator found for p={self.p}")
-        self._generator = h
-        for minpoly in _factor_monic_q(chi):
-            mh = linalg.poly_eval_matrix(minpoly, h)
-            kern = linalg.nullspace(mh)
-            d = len(minpoly) - 1
-            if len(kern) != d:
-                raise WplusError("block kernel has wrong dimension")
-            block_basis = linalg.transpose(kern)   # g x d
-            self._blocks.append(_Block(self, minpoly, block_basis))
-
-    # -- q-expansions ------------------------------------------------------------
-
-    def ensure_eigenvalues(self, prec):
-        """Make a_ell available for every prime ell < prec."""
-        ell = 2
-        while ell < prec:
-            if is_prime(ell) and ell != self.p:
-                if any(ell not in b.a_prime for b in self._blocks):
-                    t = self.space.hecke_matrix(ell)
-                    for b in self._blocks:
-                        b.record_prime(ell, t)
-            ell += 1
+    def _extend(self, upto):
+        """Columns T_n x for every n < upto: T_{ell m} = T_ell T_m for ell
+        not dividing m, T_{ell^{k+1} m} = T_ell T_{ell^k m} - ell T_{ell^{k-1} m},
+        and U_p = -1 on M+."""
+        cols, dens, den = self._cols, self._dens, self.space._r_den
+        for n in range(len(cols) + 1, upto):
+            ell = _smallest_prime_factor(n)
+            m = n // ell
+            if ell == self.p:
+                cols.append(-cols[m - 1])
+                dens.append(dens[m - 1])
+                continue
+            col = self._t(ell) @ cols[m - 1]
+            if m % ell == 0:
+                col -= ell * den * den * cols[m // ell - 1]
+            cols.append(col)
+            dens.append(den * dens[m - 1])
 
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
-            return GoodBasis(self.p, 0, self.space.genus, [], [], True, [])
-        self.ensure_eigenvalues(prec)
-        rows = []
-        blocks = []
-        start = 1
-        for b in self._blocks:
-            rows.extend(b.trace_forms(prec))
-            blocks.append(list(range(start, start + b.dim)))
-            start += b.dim
-        red, pivots = linalg.rref(rows)
+            return GoodBasis(self.p, 0, self.space.genus, [], [], True)
+        self._extend(prec)
+        cols = np.array(self._cols[:prec - 1], dtype=object).T   # dim x (prec-1)
+        span = cols[self.rows]
+        head = min(prec - 1, (self.p + 1) // 6 + 2)
+        pivots = linalg.pivot_columns(span[:, :head])
         if len(pivots) != self.g:
             if prec <= (self.p + 1) // 6 + 1:
                 raise PrecisionError(
                     f"precision {prec} too small to echelonize the basis "
                     f"(pivots can reach {(self.p + 1) // 6})")
-            raise WplusError("trace forms do not span the +1 eigenspace")
+            raise WplusError("Krylov rows do not span the +1 eigenspace")
+        # rref = diag(d_P) B^{-1} span diag(1/d_n), B = span[:, pivots]
+        inv = linalg.solve(span[:, pivots].tolist(), linalg.identity(self.g))
+        k = lcm(*(x.denominator for row in inv for x in row))
+        kinv = np.array([[int(x * k) for x in row] for row in inv], dtype=object)
+        red = kinv @ span
+        # every coordinate is the same combination of the rows, at every n
+        other = cols[:, pivots] @ kinv
+        if not np.array_equal(other @ span, k * cols):
+            raise WplusError("a Hecke operator left the w_p = +1 space")
+        dens = self._dens
         forms = []
-        for r in range(self.g):
-            coeffs = red[r]
-            forms.append(QExpansion([_ZERO] + list(coeffs), 0, prec,
+        for i, c in enumerate(pivots):
+            coeffs = [Fraction(dens[c] * int(v), k * dens[n])
+                      for n, v in enumerate(red[i])]
+            forms.append(QExpansion([_ZERO] + coeffs, 0, prec,
                                     weight=2, level=self.p))
-        pivot_exps = [c + 1 for c in pivots]
         p_integral = all(f.is_p_integral(self.p) for f in forms)
         return GoodBasis(self.p, self.g, self.space.genus, forms,
-                         pivot_exps, p_integral, blocks)
-
-
-class _Block:
-    """One Hecke-irreducible block of the +1 eigenspace.
-
-    Coefficients of the eigenform live in K = Q[x]/(minpoly), represented as
-    Fraction vectors in the power basis of the class alpha of x, where alpha
-    is the eigenvalue of the chosen Hecke generator.
-    """
-
-    def __init__(self, computer, minpoly, block_basis):
-        self.computer = computer
-        self.minpoly = minpoly
-        self.dim = len(minpoly) - 1
-        space = computer.space
-        h = computer._generator
-        # cyclic basis v, h v, ..., h^{d-1} v inside the +1 space
-        d = self.dim
-        for col in range(len(block_basis[0])):
-            v = [row[col] for row in block_basis]
-            vecs = [v]
-            for _ in range(d - 1):
-                vecs.append(linalg.mat_vec(h, vecs[-1]))
-            cyc = linalg.transpose(vecs)    # g x d
-            if linalg.rank(cyc) == d:
-                break
-        else:
-            raise WplusError("no cyclic vector found in block")
-        self.cyclic = cyc
-        # full-space images W = embed * cyc (dim x d), with a pivot-row solver
-        w = linalg.mat_mul(computer._embed, cyc)
-        self.w_full = w
-        _, piv = linalg.rref(linalg.transpose(w))
-        self.pivot_rows = piv[:d]
-        sub = [w[i] for i in self.pivot_rows]
-        inv = linalg.solve(sub, linalg.identity(d))
-        if inv is None:
-            raise WplusError("cyclic pivot rows are singular")
-        self.solver = inv
-        self.v_full = [w[i][0] for i in range(len(w))]
-        # U_p acts as -1 on the whole +1 space
-        self.a_prime = {computer.p: _k_scalar(-1, d)}
-        self._power_sums = linalg.power_sums(minpoly, 2 * d)
-        self._a_cache = None
-        self._a_len = 0
-
-    def record_prime(self, ell, t_full):
-        y = linalg.mat_vec(t_full, self.v_full)
-        rhs = [y[i] for i in self.pivot_rows]
-        phi = linalg.mat_vec(self.solver, rhs)
-        # confirm T_ell v really lies in the cyclic span
-        check = linalg.mat_vec(self.w_full, phi)
-        if check != y:
-            raise WplusError(f"T_{ell} image left the block")
-        self.a_prime[ell] = phi
-        self._a_cache = None
-
-    def _k_mul(self, x, y):
-        d = self.dim
-        conv = [_ZERO] * (2 * d - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        conv[i + j] += xi * yj
-        for top in range(2 * d - 2, d - 1, -1):
-            c = conv[top]
-            if c:
-                conv[top] = _ZERO
-                for j in range(d):
-                    conv[top - self.dim + j] -= c * self.minpoly[j]
-        return conv[:d]
-
-    def coefficients(self, prec):
-        """a_1 .. a_{prec-1} as K-vectors, by Hecke multiplicativity."""
-        if self._a_cache is not None and self._a_len >= prec:
-            return self._a_cache[:prec]
-        d = self.dim
-        p = self.computer.p
-        a = [None] * prec
-        if prec > 1:
-            a[1] = _k_scalar(1, d)
-        for n in range(2, prec):
-            if a[n] is not None:
-                continue
-            ell = _smallest_prime_factor(n)
-            e = 0
-            m = n
-            while m % ell == 0:
-                m //= ell
-                e += 1
-            le = n // m
-            if a[le] is None:
-                al = self.a_prime[ell]
-                if ell == p:
-                    acc = _k_scalar(1, d)
-                    for _ in range(e):
-                        acc = self._k_mul(acc, al)
-                    a[le] = acc
-                else:
-                    prev2, prev1 = _k_scalar(1, d), al
-                    for _ in range(e - 1):
-                        nxt = [x - ell * y for x, y in
-                               zip(self._k_mul(al, prev1), prev2)]
-                        prev2, prev1 = prev1, nxt
-                    a[le] = prev1
-            a[n] = a[le] if m == 1 else self._k_mul(a[le], a[m])
-        self._a_cache = a
-        self._a_len = prec
-        return a
-
-    def trace_forms(self, prec):
-        """d rational rows (coefficients of q^1..q^{prec-1}): traces of
-        alpha^s times the eigenform, s = 0..d-1."""
-        a = self.coefficients(prec)
-        ps = self._power_sums
-        d = self.dim
-        while len(ps) < 2 * d:
-            ps = linalg.power_sums(self.minpoly, 2 * d)
-        rows = []
-        for s in range(d):
-            row = []
-            for n in range(1, prec):
-                an = a[n]
-                row.append(sum((an[t] * ps[s + t] for t in range(d)
-                                if an[t]), _ZERO))
-            rows.append(row)
-        return rows
-
-
-def _k_scalar(c, d):
-    return [Fraction(c)] + [_ZERO] * (d - 1)
+                         [c + 1 for c in pivots], p_integral)
 
 
 def _smallest_prime_factor(n):
@@ -638,44 +510,18 @@ def _smallest_prime_factor(n):
     return n
 
 
-def _squarefree_q(coeffs):
-    """Squarefreeness of a rational polynomial via gcd with its derivative."""
-    from sympy import Poly, Rational
-    from sympy.abc import x
-    f = Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-             x, domain="QQ")
-    return f.gcd(f.diff(x)).degree() == 0
-
-
-def _factor_monic_q(coeffs):
-    """Monic irreducible rational factors (low-first Fraction lists) of a
-    monic rational polynomial, via sympy."""
-    from sympy import Poly, factor_list, Rational
-    from sympy.abc import x
-    f = Poly([Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-             x, domain="QQ")
-    _, factors = factor_list(f)
-    out = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise WplusError("generator polynomial was not squarefree")
-        fp = Poly(fac, x)
-        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(fp.all_coeffs())]
-        lead = cs[-1]
-        out.append([c / lead for c in cs])
-    out.sort(key=lambda m: (len(m), [str(c) for c in m]))
-    return out
-
-
 def good_basis(p, prec, cache=None):
     """The reduced echelon basis of S_2^+(p) to the given precision.
 
     Results round-trip through the cache (kind ``good_basis``) when one is
-    supplied; a cached basis of at least the requested precision is reused.
+    supplied; a cached basis of the current payload version and of at least
+    the requested precision is reused, and anything else is recomputed and
+    overwritten.
     """
     if cache is not None:
         payload = cache.get("good_basis", str(p))
-        if payload is not None and payload["precision"] >= prec:
+        if (payload is not None and payload.get("version") == _PAYLOAD_VERSION
+                and payload["precision"] >= prec):
             return _basis_from_payload(payload, prec)
     gb = BasisComputer(p).basis(prec)
     if cache is not None:
@@ -685,14 +531,13 @@ def good_basis(p, prec, cache=None):
 
 def _basis_to_payload(gb):
     return {
-        "version": 1,
+        "version": _PAYLOAD_VERSION,
         "p": gb.p,
         "g": gb.g,
         "genus_x0": gb.genus_x0,
         "pivots": list(gb.pivots),
         "precision": gb.precision if gb.forms else 0,
         "p_integral": gb.p_integral,
-        "galois_blocks": [list(b) for b in gb.galois_blocks],
         "coefficients": [[f"{c.numerator}/{c.denominator}" for c in f.coefficients(f.precision)]
                          for f in gb.forms],
     }
@@ -704,5 +549,4 @@ def _basis_from_payload(payload, prec):
         vals = [Fraction(s) for s in coeffs[:prec]]
         forms.append(QExpansion(vals, 0, prec, weight=2, level=payload["p"]))
     return GoodBasis(payload["p"], payload["g"], payload["genus_x0"], forms,
-                     list(payload["pivots"]), payload["p_integral"],
-                     [list(b) for b in payload["galois_blocks"]])
+                     list(payload["pivots"]), payload["p_integral"])

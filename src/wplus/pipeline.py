@@ -11,7 +11,7 @@ from .config import Config
 from .errors import FALSIFIERS
 from .fppoly import is_prime
 from .level1 import miller_basis_mod
-from .modsym import BasisComputer, _basis_from_payload, _basis_to_payload
+from .modsym import good_basis
 from .report import VerificationReport
 from .series import FpSeries
 from .supersingular import ss_oracle, ss_polys, verify_fixedlinear
@@ -25,17 +25,6 @@ def _cache_for(config):
     if config.use_cache:
         return DiskCache(config.cache_dir)
     return NullCache()
-
-
-def _basis_at(p, prec, cache):
-    """Good basis via the cache, recomputing and storing on a miss."""
-    payload = cache.get("good_basis", str(p))
-    if payload is not None and payload["precision"] >= prec:
-        return _basis_from_payload(payload, prec)
-    computer = BasisComputer(p)
-    gb = computer.basis(prec)
-    cache.put("good_basis", str(p), _basis_to_payload(gb))
-    return gb
 
 
 def _miller_cusp_at(p, prec, cache):
@@ -66,7 +55,7 @@ def verify_prime(p, config=None, basis_only=False):
     try:
         t0 = time.perf_counter()
         pivot_prec = (p + 1) // 6 + config.precision_slack + 2
-        gb = _basis_at(p, pivot_prec, cache)
+        gb = good_basis(p, pivot_prec, cache)
         report.timings_ms["basis_pivots"] = 1e3 * (time.perf_counter() - t0)
         report.g_p = gb.genus_x0
         report.g_plus = gb.g
@@ -113,7 +102,7 @@ def verify_prime(p, config=None, basis_only=False):
             need = required_basis_precision(
                 gb.pivots, p, config.precision_slack, config.paranoid)
             if gb.precision < need:
-                gb = _basis_at(p, need, cache)
+                gb = good_basis(p, need, cache)
             miller = _miller_cusp_at(p, gb.precision, cache)
         else:
             miller = None

@@ -7,7 +7,8 @@ import pytest
 from wplus import linalg
 from wplus.errors import PrecisionError
 from wplus.modsym import (BasisComputer, ModSymSpace, atkin_lehner_plus,
-                          good_basis, merel_set, wt_infinity)
+                          good_basis, heilbronn_cremona, merel_set,
+                          wt_infinity)
 
 
 def genus_x0(p):
@@ -26,6 +27,35 @@ F1_67 = [1, 0, -3, -3, -3, 1, 4, 3]
 F2_67 = [0, 1, -1, -3, 0, 0, 3, 4]
 
 
+def hecke_on_plus(space, ell):
+    """T_ell on the w_p = +1 cuspidal part, in the basis of
+    atkin_lehner_plus: the public reference route, apart from the basis."""
+    embed = linalg.mat_mul(space.cuspidal, atkin_lehner_plus(space))
+    image = linalg.mat_mul(space.hecke_matrix(ell).fractions(), embed)
+    restricted = linalg.solve(embed, image)
+    assert restricted is not None, "T_ell left the +1 part"
+    return restricted
+
+
+def hecke_operators(t_prime, upto):
+    """T_n for n <= upto built from the prime operators t_prime[ell] by
+    T_{ell m} = T_ell T_m (ell not dividing m) and
+    T_{ell^{k+1}} = T_ell T_{ell^k} - ell T_{ell^{k-1}}; n with a prime
+    factor missing from t_prime are skipped."""
+    g = len(next(iter(t_prime.values())))
+    ops = {1: linalg.identity(g)}
+    for n in range(2, upto + 1):
+        ell = next(d for d in range(2, n + 1) if n % d == 0)
+        m = n // ell
+        if ell not in t_prime or m not in ops:
+            continue
+        ops[n] = t_prime[ell] if m == 1 else \
+            linalg.mat_mul(t_prime[ell], ops[m])
+        if m % ell == 0:
+            ops[n] = linalg.mat_add(ops[n], ops[m // ell], -ell)
+    return ops
+
+
 def test_space_dimensions_match_genus_formula():
     for p in (11, 23, 37, 67, 101):
         s = ModSymSpace(p)
@@ -37,29 +67,58 @@ def test_x0_11_hecke_eigenvalues():
     # the unique weight-2 newform of level 11 has these a_ell
     s = ModSymSpace(11)
     for ell, a in ((2, -2), (3, -1), (5, 1), (7, -2), (13, 4), (11, 1)):
-        t = s.restrict_to_cuspidal(s.hecke_matrix(ell))
+        t = s.restrict_to_cuspidal(s.hecke_matrix(ell).fractions())
         assert t == [[Fraction(a)]]
 
 
 def test_path_hecke_agrees_with_merel():
-    for p in (11, 23):
+    # three routes to T_ell: coset paths, Merel's matrices, and production
+    # (Heilbronn-Cremona for odd ell != p, Merel for 2 and U_p)
+    for p in (11, 23, 67, 109):
         s = ModSymSpace(p)
-        for ell in (2, 3, 5, 7, p):
-            assert s.hecke_matrix(ell) == s.hecke_matrix_merel(ell)
+        for ell in (2, 3, 5, 7, 11, 13, 31, p):
+            path = s.hecke_matrix_path(ell).fractions()
+            assert s.hecke_matrix_merel(ell).fractions() == path, (p, ell)
+            assert s.hecke_matrix(ell).fractions() == path, (p, ell)
+
+
+def test_heilbronn_cremona_set():
+    for ell in (3, 5, 7, 31, 1259):
+        mats = heilbronn_cremona(ell)
+        a, b, c, d = mats.T
+        assert (a * d - b * c == ell).all()
+        assert tuple(mats[0]) == (1, 0, 0, ell)
+
+
+def test_trace_formula_oracle_matches_hecke():
+    # Eichler-Selberg traces share no code with the Hecke routes
+    from trace_oracle import hecke_trace, hurwitz_class_number
+    assert [hurwitz_class_number(n) for n in (3, 4, 12, 15, 16, 23)] == [
+        Fraction(1, 3), Fraction(1, 2), Fraction(4, 3), 2, Fraction(3, 2), 3]
+    for p in (11, 23, 37, 67, 109, 199):
+        s = ModSymSpace(p)
+        t_prime = {ell: s.restrict_to_cuspidal(s.hecke_matrix(ell).fractions())
+                   for ell in range(2, 31) if ell != p and all(
+                       ell % d for d in range(2, ell))}
+        ops = hecke_operators(t_prime, 30)
+        for n in range(1, 31):
+            if n % p:
+                trace = sum(ops[n][i][i] for i in range(s.genus))
+                assert trace == hecke_trace(p, n), (p, n)
 
 
 def test_hecke_commutativity():
     for p in (67, 101):
         s = ModSymSpace(p)
-        t2 = s.hecke_matrix(2)
-        t3 = s.hecke_matrix(3)
+        t2 = s.hecke_matrix(2).fractions()
+        t3 = s.hecke_matrix(3).fractions()
         assert linalg.mat_mul(t2, t3) == linalg.mat_mul(t3, t2)
 
 
 def test_atkin_lehner_commutes_with_hecke():
     s = ModSymSpace(67)
-    up = s.restrict_to_cuspidal(s.hecke_matrix(67))
-    t2 = s.restrict_to_cuspidal(s.hecke_matrix(2))
+    up = s.restrict_to_cuspidal(s.hecke_matrix(67).fractions())
+    t2 = s.restrict_to_cuspidal(s.hecke_matrix(2).fractions())
     assert linalg.mat_mul(up, t2) == linalg.mat_mul(t2, up)
 
 
@@ -83,7 +142,6 @@ def test_good_basis_67_printed_expansions():
     assert gb.p_integral
     assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
     assert [gb.forms[1].coefficient(n) for n in range(1, 9)] == F2_67
-    assert gb.galois_blocks == [[1, 2]]
 
 
 def test_good_basis_small_genus():
@@ -112,9 +170,9 @@ def test_sturm_bound_on_pivots():
 
 
 def test_hasse_bound_numeric():
-    gb = BasisComputer(67)
+    space = ModSymSpace(67)
     for ell in (2, 3, 5):
-        t = gb._restrict_plus(gb._t_full(ell))
+        t = hecke_on_plus(space, ell)
         chi = linalg.charpoly(t)
         roots = np.roots([float(c) for c in reversed(chi)])
         assert np.max(np.abs(np.imag(roots))) < 1e-4
@@ -131,13 +189,25 @@ def test_wt_infinity():
     assert wt_infinity(gb397) > 0
 
 
-def test_trace_forms_are_integral():
-    # Hecke eigenvalues are algebraic integers, so the traces land in Z
-    comp = BasisComputer(109)
-    comp.ensure_eigenvalues(20)
-    for block in comp._blocks:
-        for row in block.trace_forms(20):
-            assert all(c.denominator == 1 for c in row)
+def test_basis_is_hecke_stable():
+    # T_ell f (a_n -> a_{ell n} + ell a_{n / ell}) of each basis form is the
+    # combination of the basis read off at the pivots, at every n where
+    # both are known; and U_p f = -f, since w_p = -U_p at prime level
+    for p, prec in ((67, 210), (109, 84), (389, 225)):
+        gb = good_basis(p, prec)
+        for f in gb.forms:
+            assert all(f.coefficient(p * n) == -f.coefficient(n)
+                       for n in range(1, (prec - 1) // p + 1))
+        for ell in (2, 3):
+            known = range(1, (prec - 1) // ell + 1)
+            for f in gb.forms:
+                image = [f.coefficient(ell * n)
+                         + (ell * f.coefficient(n // ell) if n % ell == 0 else 0)
+                         for n in known]
+                combo = [sum(image[c - 1] * h.coefficient(n)
+                             for c, h in zip(gb.pivots, gb.forms))
+                         for n in known]
+                assert combo == image, (p, ell)
 
 
 def test_merel_set_small():
@@ -166,10 +236,10 @@ def test_graph_oracle_cross_check():
     # supersingular isogeny graphs with Atkin-Lehner acting as Frobenius
     from graph_oracle import hecke_on_plus_part
     for p in (67, 109):
-        comp = BasisComputer(p)
+        space = ModSymSpace(p)
         for ell in (2, 3, 5, 7):
             graph = hecke_on_plus_part(p, ell)
-            msym = comp._restrict_plus(comp._t_full(ell))
+            msym = hecke_on_plus(space, ell)
             assert linalg.charpoly(graph) == linalg.charpoly(msym)
 
 
@@ -195,3 +265,20 @@ def test_cache_round_trip(tmp_path):
     shorter = good_basis(67, 8, cache=cache)
     assert shorter.forms[0].precision == 8
     assert shorter.forms[0].coefficient(7) == gb.forms[0].coefficient(7)
+
+
+def test_cache_recomputes_old_payload_version(tmp_path):
+    # a version-1 entry (the eigenform-block algorithm) is never served
+    from wplus.cache import DiskCache
+    cache = DiskCache(tmp_path)
+    planted = {"version": 1, "p": 67, "g": 2, "genus_x0": 5,
+               "pivots": [1, 3], "precision": 40, "p_integral": True,
+               "galois_blocks": [[1, 2]],
+               "coefficients": [["0/1"] + ["7/1"] * 39] * 2}
+    cache.put("good_basis", "67", planted)
+    gb = good_basis(67, 12, cache=cache)
+    assert gb.pivots == [1, 2]
+    assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
+    stored = cache.get("good_basis", "67")
+    assert stored["version"] == 2 and "galois_blocks" not in stored
+    assert stored["precision"] == 12 and stored["pivots"] == [1, 2]

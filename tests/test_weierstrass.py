@@ -176,7 +176,7 @@ def test_cross_check_sensitivity(basis67):
 def test_non_integral_basis_reports_not_good(basis67):
     from wplus.modsym import GoodBasis
     doubted = GoodBasis(67, basis67.g, basis67.genus_x0, basis67.forms,
-                        basis67.pivots, False, basis67.galois_blocks)
+                        basis67.pivots, p_integral=False)
     rep = extract_Fp(67, doubted, ss_polys(67))
     assert rep.status == "not_good_basis"
     assert rep.exit_code == 2
