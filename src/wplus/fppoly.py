@@ -15,6 +15,28 @@ import numpy as np
 
 from .errors import InexactDivisionError, OddMultiplicityError
 
+#: np.convolve on int64 wraps silently once a sum of products reaches 2^63.
+#: Each output term sums at most min(len a, len b) products of residues, each
+#: below p^2, and convolve_mod refuses inputs that could reach this bound.
+_CONV_GUARD = 2**62
+
+
+def convolve_mod(a, b, p, n=None):
+    """Product of two int64 arrays of residues mod p (low degree first), mod
+    p: the first n coefficients, zero-padded, or all of them when n is None.
+
+    Raises OverflowError, before any arithmetic, when an int64 sum of
+    products could overflow for this modulus and these lengths.
+    """
+    terms = min(len(a), len(b))
+    if terms * (p - 1) ** 2 >= _CONV_GUARD:
+        raise OverflowError(
+            f"modulus {p} too large for an int64 convolution of {terms} terms")
+    out = np.convolve(a, b)[:n] % p
+    if n is not None and len(out) < n:
+        out = np.pad(out, (0, n - len(out)))
+    return out
+
 
 def legendre(a, p):
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
@@ -143,7 +165,7 @@ class FpPoly:
             raise ValueError("modulus mismatch")
         if self.is_zero() or other.is_zero():
             return FpPoly.zero(self.p)
-        return FpPoly(self.p, np.convolve(self.coeffs, other.coeffs) % self.p)
+        return FpPoly(self.p, convolve_mod(self.coeffs, other.coeffs, self.p))
 
     __rmul__ = __mul__
 

@@ -1,13 +1,19 @@
 """Level-1 modular forms and divisor polynomials.
 
-Provides exact q-expansions of the Eisenstein series E_k, the discriminant
-Delta, the j-function, and the Victor Miller echelon basis of M_k, together
-with the classical machinery that converts a weight-k form f with leading
+Provides q-expansions of the Eisenstein series E_k, the discriminant Delta,
+the j-function, and the Victor Miller echelon basis of M_k, together with
+the classical machinery that converts a weight-k form f with leading
 coefficient 1 into the polynomial F(f, x) in x = j recording the zeros of f
 away from the elliptic points: f = Delta^{m(k)} * Etilde_k * F(f, j).
 
 Everything runs both over Q (QExpansion) and over F_p (FpSeries); the F_p
-route is what the verification pipeline uses.
+route is what the verification pipeline uses.  It never touches a rational
+number: E_4 = 1 + 240 sum sigma_3(n) q^n and E_6 = 1 - 504 sum sigma_5(n) q^n
+are integral, so their residues come straight from the divisor sums, and
+Delta = (E_4^3 - E_6^2) / 1728 is formed by int64 convolutions mod p, where
+1728 = 2^6 3^3 is a unit for p >= 5.  The same integer formulas, divided
+exactly over Z, give j.  The rational route (eisenstein and delta through
+the Bernoulli numbers) serves the Q-context and the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ClosedFormMismatchError, NonPolynomialQuotientError, PrecisionError
-from .fppoly import FpPoly
+from .fppoly import FpPoly, convolve_mod
 from .series import FpSeries, QExpansion
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
@@ -64,13 +72,57 @@ def delta(prec):
     return (e4 ** 3 - e6 ** 2).scale(Fraction(1, 1728))
 
 
-def j_function(prec):
-    """j = E_4^3 / Delta = q^{-1} + 744 + 196884 q + ..."""
+def _e4_e6_delta(prec, p=None):
+    """Coefficients of q^0 .. q^(prec-1) of E_4, E_6 and Delta: int64
+    residues mod p, or Python ints in object arrays when p is None.
+
+    Delta = (E_4^3 - E_6^2) / 1728, divided exactly over Z, or multiplied by
+    the inverse of 1728 mod p (p >= 5).
+    """
     if prec < 2:
         raise ValueError("prec must be at least 2")
-    n = prec + 2
-    e4 = eisenstein(4, n)
-    return (e4 ** 3 / delta(n)).truncate(prec)
+    e4 = 240 * np.array(sigma_table(3, prec), dtype=object)
+    e6 = -504 * np.array(sigma_table(5, prec), dtype=object)
+    e4[0] = e6[0] = 1
+    if p is None:
+        def mul(a, b):
+            return np.convolve(a, b)[:prec]
+    else:
+        if p < 5:
+            raise ValueError("p must be a prime >= 5")
+        e4, e6 = ((x % p).astype(np.int64) for x in (e4, e6))
+
+        def mul(a, b):
+            return convolve_mod(a, b, p, prec)
+    diff = mul(mul(e4, e4), e4) - mul(e6, e6)
+    if p is None:
+        return e4, e6, diff // 1728
+    return e4, e6, diff * pow(1728, -1, p) % p
+
+
+def _level1_mod(prec, p):
+    """E_4, E_6 and Delta reduced mod p, as FpSeries of precision prec."""
+    return tuple(FpSeries(p, c, 0, prec, weight=k)
+                 for c, k in zip(_e4_e6_delta(prec, p), (4, 6, 12)))
+
+
+def j_function(prec):
+    """j = E_4^3 / Delta = q^{-1} + 744 + 196884 q + ..., known below q^prec.
+
+    E_4 and Delta are integral and Delta / q = 1 - 24 q + ... is monic, so
+    the quotient is computed exactly in Python integers.
+    """
+    if prec < 2:
+        raise ValueError("prec must be at least 2")
+    n = prec + 1                              # q^-1 .. q^(prec-1)
+    e4, _, dl = _e4_e6_delta(n + 1)
+    num = np.convolve(np.convolve(e4, e4)[:n], e4)[:n]
+    unit = dl[1:]
+    out = np.zeros(n, dtype=object)
+    out[0] = num[0]
+    for k in range(1, n):
+        out[k] = num[k] - out[:k].dot(unit[k:0:-1])
+    return QExpansion(out.tolist(), -1, prec)
 
 
 @dataclass(frozen=True)
@@ -122,9 +174,7 @@ class Level1Context:
             self.e6 = eisenstein(6, prec)
             self.delta = delta(prec)
         else:
-            self.e4 = eisenstein(4, prec).reduce_mod(p)
-            self.e6 = eisenstein(6, prec).reduce_mod(p)
-            self.delta = delta(prec).reduce_mod(p)
+            self.e4, self.e6, self.delta = _level1_mod(prec, p)
         self._jpow = [self.delta / self.delta]  # exact one, right precision
         self._jpow.append(self.e4 ** 3 / self.delta)
 
@@ -234,9 +284,7 @@ def miller_basis_mod(k, p, prec):
     d = weight_profile(k).m
     if prec < d + 2:
         prec = d + 2
-    e4 = eisenstein(4, prec).reduce_mod(p)
-    e6 = eisenstein(6, prec).reduce_mod(p)
-    dl = delta(prec).reduce_mod(p)
+    e4, e6, dl = _level1_mod(prec, p)
     dpow = FpSeries.one(p, prec)
     monos = []
     for i in range(d + 1):

@@ -22,7 +22,7 @@ pivots c_1 < ... < c_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -368,7 +368,9 @@ class GoodBasis:
     """Reduced echelon basis of the rational weight-2 forms invariant under
     the Atkin-Lehner involution: f_i = q^{c_i} + ... with c_1 < ... < c_g,
     and the pivot columns form an identity block (when the pivots are
-    consecutive this is the classical f_i = q^{c_i} + O(q^{c_g+1}))."""
+    consecutive this is the classical f_i = q^{c_i} + O(q^{c_g+1})).
+    ``computer`` is the BasisComputer that built it, None when the basis
+    came from the cache."""
 
     p: int
     g: int
@@ -376,6 +378,8 @@ class GoodBasis:
     forms: list        # QExpansion, weight 2, level p
     pivots: list       # c_1 < ... < c_g
     p_integral: bool
+    computer: BasisComputer | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def precision(self):
@@ -466,7 +470,7 @@ class BasisComputer:
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
-            return GoodBasis(self.p, 0, self.space.genus, [], [], True)
+            return GoodBasis(self.p, 0, self.space.genus, [], [], True, self)
         self._extend(prec)
         cols = np.array(self._cols[:prec - 1], dtype=object).T   # dim x (prec-1)
         span = cols[self.rows]
@@ -496,7 +500,7 @@ class BasisComputer:
                                     weight=2, level=self.p))
         p_integral = all(f.is_p_integral(self.p) for f in forms)
         return GoodBasis(self.p, self.g, self.space.genus, forms,
-                         [c + 1 for c in pivots], p_integral)
+                         [c + 1 for c in pivots], p_integral, self)
 
 
 def _smallest_prime_factor(n):
@@ -510,20 +514,21 @@ def _smallest_prime_factor(n):
     return n
 
 
-def good_basis(p, prec, cache=None):
+def good_basis(p, prec, cache=None, computer=None):
     """The reduced echelon basis of S_2^+(p) to the given precision.
 
     Results round-trip through the cache (kind ``good_basis``) when one is
     supplied; a cached basis of the current payload version and of at least
     the requested precision is reused, and anything else is recomputed and
-    overwritten.
+    overwritten.  A miss extends ``computer`` (the ``computer`` of an earlier
+    basis of p) when one is given, and builds a new BasisComputer otherwise.
     """
     if cache is not None:
         payload = cache.get("good_basis", str(p))
         if (payload is not None and payload.get("version") == _PAYLOAD_VERSION
                 and payload["precision"] >= prec):
             return _basis_from_payload(payload, prec)
-    gb = BasisComputer(p).basis(prec)
+    gb = (computer or BasisComputer(p)).basis(prec)
     if cache is not None:
         cache.put("good_basis", str(p), _basis_to_payload(gb))
     return gb

@@ -102,7 +102,7 @@ def verify_prime(p, config=None, basis_only=False):
             need = required_basis_precision(
                 gb.pivots, p, config.precision_slack, config.paranoid)
             if gb.precision < need:
-                gb = good_basis(p, need, cache)
+                gb = good_basis(p, need, cache, gb.computer)
             miller = _miller_cusp_at(p, gb.precision, cache)
         else:
             miller = None

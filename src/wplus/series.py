@@ -19,10 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPIntegralError, PrecisionError
-
-# np.convolve on int64 overflows silently once len * p^2 reaches 2^63; the
-# moduli used here (p < 2^20) stay far below that for any realistic length.
-_CONV_GUARD = 2**62
+from .fppoly import convolve_mod
 
 
 def _mul_precision(va, pa, vb, pb):
@@ -353,12 +350,7 @@ class FpSeries:
         v = min(self.valuation + other.valuation, prec)
         if self.is_zero() or other.is_zero():
             return FpSeries(self.p, np.zeros(prec - v, dtype=np.int64), v, prec, w)
-        n = prec - v
-        if max(len(self.coeffs), len(other.coeffs)) * (self.p - 1) ** 2 >= _CONV_GUARD:
-            raise OverflowError("modulus too large for int64 convolution")
-        conv = np.convolve(self.coeffs, other.coeffs)[:n] % self.p
-        if len(conv) < n:
-            conv = np.pad(conv, (0, n - len(conv)))
+        conv = convolve_mod(self.coeffs, other.coeffs, self.p, prec - v)
         return FpSeries(self.p, conv, v, prec, w)
 
     __rmul__ = __mul__
@@ -371,10 +363,9 @@ class FpSeries:
         x = np.array([inv0], dtype=np.int64)
         while len(x) < nterms:
             m = min(2 * len(x), nterms)
-            ux = np.convolve(u[:m], x)[:m] % p
-            two_minus = (-ux) % p
+            two_minus = (-convolve_mod(u[:m], x, p, m)) % p
             two_minus[0] = (two_minus[0] + 2) % p
-            x = np.convolve(x, two_minus)[:m] % p
+            x = convolve_mod(x, two_minus, p, m)
         return x[:nterms]
 
     def __truediv__(self, other):
@@ -392,10 +383,7 @@ class FpSeries:
             return FpSeries(self.p, np.zeros(n, dtype=np.int64), v, prec, w)
         inv = other._unit_inverse(n)
         a = self._window(va, va + n)
-        out = np.convolve(a, inv)[:n] % self.p
-        if len(out) < n:
-            out = np.pad(out, (0, n - len(out)))
-        return FpSeries(self.p, out, v, prec, w)
+        return FpSeries(self.p, convolve_mod(a, inv, self.p, n), v, prec, w)
 
     def __pow__(self, e):
         if e < 0:

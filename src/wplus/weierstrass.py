@@ -178,24 +178,44 @@ def required_basis_precision(pivots, p, slack=10, paranoid=False):
     return sum_c + m + slack + 2
 
 
-def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
-    """Compare the exact rational theta-Wronskian of the basis, reduced mod
-    p, with the mod-p theta-Wronskian of the lifts, coefficientwise through
-    the shared precision; also checks the Vandermonde leading coefficient.
+#: relative precision K of the exact Wronskian head: each basis form f_j is
+#: cut at q^(c_j + K), which fixes the exact determinant below q^(sum c + K)
+_HEAD_TERMS = 12
 
-    Returns (ok, exact_wronskian, V).
+
+def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
+    """Check the mod-p theta-Wronskian of the lifts against that of the
+    reduced basis forms, and an exact head of the rational Wronskian against
+    both.
+
+    Reduction Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with theta,
+    so the reduction of the exact Wronskian det[theta^i f_j] of the
+    p-integral basis forms is the Wronskian of the reduced forms.  Comparing
+    that with the Wronskian of the lifts b_j, coefficientwise through the
+    window (the forms cut at ``prec``), tests the congruence f_j = b_j
+    (mod p) without forming the exact determinant.  The leading coefficient
+    is the Vandermonde determinant V of the pivots, and V must be a p-unit,
+    so the normalized Wronskian det / V is p-integral whenever the basis is.
+
+    The exact rational Wronskian is formed on a head only: each f_j is cut at
+    q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
+    q^(sum c + K).  Its leading coefficient must be V, and its reduction
+    must agree with the mod-p Wronskian of the reduced forms.
+
+    Returns (ok, exact head of the Wronskian, V).
     """
     forms = basis.forms
     if prec is not None:
         forms = [f.truncate(min(prec, f.precision)) for f in forms]
-    det, lead = wronskian(forms)
+    window = min(f.precision for f in forms)
     v = vandermonde(basis.pivots)
-    ok = Fraction(v) == lead and v % p != 0
-    det_mod = det.reduce_mod(p)
-    lift_det, lift_lead = wronskian([b.truncate(min(f.precision for f in forms))
-                                     for b in lifts])
-    ok = ok and lift_lead == v % p
-    ok = ok and det_mod.agrees_with(lift_det)
+    red_det, red_lead = wronskian([f.reduce_mod(p) for f in forms])
+    lift_det, lift_lead = wronskian([b.truncate(window) for b in lifts])
+    det, lead = wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
+                           for f, c in zip(forms, basis.pivots)])
+    ok = (v % p != 0 and lead == v and red_lead == lift_lead == v % p
+          and red_det.agrees_with(lift_det)
+          and det.reduce_mod(p).agrees_with(red_det))
     return ok, det, v
 
 
@@ -312,14 +332,15 @@ def extract_Fp(p, basis, split, ctx=None, miller_cusp=None, paranoid=False,
     report.checks["theorem_assembly"] = lhs == f_wtilde
     report.polys["F_wtilde"] = f_wtilde
 
-    # exact-rational Wronskian: p-integrality and the mod-p congruence
+    # the mod-p Wronskian congruence and p-integrality of the exact one
     prec_cross = cross_precision or (sum_c + max(24, 4 * g))
     prec_cross = min(prec_cross, basis.precision)
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
         basis, lifts, p, prec=prec_cross)
     report.checks["wronskian_congruence"] = ok_cross
     w_exact = det_exact.scale(Fraction(1, v_exact))
-    report.checks["wronskian_p_integral"] = w_exact.is_p_integral(p)
+    report.checks["wronskian_p_integral"] = (
+        basis.p_integral and v_exact % p != 0 and w_exact.is_p_integral(p))
     report.checks["sturm_pivots"] = all(
         1 <= c <= (p + 1) // 6 for c in basis.pivots)
     report.wronskian_head = [_series_head(w_exact, 6)]

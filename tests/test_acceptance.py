@@ -265,3 +265,15 @@ def test_criterion_8_weierstrass_cusp_threshold(scan_67_199):
     assert clauses["c"], f"criterion 8 (c): wt(infinity) = {wt_389} at 389"
     assert clauses["d"], (
         f"criterion 8 (d): wt(infinity) not positive at {not_positive_above}")
+
+
+@pytest.mark.slow
+def test_cold_601_end_to_end(tmp_path):
+    # opt-in (pytest -m slow): the largest prime of the ladder, cold cache
+    t0 = time.time()
+    report = verify_prime(601, Config(cache_dir=tmp_path))
+    ok = report.status == "ok" and all(report.checks.values())
+    _line("601", ok, f"cold p = 601, g+ = {report.g_plus}, "
+          f"{len(report.checks)} checks", time.time() - t0)
+    assert report.status == "ok"
+    assert report.checks and all(report.checks.values())

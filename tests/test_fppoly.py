@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from wplus.errors import OddMultiplicityError
-from wplus.fppoly import FpPoly, is_prime, legendre, poly_factor, poly_sqrt
+from wplus.fppoly import (FpPoly, convolve_mod, is_prime, legendre,
+                          poly_factor, poly_sqrt)
+from wplus.level1 import _e4_e6_delta
+from wplus.series import FpSeries
 
 
 def s67_paper_factors():
@@ -139,3 +143,32 @@ def test_gcd_and_powmod():
 def test_is_prime():
     assert is_prime(67) and is_prime(2) and is_prime(439)
     assert not is_prime(68) and not is_prime(1) and not is_prime(389 * 397)
+
+
+def test_convolve_mod_matches_python_ints():
+    rng = random.Random(11)
+    p = 1000003
+    a = [rng.randrange(p) for _ in range(40)]
+    b = [rng.randrange(p) for _ in range(25)]
+    ref = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % p
+           for k in range(len(a) + len(b) - 1)]
+    got = convolve_mod(np.array(a), np.array(b), p)
+    assert got.tolist() == ref
+    assert convolve_mod(np.array(a), np.array(b), p, 70).tolist() == ref + [0] * 6
+
+
+def test_int64_convolutions_refuse_large_moduli():
+    # every int64 convolution goes through one guard; near 2^31 a sum of two
+    # products of residues can overflow, so each route raises OverflowError
+    # on these three-term inputs instead of wrapping silently
+    p = 2**31 - 1
+    assert is_prime(p)
+    arr = np.array([1, 2, 3], dtype=np.int64)
+    f = FpSeries(p, [1, 2, 3], 0, 3)
+    poly = FpPoly(p, [1, 2, 3])
+    routes = [lambda: convolve_mod(arr, arr, p), lambda: f * f,
+              lambda: f._unit_inverse(3), lambda: f / f,
+              lambda: poly * poly, lambda: _e4_e6_delta(3, p)]
+    for route in routes:
+        with pytest.raises(OverflowError):
+            route()

@@ -5,8 +5,9 @@ import pytest
 
 from wplus.errors import ClosedFormMismatchError, NonPolynomialQuotientError
 from wplus.fppoly import FpPoly
-from wplus.level1 import (bernoulli, cp_factor, delta, divisor_polynomial,
-                          eisenstein, gp_exponents, gp_poly, j_function,
+from wplus.level1 import (Level1Context, bernoulli, cp_factor, delta,
+                          divisor_polynomial, eisenstein, gp_exponents,
+                          gp_poly, j_function,
                           miller_basis, miller_basis_mod, sigma_table,
                           square_divisor_relation, weight_profile)
 from wplus.series import FpSeries
@@ -51,10 +52,40 @@ def test_delta_printed_coefficients():
 
 def test_j_printed_coefficients():
     j = j_function(4)
-    assert j.valuation == -1
-    assert j.coefficient(-1) == 1
-    assert j.coefficient(0) == 744
-    assert j.coefficient(1) == 196884
+    assert j.valuation == -1 and j.precision == 4 and j.weight == 0
+    assert [j.coefficient(n) for n in range(-1, 4)] == [
+        1, 744, 196884, 21493760, 864299970]
+
+
+def _jacobi_delta(prec):
+    """q prod (1 - q^n)^24 below q^prec, in Python ints."""
+    def mul(a, b):
+        out = [0] * prec
+        for i, x in enumerate(a):
+            if x:
+                for j in range(prec - i):
+                    out[i + j] += x * b[j]
+        return out
+    eta = [1] + [0] * (prec - 1)
+    for n in range(1, prec):
+        for m in range(prec - 1, n - 1, -1):
+            eta[m] -= eta[m - n]
+    eta2 = mul(eta, eta)
+    eta8 = mul(mul(eta2, eta2), mul(eta2, eta2))
+    return [0] + mul(mul(eta8, eta8), eta8)[:prec - 1]
+
+
+def test_level1_mod_p_matches_oracles():
+    # Delta against the Jacobi product, E_4 and E_6 against the Q route
+    prec = 320
+    jacobi = _jacobi_delta(prec)
+    e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
+    for p in (5, 7, 11, 13, 67, 389):
+        ctx = Level1Context(prec, p)
+        assert ctx.delta.weight == 12 and ctx.delta.precision == prec
+        assert ctx.delta.coefficients(prec) == [c % p for c in jacobi]
+        assert ctx.e4 == e4.reduce_mod(p)
+        assert ctx.e6 == e6.reduce_mod(p)
 
 
 def test_weight_profile():

@@ -282,3 +282,26 @@ def test_cache_recomputes_old_payload_version(tmp_path):
     stored = cache.get("good_basis", "67")
     assert stored["version"] == 2 and "galois_blocks" not in stored
     assert stored["precision"] == 12 and stored["pivots"] == [1, 2]
+
+
+def test_verify_prime_builds_one_space_per_prime(tmp_path, monkeypatch):
+    # the chain-precision basis extends the pivot-precision computer, and
+    # the cached basis is the one a fresh computer gives at that precision
+    from wplus import modsym
+    from wplus.cache import DiskCache
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    built = []
+    init = modsym.ModSymSpace.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(modsym.ModSymSpace, "__init__", counting_init)
+    report = verify_prime(109, Config(cache_dir=tmp_path))
+    assert report.status == "ok" and built == [109]
+    stored = DiskCache(tmp_path).get("good_basis", "109")
+    fresh = BasisComputer(109).basis(stored["precision"])
+    assert stored == modsym._basis_to_payload(fresh)
+    assert stored["precision"] > (109 + 1) // 6 + 12

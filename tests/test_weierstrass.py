@@ -6,10 +6,11 @@ from wplus.errors import (NoLiftError, NotPIntegralError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly
 from wplus.level1 import miller_basis_mod
-from wplus.modsym import good_basis
+from wplus.modsym import GoodBasis, good_basis
 from wplus.series import FpSeries, QExpansion
 from wplus.supersingular import ss_polys
-from wplus.weierstrass import (cross_check_wronskian_congruence,
+from wplus.weierstrass import (_HEAD_TERMS, _series_head,
+                               cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp, lift_to_level1,
                                required_basis_precision, theta, vandermonde,
                                wronskian)
@@ -171,6 +172,48 @@ def test_cross_check_sensitivity(basis67):
     ok_bad, _, _ = cross_check_wronskian_congruence(basis67, [bad, lifts[1]],
                                                     p, prec=14)
     assert not ok_bad
+
+
+def test_cross_check_catches_basis_error_past_exact_head(basis67):
+    # a wrong basis coefficient inside the mod-p window but past the exact
+    # head q^(c_j + K) is invisible to the head and caught mod p
+    p = 67
+    lifts = [lift_to_level1(f, p) for f in basis67.forms]
+    window = sum(basis67.pivots) + 24
+    ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, p,
+                                                   prec=window)
+    assert ok
+    f1 = basis67.forms[0]
+    n = basis67.pivots[0] + _HEAD_TERMS + 4
+    assert n < min(window, f1.precision)
+    coeffs = list(f1.coeffs)
+    coeffs[n - f1.valuation] += 1
+    bad_f1 = QExpansion(coeffs, f1.valuation, f1.precision, weight=2, level=p)
+    bad = GoodBasis(p, basis67.g, basis67.genus_x0,
+                    [bad_f1] + basis67.forms[1:], basis67.pivots, True)
+    ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, p,
+                                                           prec=window)
+    assert head_bad == head
+    assert not ok_bad
+
+
+@pytest.mark.parametrize("p", [67, 109, 199])
+def test_exact_head_matches_absolute_window(p):
+    # the pivot-relative head against the exact Wronskian of the forms cut
+    # at one absolute precision sum(c) + max(24, 4g), as it was formed before
+    gb0 = good_basis(p, (p + 1) // 6 + 12)
+    gb = good_basis(p, required_basis_precision(gb0.pivots, p),
+                    computer=gb0.computer)
+    lifts = [lift_to_level1(f, p) for f in gb.forms]
+    window = min(sum(gb.pivots) + max(24, 4 * gb.g), gb.precision)
+    ok, head, v = cross_check_wronskian_congruence(gb, lifts, p, prec=window)
+    assert ok
+    full, _ = wronskian([f.truncate(window) for f in gb.forms])
+    assert head.valuation == full.valuation == sum(gb.pivots)
+    assert head.precision == sum(gb.pivots) + _HEAD_TERMS < full.precision
+    assert head == full.truncate(head.precision)
+    line = f"  wronskian = {_series_head(full.scale(Fraction(1, v)), 6)}"
+    assert line in extract_Fp(p, gb, ss_polys(p)).text_lines()
 
 
 def test_non_integral_basis_reports_not_good(basis67):
