@@ -3,12 +3,13 @@
 Matrices are small here (a few dozen rows), so plain Gaussian elimination
 over Fraction is both exact and fast enough.  The one large system in the
 package (the Manin-relation matrix) gets a dedicated sparse routine, and
-integer matrices get a fraction-free pivot search.
+integer matrices get a fraction-free pivot search and inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,6 +99,37 @@ def pivot_columns(a):
         if len(pivots) == rows:
             break
     return pivots
+
+
+def scaled_inverse(a):
+    """(k, K) with K = k a^{-1} for a square integer matrix a, where k > 0
+    is the least common denominator of a^{-1}.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [a | I]: every entry stays a
+    minor of the augmented matrix, so each division is exact, and at the
+    end the left block is d I with d = +-det a.  Dividing d and the right
+    block by their gcd leaves the least k.  Raises ValueError when a is
+    singular."""
+    n = len(a)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            raise ValueError("singular matrix")
+        m[c], m[pr] = m[pr], m[c]
+        piv = m[c]
+        for i in range(n):
+            if i != c:
+                f = m[i][c]
+                m[i] = [(piv[c] * x - f * y) // prev
+                        for x, y in zip(m[i], piv)]
+        prev = piv[c]
+    scale = gcd(prev, *(x for row in m for x in row[n:]))
+    if prev < 0:
+        scale = -scale
+    return prev // scale, [[x // scale for x in row[n:]] for row in m]
 
 
 def nullspace(a):

@@ -5,11 +5,12 @@ the two- and three-term relations and by the star involution (so complex
 conjugation acts trivially and every Hecke eigenvalue appears once).  T_ell
 acts on Manin symbols through a set of integer matrices of determinant ell,
 applied to all symbols at once: Cremona's Heilbronn matrices for an odd
-prime ell != p, Merel's matrices for ell = 2 and for U_p.  The coset
-representatives acting on paths, brought back to Manin symbols by
-continued-fraction convergents, remain as an independent route for tests.
-See Cremona, "Algorithms for Modular Elliptic Curves", ch. 2, and Stein,
-"Modular Forms: A Computational Approach", ch. 8-9.
+prime ell != p, Merel's matrices for ell = 2.  The Atkin-Lehner involution
+is the single matrix W_p = (0, -1; p, 0), whose image of each symbol comes
+back through continued-fraction convergents.  U_p from Merel's matrices,
+and the coset representatives acting on paths, remain as independent
+routes for tests.  See Cremona, "Algorithms for Modular Elliptic Curves",
+ch. 2, and Stein, "Modular Forms: A Computational Approach", ch. 8-9.
 
 Since every cusp form of prime level is new, the Atkin-Lehner involution
 acts on the cuspidal subspace as -U_p, and its +1 eigenspace M+ corresponds
@@ -47,7 +48,8 @@ def merel_set(n):
     """Merel's matrices (a, b; c, d), det = n, a > b >= 0, d > c >= 0.
 
     Computes T_n on Manin symbols for every n, including n = level (U_n);
-    slower to enumerate than Heilbronn's set, so only used where needed.
+    the enumeration is O(n^2) in Python, so production uses it for n = 2
+    only.
     """
     out = []
     for a in range(1, n + 1):
@@ -213,13 +215,15 @@ class ModSymSpace:
         # reduction map: R_num[t, i] / R_den is coordinate t of symbol i
         den = lcm(*(v.denominator for row in pivot_rows.values()
                     for v in row.values()))
+        scaled = {r: [(pos[c_], v.numerator * (den // v.denominator))
+                      for c_, v in row.items() if c_ != r]
+                  for r, row in pivot_rows.items()}
         rnum = np.zeros((self.dim, n), dtype=np.int64)
         for i in range(n):
             r, s = uf.resolve(i)
-            if s and r in pivot_rows:
-                for c_, v in pivot_rows[r].items():
-                    if c_ != r:
-                        rnum[pos[c_], i] = -s * int(v * den)
+            if s and r in scaled:
+                for t, v in scaled[r]:
+                    rnum[t, i] = -s * v
             elif s:
                 rnum[pos[r], i] = s * den
         self._r_den = den
@@ -251,9 +255,20 @@ class ModSymSpace:
         a, b, c, d = np.asarray(mats, dtype=np.int64).T
         u0 = self._sym_c[self.free][:, None]
         v0 = self._sym_d[self.free][:, None]
-        u = (u0 * a + v0 * c) % p
-        v = (u0 * b + v0 * d) % p
-        idx = np.where(u == 0, np.where(v == 0, n, 0), 1 + v * self._inv[u] % p)
+        # in place where possible: every temporary is dim x len(mats), and
+        # each fresh one of that size faults in new pages
+        u = u0 * a
+        u += v0 * c
+        u %= p
+        v = u0 * b
+        v += v0 * d
+        v %= p
+        idx = self._inv[u]
+        idx *= v
+        idx %= p
+        idx += 1
+        zero = u == 0
+        idx[zero] = np.where(v[zero] == 0, n, 0)
         idx += (n + 1) * np.arange(self.dim)[:, None]
         counts = np.bincount(idx.ravel(), minlength=(n + 1) * self.dim)
         return counts.reshape(self.dim, n + 1)[:, :n].T
@@ -261,7 +276,8 @@ class ModSymSpace:
     def _accumulate_infty_path(self, num, den, coeff, out):
         """Manin symbols of the path from the infinite cusp to num/den, by
         continued-fraction convergents: the j-th term is the class of
-        (q_j : (-1)^{j-1} q_{j-1})."""
+        (q_j : (-1)^{j-1} q_{j-1}).  den may be negative: floor division
+        gives (-num)/(-den) the same partial quotients as num/den."""
         qm2, qm1 = 1, 0
         sgn = -1
         while den != 0:
@@ -273,27 +289,20 @@ class ModSymSpace:
             num, den = den, num - a * den
             sgn = -sgn
 
-    def _hecke_counts(self, ell):
-        """Signed symbol counts of the T_ell image of every free symbol.
-
-        Uses the coset representatives (1, j; 0, ell) for 0 <= j < ell,
-        plus (ell, 0; 0, 1) when ell != p, acting on the path of each
-        symbol; the image paths come back to Manin symbols through the
-        convergents of their endpoints (Manin's trick).
-        """
-        reps = [(1, j, 0, ell) for j in range(ell)]
-        if ell != self.p:
-            reps.append((ell, 0, 0, 1))
+    def _path_counts(self, mats):
+        """Signed symbol counts of sum_M M g{0, infty} over the matrices M,
+        for the lift g of every free symbol.  Each image path
+        {M0, M(infty)} = {infty, M(infty)} - {infty, M0} comes back to Manin
+        symbols through the convergents of its endpoints (Manin's trick)."""
         counts = np.zeros((self.n, self.dim), dtype=np.int64)
         for jcol, s in enumerate(self.free):
             g0, g1, g2, g3 = self.symbol_lift(s)
             acc = {}
-            for r0, r1, r2, r3 in reps:
+            for r0, r1, r2, r3 in mats:
                 m00 = r0 * g0 + r1 * g2
                 m01 = r0 * g1 + r1 * g3
                 m10 = r2 * g0 + r3 * g2
                 m11 = r2 * g1 + r3 * g3
-                # {M0, M(infty)} = {infty, M(infty)} - {infty, M0}
                 if m10 != 0:
                     self._accumulate_infty_path(m00, m10, 1, acc)
                 if m11 != 0:
@@ -302,17 +311,27 @@ class ModSymSpace:
                 counts[idx, jcol] = cnt
         return counts
 
+    def atkin_lehner_matrix(self):
+        """HeckeMatrix of the Atkin-Lehner involution W_p = (0, -1; p, 0):
+        one matrix acting on paths, so O(dim log p) steps in all."""
+        return self._counts_to_matrix(self._path_counts([(0, -1, self.p, 0)]))
+
     def hecke_matrix(self, ell):
         """HeckeMatrix of T_ell on the quotient; ell must be prime, and
         ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
-        Merel's matrices otherwise."""
+        Merel's matrices otherwise (for ell = p only as a reference: the
+        production basis uses W_p)."""
         mats = merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
         return self._counts_to_matrix(self._count_images(mats))
 
     def hecke_matrix_path(self, ell):
-        """T_ell by coset representatives acting on paths; kept only as an
-        independent test oracle for the production route."""
-        return self._counts_to_matrix(self._hecke_counts(ell))
+        """T_ell by the coset representatives (1, j; 0, ell) for
+        0 <= j < ell, plus (ell, 0; 0, 1) when ell != p, acting on paths;
+        kept only as an independent test oracle for the production route."""
+        reps = [(1, j, 0, ell) for j in range(ell)]
+        if ell != self.p:
+            reps.append((ell, 0, 0, 1))
+        return self._counts_to_matrix(self._path_counts(reps))
 
     def hecke_matrix_merel(self, ell):
         """T_ell from Merel's determinant-ell matrices for every ell; kept as
@@ -398,7 +417,9 @@ def wt_infinity(basis):
 class BasisComputer:
     """Krylov good-basis engine for one prime, reusable across precisions.
 
-    x = (1 - U_p) y for a cuspidal y with fixed small integer weights lies in
+    Prime level is all new, so U_p = -w_p on S_2, and the +1 space of w_p is
+    reached through the one matrix W_p rather than through U_p.
+    x = (1 + W_p) y for a cuspidal y with fixed small integer weights lies in
     M+; its columns T_n x are kept as Python-int vectors v_n with
     T_n x = v_n / d_n.  ``rows`` are g coordinates that are independent over
     n <= (p + 1) / 6 + 2, so x is cyclic and their forms span S_2^+(p).
@@ -413,23 +434,23 @@ class BasisComputer:
         if space.genus == 0:
             return
         den = space._r_den
-        up = self._t(p)
+        w = space.atkin_lehner_matrix().num.astype(object)
         scale = lcm(*(x.denominator for row in space.cuspidal for x in row))
         cusp = np.array([[int(x * scale) for x in row]
                          for row in space.cuspidal], dtype=object)
-        upc = up @ cusp
-        if not np.array_equal(up @ upc, den * den * cusp):
-            raise WplusError("U_p is not an involution on the cuspidal subspace")
-        minus = den * cusp - upc                   # den (1 - U_p) C
-        self.g = len(linalg.pivot_columns(minus))
+        wc = w @ cusp
+        if not np.array_equal(w @ wc, den * den * cusp):
+            raise WplusError("W_p is not an involution on the cuspidal subspace")
+        plus = den * cusp + wc                     # den (1 + W_p) C
+        self.g = len(linalg.pivot_columns(plus))
         if self.g == 0:
             return
         head = (p + 1) // 6 + 3                    # columns n < head
         for trial in range(_TRIALS):
             weights = np.array([(j + 1) ** trial for j in range(space.genus)],
                                dtype=object)
-            x = minus @ weights
-            if not np.array_equal(up @ x, -den * x):
+            x = plus @ weights
+            if not np.array_equal(w @ x, den * x):
                 raise WplusError("x is not in the w_p = +1 space")
             self._cols, self._dens = [x], [1]
             self._extend(head)
@@ -483,9 +504,8 @@ class BasisComputer:
                     f"(pivots can reach {(self.p + 1) // 6})")
             raise WplusError("Krylov rows do not span the +1 eigenspace")
         # rref = diag(d_P) B^{-1} span diag(1/d_n), B = span[:, pivots]
-        inv = linalg.solve(span[:, pivots].tolist(), linalg.identity(self.g))
-        k = lcm(*(x.denominator for row in inv for x in row))
-        kinv = np.array([[int(x * k) for x in row] for row in inv], dtype=object)
+        k, kinv = linalg.scaled_inverse(span[:, pivots].tolist())
+        kinv = np.array(kinv, dtype=object)
         red = kinv @ span
         # every coordinate is the same combination of the rows, at every n
         other = cols[:, pivots] @ kinv

@@ -22,6 +22,8 @@ def genus_x0(p):
 KNOWN_G_PLUS = {11: 0, 23: 0, 31: 0, 37: 1, 41: 0, 43: 1, 47: 0, 59: 0,
                 61: 1, 67: 2, 71: 0, 73: 2, 97: 3, 101: 1, 103: 2}
 
+PRIMES_11_199 = [p for p in range(11, 200) if all(p % d for d in range(2, p))]
+
 # the printed echelon basis of the w_67 = +1 forms, through q^8
 F1_67 = [1, 0, -3, -3, -3, 1, 4, 3]
 F2_67 = [0, 1, -1, -3, 0, 0, 3, 4]
@@ -38,22 +40,28 @@ def hecke_on_plus(space, ell):
 
 
 def hecke_operators(t_prime, upto):
-    """T_n for n <= upto built from the prime operators t_prime[ell] by
-    T_{ell m} = T_ell T_m (ell not dividing m) and
-    T_{ell^{k+1}} = T_ell T_{ell^k} - ell T_{ell^{k-1}}; n with a prime
+    """T_n for n <= upto built from the prime operators t_prime[ell] (square
+    numpy object arrays over Q) by T_{ell m} = T_ell T_m (ell not dividing m)
+    and T_{ell^{k+1}} = T_ell T_{ell^k} - ell T_{ell^{k-1}}; n with a prime
     factor missing from t_prime are skipped."""
     g = len(next(iter(t_prime.values())))
-    ops = {1: linalg.identity(g)}
+    ops = {1: np.eye(g, dtype=int).astype(object)}
     for n in range(2, upto + 1):
         ell = next(d for d in range(2, n + 1) if n % d == 0)
         m = n // ell
         if ell not in t_prime or m not in ops:
             continue
-        ops[n] = t_prime[ell] if m == 1 else \
-            linalg.mat_mul(t_prime[ell], ops[m])
+        ops[n] = t_prime[ell] @ ops[m]
         if m % ell == 0:
-            ops[n] = linalg.mat_add(ops[n], ops[m // ell], -ell)
+            ops[n] = ops[n] - ell * ops[m // ell]
     return ops
+
+
+def exact_array(rows):
+    """Object array of a Fraction matrix, integral entries as Python ints so
+    that products stay in integer arithmetic."""
+    return np.array([[x.numerator if x.denominator == 1 else x for x in row]
+                     for row in rows], dtype=object)
 
 
 def test_space_dimensions_match_genus_formula():
@@ -91,28 +99,70 @@ def test_heilbronn_cremona_set():
 
 
 def test_trace_formula_oracle_matches_hecke():
-    # Eichler-Selberg traces share no code with the Hecke routes
+    # Eichler-Selberg traces share no code with the Hecke routes: every
+    # prime 11 <= p <= 199 with genus > 0, every n <= 50 the formula covers
     from trace_oracle import hecke_trace, hurwitz_class_number
     assert [hurwitz_class_number(n) for n in (3, 4, 12, 15, 16, 23)] == [
         Fraction(1, 3), Fraction(1, 2), Fraction(4, 3), 2, Fraction(3, 2), 3]
-    for p in (11, 23, 37, 67, 109, 199):
+    checked = 0
+    for p in PRIMES_11_199:
         s = ModSymSpace(p)
-        t_prime = {ell: s.restrict_to_cuspidal(s.hecke_matrix(ell).fractions())
-                   for ell in range(2, 31) if ell != p and all(
+        if s.genus == 0:
+            continue
+        t_prime = {ell: exact_array(s.restrict_to_cuspidal(
+                       s.hecke_matrix(ell).fractions()))
+                   for ell in range(2, 51) if ell != p and all(
                        ell % d for d in range(2, ell))}
-        ops = hecke_operators(t_prime, 30)
-        for n in range(1, 31):
-            if n % p:
-                trace = sum(ops[n][i][i] for i in range(s.genus))
+        ops = hecke_operators(t_prime, 50)
+        for n in range(1, 51):
+            if n % p and 4 * n < p * p:
+                trace = ops[n].trace()
                 assert trace == hecke_trace(p, n), (p, n)
+                checked += 1
+    assert checked == 2016
+
+
+def test_atkin_lehner_matrix_matches_merel_up():
+    # W_p by convergents shares no path code with Merel's U_p: at prime
+    # level every cusp form is new, so -W_p = U_p on the cuspidal space
+    for p in PRIMES_11_199:
+        s = ModSymSpace(p)
+        if s.genus == 0:
+            continue
+        w = s.atkin_lehner_matrix()
+        minus_w = [[-x for x in row]
+                   for row in s.restrict_to_cuspidal(w.fractions())]
+        assert minus_w == s.restrict_to_cuspidal(
+            s.hecke_matrix(p).fractions()), p
+
+
+def test_basis_never_enumerates_merel_for_up(tmp_path, monkeypatch):
+    # the production basis reaches w_p through W_p, never through U_p
+    from wplus import modsym
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    merel = modsym.merel_set
+
+    def guarded(n):
+        if n > 2:
+            raise AssertionError(f"merel_set({n}) called")
+        return merel(n)
+
+    monkeypatch.setattr(modsym, "merel_set", guarded)
+    assert good_basis(389, 80).pivots
+    report = verify_prime(67, Config(cache_dir=tmp_path), basis_only=True)
+    assert report.status == "ok"
 
 
 def test_hecke_commutativity():
+    # T_2, T_3 and W_p commute on the whole quotient
     for p in (67, 101):
         s = ModSymSpace(p)
         t2 = s.hecke_matrix(2).fractions()
         t3 = s.hecke_matrix(3).fractions()
-        assert linalg.mat_mul(t2, t3) == linalg.mat_mul(t3, t2)
+        w = s.atkin_lehner_matrix().fractions()
+        for a, b in ((t2, t3), (w, t2), (w, t3)):
+            assert linalg.mat_mul(a, b) == linalg.mat_mul(b, a), p
 
 
 def test_atkin_lehner_commutes_with_hecke():
@@ -123,9 +173,13 @@ def test_atkin_lehner_commutes_with_hecke():
 
 
 def test_atkin_lehner_is_involution():
-    # exercised inside atkin_lehner_plus, which raises on failure
+    # U_p^2 = 1 is exercised inside atkin_lehner_plus, which raises on
+    # failure; W_p^2 = 1 holds on the whole quotient
     for p in (11, 37, 67):
-        atkin_lehner_plus(ModSymSpace(p))
+        s = ModSymSpace(p)
+        atkin_lehner_plus(s)
+        w = s.atkin_lehner_matrix()
+        assert np.array_equal(w.num @ w.num, w.den ** 2 * np.eye(s.dim)), p
 
 
 def test_quotient_genus_known_values():
