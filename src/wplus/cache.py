@@ -18,7 +18,7 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-_KINDS = ("good_basis", "class_poly", "miller_basis")
+_KINDS = ("good_basis", "class_poly")
 
 
 def _checksum(payload):

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    wplus verify <p> [--json] [--paranoid] [--slack N]
+    wplus verify <p> [--json] [--slack N]
     wplus scan <a> <b> [--jobs N] [--out FILE] [--basis-only]
     wplus ssing <p>
     wplus hilbert <D>
@@ -35,8 +35,6 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the full verification for one prime")
     v.add_argument("p", type=int)
     v.add_argument("--json", action="store_true", help="emit a JSON report")
-    v.add_argument("--paranoid", action="store_true",
-                   help="also compute the squared divisor polynomial directly")
     v.add_argument("--slack", type=int, default=10, metavar="N",
                    help="extra q-expansion precision everywhere")
 
@@ -83,8 +81,7 @@ def main(argv=None):
     if args.command == "verify":
         _require_prime(args.p, parser)
         from .pipeline import verify_prime
-        cfg = _config(args, paranoid=args.paranoid,
-                      precision_slack=args.slack)
+        cfg = _config(args, precision_slack=args.slack)
         report = verify_prime(args.p, cfg)
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2))
@@ -93,8 +90,6 @@ def main(argv=None):
         return report.exit_code
 
     if args.command == "scan":
-        if args.pmin > args.pmax:
-            pass  # empty range is fine: empty report, exit 0
         from .pipeline import scan_primes
         cfg = _config(args, jobs=args.jobs)
         agg = scan_primes(args.pmin, args.pmax, cfg,
@@ -115,7 +110,6 @@ def main(argv=None):
 
     if args.command == "ssing":
         _require_prime(args.p, parser)
-        from .config import Config as _C
         from .supersingular import ss_oracle, ss_polys
         from .level1 import weight_profile
         split = ss_polys(args.p)
@@ -128,7 +122,7 @@ def main(argv=None):
         print(f"S_q = {_poly_str(split.S_q)}   (conjugate quadratic pairs)")
         m = weight_profile(args.p - 1).m
         print(f"route: divisor polynomial of E_(p-1) mod p at precision {m + 4}")
-        if args.p <= _C().oracle_bound:
+        if args.p <= Config().oracle_bound:
             agree = ss_oracle(args.p) == split.S_p
             print(f"point-counting oracle agreement: {agree}")
         return 0

@@ -28,7 +28,6 @@ class Config:
     oracle_bound: int = 103
     cache_dir: Path = field(default_factory=default_cache_dir)
     jobs: int = 1
-    paranoid: bool = False
     float_start_bits: int = 0
     float_max_factor: int = 16
     rng_seed: int = 0

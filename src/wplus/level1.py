@@ -235,8 +235,7 @@ def divisor_polynomial(f, ctx=None):
         c = residue.coefficient(-t)
         if c:
             coeffs[t] = c
-            residue = residue - ctx.j_power(t).scale(c) if modp \
-                else residue - ctx.j_power(t).scale(c)
+            residue = residue - ctx.j_power(t).scale(c)
     if not residue.is_zero():
         raise NonPolynomialQuotientError(
             f"residual series nonzero at q^{residue.valuation}")

@@ -10,10 +10,8 @@ from .cache import DiskCache, NullCache
 from .config import Config
 from .errors import FALSIFIERS
 from .fppoly import is_prime
-from .level1 import miller_basis_mod
 from .modsym import good_basis
 from .report import VerificationReport
-from .series import FpSeries
 from .supersingular import ss_oracle, ss_polys, verify_fixedlinear
 from .weierstrass import extract_Fp, required_basis_precision
 
@@ -25,21 +23,6 @@ def _cache_for(config):
     if config.use_cache:
         return DiskCache(config.cache_dir)
     return NullCache()
-
-
-def _miller_cusp_at(p, prec, cache):
-    key = f"{p}:{p + 1}"
-    payload = cache.get("miller_basis", key)
-    if payload is not None and payload["precision"] >= prec:
-        return [FpSeries(p, [int(c) for c in row[:prec]], 0, prec,
-                         weight=p + 1)
-                for row in payload["coefficients"]]
-    basis = miller_basis_mod(p + 1, p, prec)[1:]
-    cache.put("miller_basis", key, {
-        "p": p, "weight": p + 1, "precision": prec,
-        "coefficients": [[str(c) for c in h.coefficients(prec)] for h in basis],
-    })
-    return basis
 
 
 def verify_prime(p, config=None, basis_only=False):
@@ -99,19 +82,10 @@ def verify_prime(p, config=None, basis_only=False):
 
         t0 = time.perf_counter()
         if gb.g >= 2 and gb.p_integral:
-            need = required_basis_precision(
-                gb.pivots, p, config.precision_slack, config.paranoid)
+            need = required_basis_precision(gb.pivots)
             if gb.precision < need:
                 gb = good_basis(p, need, cache, gb.computer)
-            miller = _miller_cusp_at(p, gb.precision, cache)
-        else:
-            miller = None
-        report.timings_ms["basis_full"] = 1e3 * (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        chain = extract_Fp(p, gb, split, miller_cusp=miller,
-                           paranoid=config.paranoid,
-                           slack=config.precision_slack, rng=rng)
+        chain = extract_Fp(p, gb, split, rng=rng)
         report.timings_ms["chain"] = 1e3 * (time.perf_counter() - t0)
         report.checks.update(chain.checks)
         report.polys.update(chain.polys)

@@ -209,7 +209,6 @@ class QExpansion:
     def truncate(self, precision):
         if precision > self.precision:
             raise PrecisionError("cannot extend precision by truncation")
-        v = min(self.valuation, precision)
         return QExpansion(list(self.coeffs[:precision - self.valuation]),
                           self.valuation, precision, self.weight, self.level) \
             if precision > self.valuation else \

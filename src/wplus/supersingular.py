@@ -169,7 +169,7 @@ def ss_oracle(p, bound=ORACLE_BOUND):
         values.append(h.resultant(g))
     rpoly = _lagrange_interpolate(points, values, p)
     s = rpoly.monic()
-    s = s.exact_div(s.gcd(s.derivative())) if not s.gcd(s.derivative()).is_one() else s
+    s = s.exact_div(s.gcd(s.derivative()))
     # correct membership of the elliptic j-invariants by point counting
     for j0 in (0, 1728 % p):
         lin = FpPoly.linear(p, j0)

@@ -2,10 +2,11 @@
 Weierstrass points of the Atkin-Lehner quotient curve.
 
 The chain: lift each good-basis form f_i to a weight-(p+1) level-1 cusp form
-b_i mod p; form the normalized theta-Wronskian W of the lifts (weight
-g(g+p)); take its divisor polynomial and the square-case correction; divide
-out the elliptic-point and linear-supersingular factors exactly; the
-remaining polynomial H_1 must be a perfect square H^2, and
+b_i = Delta^d Etilde P_i(j) mod p on the cross-check window; read the
+divisor polynomial of the theta-Wronskian W of the lifts (weight g(g+p))
+off the Wronskian of the P_i on the j-line; take the square-case
+correction; divide out the elliptic-point and linear-supersingular factors
+exactly; the remaining polynomial H_1 must be a perfect square H^2, and
 
     F_p(x) = S_q(x)^{g^2 - g} * H(x)^2  (mod p).
 
@@ -23,7 +24,7 @@ from .errors import (InexactDivisionError, NoLiftError, ParityViolationError,
 from .fppoly import FpPoly, legendre
 from .level1 import (Level1Context, divisor_degree, divisor_polynomial,
                      gp_exponents, gp_poly, miller_basis_mod,
-                     square_divisor_exponents)
+                     square_divisor_exponents, weight_profile)
 from .report import VerificationReport
 from .series import FpSeries, QExpansion
 
@@ -119,6 +120,53 @@ def lift_to_level1(f, p, miller_cusp=None):
     return lift
 
 
+def polynomial_wronskian(polys):
+    """Wronskian det[P_j^(r)] of polynomials P_1, ..., P_g over F_p.
+
+    theta_x = x d/dx acts on the derivatives triangularly with diagonal x^r,
+    so the theta-Wronskian of the P_j read as series in x is
+    x^(g(g-1)/2) W_x(P).  Its degree is at most sum deg P_j, so series known
+    through that degree determine it exactly.
+    """
+    p = polys[0].p
+    n = sum(f.degree() for f in polys) + 1
+    det, _ = wronskian([FpSeries(p, list(f.coeffs) + [0] * (n - len(f.coeffs)),
+                                 0, n) for f in polys])
+    if det.precision < n:
+        raise PrecisionError(
+            f"polynomial Wronskian known below x^{det.precision}, "
+            f"its degree can reach {n - 1}")
+    return FpPoly(p, det.coefficients(n)[len(polys) * (len(polys) - 1) // 2:])
+
+
+def wronskian_divisor_polynomial(lifts, p):
+    """Divisor polynomial F(W, x) of the theta-Wronskian W of weight-(p+1)
+    level-1 lifts mod p, and the leading coefficient of W, on the j-line.
+
+    Each lift is b_i = E P_i(j) with E = Delta^d Etilde, Etilde = E_4^a E_6^b
+    of weight p + 1, and P_i = F(b_i, x).  Since W(h f) = h^g W(f), and by
+    the chain rule with theta j = -E_4^2 E_6 / Delta,
+    W = (-1)^(g(g-1)/2) Delta^e E_4^A E_6^B W_x(P)(j) with A = g a + g(g-1)
+    and B = g b + g(g-1)/2.  Writing E_4^A E_6^B as
+    Etilde_W (j Delta)^s ((j - 1728) Delta)^t, Etilde_W = E_4^(a_W) E_6^(b_W)
+    of the weight k_W = g(g + p) of W (the weights make s and t integers),
+    gives F(W, x) = monic(x^s (x - 1728)^t W_x(P)), and the leading
+    coefficient of W is (-1)^(g(g-1)/2) times that of W_x(P).
+    """
+    g = len(lifts)
+    profile = weight_profile(p + 1)
+    d, (a, b) = profile.m, profile.etilde_exponents
+    ctx = Level1Context(2 * d + 4, p=p)
+    wx = polynomial_wronskian([divisor_polynomial(f.truncate(f.valuation + d + 2),
+                                                  ctx) for f in lifts])
+    half = g * (g - 1) // 2
+    a_w, b_w = weight_profile(g * (g + p)).etilde_exponents
+    s = (g * a + 2 * half - a_w) // 3
+    t = (g * b + half - b_w) // 2
+    fw = FpPoly.x(p) ** s * FpPoly.linear(p, 1728) ** t * wx
+    return fw.monic(), (-1) ** half * wx.leading() % p
+
+
 @dataclass
 class ExtractionExponents:
     """Exponents of x and (x - 1728) cleared during the extraction."""
@@ -169,13 +217,10 @@ def elliptic_exponents(p, g):
                                alpha_rho, alpha_i, delta_rho, delta_i)
 
 
-def required_basis_precision(pivots, p, slack=10, paranoid=False):
-    """q-expansion precision of the good basis needed by the chain."""
-    g = len(pivots)
-    sum_c = sum(pivots)
-    k_w = g * (g + p)
-    m = divisor_degree(2 * k_w) if paranoid else divisor_degree(k_w)
-    return sum_c + m + slack + 2
+def required_basis_precision(pivots):
+    """q-expansion precision of the good basis needed by the chain: the
+    cross-check window sum(c) + max(24, 4g)."""
+    return sum(pivots) + max(24, 4 * len(pivots))
 
 
 #: relative precision K of the exact Wronskian head: each basis form f_j is
@@ -219,14 +264,12 @@ def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
     return ok, det, v
 
 
-def extract_Fp(p, basis, split, ctx=None, miller_cusp=None, paranoid=False,
-               slack=10, cross_precision=None, factor_h=True, rng=None):
+def extract_Fp(p, basis, split, rng=None):
     """Run the congruence chain for one prime; returns a VerificationReport
     with the chain checks filled in (the caller merges CM and oracle checks).
 
-    basis: GoodBasis with p-integral coefficients at sufficient precision;
-    split: SupersingularSplit for p; ctx: mod-p level-1 context (built here
-    if omitted); miller_cusp: reduced Miller cusp basis of weight p+1 mod p.
+    basis: GoodBasis with p-integral coefficients through the cross-check
+    window (required_basis_precision); split: SupersingularSplit for p.
     """
     report = VerificationReport(p=p)
     report.g_p = basis.genus_x0
@@ -260,37 +303,25 @@ def extract_Fp(p, basis, split, ctx=None, miller_cusp=None, paranoid=False,
     report.checks["alpha_match"] = (exps.alpha_rho == split.alpha_rho
                                     and exps.alpha_i == split.alpha_i)
 
-    k_w = g * (g + p)
-    sum_c = sum(basis.pivots)
-    need = required_basis_precision(basis.pivots, p, slack, paranoid)
-    if basis.precision < need:
+    window = required_basis_precision(basis.pivots)
+    if basis.precision < window:
         raise PrecisionError(
-            f"basis precision {basis.precision} < required {need}")
+            f"basis precision {basis.precision} < required {window}")
 
-    # lifts to level 1 mod p
-    if miller_cusp is None:
-        miller_cusp = miller_basis_mod(p + 1, p, basis.precision)[1:]
-    lifts = [lift_to_level1(f, p, miller_cusp) for f in basis.forms]
-
-    # theta-Wronskian of the lifts, normalized monic
-    det, lead = wronskian(lifts)
+    # lifts to level 1 mod p on the cross-check window, and the divisor
+    # polynomial of their theta-Wronskian, normalized monic
+    miller_cusp = miller_basis_mod(p + 1, p, window)[1:]
+    lifts = [lift_to_level1(f.truncate(window), p, miller_cusp)
+             for f in basis.forms]
+    fw, lead = wronskian_divisor_polynomial(lifts, p)
     v = vandermonde(basis.pivots)
     report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)
-    report.checks["wronskian_valuation"] = det.valuation == sum_c
-    w_monic = det.scale(pow(lead, -1, p))
+    report.checks["wronskian_valuation"] = (
+        fw.degree() == divisor_degree(g * (g + p)) - sum(basis.pivots))
 
-    if ctx is None:
-        from .level1 import context_precision_for
-        ctx = Level1Context(
-            context_precision_for(sum_c, w_monic.precision, k_w), p=p)
-
-    fw = divisor_polynomial(w_monic, ctx)
     xpoly = FpPoly.x(p)
     x1728 = FpPoly.linear(p, 1728)
     fw2 = xpoly ** exps.delta_rho * x1728 ** exps.delta_i * fw * fw
-    if paranoid:
-        fw2_direct = divisor_polynomial((w_monic * w_monic), ctx)
-        report.checks["square_divisor_direct"] = fw2_direct == fw2
 
     gpol = gp_poly(g, p)
     gg = g * g + g
@@ -321,7 +352,7 @@ def extract_Fp(p, basis, split, ctx=None, miller_cusp=None, paranoid=False,
     report.checks["degree_identity"] = bool(
         f_p.degree() == 2 * (g ** 3 - g - report.wt_inf))
     report.checks["gcd_H_Sp_is_1"] = bool(h.gcd(split.S_p).is_one())
-    if factor_h and h.degree() > 0:
+    if h.degree() > 0:
         report.h_factorization = [
             ([int(c) for c in fac.coeffs], e) for fac, e in h.factor(rng)]
 
@@ -333,10 +364,8 @@ def extract_Fp(p, basis, split, ctx=None, miller_cusp=None, paranoid=False,
     report.polys["F_wtilde"] = f_wtilde
 
     # the mod-p Wronskian congruence and p-integrality of the exact one
-    prec_cross = cross_precision or (sum_c + max(24, 4 * g))
-    prec_cross = min(prec_cross, basis.precision)
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
-        basis, lifts, p, prec=prec_cross)
+        basis, lifts, p, prec=window)
     report.checks["wronskian_congruence"] = ok_cross
     w_exact = det_exact.scale(Fraction(1, v_exact))
     report.checks["wronskian_p_integral"] = (

@@ -38,10 +38,10 @@ def test_version_mismatch_is_a_miss(tmp_path):
 
 def test_corrupt_json_is_a_miss(tmp_path):
     cache = DiskCache(tmp_path)
-    path = tmp_path / "miller_basis" / "x.json"
+    path = tmp_path / "class_poly" / "x.json"
     path.parent.mkdir(parents=True)
     path.write_text("{not json")
-    assert cache.get("miller_basis", "x") is None
+    assert cache.get("class_poly", "x") is None
 
 
 def test_unknown_kind_rejected(tmp_path):

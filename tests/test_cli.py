@@ -39,14 +39,6 @@ def test_verify_67_json_schema(capsys, tmp_path):
     assert all(v is True for v in data["checks"].values())
 
 
-def test_verify_paranoid(capsys, tmp_path):
-    code, out = run(capsys, "--cache-dir", str(tmp_path), "verify", "67",
-                    "--paranoid", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["checks"]["square_divisor_direct"] is True
-
-
 def test_verify_trivial_genus(capsys, tmp_path):
     code, out = run(capsys, "--cache-dir", str(tmp_path), "verify", "23")
     assert code == 0

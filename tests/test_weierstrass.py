@@ -4,16 +4,18 @@ import pytest
 
 from wplus.errors import (NoLiftError, NotPIntegralError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
-from wplus.fppoly import FpPoly
-from wplus.level1 import miller_basis_mod
+from wplus.fppoly import FpPoly, is_prime
+from wplus.level1 import divisor_degree, divisor_polynomial, miller_basis_mod
 from wplus.modsym import GoodBasis, good_basis
 from wplus.series import FpSeries, QExpansion
 from wplus.supersingular import ss_polys
 from wplus.weierstrass import (_HEAD_TERMS, _series_head,
                                cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp, lift_to_level1,
-                               required_basis_precision, theta, vandermonde,
-                               wronskian)
+                               polynomial_wronskian, required_basis_precision,
+                               theta, vandermonde, wronskian,
+                               wronskian_divisor_polynomial)
+from wronskian_oracle import qseries_wronskian_divisor_polynomial
 
 #: coefficients q^3 .. q^8 of the normalized Wronskian at p = 67, as printed
 W67_HEAD = [1, -2, -6, 6, 15, 8]
@@ -22,7 +24,7 @@ W67_HEAD = [1, -2, -6, 6, 15, 8]
 @pytest.fixture(scope="module")
 def basis67():
     gb0 = good_basis(67, 12)
-    need = required_basis_precision(gb0.pivots, 67)
+    need = required_basis_precision(gb0.pivots)
     return good_basis(67, need)
 
 
@@ -145,7 +147,7 @@ def test_extract_small_genus_trivial():
 def test_extract_degree_identity_with_weierstrass_cusp():
     p = 109
     gb0 = good_basis(p, 30)
-    gb = good_basis(p, required_basis_precision(gb0.pivots, p))
+    gb = good_basis(p, required_basis_precision(gb0.pivots))
     rep = extract_Fp(p, gb, ss_polys(p))
     assert rep.status == "ok"
     assert rep.wt_inf == 1
@@ -202,7 +204,7 @@ def test_exact_head_matches_absolute_window(p):
     # the pivot-relative head against the exact Wronskian of the forms cut
     # at one absolute precision sum(c) + max(24, 4g), as it was formed before
     gb0 = good_basis(p, (p + 1) // 6 + 12)
-    gb = good_basis(p, required_basis_precision(gb0.pivots, p),
+    gb = good_basis(p, required_basis_precision(gb0.pivots),
                     computer=gb0.computer)
     lifts = [lift_to_level1(f, p) for f in gb.forms]
     window = min(sum(gb.pivots) + max(24, 4 * gb.g), gb.precision)
@@ -225,10 +227,117 @@ def test_non_integral_basis_reports_not_good(basis67):
     assert rep.exit_code == 2
 
 
-def test_paranoid_route_agrees(basis67):
-    gb0 = good_basis(67, 12)
-    need = required_basis_precision(gb0.pivots, 67, paranoid=True)
-    gb = good_basis(67, need)
-    rep = extract_Fp(67, gb, ss_polys(67), paranoid=True)
-    assert rep.checks["square_divisor_direct"]
-    assert rep.status == "ok"
+def test_polynomial_wronskian_small_cases(monkeypatch):
+    # W_x(1 + x, x^2) = (1 + x) 2x - x^2 = 2x + x^2; one polynomial is itself
+    p = 67
+    assert polynomial_wronskian([FpPoly(p, [1, 1]), FpPoly(p, [0, 0, 1])]) \
+        == FpPoly(p, [0, 2, 1])
+    assert polynomial_wronskian([FpPoly(p, [3, 0, 5])]) == FpPoly(p, [3, 0, 5])
+    # a determinant known only below x^(sum deg P) is refused
+    import wplus.weierstrass as ws
+    full = ws.wronskian
+
+    def short(forms):
+        det, lead = full(forms)
+        return det.truncate(det.precision - 1), lead
+
+    monkeypatch.setattr(ws, "wronskian", short)
+    with pytest.raises(PrecisionError):
+        polynomial_wronskian([FpPoly(p, [1, 1]), FpPoly(p, [0, 0, 1])])
+
+
+def _window_basis(p):
+    """The good basis extended once to the cross-check window, as the
+    pipeline extends it."""
+    gb = good_basis(p, (p + 1) // 6 + 12)
+    need = required_basis_precision(gb.pivots)
+    if gb.precision < need:
+        gb = good_basis(p, need, computer=gb.computer)
+    return gb
+
+
+def _window_lifts(p, gb):
+    window = required_basis_precision(gb.pivots)
+    return [lift_to_level1(f.truncate(window), p) for f in gb.forms]
+
+
+def _assert_routes_agree(p):
+    gb = _window_basis(p)
+    fw, lead = wronskian_divisor_polynomial(_window_lifts(p, gb), p)
+    assert (fw, lead) == qseries_wronskian_divisor_polynomial(p, gb)
+    assert fw.degree() == divisor_degree(gb.g * (gb.g + p)) - sum(gb.pivots)
+    assert lead == vandermonde(gb.pivots) % p
+
+
+@pytest.mark.parametrize("p", [67, 109, 197, 199, 263, 389])
+def test_jline_wronskian_matches_qseries_oracle(p):
+    _assert_routes_agree(p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [p for p in range(67, 450) if is_prime(p)]
+                         + [601])
+def test_jline_wronskian_matches_qseries_oracle_scan(p):
+    # opt-in (pytest -m slow): every prime in [67, 449] with g+ >= 2, and 601
+    if good_basis(p, (p + 1) // 6 + 12).g >= 2:
+        _assert_routes_agree(p)
+
+
+def _det_mod(rows, p):
+    """Determinant mod p by Gaussian elimination on Python ints."""
+    m = [row[:] for row in rows]
+    det = 1
+    for c in range(len(m)):
+        r = next((r for r in range(c, len(m)) if m[r][c] % p), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
+
+def _horner(coeffs, x, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_polynomial_wronskian_pointwise(p):
+    # W_x(P)(x0) = det[P_j^(r)(x0)] at every x0 in F_p, by elimination that
+    # shares no code with series_matrix_determinant; deg W_x < p here, so
+    # the values fix the polynomial
+    gb = _window_basis(p)
+    d = divisor_degree(p + 1)
+    polys = [divisor_polynomial(b.truncate(c + d + 2))
+             for b, c in zip(_window_lifts(p, gb), gb.pivots)]
+    w = [int(c) for c in polynomial_wronskian(polys).coeffs]
+    assert 0 <= len(w) - 1 < p
+    rows = [[[int(c) for c in f.coeffs] for f in polys]]
+    for _ in range(gb.g - 1):
+        rows.append([[n * c % p for n, c in enumerate(f)][1:]
+                     for f in rows[-1]])
+    for x0 in range(p):
+        mat = [[_horner(f, x0, p) for f in row] for row in rows]
+        assert _det_mod(mat, p) == _horner(w, x0, p)
+
+
+def test_cold_verify_extends_basis_to_window_only(tmp_path):
+    # one basis precision per prime, and no Miller basis in the cache
+    from wplus.cache import DiskCache
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    p = 389
+    assert verify_prime(p, Config(cache_dir=tmp_path)).status == "ok"
+    stored = DiskCache(tmp_path).get("good_basis", str(p))
+    assert stored["precision"] == max(
+        (p + 1) // 6 + 12, sum(stored["pivots"]) + max(24, 4 * stored["g"]))
+    assert sorted(d.name for d in tmp_path.iterdir()) == [
+        "class_poly", "good_basis"]

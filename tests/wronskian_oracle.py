@@ -1,0 +1,25 @@
+"""The q-series route to the divisor polynomial of the Wronskian of the
+level-1 lifts, kept as an oracle for the j-line route of the chain.
+
+The good basis is extended to sum(c) + m(k_W) + 2, the lifts b_i are read
+off the Miller cusp basis at that precision, and their theta-Wronskian W
+(weight k_W = g(g + p), valuation sum(c)) is then known far enough for
+divisor_polynomial to peel off F(W, x), of degree m(k_W) - sum(c), against
+a level-1 context of the same length.
+"""
+
+from wplus.level1 import divisor_degree, divisor_polynomial
+from wplus.modsym import good_basis
+from wplus.weierstrass import lift_to_level1, wronskian
+
+
+def qseries_wronskian_divisor_polynomial(p, basis):
+    """(F(W, x), leading coefficient of W) by the q-series route, for a good
+    basis of S_2^+(p) with g >= 2 (extended here through its computer)."""
+    g = basis.g
+    prec = sum(basis.pivots) + divisor_degree(g * (g + p)) + 2
+    if basis.precision < prec:
+        basis = good_basis(p, prec, computer=basis.computer)
+    lifts = [lift_to_level1(f.truncate(prec), p) for f in basis.forms]
+    det, lead = wronskian(lifts)
+    return divisor_polynomial(det.scale(pow(lead, -1, p))), lead
