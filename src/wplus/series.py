@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPIntegralError, PrecisionError
-from .fppoly import convolve_mod
+from .fppoly import convolve_mod, inverse_mod_xn
 
 
 def _mul_precision(va, pa, vb, pb):
@@ -356,16 +356,7 @@ class FpSeries:
 
     def _unit_inverse(self, nterms):
         """Inverse of the unit part (coeffs shifted to valuation 0), by Newton."""
-        u = self.coeffs
-        p = self.p
-        inv0 = pow(int(u[0]), -1, p)
-        x = np.array([inv0], dtype=np.int64)
-        while len(x) < nterms:
-            m = min(2 * len(x), nterms)
-            two_minus = (-convolve_mod(u[:m], x, p, m)) % p
-            two_minus[0] = (two_minus[0] + 2) % p
-            x = convolve_mod(x, two_minus, p, m)
-        return x[:nterms]
+        return inverse_mod_xn(self.coeffs, self.p, nterms)
 
     def __truediv__(self, other):
         self._check(other, add=False)

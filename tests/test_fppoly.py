@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wplus.errors import OddMultiplicityError
-from wplus.fppoly import (FpPoly, convolve_mod, is_prime, legendre,
-                          poly_factor, poly_sqrt)
+from wplus.fppoly import (NEWTON_MIN_QUOTIENT, FpPoly, convolve_mod, is_prime,
+                          legendre, poly_factor, poly_sqrt)
 from wplus.level1 import _e4_e6_delta
 from wplus.series import FpSeries
 
@@ -172,3 +172,146 @@ def test_int64_convolutions_refuse_large_moduli():
     for route in routes:
         with pytest.raises(OverflowError):
             route()
+
+
+def test_negative_powers_raise():
+    f = FpPoly(67, [1, 1])
+    with pytest.raises(ValueError):
+        f ** -1
+    with pytest.raises(ValueError):
+        f.pow_mod(-1, FpPoly(67, [1, 0, 1]))
+
+
+# -- oracles over Python-int lists, sharing no code with fppoly ---------------
+
+def _strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _oracle_add(a, b, p):
+    n = max(len(a), len(b))
+    return _strip((x + y) % p for x, y in zip(a + [0] * (n - len(a)),
+                                              b + [0] * (n - len(b))))
+
+
+def _oracle_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(c % p for c in out)
+
+
+def _oracle_divmod(a, b, p):
+    """Schoolbook long division, one quotient coefficient per step."""
+    r = [c % p for c in a]
+    d = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i] * inv % p
+        q[i - d] = c
+        for j, y in enumerate(b):
+            r[i - d + j] = (r[i - d + j] - c * y) % p
+    return _strip(q), _strip(r[:d])
+
+
+def _oracle_gcd(a, b, p):
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, _oracle_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _oracle_pow_mod(a, e, m, p):
+    result, base = [1], _oracle_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            result = _oracle_divmod(_oracle_mul(result, base, p), m, p)[1]
+        base = _oracle_divmod(_oracle_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return result
+
+
+def _random_poly(rng, p, degree, monic=False):
+    """Random coefficient list of exactly this degree; the leading
+    coefficient is 1 when monic, else a nonzero residue other than 1."""
+    lead = 1 if monic or p == 2 else rng.randrange(2, p)
+    return [rng.randrange(p) for _ in range(degree)] + [lead]
+
+
+def _coeffs(f):
+    return [int(c) for c in f.coeffs]
+
+
+#: (deg b, quotient length): degree-0 and linear divisors, quotients on both
+#: sides of the loop/Newton threshold, and deg a < deg b (length 0).  Each
+#: shape divides an exact multiple, the multiple plus a random remainder,
+#: and a random dividend, by a monic and a non-monic divisor.
+DIVISION_SHAPES = [(0, 1), (0, 40), (1, 3), (1, NEWTON_MIN_QUOTIENT + 5),
+                   (5, 0), (12, NEWTON_MIN_QUOTIENT - 1),
+                   (12, NEWTON_MIN_QUOTIENT), (12, NEWTON_MIN_QUOTIENT + 1),
+                   (40, 2), (40, 3 * NEWTON_MIN_QUOTIENT), (60, 0),
+                   (NEWTON_MIN_QUOTIENT, 90)]
+
+
+@pytest.mark.parametrize("p", [5, 67, 389, 601, 2003])
+def test_divmod_matches_schoolbook_oracle(p):
+    rng = random.Random(p)
+    for db, k in DIVISION_SHAPES:
+        for monic in (True, False):
+            b = _random_poly(rng, p, db, monic)
+            qb = _oracle_mul(_random_poly(rng, p, k - 1) if k else [], b, p)
+            r = [rng.randrange(p) for _ in range(db)]
+            for a in (qb, _oracle_add(qb, r, p),
+                      _random_poly(rng, p, db + k - 1)):
+                got_q, got_r = FpPoly(p, a).divmod(FpPoly(p, b))
+                want_q, want_r = _oracle_divmod(a, b, p)
+                assert (_coeffs(got_q), _coeffs(got_r)) == (want_q, want_r), \
+                    (p, db, k, monic)
+
+
+@pytest.mark.parametrize("p", [5, 67, 389, 601, 2003])
+def test_gcd_matches_oracle(p):
+    rng = random.Random(10 * p + 1)
+    for dg, df, dh in [(0, 7, 9), (1, 20, 18), (6, 30, 45), (25, 40, 3)]:
+        g, f, h = (_random_poly(rng, p, d) for d in (dg, df, dh))
+        a, b = _oracle_mul(g, f, p), _oracle_mul(g, h, p)
+        got = FpPoly(p, a).gcd(FpPoly(p, b))
+        assert _coeffs(got) == _oracle_gcd(a, b, p)
+        assert got.degree() >= dg
+    assert FpPoly(p, [3, 1]).gcd(FpPoly.zero(p)) == FpPoly(p, [3, 1])
+    assert FpPoly.zero(p).gcd(FpPoly.zero(p)).is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 67, 389, 601, 2003])
+def test_pow_mod_matches_oracle(p):
+    rng = random.Random(10 * p + 2)
+    for dm in (1, 2, 9, NEWTON_MIN_QUOTIENT, NEWTON_MIN_QUOTIENT + 2, 50):
+        m = _random_poly(rng, p, dm, monic=dm % 2 == 0)
+        a = _random_poly(rng, p, dm + 3)
+        for e in (0, 1, 2, p, (p * p - 1) // 2):
+            got = FpPoly(p, a).pow_mod(e, FpPoly(p, m))
+            assert _coeffs(got) == _oracle_pow_mod(a, e, m, p), (p, dm, e)
+
+
+def test_long_division_near_int64_limit():
+    # near 2^31 convolve_mod refuses any product of more than one term, so a
+    # long quotient comes from the loop instead of raising OverflowError
+    p = 2**31 - 1
+    rng = random.Random(31)
+    a = _random_poly(rng, p, 150)
+    b = _random_poly(rng, p, 40)
+    with pytest.raises(OverflowError):
+        convolve_mod(np.array(a[:2]), np.array(b[:2]), p)
+    q, r = FpPoly(p, a).divmod(FpPoly(p, b))
+    assert (_coeffs(q), _coeffs(r)) == _oracle_divmod(a, b, p)
+    assert _coeffs(FpPoly(p, a).gcd(FpPoly(p, b))) == _oracle_gcd(a, b, p)

@@ -148,3 +148,21 @@ def test_class_poly_cache_round_trip(tmp_path):
     second = class_poly(268, cache=cache)
     assert first.H_D == second.H_D
     assert (tmp_path / "class_poly" / "268.json").exists()
+
+
+def test_class_poly_skips_rungs_below_the_coefficient_size(monkeypatch):
+    # H_{-1556} has 710-bit coefficients; the rungs 177, 354 and 708 bits
+    # cannot round them, so the first attempt is made at 1416 bits
+    import wplus.supersingular as ss
+    bits_tried = []
+    attempt = ss._class_poly_attempt
+
+    def counting(D, forms, bits):
+        bits_tried.append(bits)
+        return attempt(D, forms, bits)
+
+    monkeypatch.setattr(ss, "_class_poly_attempt", counting)
+    data = class_poly(1556)
+    assert bits_tried == [1416]
+    assert data.float_precision_bits == 1416
+    assert max(abs(c) for c in data.H_D).bit_length() == 710
