@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    wplus verify <p> [--json] [--slack N]
+    wplus verify <p> [--json]
     wplus scan <a> <b> [--jobs N] [--out FILE] [--basis-only]
     wplus ssing <p>
     wplus hilbert <D>
@@ -35,8 +35,6 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the full verification for one prime")
     v.add_argument("p", type=int)
     v.add_argument("--json", action="store_true", help="emit a JSON report")
-    v.add_argument("--slack", type=int, default=10, metavar="N",
-                   help="extra q-expansion precision everywhere")
 
     s = sub.add_parser("scan", help="verify every prime in a range")
     s.add_argument("pmin", type=int)
@@ -81,7 +79,7 @@ def main(argv=None):
     if args.command == "verify":
         _require_prime(args.p, parser)
         from .pipeline import verify_prime
-        cfg = _config(args, precision_slack=args.slack)
+        cfg = _config(args)
         report = verify_prime(args.p, cfg)
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2))
@@ -110,7 +108,7 @@ def main(argv=None):
 
     if args.command == "ssing":
         _require_prime(args.p, parser)
-        from .supersingular import ss_oracle, ss_polys
+        from .supersingular import ORACLE_BOUND, ss_oracle, ss_polys
         from .level1 import weight_profile
         split = ss_polys(args.p)
         fac = " * ".join(
@@ -122,7 +120,7 @@ def main(argv=None):
         print(f"S_q = {_poly_str(split.S_q)}   (conjugate quadratic pairs)")
         m = weight_profile(args.p - 1).m
         print(f"route: divisor polynomial of E_(p-1) mod p at precision {m + 4}")
-        if args.p <= Config().oracle_bound:
+        if args.p <= ORACLE_BOUND:
             agree = ss_oracle(args.p) == split.S_p
             print(f"point-counting oracle agreement: {agree}")
         return 0

@@ -332,26 +332,6 @@ class FpPoly:
             acc = (acc * x + int(c)) % self.p
         return acc
 
-    def shift_x(self, e):
-        """Multiply by x^e."""
-        if self.is_zero():
-            return self
-        return FpPoly(self.p, np.concatenate([np.zeros(e, dtype=np.int64),
-                                              self.coeffs]))
-
-    def valuation_at(self, root):
-        """Multiplicity of (x - root) in self."""
-        f = self
-        lin = FpPoly.linear(self.p, root)
-        m = 0
-        while not f.is_zero():
-            q, r = f.divmod(lin)
-            if not r.is_zero():
-                break
-            f = q
-            m += 1
-        return m
-
     # -- factorization ---------------------------------------------------------
 
     def _pth_root(self):

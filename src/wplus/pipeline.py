@@ -12,7 +12,8 @@ from .errors import FALSIFIERS
 from .fppoly import is_prime
 from .modsym import good_basis
 from .report import VerificationReport
-from .supersingular import ss_oracle, ss_polys, verify_fixedlinear
+from .supersingular import (ORACLE_BOUND, ss_oracle, ss_polys,
+                            verify_fixedlinear)
 from .weierstrass import extract_Fp, required_basis_precision
 
 #: checks that are observational (reported, never flip the status)
@@ -37,14 +38,12 @@ def verify_prime(p, config=None, basis_only=False):
     report = VerificationReport(p=p)
     try:
         t0 = time.perf_counter()
-        pivot_prec = (p + 1) // 6 + config.precision_slack + 2
-        gb = good_basis(p, pivot_prec, cache)
+        gb = good_basis(p, (p + 1) // 6 + 12, cache)
         report.timings_ms["basis_pivots"] = 1e3 * (time.perf_counter() - t0)
         report.g_p = gb.genus_x0
         report.g_plus = gb.g
         report.pivots = list(gb.pivots)
         report.wt_inf = gb.wt_infinity()
-        report.p_integral = gb.p_integral
         report.good_basis = gb.p_integral
         report.checks["sturm_pivots"] = all(
             1 <= c <= (p + 1) // 6 for c in gb.pivots)
@@ -62,17 +61,12 @@ def verify_prime(p, config=None, basis_only=False):
         report.checks["ss_degree"] = split.S_p.degree() == gb.genus_x0 + 1
         report.checks["genus_quotient_count"] = (
             2 * gb.g == gb.genus_x0 + 1 - split.S_l.degree())
-        if p <= config.oracle_bound:
-            report.checks["deligne_oracle"] = (
-                ss_oracle(p, config.oracle_bound) == split.S_p)
+        if p <= ORACLE_BOUND:
+            report.checks["deligne_oracle"] = ss_oracle(p) == split.S_p
         report.timings_ms["supersingular"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        fl_kwargs = {"max_factor": config.float_max_factor}
-        if config.float_start_bits:
-            fl_kwargs["start_bits"] = config.float_start_bits
-        ok_fl, hp_mod, sigma = verify_fixedlinear(p, split, cache=cache,
-                                                  **fl_kwargs)
+        ok_fl, hp_mod, sigma = verify_fixedlinear(p, split, cache=cache)
         report.checks["fixedlinear"] = ok_fl
         report.polys["H_p_mod_p"] = hp_mod
         report.sigma = sigma

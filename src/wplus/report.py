@@ -20,7 +20,6 @@ class VerificationReport:
     pivots: list = field(default_factory=list)
     wt_inf: int = 0
     good_basis: bool = False
-    p_integral: bool = False
     sigma: int = 0
     epsilon_rho: int = 0
     epsilon_i: int = 0

@@ -33,7 +33,7 @@ from .fppoly import FpPoly
 from .level1 import divisor_polynomial, j_function, weight_profile
 from .series import FpSeries
 
-#: default upper bound for the point-counting oracle
+#: upper bound for the point-counting oracle; the pipeline runs it up to here
 ORACLE_BOUND = 103
 
 
@@ -345,15 +345,15 @@ def _class_poly_attempt(D, forms, bits):
     return out
 
 
-def fixed_point_poly(p, cache=None, **kwargs):
+def fixed_point_poly(p, cache=None):
     """Divisor polynomial of the Atkin-Lehner fixed points of X_0(p):
     the class polynomial of -4p, times the one of -p when p = 3 mod 4.
     Returns (integer coefficient list, degree sigma)."""
     if p < 5:
         raise ValueError("p must be >= 5")
-    h4p = class_poly(4 * p, cache=cache, **kwargs).H_D
+    h4p = class_poly(4 * p, cache=cache).H_D
     if p % 4 == 3:
-        hp = class_poly(p, cache=cache, **kwargs).H_D
+        hp = class_poly(p, cache=cache).H_D
         out = _zpoly_mul(hp, h4p)
     else:
         out = h4p
@@ -369,7 +369,7 @@ def _zpoly_mul(a, b):
     return out
 
 
-def verify_fixedlinear(p, split=None, cache=None, **kwargs):
+def verify_fixedlinear(p, split=None, cache=None):
     """Check that the fixed-point polynomial reduces mod p to the square of
     the linear supersingular part, and that that part is squarefree.
 
@@ -377,7 +377,7 @@ def verify_fixedlinear(p, split=None, cache=None, **kwargs):
     """
     if split is None:
         split = ss_polys(p)
-    hp, sigma = fixed_point_poly(p, cache=cache, **kwargs)
+    hp, sigma = fixed_point_poly(p, cache=cache)
     hp_mod = FpPoly(p, [c % p for c in hp])
     s_l = split.S_l
     squarefree = s_l.gcd(s_l.derivative()).is_one() if s_l.degree() > 0 else True

@@ -229,23 +229,23 @@ _HEAD_TERMS = 12
 
 
 def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
-    """Check the mod-p theta-Wronskian of the lifts against that of the
-    reduced basis forms, and an exact head of the rational Wronskian against
-    both.
+    """Check the lifts against the reduced basis forms, and an exact head of
+    the rational Wronskian against the mod-p one.
 
-    Reduction Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with theta,
-    so the reduction of the exact Wronskian det[theta^i f_j] of the
-    p-integral basis forms is the Wronskian of the reduced forms.  Comparing
-    that with the Wronskian of the lifts b_j, coefficientwise through the
-    window (the forms cut at ``prec``), tests the congruence f_j = b_j
-    (mod p) without forming the exact determinant.  The leading coefficient
-    is the Vandermonde determinant V of the pivots, and V must be a p-unit,
-    so the normalized Wronskian det / V is p-integral whenever the basis is.
+    Each lift b_j must agree with the reduction of f_j coefficientwise
+    through the window (the forms cut at ``prec``).  Reduction
+    Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with theta, so equal
+    inputs give equal Wronskians: the reduction of the exact Wronskian
+    det[theta^i f_j] of the p-integral basis forms is the Wronskian of the
+    reduced forms, and that of the lifts, through the window.
 
     The exact rational Wronskian is formed on a head only: each f_j is cut at
     q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
-    q^(sum c + K).  Its leading coefficient must be V, and its reduction
-    must agree with the mod-p Wronskian of the reduced forms.
+    q^(sum c + K).  The one mod-p Wronskian is that of the reduced head cut.
+    The leading coefficients of both must be the Vandermonde determinant V
+    of the pivots, V must be a p-unit (so the normalized Wronskian det / V
+    is p-integral whenever the basis is), and the exact head must reduce to
+    the mod-p one.
 
     Returns (ok, exact head of the Wronskian, V).
     """
@@ -254,12 +254,14 @@ def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
         forms = [f.truncate(min(prec, f.precision)) for f in forms]
     window = min(f.precision for f in forms)
     v = vandermonde(basis.pivots)
-    red_det, red_lead = wronskian([f.reduce_mod(p) for f in forms])
-    lift_det, lift_lead = wronskian([b.truncate(window) for b in lifts])
-    det, lead = wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
-                           for f, c in zip(forms, basis.pivots)])
-    ok = (v % p != 0 and lead == v and red_lead == lift_lead == v % p
-          and red_det.agrees_with(lift_det)
+    lifts_ok = len(lifts) == len(forms) and all(
+        b.agrees_with(f.reduce_mod(p), upto=window)
+        for f, b in zip(forms, lifts))
+    head = [f.truncate(min(c + _HEAD_TERMS, f.precision))
+            for f, c in zip(forms, basis.pivots)]
+    det, lead = wronskian(head)
+    red_det, red_lead = wronskian([f.reduce_mod(p) for f in head])
+    ok = (v % p != 0 and lead == v and red_lead == v % p and lifts_ok
           and det.reduce_mod(p).agrees_with(red_det))
     return ok, det, v
 
@@ -276,7 +278,6 @@ def extract_Fp(p, basis, split, rng=None):
     report.g_plus = basis.g
     report.pivots = list(basis.pivots)
     report.wt_inf = basis.wt_infinity()
-    report.p_integral = basis.p_integral
     report.good_basis = basis.p_integral
     report.polys["S_p"] = split.S_p
     report.polys["S_l"] = split.S_l
@@ -370,8 +371,6 @@ def extract_Fp(p, basis, split, rng=None):
     w_exact = det_exact.scale(Fraction(1, v_exact))
     report.checks["wronskian_p_integral"] = (
         basis.p_integral and v_exact % p != 0 and w_exact.is_p_integral(p))
-    report.checks["sturm_pivots"] = all(
-        1 <= c <= (p + 1) // 6 for c in basis.pivots)
     report.wronskian_head = [_series_head(w_exact, 6)]
 
     if not report.checks["theorem_assembly"] or not ok_cross:

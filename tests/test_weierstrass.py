@@ -199,6 +199,68 @@ def test_cross_check_catches_basis_error_past_exact_head(basis67):
     assert not ok_bad
 
 
+@pytest.mark.parametrize("past_head", [0, 12])
+def test_cross_check_catches_lift_error_past_head(basis67, past_head):
+    # a wrong lift coefficient past every head cut q^(c_j + K) but inside
+    # the window is caught by the coefficientwise comparison with the forms
+    p = 67
+    window = required_basis_precision(basis67.pivots)
+    lifts = [lift_to_level1(f.truncate(window), p) for f in basis67.forms]
+    assert cross_check_wronskian_congruence(basis67, lifts, p, prec=window)[0]
+    n = max(basis67.pivots) + _HEAD_TERMS + past_head
+    assert n < window
+    b = lifts[-1]
+    bad = FpSeries(p, b.coeffs.copy(), b.valuation, b.precision, b.weight)
+    bad.coeffs[n - b.valuation] = (bad.coeffs[n - b.valuation] + 1) % p
+    ok_bad, _, _ = cross_check_wronskian_congruence(
+        basis67, lifts[:-1] + [bad], p, prec=window)
+    assert not ok_bad
+
+
+def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
+    # the lifts are compared with the forms, not through Wronskians on the
+    # window: the only mod-p Wronskian is that of the reduced head cut
+    import wplus.weierstrass as ws
+    p = 389
+    gb = _window_basis(p)
+    lifts = _window_lifts(p, gb)
+    full = ws.wronskian
+    lengths = []
+
+    def recording(forms):
+        if isinstance(forms[0], FpSeries):
+            lengths.append(max(f.precision for f in forms))
+        return full(forms)
+
+    monkeypatch.setattr(ws, "wronskian", recording)
+    ok, _, _ = cross_check_wronskian_congruence(
+        gb, lifts, p, prec=required_basis_precision(gb.pivots))
+    assert ok
+    assert len(lengths) == 1
+    assert lengths[0] <= max(gb.pivots) + _HEAD_TERMS
+
+
+def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
+                                                        monkeypatch):
+    # the reduction of the exact head must equal the mod-p Wronskian of the
+    # reduced head cut; a mod-p determinant wrong past its lead is refused
+    import wplus.weierstrass as ws
+    p = 67
+    lifts = [lift_to_level1(f, p) for f in basis67.forms]
+    full = ws.wronskian
+
+    def off(forms):
+        det, lead = full(forms)
+        if isinstance(det, FpSeries):
+            det = FpSeries(p, det.coeffs.copy(), det.valuation, det.precision)
+            det.coeffs[1] = (det.coeffs[1] + 1) % p
+        return det, lead
+
+    monkeypatch.setattr(ws, "wronskian", off)
+    ok, _, _ = cross_check_wronskian_congruence(basis67, lifts, p, prec=14)
+    assert not ok
+
+
 @pytest.mark.parametrize("p", [67, 109, 199])
 def test_exact_head_matches_absolute_window(p):
     # the pivot-relative head against the exact Wronskian of the forms cut
