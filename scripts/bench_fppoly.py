@@ -49,17 +49,23 @@ def _median_call_s(fn, min_total_s=0.2, min_reps=3):
     return statistics.median(samples), len(samples)
 
 
+def check_checkout():
+    """In a child interpreter: stop unless wplus came from BENCH_CHECKOUT."""
+    import wplus
+
+    if Path(wplus.__file__).parents[2] != Path(os.environ["BENCH_CHECKOUT"]):
+        raise RuntimeError(f"imported wplus from {wplus.__file__}")
+
+
 def measure(kind, arg):
     """Run inside the child interpreter; returns a JSON-ready dict."""
     import random
 
-    import wplus
     from wplus.config import Config
     from wplus.fppoly import FpPoly
     from wplus.pipeline import verify_prime
 
-    if Path(wplus.__file__).parents[2] != Path(os.environ["BENCH_CHECKOUT"]):
-        raise RuntimeError(f"imported wplus from {wplus.__file__}")
+    check_checkout()
     if kind == "ladder":
         with tempfile.TemporaryDirectory() as cache_dir:
             report = verify_prime(int(arg), Config(cache_dir=cache_dir))
@@ -94,11 +100,13 @@ def measure(kind, arg):
     raise ValueError(f"unknown measurement {kind!r}")
 
 
-def child(checkout, kind, arg):
+def child(checkout, kind, arg, script=__file__):
+    """Run ``script --measure kind arg`` in a fresh interpreter that imports
+    wplus from checkout; return the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"),
                BENCH_CHECKOUT=str(checkout))
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--measure", kind,
+        [sys.executable, str(Path(script).resolve()), "--measure", kind,
          str(arg)], env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 

@@ -1,9 +1,13 @@
-"""Exact linear algebra over Q, on lists of Fraction lists.
+"""Exact linear algebra over Q and Z.
 
-Matrices are small here (a few dozen rows), so plain Gaussian elimination
-over Fraction is both exact and fast enough.  The one large system in the
-package (the Manin-relation matrix) gets a dedicated sparse routine, and
-integer matrices get a fraction-free pivot search and inverse.
+Small matrices over Q are lists of Fraction lists, reduced by plain Gaussian
+elimination.  The Manin-relation matrix gets a sparse routine on dicts,
+whose entries stay Python ints while every pivot is a unit.  Integer
+matrices are numpy arrays: ``exact_matmul`` multiplies them in int64 when a
+bound proves that nothing overflows and in Python ints otherwise, pivots
+are searched modulo the word-size prime ``PIVOT_PRIME`` in int64 or, as the
+exact oracle, by fraction-free elimination, and the inverse is
+fraction-free.
 """
 
 from __future__ import annotations
@@ -11,8 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: the prime of ``pivot_columns_mod``: below 2^31, so that a product of two
+#: residues fits in int64
+PIVOT_PRIME = 2 ** 31 - 1
+_INT64_SAFE = 2 ** 62
 
 
 def mat_copy(a):
@@ -95,6 +106,52 @@ def pivot_columns(a):
             f = m[i][c]
             m[i] = [(piv[c] * x - f * y) // prev for x, y in zip(m[i], piv)]
         prev = piv[c]
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return pivots
+
+
+def _abs_max(a):
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def exact_matmul(a, b):
+    """a @ b for integer arrays (int64 or Python-int object arrays), exactly.
+
+    In int64 when max|a| * max|b| * inner < 2^62, which bounds every partial
+    sum; in Python ints otherwise."""
+    a, b = np.asarray(a), np.asarray(b)
+    if _abs_max(a) * _abs_max(b) * a.shape[-1] < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
+
+
+def pivot_columns_mod(a):
+    """Pivot columns of the integer matrix a reduced modulo PIVOT_PRIME, by
+    Gaussian elimination on int64 residues.
+
+    The rank mod the prime is at most the rank over Q, and the pivots can
+    differ from those of ``pivot_columns`` (a column divisible by the prime
+    is no pivot here), so a caller certifies what it takes from them."""
+    ell = PIVOT_PRIME
+    m = np.asarray(a)
+    if m.dtype.kind not in "iu":   # a list with ints past 2^63 can give float64
+        m = np.asarray(a, dtype=object)
+    m = (m % ell).astype(np.int64)
+    rows = m.shape[0] if m.ndim == 2 else 0
+    pivots = []
+    for c in range(m.shape[1] if rows else 0):
+        r = len(pivots)
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
+        piv = m[r, c:] * pow(int(m[r, c]), -1, ell) % ell
+        below = r + nonzero[1:]
+        if below.size:
+            m[below, c:] = (m[below, c:] - m[below, c:c + 1] * piv) % ell
         pivots.append(c)
         if len(pivots) == rows:
             break
@@ -194,7 +251,9 @@ def charpoly(a):
 class SparseRREF:
     """Incremental reduced echelon form for sparse rational rows.
 
-    Rows are dicts {column: Fraction}.  After feeding all rows, ``finish``
+    Rows are dicts {column: int or Fraction}.  A new pivot row is divided by
+    its leading entry, which keeps Python ints when that entry is +-1 and
+    makes Fractions only otherwise.  After feeding all rows, ``finish``
     back-substitutes so that every pivot row is supported on its pivot column
     and free columns only.
     """
@@ -208,12 +267,16 @@ class SparseRREF:
             c = min(row)
             piv = self.pivot_rows.get(c)
             if piv is None:
-                inv = _ONE / row[c]
-                self.pivot_rows[c] = {k: v * inv for k, v in row.items()}
+                lead = row[c]
+                if lead in (1, -1):
+                    self.pivot_rows[c] = {k: v * lead for k, v in row.items()}
+                else:
+                    self.pivot_rows[c] = {k: Fraction(v) / lead
+                                          for k, v in row.items()}
                 return
             f = row[c]
             for k, v in piv.items():
-                nv = row.get(k, _ZERO) - f * v
+                nv = row.get(k, 0) - f * v
                 if nv:
                     row[k] = nv
                 else:
@@ -229,7 +292,7 @@ class SparseRREF:
                 for k, v in row.items():
                     if k == c:
                         continue
-                    nv = row2.get(k, _ZERO) - f * v
+                    nv = row2.get(k, 0) - f * v
                     if nv:
                         row2[k] = nv
                     else:

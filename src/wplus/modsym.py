@@ -178,13 +178,14 @@ class ModSymSpace:
 
         self.index = idx
 
-        # two-term, star, and three-term Manin relations
+        # two-term, star, and three-term Manin relations, on Python ints
         uf = _SignedUnionFind(n)
         for i in range(n):
             c, d = int(pairs_c[i]), int(pairs_d[i])
             uf.relate(i, idx(-c, d), 1)       # star involution
             uf.relate(i, idx(d, -c), -1)      # x + xS = 0
-        rows = []
+        resolved = [uf.resolve(i) for i in range(n)]
+        reducer = linalg.SparseRREF()
         seen = set()
         for i in range(n):
             c, d = int(pairs_c[i]), int(pairs_d[i])
@@ -196,17 +197,13 @@ class ModSymSpace:
             seen.add(key)
             row = {}
             for t in (i, j, k):
-                r, s = uf.resolve(t)
+                r, s = resolved[t]
                 if s:
                     row[r] = row.get(r, 0) + s
-            if row:
-                rows.append({c_: Fraction(v) for c_, v in row.items() if v})
-        reducer = linalg.SparseRREF()
-        for row in rows:
             reducer.add_row(row)
         pivot_rows = reducer.finish()
 
-        roots = {uf.resolve(i)[0] for i in range(n) if uf.resolve(i)[1]}
+        roots = {r for r, s in resolved if s}
         free = sorted(r for r in roots if r not in pivot_rows)
         self.free = free
         self.dim = len(free)
@@ -219,8 +216,7 @@ class ModSymSpace:
                       for c_, v in row.items() if c_ != r]
                   for r, row in pivot_rows.items()}
         rnum = np.zeros((self.dim, n), dtype=np.int64)
-        for i in range(n):
-            r, s = uf.resolve(i)
+        for i, (r, s) in enumerate(resolved):
             if s and r in scaled:
                 for t, v in scaled[r]:
                     rnum[t, i] = -s * v
@@ -228,10 +224,10 @@ class ModSymSpace:
                 rnum[pos[r], i] = s * den
         self._r_den = den
         self._r_num = rnum
-        self._r_max = int(np.abs(rnum).max())
 
         # boundary: symbols (0:1) and (1:0) hit the two cusps, others vanish
-        boundary = (rnum[:, 0] - rnum[:, self.index(1, 0)]).tolist()
+        self.boundary = rnum[:, 0] - rnum[:, self.index(1, 0)]
+        boundary = self.boundary.tolist()
         kern = linalg.nullspace([boundary]) if any(boundary) \
             else linalg.identity(self.dim)
         self.cuspidal = linalg.transpose(kern) if kern \
@@ -316,13 +312,23 @@ class ModSymSpace:
         one matrix acting on paths, so O(dim log p) steps in all."""
         return self._counts_to_matrix(self._path_counts([(0, -1, self.p, 0)]))
 
+    def _hecke_counts(self, ell):
+        mats = merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
+        return self._count_images(mats)
+
     def hecke_matrix(self, ell):
         """HeckeMatrix of T_ell on the quotient; ell must be prime, and
         ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
         Merel's matrices otherwise (for ell = p only as a reference: the
         production basis uses W_p)."""
-        mats = merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
-        return self._counts_to_matrix(self._count_images(mats))
+        return self._counts_to_matrix(self._hecke_counts(ell))
+
+    def hecke_apply(self, ell, v):
+        """Numerator of T_ell v (the denominator is _r_den) for an integer
+        vector v, as _r_num @ (counts @ v): the dim x dim matrix of T_ell
+        is never formed."""
+        return linalg.exact_matmul(
+            self._r_num, linalg.exact_matmul(self._hecke_counts(ell), v))
 
     def hecke_matrix_path(self, ell):
         """T_ell by the coset representatives (1, j; 0, ell) for
@@ -339,10 +345,7 @@ class ModSymSpace:
         return self._counts_to_matrix(self._count_images(merel_set(ell)))
 
     def _counts_to_matrix(self, counts):
-        maxcount = int(np.abs(counts).max()) if counts.size else 0
-        if self._r_max * maxcount * self.n < 2 ** 62:
-            return HeckeMatrix(self._r_num @ counts, self._r_den)
-        return HeckeMatrix(self._r_num.astype(object) @ counts.astype(object),
+        return HeckeMatrix(linalg.exact_matmul(self._r_num, counts),
                            self._r_den)
 
     def restrict_to_cuspidal(self, t):
@@ -420,9 +423,16 @@ class BasisComputer:
     Prime level is all new, so U_p = -w_p on S_2, and the +1 space of w_p is
     reached through the one matrix W_p rather than through U_p.
     x = (1 + W_p) y for a cuspidal y with fixed small integer weights lies in
-    M+; its columns T_n x are kept as Python-int vectors v_n with
-    T_n x = v_n / d_n.  ``rows`` are g coordinates that are independent over
-    n <= (p + 1) / 6 + 2, so x is cyclic and their forms span S_2^+(p).
+    M+; its columns T_n x are kept as integer vectors v_n (int64, or Python
+    ints where a product could overflow) with T_n x = v_n / d_n.  ``rows``
+    are g coordinates that are independent over n <= (p + 1) / 6 + 2, so x
+    is cyclic and their forms span S_2^+(p).
+
+    Both pivot searches, for ``rows`` and for the echelon pivots of their
+    forms, run modulo ``linalg.PIVOT_PRIME`` first.  The pivots are kept
+    when the exact inverse of their block puts the rows in echelon shape,
+    which proves them to be the pivots over Q and the rows independent;
+    otherwise the exact ``linalg.pivot_columns`` decides.
     """
 
     def __init__(self, p):
@@ -434,46 +444,73 @@ class BasisComputer:
         if space.genus == 0:
             return
         den = space._r_den
-        w = space.atkin_lehner_matrix().num.astype(object)
+        w = space.atkin_lehner_matrix().num
         scale = lcm(*(x.denominator for row in space.cuspidal for x in row))
-        cusp = np.array([[int(x * scale) for x in row]
+        cusp = np.array([[x.numerator * (scale // x.denominator) for x in row]
                          for row in space.cuspidal], dtype=object)
-        wc = w @ cusp
-        if not np.array_equal(w @ wc, den * den * cusp):
+        wc = linalg.exact_matmul(w, cusp)
+        if not np.array_equal(linalg.exact_matmul(w, wc), den * den * cusp):
             raise WplusError("W_p is not an involution on the cuspidal subspace")
-        plus = den * cusp + wc                     # den (1 + W_p) C
-        self.g = len(linalg.pivot_columns(plus))
+        self.g = _plus_dimension(space, w)
         if self.g == 0:
             return
+        plus = den * cusp + wc                     # den (1 + W_p) C
         head = (p + 1) // 6 + 3                    # columns n < head
         for trial in range(_TRIALS):
             weights = np.array([(j + 1) ** trial for j in range(space.genus)],
                                dtype=object)
-            x = plus @ weights
-            if not np.array_equal(w @ x, den * x):
+            x = linalg.exact_matmul(plus, weights)
+            if not np.array_equal(linalg.exact_matmul(w, x), den * x):
                 raise WplusError("x is not in the w_p = +1 space")
             self._cols, self._dens = [x], [1]
             self._extend(head)
-            rows = linalg.pivot_columns(self._cols)   # independent coordinates
-            if len(rows) > self.g:
-                raise WplusError("a Hecke operator left the w_p = +1 space")
-            if len(rows) == self.g:
-                self.rows = rows
-                return
+            krylov = np.array(self._cols)          # row n - 1 is T_n x
+            for search in (linalg.pivot_columns_mod, linalg.pivot_columns):
+                rows = search(krylov)              # independent coordinates
+                if len(rows) > self.g:
+                    raise WplusError("a Hecke operator left the w_p = +1 space")
+                echelon = len(rows) == self.g and self._echelon(
+                    krylov[:, rows].T)
+                if echelon:
+                    self.rows = rows
+                    self._pivots, self._k, self._kinv = echelon
+                    return
         raise WplusError(f"no cyclic vector of the +1 space found for p={p}")
 
+    def _echelon(self, span):
+        """(pivots, k, K) for the g x head matrix span of the Krylov rows, or
+        None when its rank is below g.  K = k B^{-1} for the pivot block B,
+        exactly; the pivots from the search mod PIVOT_PRIME are kept when
+        K @ span is zero left of each pivot, and the exact search runs
+        otherwise.  Columns from the last pivot on cannot break that shape,
+        so only those before it are reduced."""
+        for search in (linalg.pivot_columns_mod, linalg.pivot_columns):
+            pivots = search(span)
+            if len(pivots) != self.g or pivots != sorted(set(pivots)):
+                continue
+            try:
+                k, kinv = linalg.scaled_inverse(span[:, pivots].tolist())
+            except ValueError:
+                continue
+            kinv = np.array(kinv, dtype=object)
+            red = linalg.exact_matmul(kinv, span[:, :pivots[-1]])
+            if not any(red[i, :c].any() for i, c in enumerate(pivots)):
+                return pivots, k, kinv
+        return None
+
     def _t(self, ell):
-        """Numerator of T_ell as Python ints; the denominator is _r_den."""
+        """Numerator of T_ell; the denominator is _r_den."""
         t = self._hecke.get(ell)
         if t is None:
-            t = self.space.hecke_matrix(ell).num.astype(object)
+            t = self.space.hecke_matrix(ell).num
             self._hecke[ell] = t
         return t
 
     def _extend(self, upto):
         """Columns T_n x for every n < upto: T_{ell m} = T_ell T_m for ell
         not dividing m, T_{ell^{k+1} m} = T_ell T_{ell^k m} - ell T_{ell^{k-1} m},
-        and U_p = -1 on M+."""
+        and U_p = -1 on M+.  A prime ell with ell^2 >= upto occurs only as
+        n = ell, so it acts on x alone and its matrix is never formed."""
         cols, dens, den = self._cols, self._dens, self.space._r_den
         for n in range(len(cols) + 1, upto):
             ell = _smallest_prime_factor(n)
@@ -482,9 +519,14 @@ class BasisComputer:
                 cols.append(-cols[m - 1])
                 dens.append(dens[m - 1])
                 continue
-            col = self._t(ell) @ cols[m - 1]
+            if ell * ell >= upto:
+                col = self.space.hecke_apply(ell, cols[0])
+            else:
+                col = linalg.exact_matmul(self._t(ell), cols[m - 1])
             if m % ell == 0:
-                col -= ell * den * den * cols[m // ell - 1]
+                col = linalg.exact_matmul(
+                    np.stack([col, cols[m // ell - 1]], axis=1),
+                    np.array([1, -ell * den * den], dtype=object))
             cols.append(col)
             dens.append(den * dens[m - 1])
 
@@ -492,24 +534,22 @@ class BasisComputer:
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
             return GoodBasis(self.p, 0, self.space.genus, [], [], True, self)
-        self._extend(prec)
-        cols = np.array(self._cols[:prec - 1], dtype=object).T   # dim x (prec-1)
-        span = cols[self.rows]
-        head = min(prec - 1, (self.p + 1) // 6 + 2)
-        pivots = linalg.pivot_columns(span[:, :head])
-        if len(pivots) != self.g:
+        pivots = self._pivots
+        if pivots[-1] >= prec - 1:
             if prec <= (self.p + 1) // 6 + 1:
                 raise PrecisionError(
                     f"precision {prec} too small to echelonize the basis "
                     f"(pivots can reach {(self.p + 1) // 6})")
             raise WplusError("Krylov rows do not span the +1 eigenspace")
+        self._extend(prec)
+        cols = np.array(self._cols[:prec - 1]).T   # dim x (prec-1)
+        span = cols[self.rows]
         # rref = diag(d_P) B^{-1} span diag(1/d_n), B = span[:, pivots]
-        k, kinv = linalg.scaled_inverse(span[:, pivots].tolist())
-        kinv = np.array(kinv, dtype=object)
-        red = kinv @ span
+        k = self._k
+        red = linalg.exact_matmul(self._kinv, span)
         # every coordinate is the same combination of the rows, at every n
-        other = cols[:, pivots] @ kinv
-        if not np.array_equal(other @ span, k * cols):
+        if not np.array_equal(linalg.exact_matmul(cols[:, pivots], red),
+                              k * cols.astype(object)):
             raise WplusError("a Hecke operator left the w_p = +1 space")
         dens = self._dens
         forms = []
@@ -521,6 +561,24 @@ class BasisComputer:
         p_integral = all(f.is_p_integral(self.p) for f in forms)
         return GoodBasis(self.p, self.g, self.space.genus, forms,
                          [c + 1 for c in pivots], p_integral, self)
+
+
+def _plus_dimension(space, w):
+    """g+ = dim of the W_p = +1 cuspidal space, from the trace of W_p = w/den.
+
+    W_p^2 = 1 on the cuspidal space C (checked by the caller), and W_p swaps
+    the two cusps, so the boundary row delta satisfies delta W_p = -delta
+    (checked here): W_p preserves C = ker delta and acts as -1 on the
+    quotient by C, which has dimension dim - genus = 1.  Hence
+    tr W_p = (g+ - (genus - g+)) - 1 = 2 g+ - dim."""
+    den = space._r_den
+    if not np.array_equal(linalg.exact_matmul(space.boundary, w),
+                          -den * space.boundary):
+        raise WplusError("W_p does not swap the cusps")
+    twice, rest = divmod(space.dim * den + int(np.trace(w)), den)
+    if rest or twice % 2:
+        raise WplusError("the trace of W_p is not that of an involution")
+    return twice // 2
 
 
 def _smallest_prime_factor(n):
@@ -539,7 +597,8 @@ def good_basis(p, prec, cache=None, computer=None):
 
     Results round-trip through the cache (kind ``good_basis``) when one is
     supplied; a cached basis of the current payload version and of at least
-    the requested precision is reused, and anything else is recomputed and
+    the requested precision is reused once its forms pass the checks of
+    ``_basis_from_payload``, and anything else is recomputed and
     overwritten.  A miss extends ``computer`` (the ``computer`` of an earlier
     basis of p) when one is given, and builds a new BasisComputer otherwise.
     """
@@ -547,7 +606,9 @@ def good_basis(p, prec, cache=None, computer=None):
         payload = cache.get("good_basis", str(p))
         if (payload is not None and payload.get("version") == _PAYLOAD_VERSION
                 and payload["precision"] >= prec):
-            return _basis_from_payload(payload, prec)
+            gb = _basis_from_payload(payload, prec)
+            if gb is not None:
+                return gb
     gb = (computer or BasisComputer(p)).basis(prec)
     if cache is not None:
         cache.put("good_basis", str(p), _basis_to_payload(gb))
@@ -569,9 +630,19 @@ def _basis_to_payload(gb):
 
 
 def _basis_from_payload(payload, prec):
-    forms = []
-    for coeffs in payload["coefficients"]:
-        vals = [Fraction(s) for s in coeffs[:prec]]
-        forms.append(QExpansion(vals, 0, prec, weight=2, level=payload["p"]))
-    return GoodBasis(payload["p"], payload["g"], payload["genus_x0"], forms,
-                     list(payload["pivots"]), payload["p_integral"])
+    """GoodBasis of a cached payload, cut at prec; None unless the forms
+    have the identity block at the pivots and their p-integrality, over
+    the stored precision, is the stored ``p_integral``."""
+    p, pivots = payload["p"], payload["pivots"]
+    rows = [[Fraction(s) for s in coeffs] for coeffs in payload["coefficients"]]
+    if len(rows) != len(pivots) or any(
+            row[c] != (i == j) for i, row in enumerate(rows)
+            for j, c in enumerate(pivots)):
+        return None
+    p_integral = all(x.denominator % p for row in rows for x in row)
+    if p_integral != payload["p_integral"]:
+        return None
+    forms = [QExpansion(row[:prec], 0, prec, weight=2, level=p)
+             for row in rows]
+    return GoodBasis(p, payload["g"], payload["genus_x0"], forms,
+                     list(pivots), p_integral)

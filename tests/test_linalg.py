@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wplus import linalg
@@ -53,3 +54,61 @@ def test_scaled_inverse_singular_raises():
     for a in ([[0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 1, 0], [0, 2, 0]]):
         with pytest.raises(ValueError):
             linalg.scaled_inverse(a)
+
+
+def _random_integer_matrix(rng, rows, cols, rank, size):
+    left = [[rng.randint(-size, size) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.choice((0, rng.randint(-size, size))) for _ in range(cols)]
+             for _ in range(rank)]
+    return [[sum(left[i][t] * right[t][j] for t in range(rank))
+             for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("shape", ["full", "deficient", "wide", "tall", "huge"])
+def test_pivot_columns_mod_matches_exact(shape):
+    # on seeded integer matrices the search mod PIVOT_PRIME finds the exact
+    # pivots; "huge" has entries far above 2^63
+    rng = random.Random(shape)
+    tried = 0
+    while tried < 100:
+        rows, cols = {"wide": (rng.randint(1, 5), rng.randint(6, 14)),
+                      "tall": (rng.randint(6, 14), rng.randint(1, 5))}.get(
+            shape, (rng.randint(1, 9), rng.randint(1, 9)))
+        size = 2 ** 80 if shape == "huge" else 9
+        m = _random_integer_matrix(rng, rows, cols,
+                                   rng.randint(0, min(rows, cols)), size)
+        exact = linalg.pivot_columns(m)
+        full = len(exact) == min(rows, cols)
+        if (shape == "full" and not full) or (shape == "deficient" and full):
+            continue
+        if shape == "huge" and max(abs(x) for row in m for x in row) < 2 ** 63:
+            continue
+        assert linalg.pivot_columns_mod(m) == exact
+        assert linalg.pivot_columns_mod(np.array(m, dtype=object)) == exact
+        tried += 1
+
+
+def test_pivot_columns_mod_can_differ_from_exact():
+    # a column divisible by the prime is no pivot mod it: the reason every
+    # caller certifies the pivots it takes from the modular search
+    ell = linalg.PIVOT_PRIME
+    assert linalg.pivot_columns([[ell, 1], [0, 1]]) == [0, 1]
+    assert linalg.pivot_columns_mod([[ell, 1], [0, 1]]) == [1]
+    assert linalg.pivot_columns([[ell, 1]]) == [0]
+    assert linalg.pivot_columns_mod([[ell, 1]]) == [1]
+
+
+def test_exact_matmul_matches_python_ints():
+    # int64 inside the bound, Python ints past it, equal to the schoolbook
+    # product either way
+    rng = random.Random(5)
+    for size, dtype in ((2 ** 10, np.int64), (2 ** 40, object),
+                        (2 ** 70, object)):
+        a = [[rng.randint(-size, size) for _ in range(6)] for _ in range(4)]
+        b = [[rng.randint(-size, size) for _ in range(3)] for _ in range(6)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(6)) for j in range(3)]
+                for i in range(4)]
+        got = linalg.exact_matmul(np.array(a, dtype=object),
+                                  np.array(b, dtype=object))
+        assert got.dtype == dtype
+        assert got.tolist() == want

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -359,3 +361,127 @@ def test_verify_prime_builds_one_space_per_prime(tmp_path, monkeypatch):
     fresh = BasisComputer(109).basis(stored["precision"])
     assert stored == modsym._basis_to_payload(fresh)
     assert stored["precision"] > (109 + 1) // 6 + 12
+
+
+def test_plus_dimension_from_trace_matches_rank():
+    # g+ = (genus + tr W_p + 1) / 2 against the exact rank of (1 + W_p) C
+    for p in PRIMES_11_199:
+        bc = BasisComputer(p)
+        space = bc.space
+        den = space._r_den
+        w = space.atkin_lehner_matrix().num.astype(object)
+        scale = math.lcm(*(x.denominator for row in space.cuspidal
+                           for x in row))
+        cusp = np.array([[int(x * scale) for x in row]
+                         for row in space.cuspidal], dtype=object)
+        rank = len(linalg.pivot_columns(den * cusp + w @ cusp)) \
+            if space.genus else 0
+        assert bc.g == rank, p
+        assert bc.g == KNOWN_G_PLUS.get(p, bc.g), p
+
+
+#: sha256 of the good_basis payloads at (p + 1)//6 + 12 from the exact
+#: pivot searches (Bareiss on Python ints) alone
+PAYLOAD_SHA256 = {
+    109: "8f322c54d455a996ab95f83de378e8d7b540d70aa361a51c945bc409c15409e4",
+    389: "d790ee5f19674130b3a7a72394d76eb72ed4b0b3ea48b8a69501b0ff52349886",
+}
+
+
+def _payload_sha256(gb):
+    from wplus import modsym
+    blob = json.dumps(modsym._basis_to_payload(gb), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+_EXACT_PIVOTS = linalg.pivot_columns
+
+
+def _short(a):
+    return _EXACT_PIVOTS(a)[:-1]
+
+
+def _last_moved(a):
+    pivots = _EXACT_PIVOTS(a)
+    if pivots and pivots[-1] + 1 < np.asarray(a).shape[1]:
+        pivots[-1] += 1
+    return pivots
+
+
+def _first_columns(a):
+    return list(range(len(_EXACT_PIVOTS(a))))
+
+
+@pytest.mark.parametrize("modular", [None, _short, _last_moved,
+                                     _first_columns])
+def test_basis_certifies_modular_pivots(monkeypatch, modular):
+    # wrong pivots from the modular search cost an exact search, never a
+    # different basis; honest ones need no exact search at all
+    exact_calls = []
+    monkeypatch.setattr(linalg, "pivot_columns",
+                        lambda a: exact_calls.append(1) or _EXACT_PIVOTS(a))
+    if modular is not None:
+        monkeypatch.setattr(linalg, "pivot_columns_mod", modular)
+    for p, sha in PAYLOAD_SHA256.items():
+        exact_calls.clear()
+        gb = BasisComputer(p).basis((p + 1) // 6 + 12)
+        assert _payload_sha256(gb) == sha, p
+        if modular is None:
+            assert not exact_calls
+        elif modular is _short:
+            assert len(exact_calls) == 2      # the rows, then the pivots
+
+
+def test_hecke_matrices_only_below_square_root_of_precision(monkeypatch):
+    # a prime ell with ell^2 >= the precision acts on x alone
+    from wplus import modsym
+    asked = []
+    hecke_matrix = modsym.ModSymSpace.hecke_matrix
+    monkeypatch.setattr(modsym.ModSymSpace, "hecke_matrix",
+                        lambda self, ell: asked.append(ell)
+                        or hecke_matrix(self, ell))
+    bc = BasisComputer(389)
+    gb = bc.basis(77)
+    assert sorted(asked) == [2, 3, 5, 7]
+    bc.basis(200)
+    assert sorted(asked) == [2, 3, 5, 7, 11, 13]
+    fresh = BasisComputer(389).basis(77)
+    assert [f.coefficients(77) for f in gb.forms] == [
+        f.coefficients(77) for f in fresh.forms]
+
+
+@pytest.mark.slow
+def test_modular_pivot_searches_match_exact_scan():
+    # the production rows and echelon pivots are those of the exact search
+    # on the same Krylov matrices, at every prime in [5, 449] and at 601
+    primes = [p for p in range(5, 450) if all(p % d for d in range(2, p))]
+    for p in primes + [601]:
+        bc = BasisComputer(p)
+        if bc.g == 0:
+            continue
+        krylov = np.array(bc._cols[:(p + 1) // 6 + 2])
+        rows = linalg.pivot_columns(krylov)
+        assert bc.rows == rows, p
+        assert bc._pivots == linalg.pivot_columns(krylov[:, rows].T), p
+        assert bc.basis((p + 1) // 6 + 12).pivots == [
+            c + 1 for c in bc._pivots]
+
+
+def test_cache_rechecks_identity_block_and_p_integral(tmp_path):
+    # a checksummed entry of the current version is still refused when its
+    # forms break the identity block at the pivots, or when their
+    # p-integrality is not the stored one; it is recomputed and overwritten
+    from wplus import modsym
+    from wplus.cache import DiskCache
+    cache = DiskCache(tmp_path)
+    good = modsym._basis_to_payload(BasisComputer(67).basis(12))
+    broken_block = json.loads(json.dumps(good))
+    broken_block["coefficients"][0][2] = "1/1"       # f_1 at the pivot q^2
+    wrong_flag = dict(good, p_integral=False)
+    for planted in (broken_block, wrong_flag):
+        cache.put("good_basis", "67", planted)
+        assert cache.get("good_basis", "67") == planted
+        gb = good_basis(67, 12, cache=cache)
+        assert gb.pivots == [1, 2] and gb.p_integral
+        assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
+        assert cache.get("good_basis", "67") == good
