@@ -1,0 +1,189 @@
+"""Record BENCH_wronskian.json: the j-line Wronskian W_x(P), the class
+polynomials and a cold verify_prime(601), this checkout against a baseline
+checkout of wplus.
+
+    python scripts/bench_wronskian.py --baseline DIR [--runs 3] [--out BENCH_wronskian.json]
+
+Each measurement runs in a fresh interpreter that imports `wplus` from the
+`src/` of one checkout, the two checkouts taking turns, `--runs` times:
+
+- `wx`: `polynomial_wronskian` of the divisor polynomials P_i of the lifts
+  at p = 389, 601 and 1009, as `wronskian_divisor_polynomial` forms them;
+  1009 runs once per checkout (its series route takes about 85 s).
+- `class_poly`: `class_poly(D)` at D = 1556 and 6044, the first call in the
+  interpreter, so it includes the j-coefficients it needs.
+- `sweep`: `class_poly` of all 187 discriminants of the primes 5 <= p < 700
+  (4p, and p when p = 3 mod 4), in one interpreter, into a fresh disk cache.
+- `verify`: cold `verify_prime(601)` (empty cache), with the report's
+  per-stage `timings_ms`.
+
+Both checkouts must give the same P_i and W_x, the same class polynomials,
+byte-identical cache files from the sweep, and identical reports (timings
+aside); the script stops otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_fppoly import check_checkout, child, environment, git_commit  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+WX_PRIMES = (389, 601, 1009)
+ONE_RUN = (1009,)
+CLASS_POLY_D = (1556, 6044)
+SWEEP_BELOW = 700
+VERIFY_P = 601
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _divisor_polys(p):
+    """The P_i of wronskian_divisor_polynomial, from a cold good basis."""
+    from wplus.level1 import Level1Context, divisor_polynomial, weight_profile
+    from wplus.modsym import good_basis
+    from wplus.weierstrass import lift_to_level1, required_basis_precision
+
+    gb = good_basis(p, (p + 1) // 6 + 12)
+    window = required_basis_precision(gb.pivots)
+    if gb.precision < window:
+        gb = good_basis(p, window, computer=gb.computer)
+    lifts = [lift_to_level1(f.truncate(window), p) for f in gb.forms]
+    d = weight_profile(p + 1).m
+    ctx = Level1Context(2 * d + 4, p=p)
+    return [divisor_polynomial(f.truncate(f.valuation + d + 2), ctx)
+            for f in lifts]
+
+
+def _sweep_discriminants():
+    from wplus.fppoly import is_prime
+
+    out = []
+    for p in range(5, SWEEP_BELOW):
+        if is_prime(p):
+            out += [4 * p] + ([p] if p % 4 == 3 else [])
+    return out
+
+
+def measure(kind, arg):
+    """Run inside the child interpreter; returns a JSON-ready dict."""
+    check_checkout()
+    if kind == "wx":
+        from wplus.weierstrass import polynomial_wronskian
+
+        polys = _divisor_polys(int(arg))
+        t0 = time.perf_counter()
+        w = polynomial_wronskian(polys)
+        wall = time.perf_counter() - t0
+        return {"timings_ms": {"wx": 1e3 * wall}, "output": {
+            "g": len(polys), "degree": w.degree(),
+            "P_sha256": _sha256(json.dumps(
+                [[int(c) for c in f.coeffs] for f in polys]).encode()),
+            "W_x": [int(c) for c in w.coeffs]}}
+    if kind == "class_poly":
+        from wplus.supersingular import class_poly
+
+        t0 = time.perf_counter()
+        data = class_poly(int(arg))
+        wall = time.perf_counter() - t0
+        return {"timings_ms": {"class_poly": 1e3 * wall}, "output": {
+            "h": data.h, "bits": data.float_precision_bits,
+            "H_D_sha256": _sha256(json.dumps(
+                [str(c) for c in data.H_D]).encode())}}
+    if kind == "sweep":
+        from wplus.cache import DiskCache
+        from wplus.supersingular import class_poly
+
+        discriminants = _sweep_discriminants()
+        with tempfile.TemporaryDirectory() as cache_dir:
+            cache = DiskCache(cache_dir)
+            t0 = time.perf_counter()
+            for D in discriminants:
+                class_poly(D, cache=cache)
+            wall = time.perf_counter() - t0
+            files = sorted(Path(cache_dir).rglob("*"))
+            digest = hashlib.sha256()
+            for path in files:
+                if path.is_file():
+                    digest.update(str(path.relative_to(cache_dir)).encode())
+                    digest.update(path.read_bytes())
+        return {"timings_ms": {"sweep": 1e3 * wall}, "output": {
+            "count": len(discriminants), "cache_sha256": digest.hexdigest()}}
+    if kind == "verify":
+        from wplus.config import Config
+        from wplus.pipeline import verify_prime
+
+        with tempfile.TemporaryDirectory() as cache_dir:
+            report = verify_prime(int(arg), Config(cache_dir=cache_dir))
+        out = report.to_json_dict()
+        timings = out.pop("timings_ms")
+        return {"timings_ms": timings, "output": out}
+    raise ValueError(f"unknown measurement {kind!r}")
+
+
+def record(baseline, runs):
+    sides = {"baseline": Path(baseline).resolve(), "change": ROOT}
+    cases = ([(f"wx_{p}", "wx", p) for p in WX_PRIMES]
+             + [(f"class_poly_{D}", "class_poly", D) for D in CLASS_POLY_D]
+             + [("sweep", "sweep", 0), (f"verify_{VERIFY_P}", "verify",
+                                        VERIFY_P)])
+    timings = {side: {key: [] for key, _, _ in cases} for side in sides}
+    outputs = {}
+    for key, kind, arg in cases:
+        for run in range(1 if arg in ONE_RUN else runs):
+            order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+            got = {side: child(sides[side], kind, arg, script=__file__)
+                   for side in order}
+            if got["baseline"]["output"] != got["change"]["output"]:
+                raise SystemExit(f"outputs differ: {key}")
+            outputs[key] = got["change"]["output"]
+            for side in sides:
+                timings[side][key].append(got[side]["timings_ms"])
+    median = {side: {key: {k: round(statistics.median(s[k] for s in samples), 1)
+                           for k in samples[0]}
+                     for key, samples in by_case.items()}
+              for side, by_case in timings.items()}
+    for key, out in outputs.items():
+        if key.startswith("wx_"):
+            out["W_x_sha256"] = _sha256(json.dumps(out.pop("W_x")).encode())
+    return {
+        "command": "python scripts/bench_wronskian.py --baseline DIR "
+                   f"--runs {runs}",
+        "environment": environment(),
+        "commits": {side: git_commit(path) for side, path in sides.items()},
+        "outputs": {key: out for key, out in outputs.items()
+                    if not key.startswith("verify_")},
+        "cold_ms": {"median": median, "runs": timings},
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="checkout to compare against")
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_wronskian.json"))
+    parser.add_argument("--measure", nargs=2, metavar=("KIND", "ARG"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        print(json.dumps(measure(*args.measure)))
+        return
+    if not args.baseline:
+        parser.error("--baseline is required")
+    result = record(args.baseline, args.runs)
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    print(json.dumps(result["cold_ms"]["median"], indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -34,6 +34,11 @@ class ZeroWronskianError(WplusError):
     """Wronskian vanished: the input forms are linearly dependent."""
 
 
+class ConsistencyError(WplusError):
+    """A fast kernel failed one of its own checks: a fault in the code, not
+    a falsifier of the mathematics."""
+
+
 class NoLiftError(WplusError):
     """A weight-2 form mod p admits no weight-(p+1) level-1 lift (falsifier)."""
 

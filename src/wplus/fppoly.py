@@ -31,7 +31,7 @@ _CONV_GUARD = 2**62
 NEWTON_MIN_QUOTIENT = 16
 
 
-def _convolution_fits(terms, p):
+def int64_sums_fit(terms, p):
     """Whether an int64 sum of `terms` products of residues mod p is exact."""
     return terms * (p - 1) ** 2 < _CONV_GUARD
 
@@ -44,7 +44,7 @@ def convolve_mod(a, b, p, n=None):
     products could overflow for this modulus and these lengths.
     """
     terms = min(len(a), len(b))
-    if not _convolution_fits(terms, p):
+    if not int64_sums_fit(terms, p):
         raise OverflowError(
             f"modulus {p} too large for an int64 convolution of {terms} terms")
     out = np.convolve(a, b)[:n] % p
@@ -78,7 +78,7 @@ def _reversed_inverse(b, p, k):
     up to k coefficients that divide by the trimmed array b; None when
     those divisions take the loop (short quotients, or a modulus too large
     for convolve_mod)."""
-    if k < NEWTON_MIN_QUOTIENT or not _convolution_fits(k, p):
+    if k < NEWTON_MIN_QUOTIENT or not int64_sums_fit(k, p):
         return None
     return inverse_mod_xn(b[::-1], p, k)
 
@@ -495,3 +495,124 @@ def poly_factor(f, rng=None):
 def poly_sqrt(f):
     """Module-level alias for FpPoly.sqrt."""
     return f.sqrt()
+
+
+# -- F_{p^2} on pairs of int64 arrays ------------------------------------------
+
+def inverse_table(p):
+    """Array inv with inv[a] * a = 1 mod p for 0 < a < p, and inv[0] = 0:
+    a^(p-2) by square-and-multiply on all residues at once."""
+    base = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return out
+
+
+class Fp2:
+    """F_{p^2} = F_p[w]/(w^2 - n), n the least quadratic non-residue mod p.
+
+    An element is a pair (re, im) standing for re + im w, of Python ints or
+    of int64 arrays of residues that broadcast together.  A product sums two
+    products of residues, so the caller bounds its int64 sums as
+    convolve_mod does.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.n = next(a for a in range(2, p) if legendre(a, p) == -1)
+        self.inv = inverse_table(p)
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        p = self.p
+        return (a * c + self.n * (b * d % p)) % p, (a * d + b * c) % p
+
+    def inverse(self, x):
+        """x^-1 = conj(x) / norm(x), with 0 for 0."""
+        a, b = x
+        p = self.p
+        norm_inv = self.inv[(a * a - self.n * (b * b % p)) % p]
+        return a * norm_inv % p, -b * norm_inv % p
+
+    def power(self, x, e):
+        out = (1, 0)
+        while e:
+            if e & 1:
+                out = self.mul(out, x)
+            e >>= 1
+            if e:
+                x = self.mul(x, x)
+        return out
+
+    def roots_of_unity(self, order):
+        """(re, im) arrays of zeta^0, ..., zeta^(order - 1) for an element
+        zeta of multiplicative order exactly `order`, a divisor of p^2 - 1:
+        the first zeta = z^((p^2 - 1)/order), over z = a + b w with
+        b = 1, 2, ..., whose powers below the order-th all differ from 1.
+        The table doubles with each multiplication."""
+        p = self.p
+        cofactor, rest = divmod(p * p - 1, order)
+        if rest:
+            raise ValueError(f"{order} does not divide {p}^2 - 1")
+        for b in range(1, p):
+            for a in range(p):
+                step = self.power((a, b), cofactor)
+                re = np.ones(1, dtype=np.int64)
+                im = np.zeros(1, dtype=np.int64)
+                while len(re) < order:
+                    hi_re, hi_im = self.mul((re, im), step)
+                    re = np.concatenate([re, hi_re])
+                    im = np.concatenate([im, hi_im])
+                    step = self.mul(step, step)
+                re, im = re[:order], im[:order]
+                if not ((re[1:] == 1) & (im[1:] == 0)).any():
+                    return re, im
+        raise ArithmeticError(f"F_{p}^2 has no element of order {order}")
+
+    def matvec(self, x, m):
+        """x @ m for a vector x and a matrix m; each int64 product sums
+        len(x) products of residues."""
+        p = self.p
+        (a, b), (c, d) = x, m
+        return ((a @ c % p + self.n * (b @ d % p)) % p,
+                (a @ d % p + b @ c % p) % p)
+
+    def det(self, m):
+        """Determinants of a stack of square matrices m = (re, im), each
+        array of shape (points, g, g), by one Gaussian elimination over all
+        of them at once with a pivot row chosen per matrix; a matrix with no
+        pivot in a column has determinant 0."""
+        p = self.p
+        re, im = m[0].copy(), m[1].copy()
+        points, g = re.shape[:2]
+        rows = np.arange(points)
+        det = np.ones(points, dtype=np.int64), np.zeros(points, dtype=np.int64)
+        for c in range(g):
+            nonzero = (re[:, c:, c] != 0) | (im[:, c:, c] != 0)
+            piv = c + nonzero.argmax(axis=1)
+            for a in (re, im):
+                a[rows, c], a[rows, piv] = a[rows, piv], a[rows, c]
+            sign = np.where(piv == c, 1, p - 1)
+            pivot = re[:, c, c], im[:, c, c]
+            det = self.mul(det, (pivot[0] * sign % p, pivot[1] * sign % p))
+            if c + 1 == g:
+                break
+            inv = self.inverse(pivot)
+            f_re, f_im = self.mul((re[:, c + 1:, c], im[:, c + 1:, c]),
+                                  (inv[0][:, None], inv[1][:, None]))
+            f_re, f_im, f_nim = (f[:, :, None] for f in
+                                 (f_re, f_im, self.n * f_im % p))
+            r_re, r_im = re[:, None, c, c + 1:], im[:, None, c, c + 1:]
+            # row -= f * pivot row, with one reduction per part: each part
+            # subtracts two products of residues from a residue
+            re[:, c + 1:, c + 1:] = (re[:, c + 1:, c + 1:] - f_re * r_re
+                                     - f_nim * r_im) % p
+            im[:, c + 1:, c + 1:] = (im[:, c + 1:, c + 1:] - f_re * r_im
+                                     - f_im * r_re) % p
+        return det

@@ -16,7 +16,10 @@ for the full polynomial.
 
 Hilbert class polynomials are computed by enumerating reduced binary
 quadratic forms and evaluating j at the CM points with mpmath big floats,
-with precision escalation until the rounding residual is small.
+with precision escalation until the rounding residual is small.  Each form
+sums the q-series of j to the length its own |q| = exp(-pi sqrt(D)/a)
+needs, and the form (a, b, c) takes the complex conjugate of the j-value of
+(a, -b, c).
 """
 
 from __future__ import annotations
@@ -316,23 +319,38 @@ def class_poly(D, start_bits=None, max_factor=16, cache=None):
         bits *= 2
 
 
-def _class_poly_attempt(D, forms, bits):
-    sqrtD = mpmath.sqrt(D)
-    # terms needed so that |c_n q^n| < 2^-bits-20 for the largest |q|
-    worst = math.pi * sqrtD / max(a for a, _, _ in forms)
+def _j_terms(D, a, bits):
+    """Terms of the j-series, from q^-1 on, that bring |c_n q^n| below
+    2^-(bits + 20) at a form with first coefficient a, where
+    |q| = exp(-pi sqrt(D) / a)."""
+    worst = math.pi * math.sqrt(D) / a
     n = 8
-    while 4 * math.pi * math.sqrt(n) - float(worst) * n > -(bits + 20) * math.log(2):
+    while 4 * math.pi * math.sqrt(n) - worst * n > -(bits + 20) * math.log(2):
         n += 8
-    cj = _j_coefficients(n + 2)
+    return n + 2
+
+
+def _class_poly_attempt(D, forms, bits):
+    """Coefficients of prod (x - j(tau)) over the forms, rounded, or None
+    when a residual reaches 0.01.  Each form sums the j-series to its own
+    length; (a, b, c) and (a, -b, c) give tau and -conj(tau), so the second
+    j-value is the conjugate of the first."""
+    sqrtD = mpmath.sqrt(D)
+    cj = _j_coefficients(max(_j_terms(D, a, bits) for a, _, _ in forms))
+    jvals = {}
     poly = [mpmath.mpc(1)]
     for a, b, c in forms:
-        tau = (-b + sqrtD * 1j) / (2 * a)
-        q = mpmath.exp(2j * mpmath.pi * tau)
-        jval = mpmath.mpc(0)
-        qpow = 1 / q
-        for coeff in cj:
-            jval += coeff * qpow
-            qpow *= q
+        if (a, -b, c) in jvals:
+            jval = mpmath.conj(jvals[a, -b, c])
+        else:
+            tau = (-b + sqrtD * 1j) / (2 * a)
+            q = mpmath.exp(2j * mpmath.pi * tau)
+            jval = mpmath.mpc(0)
+            qpow = 1 / q
+            for coeff in cj[:_j_terms(D, a, bits)]:
+                jval += coeff * qpow
+                qpow *= q
+        jvals[a, b, c] = jval
         poly = [mpmath.mpc(0)] + poly
         for i in range(len(poly) - 1):
             poly[i] -= jval * poly[i + 1]

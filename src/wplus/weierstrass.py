@@ -4,9 +4,11 @@ Weierstrass points of the Atkin-Lehner quotient curve.
 The chain: lift each good-basis form f_i to a weight-(p+1) level-1 cusp form
 b_i = Delta^d Etilde P_i(j) mod p on the cross-check window; read the
 divisor polynomial of the theta-Wronskian W of the lifts (weight g(g+p))
-off the Wronskian of the P_i on the j-line; take the square-case
-correction; divide out the elliptic-point and linear-supersingular factors
-exactly; the remaining polynomial H_1 must be a perfect square H^2, and
+off the Wronskian W_x(P) of the P_i on the j-line, computed by evaluation
+at roots of unity in F_{p^2}, one batched elimination and interpolation;
+take the square-case correction; divide out the elliptic-point and
+linear-supersingular factors exactly; the remaining polynomial H_1 must be
+a perfect square H^2, and
 
     F_p(x) = S_q(x)^{g^2 - g} * H(x)^2  (mod p).
 
@@ -19,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InexactDivisionError, NoLiftError, ParityViolationError,
+import numpy as np
+
+from .errors import (ConsistencyError, InexactDivisionError, NoLiftError,
+                     OddMultiplicityError, ParityViolationError,
                      PrecisionError, ZeroWronskianError)
-from .fppoly import FpPoly, legendre
+from .fppoly import Fp2, FpPoly, int64_sums_fit, legendre
 from .level1 import (Level1Context, divisor_degree, divisor_polynomial,
                      gp_exponents, gp_poly, miller_basis_mod,
                      square_divisor_exponents, weight_profile)
@@ -120,23 +125,87 @@ def lift_to_level1(f, p, miller_cusp=None):
     return lift
 
 
-def polynomial_wronskian(polys):
-    """Wronskian det[P_j^(r)] of polynomials P_1, ..., P_g over F_p.
+#: evaluation points per block in polynomial_wronskian: a block holds g^2
+#: values and a (g - 1)^2 elimination update per point, so blocks bound the
+#: temporaries, which for all 1680 points at p = 1009 (g = 37) would take
+#: tens of MB
+_BLOCK_POINTS = 32
 
-    theta_x = x d/dx acts on the derivatives triangularly with diagonal x^r,
-    so the theta-Wronskian of the P_j read as series in x is
-    x^(g(g-1)/2) W_x(P).  Its degree is at most sum deg P_j, so series known
-    through that degree determine it exactly.
+
+def polynomial_wronskian(polys):
+    """Wronskian det[P_j^(r)] of polynomials P_1, ..., P_g over F_p, by
+    evaluation and interpolation (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5 and 10).
+
+    Every term of the determinant has degree at most
+    B = sum deg P_j - g(g-1)/2.  The points are the powers of an element
+    zeta of order N, the least divisor of p^2 - 1 above B, in F_{p^2} (they
+    lie in F_p when N divides p - 1).  The derivative coefficients are in
+    F_p, so the g^2 entries at a block of points are two int64 products
+    with the parts of the Vandermonde block [zeta^(nk)]; one elimination
+    runs over the block at once (Fp2.det); an inverse DFT of length N
+    returns the coefficients.
+
+    Raises OverflowError, before any arithmetic, when an int64 sum could
+    wrap; ZeroWronskianError when the Wronskian is 0; ConsistencyError,
+    which is no falsifier, when a coefficient leaves F_p or lies above B.
     """
-    p = polys[0].p
-    n = sum(f.degree() for f in polys) + 1
-    det, _ = wronskian([FpSeries(p, list(f.coeffs) + [0] * (n - len(f.coeffs)),
-                                 0, n) for f in polys])
-    if det.precision < n:
-        raise PrecisionError(
-            f"polynomial Wronskian known below x^{det.precision}, "
-            f"its degree can reach {n - 1}")
-    return FpPoly(p, det.coefficients(n)[len(polys) * (len(polys) - 1) // 2:])
+    p, g = polys[0].p, len(polys)
+    width = max(f.degree() for f in polys) + 1
+    # an entry's value sums `width` products, a block's share of the
+    # interpolation _BLOCK_POINTS, and an F_{p^2} product two
+    terms = max(width, _BLOCK_POINTS)
+    if not int64_sums_fit(terms, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {terms} products")
+    # entries[r, j] holds the coefficients of P_j^(r), low degree first
+    entries = np.zeros((g, g, width), dtype=np.int64)
+    for j, f in enumerate(polys):
+        entries[0, j, :len(f.coeffs)] = f.coeffs
+    scale = np.arange(1, width, dtype=np.int64) % p
+    for r in range(1, g):
+        entries[r, :, :-1] = entries[r - 1, :, 1:] * scale % p
+    return _determinant_by_interpolation(
+        entries, p, sum(f.degree() for f in polys) - g * (g - 1) // 2)
+
+
+def _determinant_by_interpolation(entries, p, bound):
+    """det of the g x g matrix of polynomials over F_p whose (r, j) entry
+    has the coefficients entries[r, j], given that the determinant has
+    degree at most bound; see polynomial_wronskian."""
+    g, _, width = entries.shape
+    order = p * p - 1
+    n_points = next((n for n in range(max(bound, 0) + 1, order + 1)
+                     if order % n == 0), None)
+    if n_points is None:
+        raise ValueError(f"degree bound {bound} exceeds the {order} points "
+                         f"of F_{p}^2")
+    field = Fp2(p)
+    pw_re, pw_im = field.roots_of_unity(n_points)
+    flat = entries.reshape(g * g, width)
+    exps = np.arange(width, dtype=np.int64)
+    every = np.arange(n_points, dtype=np.int64)
+    coeffs = np.zeros(n_points, dtype=np.int64), np.zeros(n_points,
+                                                           dtype=np.int64)
+    for start in range(0, n_points, _BLOCK_POINTS):
+        block = every[start:start + _BLOCK_POINTS]
+        forward = np.outer(exps, block) % n_points
+        mats = tuple((flat @ pw[forward] % p).T.reshape(-1, g, g)
+                     for pw in (pw_re, pw_im))
+        values = field.det(mats)
+        back = -np.outer(block, every) % n_points
+        part = field.matvec(values, (pw_re[back], pw_im[back]))
+        coeffs = tuple((c + d) % p for c, d in zip(coeffs, part))
+    scale = pow(n_points, -1, p)
+    re, im = (c * scale % p for c in coeffs)
+    if not (re.any() or im.any()):
+        raise ZeroWronskianError(
+            f"determinant vanished at all {n_points} points")
+    if im.any() or re[bound + 1:].any():
+        raise ConsistencyError(
+            f"interpolated determinant has coefficients outside F_{p} or "
+            f"above its degree bound {bound}")
+    return FpPoly(p, re[:bound + 1])
 
 
 def wronskian_divisor_polynomial(lifts, p):
@@ -342,7 +411,7 @@ def extract_Fp(p, basis, split, rng=None):
     try:
         h = h1.sqrt()
         report.checks["square_extraction"] = True
-    except Exception:
+    except OddMultiplicityError:
         report.checks["square_extraction"] = False
         report.status = "falsified"
         return report

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from wplus.errors import OddMultiplicityError
-from wplus.fppoly import (NEWTON_MIN_QUOTIENT, FpPoly, convolve_mod, is_prime,
-                          legendre, poly_factor, poly_sqrt)
+from wplus.fppoly import (NEWTON_MIN_QUOTIENT, Fp2, FpPoly, convolve_mod,
+                          inverse_table, is_prime, legendre, poly_factor,
+                          poly_sqrt)
 from wplus.level1 import _e4_e6_delta
 from wplus.series import FpSeries
 
@@ -315,3 +316,67 @@ def test_long_division_near_int64_limit():
     q, r = FpPoly(p, a).divmod(FpPoly(p, b))
     assert (_coeffs(q), _coeffs(r)) == _oracle_divmod(a, b, p)
     assert _coeffs(FpPoly(p, a).gcd(FpPoly(p, b))) == _oracle_gcd(a, b, p)
+
+
+# -- F_{p^2} ------------------------------------------------------------------
+
+def _pair_mul(x, y, n, p):
+    return ((x[0] * y[0] + n * x[1] * y[1]) % p,
+            (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+def _leibniz_det(mat, n, p):
+    """Determinant over F_p[w]/(w^2 - n) on Python ints, by Laplace
+    expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    out = (0, 0)
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = _pair_mul(entry, _leibniz_det(minor, n, p), n, p)
+        sign = 1 if j % 2 == 0 else -1
+        out = ((out[0] + sign * term[0]) % p, (out[1] + sign * term[1]) % p)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 67, 389, 2003])
+def test_fp2_field_and_roots_of_unity(p):
+    field = Fp2(p)
+    assert legendre(field.n, p) == -1
+    assert all(legendre(a, p) == 1 for a in range(2, field.n))
+    inv = inverse_table(p)
+    assert inv[0] == 0 and all(a * int(inv[a]) % p == 1 for a in range(1, p))
+    rng = random.Random(p)
+    for _ in range(20):
+        x = (rng.randrange(p), rng.randrange(1, p))
+        assert field.mul(x, field.inverse(x)) == (1, 0)
+    q = p * p - 1
+    for order in (1, 2, p - 1, p + 1, q, next(d for d in range(p, q)
+                                              if q % d == 0 and (p - 1) % d)):
+        re, im = field.roots_of_unity(order)
+        zeta = (int(re[1 % order]), int(im[1 % order]))
+        assert field.mul((int(re[-1]), int(im[-1])), zeta) == (1, 0)
+        assert all(field.mul((int(a), int(b)), zeta) == (int(c), int(d))
+                   for a, b, c, d in zip(re, im, re[1:], im[1:]))
+        assert len(set(zip(re.tolist(), im.tolist()))) == order
+    with pytest.raises(ValueError):
+        field.roots_of_unity(p)
+
+
+@pytest.mark.parametrize("p", [67, 2003])
+def test_fp2_det_matches_laplace_expansion(p):
+    # sparse entries force row swaps, and some matrices are singular
+    field = Fp2(p)
+    rng = random.Random(p)
+    for g in (1, 2, 3, 4):
+        mats = []
+        for _ in range(40):
+            mats.append([[(rng.randrange(p), rng.randrange(p))
+                          if rng.random() < 0.5 else (0, 0)
+                          for _ in range(g)] for _ in range(g)])
+        mats.append([[(0, 0)] * g for _ in range(g)])
+        mats.append([row[:] for row in mats[0][:1]] * g)
+        arr = np.array(mats, dtype=np.int64)
+        re, im = field.det((arr[..., 0], arr[..., 1]))
+        assert list(zip(re.tolist(), im.tolist())) == [
+            _leibniz_det(m, field.n, p) for m in mats]

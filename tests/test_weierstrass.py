@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from wplus.errors import (NoLiftError, NotPIntegralError, ParityViolationError,
+from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
+                          OddMultiplicityError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
 from wplus.level1 import divisor_degree, divisor_polynomial, miller_basis_mod
@@ -15,7 +17,8 @@ from wplus.weierstrass import (_HEAD_TERMS, _series_head,
                                polynomial_wronskian, required_basis_precision,
                                theta, vandermonde, wronskian,
                                wronskian_divisor_polynomial)
-from wronskian_oracle import qseries_wronskian_divisor_polynomial
+from wronskian_oracle import (qseries_wronskian_divisor_polynomial,
+                              series_polynomial_wronskian)
 
 #: coefficients q^3 .. q^8 of the normalized Wronskian at p = 67, as printed
 W67_HEAD = [1, -2, -6, 6, 15, 8]
@@ -289,23 +292,95 @@ def test_non_integral_basis_reports_not_good(basis67):
     assert rep.exit_code == 2
 
 
+@pytest.mark.parametrize("exc, status", [(RuntimeError, "error"),
+                                         (OddMultiplicityError, "falsified")])
+def test_square_extraction_catches_only_odd_multiplicity(monkeypatch, tmp_path,
+                                                         exc, status):
+    # a fault inside sqrt is an error; only an odd multiplicity falsifies
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+
+    def broken(self):
+        raise exc("planted")
+
+    monkeypatch.setattr(FpPoly, "sqrt", broken)
+    rep = verify_prime(67, Config(cache_dir=tmp_path))
+    assert rep.status == status
+    if exc is OddMultiplicityError:
+        assert rep.checks["square_extraction"] is False
+        assert not rep.error
+    else:
+        assert rep.error == "RuntimeError: planted"
+        assert "square_extraction" not in rep.checks
+
+
 def test_polynomial_wronskian_small_cases(monkeypatch):
     # W_x(1 + x, x^2) = (1 + x) 2x - x^2 = 2x + x^2; one polynomial is itself
     p = 67
     assert polynomial_wronskian([FpPoly(p, [1, 1]), FpPoly(p, [0, 0, 1])]) \
         == FpPoly(p, [0, 2, 1])
     assert polynomial_wronskian([FpPoly(p, [3, 0, 5])]) == FpPoly(p, [3, 0, 5])
-    # a determinant known only below x^(sum deg P) is refused
+    # W_x(1 + x^2, x^4) = 4x^3 + 2x^5 needs 6 points, as does the bound 4:
+    # a nonzero coefficient above the kernel's bound is refused
     import wplus.weierstrass as ws
-    full = ws.wronskian
+    polys = [FpPoly(p, [1, 0, 1]), FpPoly(p, [0, 0, 0, 0, 1])]
+    assert polynomial_wronskian(polys) == FpPoly(p, [0, 0, 0, 4, 0, 2])
+    full = ws._determinant_by_interpolation
+    monkeypatch.setattr(ws, "_determinant_by_interpolation",
+                        lambda entries, p, bound: full(entries, p, bound - 1))
+    with pytest.raises(ConsistencyError):
+        polynomial_wronskian(polys)
 
-    def short(forms):
-        det, lead = full(forms)
-        return det.truncate(det.precision - 1), lead
 
-    monkeypatch.setattr(ws, "wronskian", short)
-    with pytest.raises(PrecisionError):
-        polynomial_wronskian([FpPoly(p, [1, 1]), FpPoly(p, [0, 0, 1])])
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_polynomial_wronskian_matches_series_oracle(p):
+    # the chain's P_i: at 389 the element of order N = 260 lies outside F_p
+    gb = _window_basis(p)
+    d = divisor_degree(p + 1)
+    polys = [divisor_polynomial(b.truncate(c + d + 2))
+             for b, c in zip(_window_lifts(p, gb), gb.pivots)]
+    assert polynomial_wronskian(polys) == series_polynomial_wronskian(polys)
+
+
+def _random_lists(p, seed):
+    """Seeded lists of random polynomials over F_p: g from 1 to 5, degrees
+    up to 14, and one list with a diagonal entry that vanishes at x = 1."""
+    rng = random.Random(seed)
+    lists = [[FpPoly(p, [-1, 1]), FpPoly(p, [1])],
+             [FpPoly(p, [-1, 1]), FpPoly(p, [0, 3, 0, 1])]]
+    for g in (1, 1, 2, 2, 3, 3, 4, 5):
+        lists.append([FpPoly(p, [rng.randrange(p) for _ in range(
+            rng.randrange(1, 15))] + [1]) for _ in range(g)])
+    return lists
+
+
+@pytest.mark.parametrize("p", [67, 389, 601, 2003])
+def test_polynomial_wronskian_random_lists_match_series_oracle(p):
+    for polys in _random_lists(p, p):
+        assert polynomial_wronskian(polys) == series_polynomial_wronskian(polys)
+    # a dependent list has Wronskian 0
+    f, h = _random_lists(p, p + 1)[-1][:2]
+    with pytest.raises(ZeroWronskianError):
+        polynomial_wronskian([f, h, f * 3 + h * 5])
+    with pytest.raises(ZeroWronskianError):
+        series_polynomial_wronskian([f, h, f * 3 + h * 5])
+
+
+@pytest.mark.parametrize("bits, degree", [(31, 2), (28, 100)])
+def test_polynomial_wronskian_refuses_int64_overflow(monkeypatch, bits,
+                                                     degree):
+    # 32 terms of (p - 1)^2 pass 2^62 at p > 2^31 / sqrt(32); at p near
+    # 2^28 the 101 coefficients of a degree-100 entry do
+    import wplus.weierstrass as ws
+    p = next(n for n in range(2**bits + 1, 2**bits + 1000) if is_prime(n))
+
+    def never(*args):
+        raise AssertionError("arithmetic before the int64 guard")
+
+    monkeypatch.setattr(ws, "Fp2", never)
+    monkeypatch.setattr(ws, "_determinant_by_interpolation", never)
+    with pytest.raises(OverflowError):
+        polynomial_wronskian([FpPoly(p, [1] * (degree + 1)), FpPoly(p, [0, 1])])
 
 
 def _window_basis(p):

@@ -1,5 +1,7 @@
 """The q-series route to the divisor polynomial of the Wronskian of the
-level-1 lifts, kept as an oracle for the j-line route of the chain.
+level-1 lifts, kept as an oracle for the j-line route of the chain, and the
+series route to the polynomial Wronskian W_x(P), kept as an oracle for its
+evaluation-interpolation kernel.
 
 The good basis is extended to sum(c) + m(k_W) + 2, the lifts b_i are read
 off the Miller cusp basis at that precision, and their theta-Wronskian W
@@ -8,8 +10,11 @@ divisor_polynomial to peel off F(W, x), of degree m(k_W) - sum(c), against
 a level-1 context of the same length.
 """
 
+from wplus.errors import PrecisionError
+from wplus.fppoly import FpPoly
 from wplus.level1 import divisor_degree, divisor_polynomial
 from wplus.modsym import good_basis
+from wplus.series import FpSeries
 from wplus.weierstrass import lift_to_level1, wronskian
 
 
@@ -23,3 +28,22 @@ def qseries_wronskian_divisor_polynomial(p, basis):
     lifts = [lift_to_level1(f.truncate(prec), p) for f in basis.forms]
     det, lead = wronskian(lifts)
     return divisor_polynomial(det.scale(pow(lead, -1, p))), lead
+
+
+def series_polynomial_wronskian(polys):
+    """W_x(P) of polynomials P_1, ..., P_g over F_p through series.
+
+    theta_x = x d/dx acts on the derivatives triangularly with diagonal x^r,
+    so the theta-Wronskian of the P_j read as series in x is
+    x^(g(g-1)/2) W_x(P).  Its degree is at most sum deg P_j, so series known
+    through that degree determine it exactly.
+    """
+    p = polys[0].p
+    n = sum(f.degree() for f in polys) + 1
+    det, _ = wronskian([FpSeries(p, list(f.coeffs) + [0] * (n - len(f.coeffs)),
+                                 0, n) for f in polys])
+    if det.precision < n:
+        raise PrecisionError(
+            f"polynomial Wronskian known below x^{det.precision}, "
+            f"its degree can reach {n - 1}")
+    return FpPoly(p, det.coefficients(n)[len(polys) * (len(polys) - 1) // 2:])
