@@ -1,6 +1,6 @@
-"""Record BENCH_wronskian.json: the j-line Wronskian W_x(P), the class
-polynomials and a cold verify_prime(601), this checkout against a baseline
-checkout of wplus.
+"""Record BENCH_wronskian.json: the j-line Wronskian W_x(P), the exact
+Wronskian head, the class polynomials and a cold verify_prime(601), this
+checkout against a baseline checkout of wplus.
 
     python scripts/bench_wronskian.py --baseline DIR [--runs 3] [--out BENCH_wronskian.json]
 
@@ -8,8 +8,11 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
 `src/` of one checkout, the two checkouts taking turns, `--runs` times:
 
 - `wx`: `polynomial_wronskian` of the divisor polynomials P_i of the lifts
-  at p = 389, 601 and 1009, as `wronskian_divisor_polynomial` forms them;
-  1009 runs once per checkout (its series route takes about 85 s).
+  at p = 389, 601 and 1009, as `wronskian_divisor_polynomial` forms them.
+- `head`: the exact theta-Wronskian of the head cut of the good basis (each
+  f_j cut at q^(c_j + _HEAD_TERMS)) at p = 389, 601 and 1009, as the
+  cross-check forms it: by `integer_wronskian`, or by `wronskian` over
+  `Fraction` in a checkout that has no integer kernel.
 - `class_poly`: `class_poly(D)` at D = 1556 and 6044, the first call in the
   interpreter, so it includes the j-coefficients it needs.
 - `sweep`: `class_poly` of all 187 discriminants of the primes 5 <= p < 700
@@ -17,9 +20,9 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
 - `verify`: cold `verify_prime(601)` (empty cache), with the report's
   per-stage `timings_ms`.
 
-Both checkouts must give the same P_i and W_x, the same class polynomials,
-byte-identical cache files from the sweep, and identical reports (timings
-aside); the script stops otherwise.
+Both checkouts must give the same P_i and W_x, the same heads, the same
+class polynomials, byte-identical cache files from the sweep, and identical
+reports (timings aside); the script stops otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from bench_fppoly import check_checkout, child, environment, git_commit  # noqa:
 
 ROOT = Path(__file__).resolve().parent.parent
 WX_PRIMES = (389, 601, 1009)
-ONE_RUN = (1009,)
+HEAD_PRIMES = (389, 601, 1009)
 CLASS_POLY_D = (1556, 6044)
 SWEEP_BELOW = 700
 VERIFY_P = 601
@@ -63,6 +66,20 @@ def _divisor_polys(p):
     ctx = Level1Context(2 * d + 4, p=p)
     return [divisor_polynomial(f.truncate(f.valuation + d + 2), ctx)
             for f in lifts]
+
+
+def _head_cut(p):
+    """The head the cross-check cuts from a cold good basis, extended as far
+    as the head needs."""
+    from wplus.modsym import good_basis
+    from wplus.weierstrass import _HEAD_TERMS
+
+    gb = good_basis(p, (p + 1) // 6 + 12)
+    need = max(gb.pivots) + _HEAD_TERMS
+    if gb.precision < need:
+        gb = good_basis(p, need, computer=gb.computer)
+    return [f.truncate(min(c + _HEAD_TERMS, f.precision))
+            for f, c in zip(gb.forms, gb.pivots)]
 
 
 def _sweep_discriminants():
@@ -90,6 +107,20 @@ def measure(kind, arg):
             "P_sha256": _sha256(json.dumps(
                 [[int(c) for c in f.coeffs] for f in polys]).encode()),
             "W_x": [int(c) for c in w.coeffs]}}
+    if kind == "head":
+        from wplus import weierstrass
+
+        head = _head_cut(int(arg))
+        kernel = getattr(weierstrass, "integer_wronskian",
+                         lambda forms: weierstrass.wronskian(forms)[0])
+        t0 = time.perf_counter()
+        det = kernel(head)
+        wall = time.perf_counter() - t0
+        return {"timings_ms": {"head": 1e3 * wall}, "output": {
+            "g": len(head), "valuation": det.valuation,
+            "precision": det.precision, "weight": det.weight,
+            "head_sha256": _sha256(json.dumps(
+                [str(c) for c in det.coeffs]).encode())}}
     if kind == "class_poly":
         from wplus.supersingular import class_poly
 
@@ -134,13 +165,14 @@ def measure(kind, arg):
 def record(baseline, runs):
     sides = {"baseline": Path(baseline).resolve(), "change": ROOT}
     cases = ([(f"wx_{p}", "wx", p) for p in WX_PRIMES]
+             + [(f"head_{p}", "head", p) for p in HEAD_PRIMES]
              + [(f"class_poly_{D}", "class_poly", D) for D in CLASS_POLY_D]
              + [("sweep", "sweep", 0), (f"verify_{VERIFY_P}", "verify",
                                         VERIFY_P)])
     timings = {side: {key: [] for key, _, _ in cases} for side in sides}
     outputs = {}
     for key, kind, arg in cases:
-        for run in range(1 if arg in ONE_RUN else runs):
+        for run in range(runs):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]
             got = {side: child(sides[side], kind, arg, script=__file__)
                    for side in order}

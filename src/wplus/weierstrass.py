@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -292,8 +293,99 @@ def required_basis_precision(pivots):
     return sum(pivots) + max(24, 4 * len(pivots))
 
 
+def _truncated_product(a, b):
+    """Products of series over Z cut to the K terms of the last axis, over
+    the broadcast leading axes of the int object arrays a and b."""
+    terms = a.shape[-1]
+    out = a * b[..., :1]
+    for m in range(1, terms):
+        out[..., m:] += a[..., :terms - m] * b[..., m:m + 1]
+    return out
+
+
+def _exact_quotient(num, den):
+    """num / den in Z[q]/(q^K), entrywise over the leading axes of num, for a
+    series den with a nonzero constant term.  The quotient is unique;
+    ConsistencyError unless every coefficient of it is an integer."""
+    out = np.empty_like(num)
+    for n in range(num.shape[-1]):
+        acc = num[..., n] - (out[..., :n] * den[n:0:-1]).sum(axis=-1)
+        if (acc % den[0]).any():
+            raise ConsistencyError(
+                f"inexact Bareiss division at q^{n}: remainder mod {den[0]}")
+        out[..., n] = acc // den[0]
+    return out
+
+
+def _bareiss_det(mat):
+    """Determinant of a g x g matrix over Z[q]/(q^K), given as an int object
+    array of shape (g, g, K), by Bareiss's fraction-free elimination
+    (Math. Comp. 22, 1968) with no pivot search, in place.
+
+    Step k replaces each entry m_ij below and right of the pivot m_kk by
+    (m_kk m_ij - m_ik m_kj) / m_(k-1)(k-1), a (k + 2)-minor of the input, so
+    every division is exact.  Each one is checked, and each pivot must have
+    a nonzero constant term, a leading minor of the constant terms (all but
+    the last pivot divide the next step); ConsistencyError otherwise.  A
+    division by a series with constant term +-1 cannot leave a remainder, so
+    a fault before it shows only in the result.
+    """
+    g = mat.shape[0]
+    prev = None
+    for k in range(g):
+        piv = mat[k, k]
+        if piv[0] == 0:
+            raise ConsistencyError(f"Bareiss pivot {k} has constant term 0")
+        if k + 1 < g:
+            rest = (_truncated_product(piv, mat[k + 1:, k + 1:])
+                    - _truncated_product(mat[k + 1:, k:k + 1],
+                                         mat[k:k + 1, k + 1:]))
+            mat[k + 1:, k + 1:] = (rest if prev is None
+                                   else _exact_quotient(rest, prev))
+        prev = piv
+    return prev
+
+
+def integer_wronskian(forms):
+    """Exact theta-Wronskian det[theta^i f_j] of forms with rational
+    coefficients, through the least relative precision K of the forms, by
+    fraction-free elimination over Z[q]/(q^K).
+
+    Column j is scaled by the lcm D_j of the denominators of f_j, and
+    q^(c_j), c_j = ord f_j, is taken out of it: theta^i (q^c u) =
+    q^c (theta + c)^i u.  The rows theta^i are traded for the binomial rows
+    C(theta, i), a triangular change with diagonal 1/i!, so the entries
+    C(theta + c_j, i) D_j u_j are integer series whose minors are far
+    shorter integers than those of (theta + c_j)^i D_j u_j, and the
+    Wronskian is
+    q^(sum c) prod_(i<g) i! det / prod D_j.  The constant terms of the matrix
+    are C(c_j, i) D_j lead(f_j); its leading k x k minors are
+    prod D_j lead(f_j) V(c_0, ..., c_(k-1)) / prod_(i<k) i!, nonzero for
+    distinct c_j, so Bareiss's elimination needs no pivot search
+    (_bareiss_det).  Raises ConsistencyError if an elimination check fails.
+    """
+    g = len(forms)
+    terms = min(f.precision - f.valuation for f in forms)
+    dens = [lcm(*(c.denominator for c in f.coeffs[:terms])) for f in forms]
+    mat = np.empty((g, g, terms), dtype=object)
+    mat[0] = [[c.numerator * (d // c.denominator) for c in f.coeffs[:terms]]
+              for f, d in zip(forms, dens)]
+    shifts = np.array([[f.valuation + n for n in range(terms)]
+                       for f in forms], dtype=object)
+    for i in range(1, g):
+        # C(x, i) = C(x, i - 1) (x - i + 1) / i, exactly
+        mat[i] = mat[i - 1] * (shifts - (i - 1)) // i
+    det = _bareiss_det(mat)
+    num, den = prod(factorial(i) for i in range(g)), prod(dens)
+    val = sum(f.valuation for f in forms)
+    return QExpansion([Fraction(int(c) * num, den) for c in det], val,
+                      val + terms, sum(f.weight for f in forms) + g * (g - 1),
+                      forms[0].level)
+
+
 #: relative precision K of the exact Wronskian head: each basis form f_j is
-#: cut at q^(c_j + K), which fixes the exact determinant below q^(sum c + K)
+#: cut at q^(c_j + K), which fixes the exact determinant below q^(sum c + K);
+#: integer_wronskian eliminates over Z[q]/(q^K)
 _HEAD_TERMS = 12
 
 
@@ -308,13 +400,16 @@ def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
     det[theta^i f_j] of the p-integral basis forms is the Wronskian of the
     reduced forms, and that of the lifts, through the window.
 
-    The exact rational Wronskian is formed on a head only: each f_j is cut at
+    The exact Wronskian is formed on a head only: each f_j is cut at
     q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
-    q^(sum c + K).  The one mod-p Wronskian is that of the reduced head cut.
-    The leading coefficients of both must be the Vandermonde determinant V
-    of the pivots, V must be a p-unit (so the normalized Wronskian det / V
-    is p-integral whenever the basis is), and the exact head must reduce to
-    the mod-p one.
+    q^(sum c + K).  It is computed on integers (integer_wronskian): with
+    each column scaled to Z[q] and q^(c_j) taken out, Bareiss's elimination
+    over Z[q]/(q^K) checks every division exact.  The one mod-p Wronskian is
+    that of the reduced head cut, by Gaussian elimination over F_p, so the
+    two heads share no arithmetic.  The leading coefficients of both must be
+    the Vandermonde determinant V of the pivots, V must be a p-unit (so the
+    normalized Wronskian det / V is p-integral whenever the basis is), and
+    the exact head must reduce to the mod-p one.
 
     Returns (ok, exact head of the Wronskian, V).
     """
@@ -328,7 +423,8 @@ def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
         for f, b in zip(forms, lifts))
     head = [f.truncate(min(c + _HEAD_TERMS, f.precision))
             for f, c in zip(forms, basis.pivots)]
-    det, lead = wronskian(head)
+    det = integer_wronskian(head)
+    lead = det.coefficient(det.valuation)
     red_det, red_lead = wronskian([f.reduce_mod(p) for f in head])
     ok = (v % p != 0 and lead == v and red_lead == v % p and lifts_ok
           and det.reduce_mod(p).agrees_with(red_det))

@@ -13,11 +13,13 @@ from wplus.series import FpSeries, QExpansion
 from wplus.supersingular import ss_polys
 from wplus.weierstrass import (_HEAD_TERMS, _series_head,
                                cross_check_wronskian_congruence,
-                               elliptic_exponents, extract_Fp, lift_to_level1,
+                               elliptic_exponents, extract_Fp,
+                               integer_wronskian, lift_to_level1,
                                polynomial_wronskian, required_basis_precision,
                                theta, vandermonde, wronskian,
                                wronskian_divisor_polynomial)
-from wronskian_oracle import (qseries_wronskian_divisor_polynomial,
+from wronskian_oracle import (fraction_wronskian_head,
+                              qseries_wronskian_divisor_polynomial,
                               series_polynomial_wronskian)
 
 #: coefficients q^3 .. q^8 of the normalized Wronskian at p = 67, as printed
@@ -281,6 +283,114 @@ def test_exact_head_matches_absolute_window(p):
     assert head == full.truncate(head.precision)
     line = f"  wronskian = {_series_head(full.scale(Fraction(1, v)), 6)}"
     assert line in extract_Fp(p, gb, ss_polys(p)).text_lines()
+
+
+def _head_cut(gb):
+    return [f.truncate(min(c + _HEAD_TERMS, f.precision))
+            for f, c in zip(gb.forms, gb.pivots)]
+
+
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_integer_head_matches_fraction_oracle(p):
+    # the head the cross-check forms on integers, coefficient by coefficient
+    # (and in valuation, precision and weight) against Fraction elimination
+    gb = _window_basis(p)
+    ok, head, _ = cross_check_wronskian_congruence(
+        gb, _window_lifts(p, gb), p, prec=required_basis_precision(gb.pivots))
+    assert ok
+    assert head == fraction_wronskian_head(gb)
+    assert head.valuation == sum(gb.pivots)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [601, 1009])
+def test_integer_head_matches_fraction_oracle_large(p):
+    # opt-in (pytest -m slow): the basis extended only as far as the head
+    gb = good_basis(p, (p + 1) // 6 + 12)
+    need = max(gb.pivots) + _HEAD_TERMS
+    if gb.precision < need:
+        gb = good_basis(p, need, computer=gb.computer)
+    assert integer_wronskian(_head_cut(gb)) == fraction_wronskian_head(gb)
+
+
+def _random_head(rng, g, p):
+    """g forms of level p with distinct valuations, random rational
+    coefficients whose denominators are prime to p, and relative
+    precisions from 1 to 8."""
+    dens = [d for d in range(1, 40) if d % p]
+    forms = []
+    for c in sorted(rng.sample(range(1, 3 * g + 4), g)):
+        coeffs = [Fraction(rng.randrange(-30, 31), rng.choice(dens))
+                  for _ in range(rng.randrange(1, 9))]
+        coeffs[0] = coeffs[0] or Fraction(1, rng.choice(dens))
+        forms.append(QExpansion(coeffs, c, c + len(coeffs), weight=2,
+                                level=p))
+    return forms
+
+
+@pytest.mark.parametrize("p", [5, 7, 67])
+def test_integer_wronskian_random_forms_match_fraction_route(p):
+    rng = random.Random(p)
+    for g in range(1, 7):
+        for _ in range(4):
+            forms = _random_head(rng, g, p)
+            det = integer_wronskian(forms)
+            assert det == wronskian(forms)[0]
+            assert det.precision == sum(f.valuation for f in forms) + min(
+                f.precision - f.valuation for f in forms)
+            # mod p when the lead V * prod lead(f_j) stays a p-unit
+            if det.coefficient(det.valuation).numerator % p:
+                red, _ = wronskian([f.reduce_mod(p) for f in forms])
+                assert det.reduce_mod(p).agrees_with(red)
+
+
+def test_integer_wronskian_refuses_inexact_division(monkeypatch):
+    # a corrupted entry of the elimination makes the next division inexact:
+    # with valuations 1, 3, 6, 10 the pivot of step 1 has constant term
+    # V(1, 3) / 1! = 2, so an odd error in a step-2 product (the sixth)
+    # leaves a remainder
+    import wplus.weierstrass as ws
+    forms = [QExpansion([1, n, 2 * n, -3], c, c + 4, weight=2, level=67)
+             for n, c in enumerate((1, 3, 6, 10), start=1)]
+    assert integer_wronskian(forms) == wronskian(forms)[0]
+    full = ws._truncated_product
+    calls = []
+
+    def corrupt(a, b):
+        out = full(a, b)
+        calls.append(out.shape)
+        if len(calls) == 6:
+            out[0, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(ws, "_truncated_product", corrupt)
+    with pytest.raises(ConsistencyError, match="inexact"):
+        integer_wronskian(forms)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("valuations", [(1, 1), (1, 1, 3), (2, 3, 3, 5)])
+def test_integer_wronskian_refuses_zero_pivot(valuations):
+    # equal valuations make a leading minor of the constant terms vanish;
+    # the pivot that carries it is refused before it divides anything
+    forms = [QExpansion([1, n, 2 * n], c, c + 3, weight=2, level=67)
+             for n, c in enumerate(valuations, start=1)]
+    with pytest.raises(ConsistencyError, match="constant term 0"):
+        integer_wronskian(forms)
+
+
+def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
+    # the mod-p chain after the basis, the exact head included, multiplies
+    # and divides no rational q-expansion
+    p = 389
+    gb, split = _window_basis(p), ss_polys(p)
+
+    def refuse(*args):
+        raise AssertionError("QExpansion arithmetic in the chain")
+
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(QExpansion, name, refuse)
+    assert extract_Fp(p, gb, split).status == "ok"
 
 
 def test_non_integral_basis_reports_not_good(basis67):

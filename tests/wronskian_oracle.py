@@ -1,7 +1,8 @@
 """The q-series route to the divisor polynomial of the Wronskian of the
-level-1 lifts, kept as an oracle for the j-line route of the chain, and the
+level-1 lifts, kept as an oracle for the j-line route of the chain; the
 series route to the polynomial Wronskian W_x(P), kept as an oracle for its
-evaluation-interpolation kernel.
+evaluation-interpolation kernel; and the `Fraction` route to the exact
+Wronskian head, kept as an oracle for its integer kernel.
 
 The good basis is extended to sum(c) + m(k_W) + 2, the lifts b_i are read
 off the Miller cusp basis at that precision, and their theta-Wronskian W
@@ -15,7 +16,7 @@ from wplus.fppoly import FpPoly
 from wplus.level1 import divisor_degree, divisor_polynomial
 from wplus.modsym import good_basis
 from wplus.series import FpSeries
-from wplus.weierstrass import lift_to_level1, wronskian
+from wplus.weierstrass import _HEAD_TERMS, lift_to_level1, wronskian
 
 
 def qseries_wronskian_divisor_polynomial(p, basis):
@@ -47,3 +48,12 @@ def series_polynomial_wronskian(polys):
             f"polynomial Wronskian known below x^{det.precision}, "
             f"its degree can reach {n - 1}")
     return FpPoly(p, det.coefficients(n)[len(polys) * (len(polys) - 1) // 2:])
+
+
+def fraction_wronskian_head(basis):
+    """The exact head of the theta-Wronskian of a good basis, each form cut
+    at q^(c_j + K), K = _HEAD_TERMS, by Gaussian elimination over the
+    Laurent series with `Fraction` coefficients (series_matrix_determinant)."""
+    det, _ = wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
+                        for f, c in zip(basis.forms, basis.pivots)])
+    return det
