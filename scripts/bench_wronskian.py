@@ -52,16 +52,14 @@ def _sha256(data):
 
 
 def _divisor_polys(p):
-    """The P_i of wronskian_divisor_polynomial, from a cold good basis."""
+    """The P_i of wronskian_divisor_polynomial, from a cold good basis at
+    the pivot precision."""
     from wplus.level1 import Level1Context, divisor_polynomial, weight_profile
     from wplus.modsym import good_basis
-    from wplus.weierstrass import lift_to_level1, required_basis_precision
+    from wplus.weierstrass import lift_to_level1
 
     gb = good_basis(p, (p + 1) // 6 + 12)
-    window = required_basis_precision(gb.pivots)
-    if gb.precision < window:
-        gb = good_basis(p, window, computer=gb.computer)
-    lifts = [lift_to_level1(f.truncate(window), p) for f in gb.forms]
+    lifts = [lift_to_level1(f, p) for f in gb.forms]
     d = weight_profile(p + 1).m
     ctx = Level1Context(2 * d + 4, p=p)
     return [divisor_polynomial(f.truncate(f.valuation + d + 2), ctx)
@@ -69,15 +67,12 @@ def _divisor_polys(p):
 
 
 def _head_cut(p):
-    """The head the cross-check cuts from a cold good basis, extended as far
-    as the head needs."""
+    """The head the cross-check cuts from a cold good basis at the pivot
+    precision."""
     from wplus.modsym import good_basis
     from wplus.weierstrass import _HEAD_TERMS
 
     gb = good_basis(p, (p + 1) // 6 + 12)
-    need = max(gb.pivots) + _HEAD_TERMS
-    if gb.precision < need:
-        gb = good_basis(p, need, computer=gb.computer)
     return [f.truncate(min(c + _HEAD_TERMS, f.precision))
             for f, c in zip(gb.forms, gb.pivots)]
 

@@ -23,7 +23,7 @@ pivots c_1 < ... < c_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -391,8 +391,8 @@ class GoodBasis:
     the Atkin-Lehner involution: f_i = q^{c_i} + ... with c_1 < ... < c_g,
     and the pivot columns form an identity block (when the pivots are
     consecutive this is the classical f_i = q^{c_i} + O(q^{c_g+1})).
-    ``computer`` is the BasisComputer that built it, None when the basis
-    came from the cache."""
+    verify_prime builds it, and the chain reads it, at the one precision
+    (p + 1)//6 + 12 (see extract_Fp)."""
 
     p: int
     g: int
@@ -400,8 +400,6 @@ class GoodBasis:
     forms: list        # QExpansion, weight 2, level p
     pivots: list       # c_1 < ... < c_g
     p_integral: bool
-    computer: BasisComputer | None = field(
-        default=None, repr=False, compare=False)
 
     @property
     def precision(self):
@@ -418,7 +416,7 @@ def wt_infinity(basis):
 
 
 class BasisComputer:
-    """Krylov good-basis engine for one prime, reusable across precisions.
+    """Krylov good-basis engine for one prime.
 
     Prime level is all new, so U_p = -w_p on S_2, and the +1 space of w_p is
     reached through the one matrix W_p rather than through U_p.
@@ -533,7 +531,7 @@ class BasisComputer:
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
-            return GoodBasis(self.p, 0, self.space.genus, [], [], True, self)
+            return GoodBasis(self.p, 0, self.space.genus, [], [], True)
         pivots = self._pivots
         if pivots[-1] >= prec - 1:
             if prec <= (self.p + 1) // 6 + 1:
@@ -560,7 +558,7 @@ class BasisComputer:
                                     weight=2, level=self.p))
         p_integral = all(f.is_p_integral(self.p) for f in forms)
         return GoodBasis(self.p, self.g, self.space.genus, forms,
-                         [c + 1 for c in pivots], p_integral, self)
+                         [c + 1 for c in pivots], p_integral)
 
 
 def _plus_dimension(space, w):
@@ -592,15 +590,14 @@ def _smallest_prime_factor(n):
     return n
 
 
-def good_basis(p, prec, cache=None, computer=None):
+def good_basis(p, prec, cache=None):
     """The reduced echelon basis of S_2^+(p) to the given precision.
 
     Results round-trip through the cache (kind ``good_basis``) when one is
     supplied; a cached basis of the current payload version and of at least
-    the requested precision is reused once its forms pass the checks of
-    ``_basis_from_payload``, and anything else is recomputed and
-    overwritten.  A miss extends ``computer`` (the ``computer`` of an earlier
-    basis of p) when one is given, and builds a new BasisComputer otherwise.
+    the requested precision, cut to prec, is reused once its forms pass the
+    checks of ``_basis_from_payload`` (the reduced echelon basis at a given
+    precision is unique), and anything else is recomputed and overwritten.
     """
     if cache is not None:
         payload = cache.get("good_basis", str(p))
@@ -609,7 +606,7 @@ def good_basis(p, prec, cache=None, computer=None):
             gb = _basis_from_payload(payload, prec)
             if gb is not None:
                 return gb
-    gb = (computer or BasisComputer(p)).basis(prec)
+    gb = BasisComputer(p).basis(prec)
     if cache is not None:
         cache.put("good_basis", str(p), _basis_to_payload(gb))
     return gb

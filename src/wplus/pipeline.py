@@ -14,7 +14,7 @@ from .modsym import good_basis
 from .report import VerificationReport
 from .supersingular import (ORACLE_BOUND, ss_oracle, ss_polys,
                             verify_fixedlinear)
-from .weierstrass import extract_Fp, required_basis_precision
+from .weierstrass import extract_Fp
 
 #: checks that are observational (reported, never flip the status)
 OBSERVATIONAL_CHECKS = {"gcd_H_Sp_is_1"}
@@ -75,10 +75,6 @@ def verify_prime(p, config=None, basis_only=False):
         report.timings_ms["class_poly"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        if gb.g >= 2 and gb.p_integral:
-            need = required_basis_precision(gb.pivots)
-            if gb.precision < need:
-                gb = good_basis(p, need, cache, gb.computer)
         chain = extract_Fp(p, gb, split, rng=rng)
         report.timings_ms["chain"] = 1e3 * (time.perf_counter() - t0)
         report.checks.update(chain.checks)

@@ -2,7 +2,7 @@
 Weierstrass points of the Atkin-Lehner quotient curve.
 
 The chain: lift each good-basis form f_i to a weight-(p+1) level-1 cusp form
-b_i = Delta^d Etilde P_i(j) mod p on the cross-check window; read the
+b_i = Delta^d Etilde P_i(j) mod p at the precision of the basis; read the
 divisor polynomial of the theta-Wronskian W of the lifts (weight g(g+p))
 off the Wronskian W_x(P) of the P_i on the j-line, computed by evaluation
 at roots of unity in F_{p^2}, one batched elimination and interpolation;
@@ -287,12 +287,6 @@ def elliptic_exponents(p, g):
                                alpha_rho, alpha_i, delta_rho, delta_i)
 
 
-def required_basis_precision(pivots):
-    """q-expansion precision of the good basis needed by the chain: the
-    cross-check window sum(c) + max(24, 4g)."""
-    return sum(pivots) + max(24, 4 * len(pivots))
-
-
 def _truncated_product(a, b):
     """Products of series over Z cut to the K terms of the last axis, over
     the broadcast leading axes of the int object arrays a and b."""
@@ -389,16 +383,18 @@ def integer_wronskian(forms):
 _HEAD_TERMS = 12
 
 
-def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
+def cross_check_wronskian_congruence(basis, lifts, p):
     """Check the lifts against the reduced basis forms, and an exact head of
     the rational Wronskian against the mod-p one.
 
     Each lift b_j must agree with the reduction of f_j coefficientwise
-    through the window (the forms cut at ``prec``).  Reduction
-    Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with theta, so equal
-    inputs give equal Wronskians: the reduction of the exact Wronskian
-    det[theta^i f_j] of the p-integral basis forms is the Wronskian of the
-    reduced forms, and that of the lifts, through the window.
+    through the window they share (the basis precision, in extract_Fp).
+    Reduction Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with
+    theta, and a coefficient of det[theta^i f_j] below q^(sum c + K) sums
+    products of a_j(n_j) with c_j <= n_j < c_j + K; so on a window of at
+    least max c + K, below q^(sum c + K), the reduction of the exact
+    Wronskian of the p-integral basis forms is the Wronskian of the reduced
+    forms and that of the lifts.
 
     The exact Wronskian is formed on a head only: each f_j is cut at
     q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
@@ -414,13 +410,9 @@ def cross_check_wronskian_congruence(basis, lifts, p, prec=None):
     Returns (ok, exact head of the Wronskian, V).
     """
     forms = basis.forms
-    if prec is not None:
-        forms = [f.truncate(min(prec, f.precision)) for f in forms]
-    window = min(f.precision for f in forms)
     v = vandermonde(basis.pivots)
     lifts_ok = len(lifts) == len(forms) and all(
-        b.agrees_with(f.reduce_mod(p), upto=window)
-        for f, b in zip(forms, lifts))
+        b.agrees_with(f.reduce_mod(p)) for f, b in zip(forms, lifts))
     head = [f.truncate(min(c + _HEAD_TERMS, f.precision))
             for f, c in zip(forms, basis.pivots)]
     det = integer_wronskian(head)
@@ -435,8 +427,19 @@ def extract_Fp(p, basis, split, rng=None):
     """Run the congruence chain for one prime; returns a VerificationReport
     with the chain checks filled in (the caller merges CM and oracle checks).
 
-    basis: GoodBasis with p-integral coefficients through the cross-check
-    window (required_basis_precision); split: SupersingularSplit for p.
+    basis: GoodBasis, read at its own precision P >= max c + K,
+    K = _HEAD_TERMS (PrecisionError otherwise); split: SupersingularSplit.
+
+    P = (p + 1)//6 + 12, as verify_prime builds it, holds all the chain
+    reads.  The head: c_j <= (p + 1)/6 by the Sturm bound (sturm_pivots), so
+    c_j + K <= P.  The lifts: the divisor polynomials read c_j + m(p+1) + 2
+    terms of each.  w_p swaps the cusps, so q is a local parameter at
+    infinity on X_0^+(p) and the c_j are gaps there: c_j <= 2g - 1 <=
+    g(X_0(p)) <= (p + 1)/12 by Riemann-Hurwitz, and m(p+1) <= (p + 1)/12, so
+    c_j + m(p+1) + 2 <= (p + 1)//6 + 2 < P.  p-integrality is decided
+    through the Sturm bound, the same at P as on any longer window; and
+    lifts that agree with the forms through P >= max c + K are what the
+    cross-check's W(f) = W(b) below q^(sum c + K) needs.
     """
     report = VerificationReport(p=p)
     report.g_p = basis.genus_x0
@@ -469,16 +472,16 @@ def extract_Fp(p, basis, split, rng=None):
     report.checks["alpha_match"] = (exps.alpha_rho == split.alpha_rho
                                     and exps.alpha_i == split.alpha_i)
 
-    window = required_basis_precision(basis.pivots)
-    if basis.precision < window:
+    window = basis.precision
+    if window < max(basis.pivots) + _HEAD_TERMS:
         raise PrecisionError(
-            f"basis precision {basis.precision} < required {window}")
+            f"basis precision {window} < max(c) + {_HEAD_TERMS} = "
+            f"{max(basis.pivots) + _HEAD_TERMS}")
 
-    # lifts to level 1 mod p on the cross-check window, and the divisor
+    # lifts to level 1 mod p at the basis precision, and the divisor
     # polynomial of their theta-Wronskian, normalized monic
     miller_cusp = miller_basis_mod(p + 1, p, window)[1:]
-    lifts = [lift_to_level1(f.truncate(window), p, miller_cusp)
-             for f in basis.forms]
+    lifts = [lift_to_level1(f, p, miller_cusp) for f in basis.forms]
     fw, lead = wronskian_divisor_polynomial(lifts, p)
     v = vandermonde(basis.pivots)
     report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)
@@ -531,7 +534,7 @@ def extract_Fp(p, basis, split, rng=None):
 
     # the mod-p Wronskian congruence and p-integrality of the exact one
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
-        basis, lifts, p, prec=window)
+        basis, lifts, p)
     report.checks["wronskian_congruence"] = ok_cross
     w_exact = det_exact.scale(Fraction(1, v_exact))
     report.checks["wronskian_p_integral"] = (

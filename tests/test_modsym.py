@@ -341,8 +341,8 @@ def test_cache_recomputes_old_payload_version(tmp_path):
 
 
 def test_verify_prime_builds_one_space_per_prime(tmp_path, monkeypatch):
-    # the chain-precision basis extends the pivot-precision computer, and
-    # the cached basis is the one a fresh computer gives at that precision
+    # the chain runs on the pivot-precision basis, and the cached basis is
+    # the one a fresh computer gives at that precision
     from wplus import modsym
     from wplus.cache import DiskCache
     from wplus.config import Config
@@ -358,9 +358,38 @@ def test_verify_prime_builds_one_space_per_prime(tmp_path, monkeypatch):
     report = verify_prime(109, Config(cache_dir=tmp_path))
     assert report.status == "ok" and built == [109]
     stored = DiskCache(tmp_path).get("good_basis", "109")
+    assert stored["precision"] == (109 + 1) // 6 + 12
     fresh = BasisComputer(109).basis(stored["precision"])
     assert stored == modsym._basis_to_payload(fresh)
-    assert stored["precision"] > (109 + 1) // 6 + 12
+
+
+def test_verify_prime_serves_longer_cached_basis_unchanged(tmp_path,
+                                                           monkeypatch):
+    # an entry stored at a longer precision, as earlier releases stored the
+    # chain's basis (110 at 389, against 77 now), is the same reduced
+    # echelon basis: it is served cut to the pivot precision, gives the
+    # cold report, and is neither recomputed nor rewritten
+    from wplus import modsym
+    from wplus.cache import DiskCache
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    p = 389
+
+    def stripped(report):
+        out = report.to_json_dict()
+        out.pop("timings_ms")
+        return out
+
+    cold = stripped(verify_prime(p, Config(cache_dir=tmp_path / "cold")))
+    warm_dir = tmp_path / "warm"
+    DiskCache(warm_dir).put("good_basis", str(p), modsym._basis_to_payload(
+        BasisComputer(p).basis(110)))
+    entry = warm_dir / "good_basis" / f"{p}.json"
+    before = entry.read_bytes()
+    monkeypatch.setattr(modsym, "BasisComputer", None)
+    assert stripped(verify_prime(p, Config(cache_dir=warm_dir))) == cold
+    assert cold["status"] == "ok"
+    assert entry.read_bytes() == before
 
 
 def test_plus_dimension_from_trace_matches_rank():

@@ -1,0 +1,37 @@
+"""The benchmark scripts run end to end at p = 67, each measurement in a
+fresh interpreter on this checkout, as `--baseline` runs make them: a name
+of `wplus` that a script uses and that is gone fails here, not only when a
+benchmark is next recorded."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+from bench_fppoly import child  # noqa: E402
+
+
+def _run(script, kind, arg):
+    return child(ROOT, kind, arg, script=SCRIPTS / script)
+
+
+def test_bench_wronskian_wx():
+    out = _run("bench_wronskian.py", "wx", 67)["output"]
+    assert out["g"] == 2 and out["degree"] == len(out["W_x"]) - 1 == 6
+
+
+def test_bench_wronskian_head():
+    out = _run("bench_wronskian.py", "head", 67)["output"]
+    assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
+
+
+def test_bench_basis_basis():
+    out = _run("bench_basis.py", "basis", 67)["output"]
+    assert out["g"] == 2 and out["pivots"] == [1, 2]
+
+
+def test_bench_fppoly_ladder():
+    got = _run("bench_fppoly.py", "ladder", 67)
+    assert got["report"]["status"] == "ok" and got["H"] == [62, 10, 1]

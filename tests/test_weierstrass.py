@@ -15,9 +15,8 @@ from wplus.weierstrass import (_HEAD_TERMS, _series_head,
                                cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp,
                                integer_wronskian, lift_to_level1,
-                               polynomial_wronskian, required_basis_precision,
-                               theta, vandermonde, wronskian,
-                               wronskian_divisor_polynomial)
+                               polynomial_wronskian, theta, vandermonde,
+                               wronskian, wronskian_divisor_polynomial)
 from wronskian_oracle import (fraction_wronskian_head,
                               qseries_wronskian_divisor_polynomial,
                               series_polynomial_wronskian)
@@ -26,11 +25,25 @@ from wronskian_oracle import (fraction_wronskian_head,
 W67_HEAD = [1, -2, -6, 6, 15, 8]
 
 
+def _chain_basis(p):
+    """The good basis at the one precision the pipeline builds it at."""
+    return good_basis(p, (p + 1) // 6 + 12)
+
+
+def _old_window_basis(p):
+    """The good basis at sum(c) + max(24, 4g), the q-series window that
+    earlier releases extended the chain's basis to."""
+    gb = _chain_basis(p)
+    return good_basis(p, sum(gb.pivots) + max(24, 4 * gb.g))
+
+
+def _lifts(p, gb):
+    return [lift_to_level1(f, p) for f in gb.forms]
+
+
 @pytest.fixture(scope="module")
 def basis67():
-    gb0 = good_basis(67, 12)
-    need = required_basis_precision(gb0.pivots)
-    return good_basis(67, need)
+    return _chain_basis(67)
 
 
 @pytest.fixture(scope="module")
@@ -151,14 +164,35 @@ def test_extract_small_genus_trivial():
 
 def test_extract_degree_identity_with_weierstrass_cusp():
     p = 109
-    gb0 = good_basis(p, 30)
-    gb = good_basis(p, required_basis_precision(gb0.pivots))
+    gb = _chain_basis(p)
     rep = extract_Fp(p, gb, ss_polys(p))
     assert rep.status == "ok"
     assert rep.wt_inf == 1
     g = gb.g
     assert rep.polys["F_p"].degree() == 2 * (g ** 3 - g - 1)
     assert all(rep.checks.values())
+
+
+@pytest.mark.parametrize("p", [67, 109, 199, 389]
+                         + [pytest.param(p, marks=pytest.mark.slow)
+                            for p in (601, 1009)])
+def test_chain_report_independent_of_window(p):
+    # the chain on the pivot-precision basis P = (p + 1)//6 + 12 against
+    # the chain on the window of earlier releases: the pivots are gaps at
+    # infinity on X_0^+(p), and the lifts' divisor polynomials fit in P
+    gb, old = _chain_basis(p), _old_window_basis(p)
+    assert old.precision != gb.precision == (p + 1) // 6 + 12
+    assert max(gb.pivots) <= 2 * gb.g - 1
+    assert max(gb.pivots) + divisor_degree(p + 1) + 2 <= gb.precision
+    split = ss_polys(p)
+    reports = [extract_Fp(p, b, split, rng=random.Random(0))
+               for b in (gb, old)]
+    assert reports[0].status == "ok"
+    dicts = [r.to_json_dict() for r in reports]
+    for d in dicts:
+        d.pop("timings_ms")
+    assert dicts[0] == dicts[1]
+    assert reports[0].text_lines() == reports[1].text_lines()
 
 
 def test_extract_requires_precision(basis67):
@@ -169,56 +203,55 @@ def test_extract_requires_precision(basis67):
 
 def test_cross_check_sensitivity(basis67):
     p = 67
-    lifts = [lift_to_level1(f, p) for f in basis67.forms]
-    ok, _, v = cross_check_wronskian_congruence(basis67, lifts, p, prec=14)
+    lifts = _lifts(p, basis67)
+    short = good_basis(p, 14)
+    ok, _, v = cross_check_wronskian_congruence(short, lifts, p)
     assert ok and v == 1
     # perturbing one coefficient of b_1 must break the congruence
     bad = FpSeries(p, lifts[0].coeffs.copy(), lifts[0].valuation,
                    lifts[0].precision, lifts[0].weight)
     bad.coeffs[3] = (bad.coeffs[3] + 1) % p
-    ok_bad, _, _ = cross_check_wronskian_congruence(basis67, [bad, lifts[1]],
-                                                    p, prec=14)
+    ok_bad, _, _ = cross_check_wronskian_congruence(short, [bad, lifts[1]], p)
     assert not ok_bad
 
 
 def test_cross_check_catches_basis_error_past_exact_head(basis67):
-    # a wrong basis coefficient inside the mod-p window but past the exact
-    # head q^(c_j + K) is invisible to the head and caught mod p
+    # a wrong basis coefficient inside the window but past the exact head
+    # q^(c_j + K) is invisible to the head and caught mod p
     p = 67
-    lifts = [lift_to_level1(f, p) for f in basis67.forms]
-    window = sum(basis67.pivots) + 24
-    ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, p,
-                                                   prec=window)
+    lifts = _lifts(p, basis67)
+    ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, p)
     assert ok
     f1 = basis67.forms[0]
     n = basis67.pivots[0] + _HEAD_TERMS + 4
-    assert n < min(window, f1.precision)
+    assert n < basis67.precision
     coeffs = list(f1.coeffs)
     coeffs[n - f1.valuation] += 1
     bad_f1 = QExpansion(coeffs, f1.valuation, f1.precision, weight=2, level=p)
     bad = GoodBasis(p, basis67.g, basis67.genus_x0,
                     [bad_f1] + basis67.forms[1:], basis67.pivots, True)
-    ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, p,
-                                                           prec=window)
+    ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, p)
     assert head_bad == head
     assert not ok_bad
 
 
 @pytest.mark.parametrize("past_head", [0, 12])
-def test_cross_check_catches_lift_error_past_head(basis67, past_head):
+def test_cross_check_catches_lift_error_past_head(past_head):
     # a wrong lift coefficient past every head cut q^(c_j + K) but inside
-    # the window is caught by the coefficientwise comparison with the forms
+    # the window is caught by the coefficientwise comparison with the forms;
+    # the basis is at 27, the window of earlier releases at p = 67, so that
+    # q^26 lies inside it
     p = 67
-    window = required_basis_precision(basis67.pivots)
-    lifts = [lift_to_level1(f.truncate(window), p) for f in basis67.forms]
-    assert cross_check_wronskian_congruence(basis67, lifts, p, prec=window)[0]
-    n = max(basis67.pivots) + _HEAD_TERMS + past_head
-    assert n < window
+    gb = good_basis(p, 27)
+    lifts = _lifts(p, gb)
+    assert cross_check_wronskian_congruence(gb, lifts, p)[0]
+    n = max(gb.pivots) + _HEAD_TERMS + past_head
+    assert n < gb.precision
     b = lifts[-1]
     bad = FpSeries(p, b.coeffs.copy(), b.valuation, b.precision, b.weight)
     bad.coeffs[n - b.valuation] = (bad.coeffs[n - b.valuation] + 1) % p
     ok_bad, _, _ = cross_check_wronskian_congruence(
-        basis67, lifts[:-1] + [bad], p, prec=window)
+        gb, lifts[:-1] + [bad], p)
     assert not ok_bad
 
 
@@ -227,8 +260,8 @@ def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
     # window: the only mod-p Wronskian is that of the reduced head cut
     import wplus.weierstrass as ws
     p = 389
-    gb = _window_basis(p)
-    lifts = _window_lifts(p, gb)
+    gb = _chain_basis(p)
+    lifts = _lifts(p, gb)
     full = ws.wronskian
     lengths = []
 
@@ -238,8 +271,7 @@ def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
         return full(forms)
 
     monkeypatch.setattr(ws, "wronskian", recording)
-    ok, _, _ = cross_check_wronskian_congruence(
-        gb, lifts, p, prec=required_basis_precision(gb.pivots))
+    ok, _, _ = cross_check_wronskian_congruence(gb, lifts, p)
     assert ok
     assert len(lengths) == 1
     assert lengths[0] <= max(gb.pivots) + _HEAD_TERMS
@@ -251,7 +283,7 @@ def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
     # reduced head cut; a mod-p determinant wrong past its lead is refused
     import wplus.weierstrass as ws
     p = 67
-    lifts = [lift_to_level1(f, p) for f in basis67.forms]
+    lifts = _lifts(p, basis67)
     full = ws.wronskian
 
     def off(forms):
@@ -262,7 +294,7 @@ def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
         return det, lead
 
     monkeypatch.setattr(ws, "wronskian", off)
-    ok, _, _ = cross_check_wronskian_congruence(basis67, lifts, p, prec=14)
+    ok, _, _ = cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)
     assert not ok
 
 
@@ -270,12 +302,9 @@ def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
 def test_exact_head_matches_absolute_window(p):
     # the pivot-relative head against the exact Wronskian of the forms cut
     # at one absolute precision sum(c) + max(24, 4g), as it was formed before
-    gb0 = good_basis(p, (p + 1) // 6 + 12)
-    gb = good_basis(p, required_basis_precision(gb0.pivots),
-                    computer=gb0.computer)
-    lifts = [lift_to_level1(f, p) for f in gb.forms]
-    window = min(sum(gb.pivots) + max(24, 4 * gb.g), gb.precision)
-    ok, head, v = cross_check_wronskian_congruence(gb, lifts, p, prec=window)
+    gb = _old_window_basis(p)
+    window = gb.precision
+    ok, head, v = cross_check_wronskian_congruence(gb, _lifts(p, gb), p)
     assert ok
     full, _ = wronskian([f.truncate(window) for f in gb.forms])
     assert head.valuation == full.valuation == sum(gb.pivots)
@@ -294,9 +323,8 @@ def _head_cut(gb):
 def test_integer_head_matches_fraction_oracle(p):
     # the head the cross-check forms on integers, coefficient by coefficient
     # (and in valuation, precision and weight) against Fraction elimination
-    gb = _window_basis(p)
-    ok, head, _ = cross_check_wronskian_congruence(
-        gb, _window_lifts(p, gb), p, prec=required_basis_precision(gb.pivots))
+    gb = _chain_basis(p)
+    ok, head, _ = cross_check_wronskian_congruence(gb, _lifts(p, gb), p)
     assert ok
     assert head == fraction_wronskian_head(gb)
     assert head.valuation == sum(gb.pivots)
@@ -305,11 +333,8 @@ def test_integer_head_matches_fraction_oracle(p):
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [601, 1009])
 def test_integer_head_matches_fraction_oracle_large(p):
-    # opt-in (pytest -m slow): the basis extended only as far as the head
-    gb = good_basis(p, (p + 1) // 6 + 12)
-    need = max(gb.pivots) + _HEAD_TERMS
-    if gb.precision < need:
-        gb = good_basis(p, need, computer=gb.computer)
+    # opt-in (pytest -m slow)
+    gb = _chain_basis(p)
     assert integer_wronskian(_head_cut(gb)) == fraction_wronskian_head(gb)
 
 
@@ -383,7 +408,7 @@ def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
     # the mod-p chain after the basis, the exact head included, multiplies
     # and divides no rational q-expansion
     p = 389
-    gb, split = _window_basis(p), ss_polys(p)
+    gb, split = _chain_basis(p), ss_polys(p)
 
     def refuse(*args):
         raise AssertionError("QExpansion arithmetic in the chain")
@@ -445,10 +470,10 @@ def test_polynomial_wronskian_small_cases(monkeypatch):
 @pytest.mark.parametrize("p", [67, 199, 389])
 def test_polynomial_wronskian_matches_series_oracle(p):
     # the chain's P_i: at 389 the element of order N = 260 lies outside F_p
-    gb = _window_basis(p)
+    gb = _chain_basis(p)
     d = divisor_degree(p + 1)
     polys = [divisor_polynomial(b.truncate(c + d + 2))
-             for b, c in zip(_window_lifts(p, gb), gb.pivots)]
+             for b, c in zip(_lifts(p, gb), gb.pivots)]
     assert polynomial_wronskian(polys) == series_polynomial_wronskian(polys)
 
 
@@ -493,24 +518,9 @@ def test_polynomial_wronskian_refuses_int64_overflow(monkeypatch, bits,
         polynomial_wronskian([FpPoly(p, [1] * (degree + 1)), FpPoly(p, [0, 1])])
 
 
-def _window_basis(p):
-    """The good basis extended once to the cross-check window, as the
-    pipeline extends it."""
-    gb = good_basis(p, (p + 1) // 6 + 12)
-    need = required_basis_precision(gb.pivots)
-    if gb.precision < need:
-        gb = good_basis(p, need, computer=gb.computer)
-    return gb
-
-
-def _window_lifts(p, gb):
-    window = required_basis_precision(gb.pivots)
-    return [lift_to_level1(f.truncate(window), p) for f in gb.forms]
-
-
 def _assert_routes_agree(p):
-    gb = _window_basis(p)
-    fw, lead = wronskian_divisor_polynomial(_window_lifts(p, gb), p)
+    gb = _chain_basis(p)
+    fw, lead = wronskian_divisor_polynomial(_lifts(p, gb), p)
     assert (fw, lead) == qseries_wronskian_divisor_polynomial(p, gb)
     assert fw.degree() == divisor_degree(gb.g * (gb.g + p)) - sum(gb.pivots)
     assert lead == vandermonde(gb.pivots) % p
@@ -526,7 +536,7 @@ def test_jline_wronskian_matches_qseries_oracle(p):
                          + [601])
 def test_jline_wronskian_matches_qseries_oracle_scan(p):
     # opt-in (pytest -m slow): every prime in [67, 449] with g+ >= 2, and 601
-    if good_basis(p, (p + 1) // 6 + 12).g >= 2:
+    if _chain_basis(p).g >= 2:
         _assert_routes_agree(p)
 
 
@@ -561,10 +571,10 @@ def test_polynomial_wronskian_pointwise(p):
     # W_x(P)(x0) = det[P_j^(r)(x0)] at every x0 in F_p, by elimination that
     # shares no code with series_matrix_determinant; deg W_x < p here, so
     # the values fix the polynomial
-    gb = _window_basis(p)
+    gb = _chain_basis(p)
     d = divisor_degree(p + 1)
     polys = [divisor_polynomial(b.truncate(c + d + 2))
-             for b, c in zip(_window_lifts(p, gb), gb.pivots)]
+             for b, c in zip(_lifts(p, gb), gb.pivots)]
     w = [int(c) for c in polynomial_wronskian(polys).coeffs]
     assert 0 <= len(w) - 1 < p
     rows = [[[int(c) for c in f.coeffs] for f in polys]]
@@ -577,14 +587,14 @@ def test_polynomial_wronskian_pointwise(p):
 
 
 def test_cold_verify_extends_basis_to_window_only(tmp_path):
-    # one basis precision per prime, and no Miller basis in the cache
+    # one basis precision per prime, the pivot precision, and no Miller
+    # basis in the cache
     from wplus.cache import DiskCache
     from wplus.config import Config
     from wplus.pipeline import verify_prime
     p = 389
     assert verify_prime(p, Config(cache_dir=tmp_path)).status == "ok"
     stored = DiskCache(tmp_path).get("good_basis", str(p))
-    assert stored["precision"] == max(
-        (p + 1) // 6 + 12, sum(stored["pivots"]) + max(24, 4 * stored["g"]))
+    assert stored["precision"] == (p + 1) // 6 + 12
     assert sorted(d.name for d in tmp_path.iterdir()) == [
         "class_poly", "good_basis"]

@@ -4,8 +4,9 @@ series route to the polynomial Wronskian W_x(P), kept as an oracle for its
 evaluation-interpolation kernel; and the `Fraction` route to the exact
 Wronskian head, kept as an oracle for its integer kernel.
 
-The good basis is extended to sum(c) + m(k_W) + 2, the lifts b_i are read
-off the Miller cusp basis at that precision, and their theta-Wronskian W
+The q-series route builds the good basis at sum(c) + m(k_W) + 2, a longer
+window than the chain's (p + 1)//6 + 12; the lifts b_i are read off the
+Miller cusp basis at that precision, and their theta-Wronskian W
 (weight k_W = g(g + p), valuation sum(c)) is then known far enough for
 divisor_polynomial to peel off F(W, x), of degree m(k_W) - sum(c), against
 a level-1 context of the same length.
@@ -21,12 +22,10 @@ from wplus.weierstrass import _HEAD_TERMS, lift_to_level1, wronskian
 
 def qseries_wronskian_divisor_polynomial(p, basis):
     """(F(W, x), leading coefficient of W) by the q-series route, for a good
-    basis of S_2^+(p) with g >= 2 (extended here through its computer)."""
+    basis of S_2^+(p) with g >= 2 (built again here at the window it needs)."""
     g = basis.g
     prec = sum(basis.pivots) + divisor_degree(g * (g + p)) + 2
-    if basis.precision < prec:
-        basis = good_basis(p, prec, computer=basis.computer)
-    lifts = [lift_to_level1(f.truncate(prec), p) for f in basis.forms]
+    lifts = [lift_to_level1(f, p) for f in good_basis(p, prec).forms]
     det, lead = wronskian(lifts)
     return divisor_polynomial(det.scale(pow(lead, -1, p))), lead
 
