@@ -12,10 +12,15 @@ from the `src/` of one checkout, the two checkouts taking turns:
   of a residue to the p-th power (the step of distinct-degree splitting),
   modulo seeded random polynomials of degree 100, 500 and 2000 over F_601;
   the median over repeats of at least 0.2 s.
-- `factor`: `FpPoly.factor` of H at p = 601 (degree 368), median of 3.
+- `factor`: `FpPoly.factor` of H at p = 389, 601 and 1009 (degrees 110,
+  368 and 1306; H at 1009 from one cold `verify_prime` of this checkout),
+  median of 3.
+- `split`: the check that S_q splits into quadratics, at p = 389, 601 and
+  1009: `FpPoly.splits_into_quadratics`, or on a checkout without it the
+  degrees of `FpPoly.factor`; the median over repeats of at least 0.2 s.
 
-Both checkouts must give identical reports (timings aside) and identical
-factorizations; the script stops otherwise.
+Both checkouts must give identical reports (timings aside), identical
+factorizations and identical split answers; the script stops otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LADDER = (67, 199, 389, 601)
 LAYER_P = 601
 LAYER_DEGREES = (100, 500, 2000)
+FACTOR_PRIMES = (389, 601, 1009)
 
 
 def _median_call_s(fn, min_total_s=0.2, min_reps=3):
@@ -89,14 +95,28 @@ def measure(kind, arg):
                            "pow_mod_ms": 1e3 * pow_s, "pow_mod_reps": pow_reps}
         return out
     if kind == "factor":
-        h = FpPoly(LAYER_P, json.loads(Path(arg).read_text()))
+        out = {}
+        for p, coeffs in json.loads(Path(arg).read_text()).items():
+            h = FpPoly(int(p), coeffs)
+            result = []
+            factor_s, reps = _median_call_s(
+                lambda: result.append(h.factor()), min_total_s=0, min_reps=3)
+            factors = [([int(c) for c in f.coeffs], e) for f, e in result[-1]]
+            out[p] = {"degree": h.degree(), "factor_ms": 1e3 * factor_s,
+                      "reps": reps,
+                      "factor_degrees": [len(f) - 1 for f, _ in factors],
+                      "factors": factors}
+        return out
+    if kind == "split":
+        from wplus.supersingular import ss_polys
+
+        s_q = ss_polys(int(arg)).S_q
+        check = getattr(s_q, "splits_into_quadratics", None) or (
+            lambda: all(f.degree() == 2 for f, _ in s_q.factor()))
         result = []
-        factor_s, reps = _median_call_s(
-            lambda: result.append(h.factor()), min_total_s=0, min_reps=3)
-        factors = [([int(c) for c in f.coeffs], e) for f, e in result[-1]]
-        return {"degree": h.degree(), "factor_ms": 1e3 * factor_s,
-                "reps": reps, "factor_degrees": [len(f) - 1 for f, _ in factors],
-                "factors": factors}
+        split_s, reps = _median_call_s(lambda: result.append(check()))
+        return {"degree": s_q.degree(), "split_ms": 1e3 * split_s,
+                "reps": reps, "splits": result[-1]}
     raise ValueError(f"unknown measurement {kind!r}")
 
 
@@ -139,7 +159,7 @@ def environment():
 def record(baseline, runs):
     sides = {"baseline": Path(baseline).resolve(), "change": ROOT}
     ladder = {side: {str(p): [] for p in LADDER} for side in sides}
-    h601 = None
+    h = {}
     for p in LADDER:
         for run in range(runs):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]
@@ -148,17 +168,27 @@ def record(baseline, runs):
                 raise SystemExit(f"reports differ at p = {p}")
             for side in sides:
                 ladder[side][str(p)].append(got[side]["timings_ms"])
-            h601 = got["change"]["H"] if p == 601 else h601
+            h[p] = got["change"]["H"]
     layers = {side: child(path, "layers", 0) for side, path in sides.items()}
+    for p in FACTOR_PRIMES:
+        if p not in h:
+            h[p] = child(ROOT, "ladder", p)["H"]
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(h601, fh)
+        json.dump({str(p): h[p] for p in FACTOR_PRIMES}, fh)
     try:
         factor = {side: child(path, "factor", fh.name)
                   for side, path in sides.items()}
     finally:
         os.unlink(fh.name)
-    if factor["baseline"].pop("factors") != factor["change"].pop("factors"):
-        raise SystemExit("factorizations of H at p = 601 differ")
+    for p in map(str, FACTOR_PRIMES):
+        if (factor["baseline"][p].pop("factors")
+                != factor["change"][p].pop("factors")):
+            raise SystemExit(f"factorizations of H at p = {p} differ")
+    split = {side: {str(p): child(path, "split", p) for p in FACTOR_PRIMES}
+             for side, path in sides.items()}
+    for p in map(str, FACTOR_PRIMES):
+        if split["baseline"][p]["splits"] != split["change"][p]["splits"]:
+            raise SystemExit(f"the S_q split checks differ at p = {p}")
     median = {side: {p: {k: round(statistics.median(r[k] for r in rs), 1)
                          for k in rs[0]}
                      for p, rs in by_p.items()}
@@ -170,7 +200,8 @@ def record(baseline, runs):
         "commits": {side: git_commit(path) for side, path in sides.items()},
         "ladder_cold_timings_ms": {"median": median, "runs": ladder},
         "layers_p601": layers,
-        "factor_H_601": factor,
+        "factor_H": factor,
+        "split_S_q": split,
     }
 
 

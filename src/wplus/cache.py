@@ -62,7 +62,7 @@ class DiskCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

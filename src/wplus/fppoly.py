@@ -4,10 +4,16 @@ Coefficients are stored low degree first in an int64 numpy array with the
 leading coefficient nonzero ([] is the zero polynomial).  Long divisions
 multiply by the Newton inverse of the reversed divisor (von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 9); pow_mod computes that inverse once
-per call, and gcd runs Euclid on the arrays.  Factorization is
-squarefree decomposition, then distinct-degree splitting, then randomized
-equal-degree (Cantor-Zassenhaus) splitting driven by an explicit seeded RNG
-for reproducibility.
+per call, and gcd runs Euclid on the arrays.
+
+Factorization is squarefree decomposition, then distinct-degree and
+equal-degree splitting on the Frobenius matrix of each squarefree part g
+(von zur Gathen and Shoup, Comput. Complexity 2, 1992): Q, with row i equal
+to x^(ip) mod g, is built once by float64 products, and h -> h^p mod g is
+then one vector-matrix product.  Distinct-degree splitting steps
+x^(p^d) through Q and takes one gcd per block of degrees; equal-degree
+(Cantor-Zassenhaus) splitting forms a^((p^d - 1)/2) from the a^(p^i) that Q
+gives, with random a drawn from an explicit seeded RNG for reproducibility.
 """
 
 from __future__ import annotations
@@ -30,10 +36,40 @@ _CONV_GUARD = 2**62
 #: between 8 and 12 at degree 368 and between 4 and 8 at degree 2000.
 NEWTON_MIN_QUOTIENT = 16
 
+#: A float64 sum of products of residues is exact while it stays below 2^53.
+_FLOAT_GUARD = 2**53
+
+#: The Frobenius matrix of a modulus of degree n holds 8 n^2 bytes (14 MB
+#: for H at p = 1009, n = 1306), and building it holds two more matrices of
+#: that size.  Above this many bytes, which H reaches near p = 2003, no
+#: matrix is built and h -> h^p runs as pow_mod.
+FROBENIUS_MATRIX_BYTES = 64 * 2**20
+
+#: Float64 matrix products run in slices of the inner dimension holding at
+#: most this many entries of the right factor.  On a 2-vCPU Xeon, OpenBLAS
+#: spread whole products of one to three rows by 1306 x 1306 over its
+#: threads and took 8 to 32 ms each; in slices they took 0.4 to 0.6 ms.
+_MATMUL_SLICE_ENTRIES = 2**18
+
+#: Distinct-degree splitting takes one gcd per block of this many degrees.
+DDF_BLOCK = 8
+
 
 def int64_sums_fit(terms, p):
     """Whether an int64 sum of `terms` products of residues mod p is exact."""
     return terms * (p - 1) ** 2 < _CONV_GUARD
+
+
+def _matmul_mod(a, b, p):
+    """a @ b mod p, as int64, for arrays of residues a (a vector or a
+    matrix) and b (a float64 matrix), summed in float64 over slices of b's
+    rows.  Exact when b has fewer than 2^53 / (p - 1)^2 rows, which the
+    caller checks."""
+    rows = max(1, _MATMUL_SLICE_ENTRIES // b.shape[1])
+    out = a[..., :rows] @ b[:rows]
+    for s in range(rows, len(b), rows):
+        out += a[..., s:s + rows] @ b[s:s + rows]
+    return (out % p).astype(np.int64)
 
 
 def convolve_mod(a, b, p, n=None):
@@ -302,28 +338,17 @@ class FpPoly:
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
-        m = modulus.coeffs
-        rinv = None
-
-        def mul_mod(a, b):
-            nonlocal rinv
-            c = convolve_mod(a, b, p)
-            if rinv is None and len(c) >= len(m):
-                # made for the first product that has a quotient; a product
-                # of two residues has at most deg m - 1 quotient terms
-                rinv = _reversed_inverse(m, p, len(m) - 2)
-            return _divmod_arrays(c, m, p, rinv)[1]
-
-        base = _divmod_arrays(self.coeffs, m, p)[1]
+        mod = _Reducer(modulus, len(self.coeffs))
+        base = mod(self.coeffs)
         if e and not len(base):
             return FpPoly.zero(p)
         result = np.ones(1, dtype=np.int64)
         while e:
             if e & 1:
-                result = mul_mod(result, base)
+                result = mod.product(result, base)
             e >>= 1
             if e:
-                base = mul_mod(base, base)
+                base = mod.product(base, base)
         return FpPoly(p, result)
 
     def evaluate(self, x):
@@ -368,46 +393,82 @@ class FpPoly:
         out.sort(key=lambda ge: (ge[1], ge[0].degree(), tuple(ge[0].coeffs)))
         return out
 
-    def _distinct_degree(self):
-        """On a monic squarefree input: list of (product of degree-d factors, d)."""
-        f = self
+    def _distinct_degree(self, frob):
+        """On a monic squarefree input g, with frob = Frobenius(g): list of
+        (product of the degree-d irreducible factors, d) for each d that
+        occurs.
+
+        h_d = x^(p^d) mod g steps through frob.  Each block of DDF_BLOCK
+        degrees takes one gcd of the unsplit part f with the product of the
+        h_d - x mod f, and only a block whose gcd is nontrivial is refined
+        degree by degree.  Once deg f < 2(d + 1), f is irreducible.
+        """
         p = self.p
+        x = FpPoly.x(p)
+        f = self
         out = []
-        h = FpPoly.x(p)
+        h = _divmod_arrays(x.coeffs, self.coeffs, p)[1]
         d = 0
-        while f.degree() > 2 * (d + 1) - 1 and f.degree() > 0:
+        block, acc = [], np.ones(1, dtype=np.int64)
+        mod_f = _Reducer(f, self.degree())
+        while 2 * (d + 1) <= f.degree():
             d += 1
-            h = h.pow_mod(p, f)
-            g = f.gcd(h - FpPoly.x(p))
-            if g.degree() > 0:
-                out.append((g, d))
-                f = f.exact_div(g)
-                h = h % f
+            h = frob(h)
+            h_x = FpPoly(p, h) - x
+            block.append((d, h_x))
+            acc = mod_f.product(acc, mod_f(h_x.coeffs))
+            if len(block) < DDF_BLOCK and 2 * (d + 1) <= f.degree():
+                continue
+            found = f.gcd(FpPoly(p, acc))
+            for e, h_x in block:
+                if found.degree() < e:
+                    break
+                w = found.gcd(h_x)
+                if w.degree() > 0:
+                    out.append((w, e))
+                    found = found.exact_div(w)
+                    f = f.exact_div(w)
+                    mod_f = _Reducer(f, self.degree())
+            block, acc = [], np.ones(1, dtype=np.int64)
         if f.degree() > 0:
             out.append((f, f.degree()))
         return out
 
-    def _equal_degree(self, d, rng):
+    def _equal_degree(self, d, frob, rng):
         """Cantor-Zassenhaus split of a monic squarefree product of
-        degree-d irreducibles (p odd)."""
-        p = self.p
-        if self.degree() == d:
+        degree-d irreducibles (p odd), where frob is the Frobenius modulo
+        a multiple g of self.
+
+        For random a of degree below n = deg self, a^((p^d - 1)/2) is
+        (a a^p ... a^(p^(d-1)))^((p - 1)/2), the a^(p^i) mod g coming from
+        frob.  Each a refines every piece still of degree above d by its
+        gcd with a^((p^d - 1)/2) - 1.
+        """
+        p, n = self.p, self.degree()
+        if n == d:
             return [self]
-        exp = (p ** d - 1) // 2
-        while True:
-            a = FpPoly(p, [rng.randrange(p) for _ in range(self.degree())])
-            if a.degree() < 1:
+        if p == 2:
+            raise ValueError("equal-degree splitting needs an odd p")
+        mod_self = _Reducer(self, frob.n)
+        done, pieces = [], [self]
+        while pieces:
+            power = prod = _trim(np.array(
+                [rng.randrange(p) for _ in range(n)], dtype=np.int64))
+            if len(prod) < 2:
                 continue
-            g = self.gcd(a)
-            if 0 < g.degree() < self.degree():
-                pass
-            else:
-                b = a.pow_mod(exp, self)
-                g = self.gcd(b - FpPoly.one(p))
-                if not (0 < g.degree() < self.degree()):
-                    continue
-            return (g._equal_degree(d, rng)
-                    + self.exact_div(g)._equal_degree(d, rng))
+            for _ in range(d - 1):
+                power = frob(power)
+                prod = mod_self.product(prod, mod_self(power))
+            t = FpPoly(p, prod).pow_mod((p - 1) // 2, self) - FpPoly.one(p)
+            unsplit = []
+            for u in pieces:
+                w = u.gcd(t)
+                split = [w, u.exact_div(w)] if 0 < w.degree() < u.degree() \
+                    else [u]
+                for v in split:
+                    (done if v.degree() == d else unsplit).append(v)
+            pieces = unsplit
+        return done
 
     def factor(self, rng=None):
         """Full factorization into monic irreducibles.
@@ -415,6 +476,7 @@ class FpPoly:
         Returns a list of (irreducible FpPoly, multiplicity), sorted, with
         self = leading * prod.  The RNG drives equal-degree splitting only;
         pass a seeded random.Random for reproducible runs (default seed 0).
+        The result does not depend on the RNG.
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
@@ -422,11 +484,9 @@ class FpPoly:
             rng = random.Random(0)
         out = []
         for g, e in self.squarefree_decomposition():
-            for h, d in g._distinct_degree():
-                if h.degree() == d:
-                    out.append((h, e))
-                else:
-                    out.extend((f, e) for f in h._equal_degree(d, rng))
+            frob = Frobenius(g)
+            for h, d in g._distinct_degree(frob):
+                out.extend((f, e) for f in h._equal_degree(d, frob, rng))
         out.sort(key=lambda fe: (fe[0].degree(), tuple(int(c) for c in fe[0].coeffs)))
         return out
 
@@ -436,8 +496,29 @@ class FpPoly:
         sq = self.squarefree_decomposition()
         if len(sq) != 1 or sq[0][1] != 1:
             return False
-        dd = sq[0][0]._distinct_degree()
+        g = sq[0][0]
+        dd = g._distinct_degree(Frobenius(g))
         return len(dd) == 1 and dd[0][1] == self.degree()
+
+    def splits_into_quadratics(self):
+        """Whether every irreducible factor has degree 2.
+
+        For each squarefree part g, with x^p mod g and x^(p^2) mod g from
+        one Frobenius of g: gcd(g, x^p - x) = 1 rules out linear factors,
+        and x^(p^2) = x mod g says every factor has degree dividing 2.
+        """
+        if self.is_zero():
+            raise ValueError("the zero polynomial has no factors")
+        p = self.p
+        for g, _ in self.squarefree_decomposition():
+            frob = Frobenius(g)
+            x = _divmod_arrays(FpPoly.x(p).coeffs, g.coeffs, p)[1]
+            xp = frob(x)
+            if not g.gcd(FpPoly(p, xp) - FpPoly(p, x)).is_one():
+                return False
+            if not np.array_equal(frob(xp), x):
+                return False
+        return True
 
     def sqrt(self):
         """Monic square root, by halving multiplicities in the squarefree
@@ -485,6 +566,95 @@ class FpPoly:
                 else:
                     terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return f"FpPoly(p={self.p}, {' + '.join(terms)})"
+
+
+class _Reducer:
+    """Reduction modulo a nonzero f of arrays of at most `longest`
+    coefficients, and products of residues modulo f, all with one Newton
+    inverse of the reversed f (a product of two residues has at most
+    deg f - 1 quotient terms)."""
+
+    def __init__(self, f, longest):
+        self.p, self.f = f.p, f.coeffs
+        self.rinv = _reversed_inverse(
+            f.coeffs, f.p, max(f.degree() - 1, longest - f.degree()))
+
+    def __call__(self, a):
+        return _divmod_arrays(a, self.f, self.p, self.rinv)[1]
+
+    def product(self, a, b):
+        """a * b mod f, for residues a and b; zero when either is."""
+        if not (len(a) and len(b)):
+            return a[:0]
+        return self(convolve_mod(a, b, self.p))
+
+
+class Frobenius:
+    """The map h -> h^p on F_p[x]/(g), for a monic g of degree n >= 1.
+
+    h has its coefficients in F_p, so h^p = sum h_i x^(ip): the map is the
+    matrix Q whose row i is x^(ip) mod g.  Q is built by doubling: with rows
+    0..k-1 known, rows k..2k-1 are Q[:k] T_k, where T_k multiplies by
+    x^(kp) mod g, and x^(2kp) = x^(kp) T_k.  The products run in float64,
+    exact because each entry sums at most n products of residues: the
+    constructor raises OverflowError, before any arithmetic, when
+    n (p - 1)^2 >= 2^53.  Above FROBENIUS_MATRIX_BYTES no Q is built and
+    each application is a pow_mod.
+    """
+
+    def __init__(self, g):
+        p, n = g.p, g.degree()
+        self.p, self.n, self.g = p, n, g
+        self.matrix = None
+        if 8 * n * n > FROBENIUS_MATRIX_BYTES:
+            return
+        if n * (p - 1) ** 2 >= _FLOAT_GUARD:
+            raise OverflowError(
+                f"modulus {p} too large for a float64 Frobenius matrix of "
+                f"degree {n}")
+        q = np.zeros((n, n))
+        q[0, 0] = 1
+        h = self._padded(FpPoly.x(p).pow_mod(p, g).coeffs)
+        k = 1
+        while k < n:
+            t = self._times(h)
+            m = min(k, n - k)
+            q[k:k + m] = _matmul_mod(q[:m], t, p)
+            if 2 * k < n:
+                h = _matmul_mod(h, t, p)
+            k *= 2
+        self.matrix = q
+
+    def _padded(self, h):
+        """h as a float64 vector of n coefficients."""
+        out = np.zeros(self.n)
+        out[:len(h)] = h
+        return out
+
+    def _times(self, h):
+        """Float64 matrix of multiplication by h mod g: row j is x^j h.
+
+        Each row is the one before shifted up, plus its top coefficient
+        times x^n = -(g - x^n) mod g.  Only that coefficient is reduced on
+        the way; every entry stays below n p^2 < 2^62 until the whole
+        matrix is reduced at the end."""
+        p, n = self.p, self.n
+        low = -self.g.coeffs[:n] % p
+        t = np.empty((n, n), dtype=np.int64)
+        t[0] = h
+        for j in range(1, n):
+            prev = t[j - 1]
+            t[j, 0] = 0
+            t[j, 1:] = prev[:-1]
+            t[j] += int(prev[-1]) % p * low
+        t %= p
+        return t.astype(np.float64)
+
+    def __call__(self, h):
+        """h^p mod g, for an int64 array h of at most n residues."""
+        if self.matrix is None:
+            return FpPoly(self.p, h).pow_mod(self.p, self.g).coeffs
+        return _trim(_matmul_mod(self._padded(h), self.matrix, self.p))
 
 
 def poly_factor(f, rng=None):

@@ -23,6 +23,7 @@ pivots c_1 < ... < c_g.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -65,11 +66,13 @@ def merel_set(n):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def heilbronn_cremona(ell):
     """Cremona's Heilbronn matrices (a, b, c, d) of determinant ell, an odd
-    prime, as an int64 array: (1, 0; 0, ell), then for each r with
+    prime, as a read-only int64 array: (1, 0; 0, ell), then for each r with
     |r| <= ell // 2 the convergent matrices of ell / r under nearest-integer
-    division, ties rounded away from zero.  All r advance together."""
+    division, ties rounded away from zero.  All r advance together.  The
+    set depends on ell alone, so it is built once per process."""
     r = np.arange(-(ell // 2), ell // 2 + 1, dtype=np.int64)
     a, b = np.full_like(r, -ell), r
     x1, x2, y1, y2 = np.full_like(r, ell), -r, np.zeros_like(r), np.ones_like(r)
@@ -78,7 +81,9 @@ def heilbronn_cremona(ell):
         out.append(np.stack([x1, x2, y1, y2], axis=1))
         live = b != 0
         if not live.any():
-            return np.concatenate(out)
+            mats = np.concatenate(out)
+            mats.flags.writeable = False
+            return mats
         a, b, x1, x2, y1, y2 = (v[live] for v in (a, b, x1, x2, y1, y2))
         q = np.sign(a) * np.sign(b) * (
             (2 * np.abs(a) + np.abs(b)) // (2 * np.abs(b)))

@@ -73,7 +73,9 @@ def ss_polys(p, e_pm1=None, ctx=None, rng=None):
     """Supersingular split of the prime p >= 5.
 
     e_pm1 is the reduction of E_{p-1} mod p (built internally if omitted);
-    its divisor polynomial mod p is S_tilde.
+    its divisor polynomial mod p is S_tilde.  S_q is checked to split into
+    quadratics without factoring it; only when it does not is it factored,
+    with rng, to name the degree in SplitDegreeMismatchError.
     """
     if p < 5:
         raise ValueError("p must be a prime >= 5")
@@ -94,10 +96,10 @@ def ss_polys(p, e_pm1=None, ctx=None, rng=None):
     s_q = s_p.exact_div(s_l)
     if s_q.degree() % 2:
         raise SplitDegreeMismatchError("quadratic part has odd degree")
-    for f, _ in s_q.factor(rng):
-        if f.degree() != 2:
-            raise SplitDegreeMismatchError(
-                f"quadratic part has an irreducible factor of degree {f.degree()}")
+    if not s_q.splits_into_quadratics():
+        degree = next(f.degree() for f, _ in s_q.factor(rng) if f.degree() != 2)
+        raise SplitDegreeMismatchError(
+            f"quadratic part has an irreducible factor of degree {degree}")
     s_tilde_l = s_l
     if alpha_rho:
         s_tilde_l = s_tilde_l.exact_div(FpPoly.x(p))

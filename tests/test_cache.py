@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wplus.cache import DiskCache, NullCache
+from wplus.cache import SCHEMA_VERSION, DiskCache, NullCache, _checksum
 
 
 def test_round_trip(tmp_path):
@@ -62,3 +62,13 @@ def test_null_cache():
     cache = NullCache()
     cache.put("class_poly", "1", {"a": 1})
     assert cache.get("class_poly", "1") is None
+
+
+def test_written_file_is_json_dumps_of_the_entry(tmp_path):
+    cache = DiskCache(tmp_path)
+    payload = {"p": 389, "coefficients": [["1/1", "-3/2"]], "pivots": [1, 2]}
+    cache.put("good_basis", "389", payload)
+    entry = {"schema_version": SCHEMA_VERSION, "kind": "good_basis",
+             "key": "389", "payload": payload, "checksum": _checksum(payload)}
+    assert (tmp_path / "good_basis" / "389.json").read_bytes() == \
+        json.dumps(entry).encode()

@@ -100,6 +100,16 @@ def test_heilbronn_cremona_set():
         assert tuple(mats[0]) == (1, 0, 0, ell)
 
 
+def test_heilbronn_cremona_is_memoised_read_only():
+    for ell in (3, 31, 1259):
+        mats = heilbronn_cremona(ell)
+        assert heilbronn_cremona(ell) is mats
+        assert not mats.flags.writeable
+        with pytest.raises(ValueError):
+            mats[0, 0] = 0
+        assert np.array_equal(mats, heilbronn_cremona.__wrapped__(ell))
+
+
 def test_trace_formula_oracle_matches_hecke():
     # Eichler-Selberg traces share no code with the Hecke routes: every
     # prime 11 <= p <= 199 with genus > 0, every n <= 50 the formula covers

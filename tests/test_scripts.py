@@ -3,6 +3,7 @@ fresh interpreter on this checkout, as `--baseline` runs make them: a name
 of `wplus` that a script uses and that is gone fails here, not only when a
 benchmark is next recorded."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -35,3 +36,15 @@ def test_bench_basis_basis():
 def test_bench_fppoly_ladder():
     got = _run("bench_fppoly.py", "ladder", 67)
     assert got["report"]["status"] == "ok" and got["H"] == [62, 10, 1]
+
+
+def test_bench_fppoly_factor(tmp_path):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"67": [62, 10, 1]}))
+    got = _run("bench_fppoly.py", "factor", h)["67"]
+    assert got["factors"] == [[[62, 10, 1], 1]] and got["factor_degrees"] == [2]
+
+
+def test_bench_fppoly_split():
+    got = _run("bench_fppoly.py", "split", 67)
+    assert got["splits"] is True and got["degree"] == 4
