@@ -16,7 +16,7 @@ from the `src/` of one checkout, the two checkouts taking turns:
   368 and 1306; H at 1009 from one cold `verify_prime` of this checkout),
   median of 3.
 - `split`: the check that S_q splits into quadratics, at p = 389, 601 and
-  1009: `FpPoly.splits_into_quadratics`, or on a checkout without it the
+  1009: `supersingular.factor_degrees`, or on a checkout without it the
   degrees of `FpPoly.factor`; the median over repeats of at least 0.2 s.
 
 Both checkouts must give identical reports (timings aside), identical
@@ -108,13 +108,14 @@ def measure(kind, arg):
                       "factors": factors}
         return out
     if kind == "split":
-        from wplus.supersingular import ss_polys
+        from wplus import supersingular
 
-        s_q = ss_polys(int(arg)).S_q
-        check = getattr(s_q, "splits_into_quadratics", None) or (
-            lambda: all(f.degree() == 2 for f, _ in s_q.factor()))
+        s_q = supersingular.ss_polys(int(arg)).S_q
+        degrees = getattr(supersingular, "factor_degrees", None) or (
+            lambda f: {q.degree() for q, _ in f.factor()})
         result = []
-        split_s, reps = _median_call_s(lambda: result.append(check()))
+        split_s, reps = _median_call_s(
+            lambda: result.append(degrees(s_q) == {2}))
         return {"degree": s_q.degree(), "split_ms": 1e3 * split_s,
                 "reps": reps, "splits": result[-1]}
     raise ValueError(f"unknown measurement {kind!r}")

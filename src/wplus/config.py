@@ -21,8 +21,7 @@ class Config:
     cache_dir holds the on-disk cache, which use_cache=False bypasses; jobs
     is the number of worker processes of a scan; rng_seed drives the
     randomized equal-degree splitting of H (S_q is checked to split into
-    quadratics without the RNG, and factored with it only to name the
-    degree of a falsifier).  Precisions, the point-counting
+    quadratics without the RNG).  Precisions, the point-counting
     oracle bound (supersingular.ORACLE_BOUND) and the class-polynomial float
     precision are fixed by the algorithms, not configured.
     """

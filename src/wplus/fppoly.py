@@ -39,12 +39,6 @@ NEWTON_MIN_QUOTIENT = 16
 #: A float64 sum of products of residues is exact while it stays below 2^53.
 _FLOAT_GUARD = 2**53
 
-#: The Frobenius matrix of a modulus of degree n holds 8 n^2 bytes (14 MB
-#: for H at p = 1009, n = 1306), and building it holds two more matrices of
-#: that size.  Above this many bytes, which H reaches near p = 2003, no
-#: matrix is built and h -> h^p runs as pow_mod.
-FROBENIUS_MATRIX_BYTES = 64 * 2**20
-
 #: Float64 matrix products run in slices of the inner dimension holding at
 #: most this many entries of the right factor.  On a 2-vCPU Xeon, OpenBLAS
 #: spread whole products of one to three rows by 1306 x 1306 over its
@@ -393,10 +387,10 @@ class FpPoly:
         out.sort(key=lambda ge: (ge[1], ge[0].degree(), tuple(ge[0].coeffs)))
         return out
 
-    def _distinct_degree(self, frob):
-        """On a monic squarefree input g, with frob = Frobenius(g): list of
-        (product of the degree-d irreducible factors, d) for each d that
-        occurs.
+    def distinct_degree(self, frob=None):
+        """On a monic squarefree input g: list of (product of the degree-d
+        irreducible factors, d) for each d that occurs.  frob is
+        Frobenius(g), built here when not given.
 
         h_d = x^(p^d) mod g steps through frob.  Each block of DDF_BLOCK
         degrees takes one gcd of the unsplit part f with the product of the
@@ -404,6 +398,8 @@ class FpPoly:
         degree by degree.  Once deg f < 2(d + 1), f is irreducible.
         """
         p = self.p
+        if frob is None:
+            frob = Frobenius(self)
         x = FpPoly.x(p)
         f = self
         out = []
@@ -476,7 +472,8 @@ class FpPoly:
         Returns a list of (irreducible FpPoly, multiplicity), sorted, with
         self = leading * prod.  The RNG drives equal-degree splitting only;
         pass a seeded random.Random for reproducible runs (default seed 0).
-        The result does not depend on the RNG.
+        The result does not depend on the RNG.  Raises OverflowError when a
+        squarefree part of degree n has n (p - 1)^2 >= 2^53 (see Frobenius).
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
@@ -485,40 +482,22 @@ class FpPoly:
         out = []
         for g, e in self.squarefree_decomposition():
             frob = Frobenius(g)
-            for h, d in g._distinct_degree(frob):
+            for h, d in g.distinct_degree(frob):
                 out.extend((f, e) for f in h._equal_degree(d, frob, rng))
         out.sort(key=lambda fe: (fe[0].degree(), tuple(int(c) for c in fe[0].coeffs)))
         return out
 
     def is_irreducible(self):
+        """By distinct-degree splitting; raises OverflowError as factor
+        does."""
         if self.degree() < 1:
             return False
         sq = self.squarefree_decomposition()
         if len(sq) != 1 or sq[0][1] != 1:
             return False
         g = sq[0][0]
-        dd = g._distinct_degree(Frobenius(g))
+        dd = g.distinct_degree()
         return len(dd) == 1 and dd[0][1] == self.degree()
-
-    def splits_into_quadratics(self):
-        """Whether every irreducible factor has degree 2.
-
-        For each squarefree part g, with x^p mod g and x^(p^2) mod g from
-        one Frobenius of g: gcd(g, x^p - x) = 1 rules out linear factors,
-        and x^(p^2) = x mod g says every factor has degree dividing 2.
-        """
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no factors")
-        p = self.p
-        for g, _ in self.squarefree_decomposition():
-            frob = Frobenius(g)
-            x = _divmod_arrays(FpPoly.x(p).coeffs, g.coeffs, p)[1]
-            xp = frob(x)
-            if not g.gcd(FpPoly(p, xp) - FpPoly(p, x)).is_one():
-                return False
-            if not np.array_equal(frob(xp), x):
-                return False
-        return True
 
     def sqrt(self):
         """Monic square root, by halving multiplicities in the squarefree
@@ -598,16 +577,13 @@ class Frobenius:
     x^(kp) mod g, and x^(2kp) = x^(kp) T_k.  The products run in float64,
     exact because each entry sums at most n products of residues: the
     constructor raises OverflowError, before any arithmetic, when
-    n (p - 1)^2 >= 2^53.  Above FROBENIUS_MATRIX_BYTES no Q is built and
-    each application is a pow_mod.
+    n (p - 1)^2 >= 2^53.  Q holds 8 n^2 bytes (14 MB for H at p = 1009,
+    n = 1306), and building it holds two more matrices of that size.
     """
 
     def __init__(self, g):
         p, n = g.p, g.degree()
         self.p, self.n, self.g = p, n, g
-        self.matrix = None
-        if 8 * n * n > FROBENIUS_MATRIX_BYTES:
-            return
         if n * (p - 1) ** 2 >= _FLOAT_GUARD:
             raise OverflowError(
                 f"modulus {p} too large for a float64 Frobenius matrix of "
@@ -652,8 +628,6 @@ class Frobenius:
 
     def __call__(self, h):
         """h^p mod g, for an int64 array h of at most n residues."""
-        if self.matrix is None:
-            return FpPoly(self.p, h).pow_mod(self.p, self.g).coeffs
         return _trim(_matmul_mod(self._padded(h), self.matrix, self.p))
 
 

@@ -54,7 +54,7 @@ def verify_prime(p, config=None, basis_only=False):
             return report
 
         t0 = time.perf_counter()
-        split = ss_polys(p, rng=rng)
+        split = ss_polys(p)
         report.polys["S_p"] = split.S_p
         report.polys["S_l"] = split.S_l
         report.polys["S_q"] = split.S_q

@@ -69,13 +69,21 @@ def eisenstein_pm1_mod_p(p, prec):
     return FpSeries.one(p, prec, weight=p - 1)
 
 
-def ss_polys(p, e_pm1=None, ctx=None, rng=None):
+def factor_degrees(f):
+    """The set of degrees of the irreducible factors of a nonzero f, by
+    distinct-degree splitting of each squarefree part (no factor is split
+    out)."""
+    return {d for g, _ in f.squarefree_decomposition()
+            for _, d in g.distinct_degree()}
+
+
+def ss_polys(p, e_pm1=None, ctx=None):
     """Supersingular split of the prime p >= 5.
 
     e_pm1 is the reduction of E_{p-1} mod p (built internally if omitted);
     its divisor polynomial mod p is S_tilde.  S_q is checked to split into
-    quadratics without factoring it; only when it does not is it factored,
-    with rng, to name the degree in SplitDegreeMismatchError.
+    quadratics by factor_degrees, without factoring it; the least other
+    degree is named in SplitDegreeMismatchError.
     """
     if p < 5:
         raise ValueError("p must be a prime >= 5")
@@ -96,10 +104,10 @@ def ss_polys(p, e_pm1=None, ctx=None, rng=None):
     s_q = s_p.exact_div(s_l)
     if s_q.degree() % 2:
         raise SplitDegreeMismatchError("quadratic part has odd degree")
-    if not s_q.splits_into_quadratics():
-        degree = next(f.degree() for f, _ in s_q.factor(rng) if f.degree() != 2)
+    other = factor_degrees(s_q) - {2}
+    if other:
         raise SplitDegreeMismatchError(
-            f"quadratic part has an irreducible factor of degree {degree}")
+            f"quadratic part has an irreducible factor of degree {min(other)}")
     s_tilde_l = s_l
     if alpha_rho:
         s_tilde_l = s_tilde_l.exact_div(FpPoly.x(p))

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import factor_oracle
-from wplus import fppoly, supersingular
+from wplus import supersingular
 from wplus.config import Config
 from wplus.errors import SplitDegreeMismatchError
 from wplus.fppoly import Frobenius, FpPoly, convolve_mod, is_prime
 from wplus.pipeline import verify_prime
-from wplus.supersingular import ss_polys
+from wplus.supersingular import factor_degrees, ss_polys
 
 
 def _key(factors):
@@ -102,26 +102,8 @@ def test_frobenius_rows_are_powers_of_x():
             assert FpPoly(p, q[i].astype(np.int64)) == want, (degree, i)
 
 
-def test_pow_mod_fallback_above_the_matrix_limit(monkeypatch):
-    # no Frobenius matrix fits in 0 bytes: h -> h^p runs as pow_mod, with
-    # the same factorizations and the same quadratic-split answers
-    rng = random.Random(6)
-    p = 67
-    inputs = []
-    for _ in range(4):
-        f = FpPoly.one(p)
-        for degree in rng.choices((1, 2, 3, 4), k=5):
-            f = f * _random_monic(rng, p, degree) ** rng.randrange(1, 3)
-        inputs.append(f)
-    want = [(_key(f.factor()), f.splits_into_quadratics()) for f in inputs]
-    monkeypatch.setattr(fppoly, "FROBENIUS_MATRIX_BYTES", 0)
-    assert Frobenius(inputs[0]).matrix is None
-    assert [(_key(f.factor()), f.splits_into_quadratics())
-            for f in inputs] == want
-
-
 @pytest.mark.parametrize("p", [5, 67, 389])
-def test_quadratic_split_agrees_with_oracle_degrees(p):
+def test_factor_degrees_agree_with_oracle(p):
     rng = random.Random(300 + p)
     for extra in ((), (1,), (4,), (3,), (1, 4), (2, 4)):
         for repeat in (1, 2):
@@ -129,8 +111,8 @@ def test_quadratic_split_agrees_with_oracle_degrees(p):
             for degree in (2, 2, 2) + extra:
                 f = f * _irreducible(rng, p, degree) ** repeat
             oracle = {q.degree() for q, _ in factor_oracle.factor(f)}
-            assert f.splits_into_quadratics() == (oracle == {2}), (extra, repeat)
-    assert FpPoly.one(p).splits_into_quadratics()
+            assert factor_degrees(f) == oracle, (extra, repeat)
+    assert factor_degrees(FpPoly.one(p)) == set()
 
 
 def _h(p, tmp_path):
@@ -146,8 +128,8 @@ def test_chain_polynomials_match_oracle(p, tmp_path):
     # H from a cold verify_prime, and the quadratic part S_q of S_p
     _assert_matches_oracle(_h(p, tmp_path))
     s_q = ss_polys(p).S_q
-    assert s_q.splits_into_quadratics()
-    assert {q.degree() for q, _ in _assert_matches_oracle(s_q)} <= {2}
+    assert factor_degrees(s_q) == {2}
+    assert {q.degree() for q, _ in _assert_matches_oracle(s_q)} == {2}
 
 
 def test_quartic_factor_in_s_q_is_named(monkeypatch):
@@ -169,6 +151,6 @@ def test_frobenius_refuses_moduli_beyond_float64():
     assert len(convolve_mod(g.coeffs, g.coeffs, p)) == 7
     assert g.derivative().degree() == 2 and g.gcd(g.derivative()).is_one()
     for route in (lambda: Frobenius(g), g.factor, g.is_irreducible,
-                  g.splits_into_quadratics):
+                  lambda: factor_degrees(g)):
         with pytest.raises(OverflowError):
             route()
