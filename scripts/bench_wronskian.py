@@ -1,6 +1,7 @@
-"""Record BENCH_wronskian.json: the j-line Wronskian W_x(P), the exact
-Wronskian head, the class polynomials and a cold verify_prime(601), this
-checkout against a baseline checkout of wplus.
+"""Record BENCH_wronskian.json: the j-line Wronskian W_x(P), the lifts and
+their divisor polynomials, the exact and mod-p Wronskian heads, the class
+polynomials and a cold verify_prime(601), this checkout against a baseline
+checkout of wplus.
 
     python scripts/bench_wronskian.py --baseline DIR [--runs 3] [--out BENCH_wronskian.json]
 
@@ -9,10 +10,20 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
 
 - `wx`: `polynomial_wronskian` of the divisor polynomials P_i of the lifts
   at p = 389, 601 and 1009, as `wronskian_divisor_polynomial` forms them.
+- `lifts`: from the good basis at the pivot precision, its reduction mod p,
+  the Miller basis of weight p + 1, the lifts and their divisor polynomials
+  P_i, at p = 389, 601 and 1009, as `extract_Fp` forms them: on residue
+  matrices (`divisor_polynomials`), or one `FpSeries` per form in a
+  checkout that has no such routine.
 - `head`: the exact theta-Wronskian of the head cut of the good basis (each
   f_j cut at q^(c_j + _HEAD_TERMS)) at p = 389, 601 and 1009, as the
   cross-check forms it: by `integer_wronskian`, or by `wronskian` over
   `Fraction` in a checkout that has no integer kernel.
+- `modp_head`: the mod-p theta-Wronskian of the reduced head cut at
+  p = 389, 601 and 1009, as the cross-check forms it: by `modp_wronskian`
+  from the residue matrix of the basis, or by `wronskian` of the reduced
+  head cut over `FpSeries` in a checkout that has no int64 kernel; the
+  reduction is made before the timer starts.
 - `class_poly`: `class_poly(D)` at D = 1556 and 6044, the first call in the
   interpreter, so it includes the j-coefficients it needs.
 - `sweep`: `class_poly` of all 187 discriminants of the primes 5 <= p < 700
@@ -20,9 +31,9 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
 - `verify`: cold `verify_prime(601)` (empty cache), with the report's
   per-stage `timings_ms`.
 
-Both checkouts must give the same P_i and W_x, the same heads, the same
-class polynomials, byte-identical cache files from the sweep, and identical
-reports (timings aside); the script stops otherwise.
+Both checkouts must give the same P_i and W_x, the same lifts, the same
+heads, the same class polynomials, byte-identical cache files from the
+sweep, and identical reports (timings aside); the script stops otherwise.
 """
 
 from __future__ import annotations
@@ -36,11 +47,14 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_fppoly import check_checkout, child, environment, git_commit  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WX_PRIMES = (389, 601, 1009)
+LIFT_PRIMES = (389, 601, 1009)
 HEAD_PRIMES = (389, 601, 1009)
 CLASS_POLY_D = (1556, 6044)
 SWEEP_BELOW = 700
@@ -51,28 +65,47 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _chain_basis(p):
+    """A cold good basis at the pivot precision, as verify_prime builds it."""
+    from wplus.modsym import good_basis
+
+    return good_basis(p, (p + 1) // 6 + 12)
+
+
+def _lifts_and_polys(p, gb):
+    """The lifts of the good basis gb, as rows of residues of q^0 .. q^(P-1),
+    and their divisor polynomials P_i, as extract_Fp forms them: on residue
+    matrices, or, in a checkout without divisor_polynomials, one FpSeries
+    per form and one Level1Context(2d + 4, p) for the P_i."""
+    from wplus import level1, weierstrass
+
+    window = gb.precision
+    miller = level1.miller_basis_mod(p + 1, p, window)
+    divisor_polynomials = getattr(level1, "divisor_polynomials", None)
+    if divisor_polynomials is not None:
+        from wplus.series import residue_matrix
+
+        lifts = np.array([weierstrass.lift_to_level1(f, p, miller)
+                          for f in residue_matrix(gb.forms, p, window)])
+        return lifts, divisor_polynomials(lifts, p + 1, p)
+    d = level1.weight_profile(p + 1).m
+    lifts = [weierstrass.lift_to_level1(f, p, miller[1:]) for f in gb.forms]
+    ctx = level1.Level1Context(2 * d + 4, p=p)
+    polys = [level1.divisor_polynomial(f.truncate(f.valuation + d + 2), ctx)
+             for f in lifts]
+    return [f._window(0, window) for f in lifts], polys
+
+
 def _divisor_polys(p):
     """The P_i of wronskian_divisor_polynomial, from a cold good basis at
     the pivot precision."""
-    from wplus.level1 import Level1Context, divisor_polynomial, weight_profile
-    from wplus.modsym import good_basis
-    from wplus.weierstrass import lift_to_level1
-
-    gb = good_basis(p, (p + 1) // 6 + 12)
-    lifts = [lift_to_level1(f, p) for f in gb.forms]
-    d = weight_profile(p + 1).m
-    ctx = Level1Context(2 * d + 4, p=p)
-    return [divisor_polynomial(f.truncate(f.valuation + d + 2), ctx)
-            for f in lifts]
+    return _lifts_and_polys(p, _chain_basis(p))[1]
 
 
-def _head_cut(p):
-    """The head the cross-check cuts from a cold good basis at the pivot
-    precision."""
-    from wplus.modsym import good_basis
+def _head_cut(gb):
+    """The head the cross-check cuts from the good basis gb."""
     from wplus.weierstrass import _HEAD_TERMS
 
-    gb = good_basis(p, (p + 1) // 6 + 12)
     return [f.truncate(min(c + _HEAD_TERMS, f.precision))
             for f, c in zip(gb.forms, gb.pivots)]
 
@@ -102,10 +135,43 @@ def measure(kind, arg):
             "P_sha256": _sha256(json.dumps(
                 [[int(c) for c in f.coeffs] for f in polys]).encode()),
             "W_x": [int(c) for c in w.coeffs]}}
+    if kind == "lifts":
+        p = int(arg)
+        gb = _chain_basis(p)
+        t0 = time.perf_counter()
+        lifts, polys = _lifts_and_polys(p, gb)
+        wall = time.perf_counter() - t0
+        return {"timings_ms": {"lifts": 1e3 * wall}, "output": {
+            "g": len(polys), "window": gb.precision,
+            "lifts_sha256": _sha256(json.dumps(
+                [[int(c) for c in row] for row in lifts]).encode()),
+            "P_sha256": _sha256(json.dumps(
+                [[int(c) for c in f.coeffs] for f in polys]).encode())}}
+    if kind == "modp_head":
+        from wplus import weierstrass
+
+        p = int(arg)
+        gb = _chain_basis(p)
+        kernel = getattr(weierstrass, "modp_wronskian", None)
+        if kernel is not None:
+            from wplus.series import residue_matrix
+
+            rows = residue_matrix(gb.forms, p, gb.precision)
+            t0 = time.perf_counter()
+            det = kernel(rows, p, weierstrass._HEAD_TERMS)
+        else:
+            head = [f.reduce_mod(p) for f in _head_cut(gb)]
+            t0 = time.perf_counter()
+            det = weierstrass.wronskian(head)[0]
+        wall = time.perf_counter() - t0
+        return {"timings_ms": {"modp_head": 1e3 * wall}, "output": {
+            "g": len(gb.forms), "valuation": det.valuation,
+            "precision": det.precision,
+            "head": [int(c) for c in det.coeffs]}}
     if kind == "head":
         from wplus import weierstrass
 
-        head = _head_cut(int(arg))
+        head = _head_cut(_chain_basis(int(arg)))
         kernel = getattr(weierstrass, "integer_wronskian",
                          lambda forms: weierstrass.wronskian(forms)[0])
         t0 = time.perf_counter()
@@ -160,7 +226,9 @@ def measure(kind, arg):
 def record(baseline, runs):
     sides = {"baseline": Path(baseline).resolve(), "change": ROOT}
     cases = ([(f"wx_{p}", "wx", p) for p in WX_PRIMES]
+             + [(f"lifts_{p}", "lifts", p) for p in LIFT_PRIMES]
              + [(f"head_{p}", "head", p) for p in HEAD_PRIMES]
+             + [(f"modp_head_{p}", "modp_head", p) for p in HEAD_PRIMES]
              + [(f"class_poly_{D}", "class_poly", D) for D in CLASS_POLY_D]
              + [("sweep", "sweep", 0), (f"verify_{VERIFY_P}", "verify",
                                         VERIFY_P)])

@@ -48,6 +48,13 @@ _MATMUL_SLICE_ENTRIES = 2**18
 #: Distinct-degree splitting takes one gcd per block of this many degrees.
 DDF_BLOCK = 8
 
+#: Equal-degree splitting gives up after this many attempts in a row that
+#: split no piece.  For odd p, a random attempt leaves a piece of two or
+#: more degree-d factors unsplit with probability at most 5/9, or draws a
+#: constant with probability at most 1/3, so a genuine input stalls this
+#: long with probability below (8/9)^200 < 10^-10.
+EDF_MAX_STALLS = 200
+
 
 def int64_sums_fit(terms, p):
     """Whether an int64 sum of `terms` products of residues mod p is exact."""
@@ -438,16 +445,26 @@ class FpPoly:
         For random a of degree below n = deg self, a^((p^d - 1)/2) is
         (a a^p ... a^(p^(d-1)))^((p - 1)/2), the a^(p^i) mod g coming from
         frob.  Each a refines every piece still of degree above d by its
-        gcd with a^((p^d - 1)/2) - 1.
+        gcd with a^((p^d - 1)/2) - 1.  ValueError when the input is no such
+        product: a piece whose degree is not a multiple of d, or
+        EDF_MAX_STALLS attempts in a row that split nothing.
         """
         p, n = self.p, self.degree()
+        if n % d:
+            raise ValueError(f"degree {n} is not a multiple of {d}")
         if n == d:
             return [self]
         if p == 2:
             raise ValueError("equal-degree splitting needs an odd p")
         mod_self = _Reducer(self, frob.n)
         done, pieces = [], [self]
+        stalls = 0
         while pieces:
+            if stalls == EDF_MAX_STALLS:
+                raise ValueError(
+                    f"no split in {stalls} attempts: not a product of "
+                    f"degree-{d} irreducibles")
+            stalls += 1
             power = prod = _trim(np.array(
                 [rng.randrange(p) for _ in range(n)], dtype=np.int64))
             if len(prod) < 2:
@@ -459,9 +476,15 @@ class FpPoly:
             unsplit = []
             for u in pieces:
                 w = u.gcd(t)
-                split = [w, u.exact_div(w)] if 0 < w.degree() < u.degree() \
-                    else [u]
+                split = [u]
+                if 0 < w.degree() < u.degree():
+                    split = [w, u.exact_div(w)]
+                    stalls = 0
                 for v in split:
+                    if v.degree() % d:
+                        raise ValueError(
+                            f"a piece of degree {v.degree()} is not a "
+                            f"product of degree-{d} irreducibles")
                     (done if v.degree() == d else unsplit).append(v)
             pieces = unsplit
         return done

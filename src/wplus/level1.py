@@ -6,14 +6,20 @@ the classical machinery that converts a weight-k form f with leading
 coefficient 1 into the polynomial F(f, x) in x = j recording the zeros of f
 away from the elliptic points: f = Delta^{m(k)} * Etilde_k * F(f, j).
 
-Everything runs both over Q (QExpansion) and over F_p (FpSeries); the F_p
-route is what the verification pipeline uses.  It never touches a rational
-number: E_4 = 1 + 240 sum sigma_3(n) q^n and E_6 = 1 - 504 sum sigma_5(n) q^n
-are integral, so their residues come straight from the divisor sums, and
-Delta = (E_4^3 - E_6^2) / 1728 is formed by int64 convolutions mod p, where
-1728 = 2^6 3^3 is a unit for p >= 5.  The same integer formulas, divided
-exactly over Z, give j.  The rational route (eisenstein and delta through
-the Bernoulli numbers) serves the Q-context and the tests.
+The F_p route is what the verification pipeline uses, and it runs on int64
+residue arrays, one row per form, never on one series object per entry or
+on a rational number.  E_4 = 1 + 240 sum sigma_3(n) q^n and
+E_6 = 1 - 504 sum sigma_5(n) q^n are integral, so their residues come
+straight from the divisor sums, and Delta = (E_4^3 - E_6^2) / 1728 is
+formed by int64 convolutions mod p, where 1728 = 2^6 3^3 is a unit for
+p >= 5.  The monomials Delta^i E_4^(a - 3i) E_6^b of weight k are one power
+and then one product by Delta / E_4^3 = 1/j per row; one back-substitution
+turns them into the Miller basis mod p, and peeling them off a matrix of
+forms gives all the divisor polynomials at once (divisor_polynomials).
+The same integer formulas, divided exactly over Z, give j.  The rational
+route (eisenstein and delta through the Bernoulli numbers, QExpansion
+arithmetic, Level1Context) serves divisor polynomials over Q and the
+tests.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClosedFormMismatchError, NonPolynomialQuotientError, PrecisionError
-from .fppoly import FpPoly, convolve_mod
-from .series import FpSeries, QExpansion
+from .fppoly import FpPoly, convolve_mod, int64_sums_fit, inverse_mod_xn
+from .series import FpSeries, QExpansion, residue_matrix
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
 
@@ -100,12 +106,6 @@ def _e4_e6_delta(prec, p=None):
     return e4, e6, diff * pow(1728, -1, p) % p
 
 
-def _level1_mod(prec, p):
-    """E_4, E_6 and Delta reduced mod p, as FpSeries of precision prec."""
-    return tuple(FpSeries(p, c, 0, prec, weight=k)
-                 for c, k in zip(_e4_e6_delta(prec, p), (4, 6, 12)))
-
-
 def j_function(prec):
     """j = E_4^3 / Delta = q^{-1} + 744 + 196884 q + ..., known below q^prec.
 
@@ -160,21 +160,17 @@ def divisor_degree(k):
 
 
 class Level1Context:
-    """Shared level-1 series (E_4, E_6, Delta, j and its powers) at a fixed
-    absolute precision, either over Q (p=None) or over F_p.
+    """Shared level-1 series over Q (E_4, E_6, Delta, j and its powers) at a
+    fixed absolute precision, for divisor polynomials of QExpansion forms.
 
     The j-power cache is what makes repeated divisor extraction cheap.
     """
 
-    def __init__(self, prec, p=None):
-        self.p = p
+    def __init__(self, prec):
         self.prec = prec
-        if p is None:
-            self.e4 = eisenstein(4, prec)
-            self.e6 = eisenstein(6, prec)
-            self.delta = delta(prec)
-        else:
-            self.e4, self.e6, self.delta = _level1_mod(prec, p)
+        self.e4 = eisenstein(4, prec)
+        self.e6 = eisenstein(6, prec)
+        self.delta = delta(prec)
         self._jpow = [self.delta / self.delta]  # exact one, right precision
         self._jpow.append(self.e4 ** 3 / self.delta)
 
@@ -203,31 +199,29 @@ def divisor_polynomial(f, ctx=None):
     leading coefficient 1: the unique polynomial with
     f = Delta^{m} * Etilde * F(f, j).
 
-    For an FpSeries input the result is an FpPoly; for a QExpansion it is a
-    list of Fractions (low degree first).  Extraction peels the top power of
-    j and matches principal parts; any leftover series falsifies the claim
-    that f is a genuine form of its weight and raises
-    NonPolynomialQuotientError.
+    For an FpSeries input (valuation >= 0) the result is an FpPoly, the
+    one-row case of divisor_polynomials; for a QExpansion it is a list of
+    Fractions (low degree first), peeled off the top power of j against the
+    Level1Context ctx.  Any leftover series falsifies the claim that f is a
+    genuine form of its weight and raises NonPolynomialQuotientError.
     """
     k = f.weight
-    profile = weight_profile(k)
-    m = profile.m
+    m = weight_profile(k).m
     if f.is_zero():
         raise ValueError("cannot extract the divisor polynomial of 0")
     if f.precision < f.valuation + m + 2:
         raise PrecisionError(
             f"need precision >= valuation + m(k) + 2 = {f.valuation + m + 2}, "
             f"have {f.precision}")
-    modp = isinstance(f, FpSeries)
-    if ctx is None:
-        ctx = Level1Context(context_precision_for(f.valuation, f.precision, k),
-                            p=f.p if modp else None)
-    lead = f.coefficient(f.valuation)
-    if lead != 1:
+    if f.coefficient(f.valuation) != 1:
         raise ValueError("divisor polynomial expects leading coefficient 1")
+    if isinstance(f, FpSeries):
+        return divisor_polynomials(residue_matrix([f], f.p, f.precision),
+                                   k, f.p)[0]
 
-    denom = ctx.delta ** m * ctx.etilde(k)
-    quotient = f / denom
+    if ctx is None:
+        ctx = Level1Context(context_precision_for(f.valuation, f.precision, k))
+    quotient = f / (ctx.delta ** m * ctx.etilde(k))
     deg = -quotient.valuation
     coeffs = [0] * (deg + 1) if deg >= 0 else []
     residue = quotient
@@ -239,9 +233,52 @@ def divisor_polynomial(f, ctx=None):
     if not residue.is_zero():
         raise NonPolynomialQuotientError(
             f"residual series nonzero at q^{residue.valuation}")
-    if modp:
-        return FpPoly(f.p, coeffs)
     return [Fraction(c) for c in coeffs]
+
+
+def divisor_polynomials(forms, k, p):
+    """Divisor polynomials F(f, x) over F_p of weight-k forms f, given as the
+    rows of an int64 array of the residues of q^0 .. q^(n-1); a list of
+    FpPoly, one per row.
+
+    With D = Delta^m Etilde_k, m = m(k), the monomial D j^t is row m - t of
+    _monomials(k, p, n): it starts with q^(m - t), coefficient 1.  So
+    f = D F(f, j) is peeled in one elimination over all rows at once: step
+    i = 0, ..., m reads the coefficient of q^i of what is left as that of
+    x^(m - i) and subtracts that multiple of monomial row i.  This is the
+    peel of the top power of j from f / D, multiplied through by D, so no
+    series is divided.  A residue left anywhere on the window falsifies
+    that the row is a form of weight k: NonPolynomialQuotientError.
+    PrecisionError unless n >= v + m + 2 for the largest row valuation v;
+    OverflowError, before any arithmetic, when an int64 sum could wrap.
+    """
+    forms = np.asarray(forms, dtype=np.int64)
+    rows, n = forms.shape
+    m = weight_profile(k).m
+    nonzero = forms != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("cannot extract the divisor polynomial of 0")
+    top = int(nonzero.argmax(axis=1).max())
+    if n < top + m + 2:
+        raise PrecisionError(
+            f"need precision >= valuation + m(k) + 2 = {top + m + 2}, "
+            f"have {n}")
+    if not int64_sums_fit(2, p):
+        raise OverflowError(f"modulus {p} too large for int64 row operations")
+    monos = _monomials(k, p, n)
+    residue = forms.copy()
+    coeffs = np.zeros((rows, m + 1), dtype=np.int64)
+    for i in range(m + 1):
+        c = residue[:, i].copy()
+        coeffs[:, m - i] = c
+        residue[:, i:] = (residue[:, i:] - c[:, None] * monos[i, i:]) % p
+    left = residue.any(axis=1)
+    if left.any():
+        row = int(left.argmax())
+        raise NonPolynomialQuotientError(
+            f"row {row}: residual series nonzero at "
+            f"q^{int(residue[row].nonzero()[0][0])}")
+    return [FpPoly(p, c) for c in coeffs]
 
 
 def miller_basis(k, prec):
@@ -276,33 +313,64 @@ def miller_basis(k, prec):
     return basis
 
 
+def _series_power(a, e, p, n):
+    """a^e mod (p, q^n) by square-and-multiply, for residues a (a[0] = 1)."""
+    out = np.zeros(n, dtype=np.int64)
+    out[0] = 1
+    while e:
+        if e & 1:
+            out = convolve_mod(out, a, p, n)
+        e >>= 1
+        if e:
+            a = convolve_mod(a, a, p, n)
+    return out
+
+
+def _monomials(k, p, prec):
+    """Residues mod p of q^0 .. q^(prec-1) of the level-1 monomials
+    Delta^i E_4^(a - 3i) E_6^b of weight k, i = 0, ..., m(k), as the rows of
+    an int64 array; row i is q^i + O(q^(i+1)), and equals D j^(m - i) for
+    D = Delta^m Etilde_k.
+
+    Row 0 is one power E_4^a E_6^b, and row i + 1 is row i times
+    Delta / E_4^3 = 1/j, a series of valuation 1, so each row is one product
+    at the same precision.
+    """
+    m = weight_profile(k).m
+    if m < 0:
+        raise ValueError(f"M_{k} is zero")
+    b = k % 4 // 2
+    e4, e6, dl = _e4_e6_delta(prec, p)
+    e4_cubed = convolve_mod(convolve_mod(e4, e4, p, prec), e4, p, prec)
+    inverse_j = convolve_mod(dl, inverse_mod_xn(e4_cubed, p, prec), p, prec)
+    out = np.empty((m + 1, prec), dtype=np.int64)
+    out[0] = _series_power(e4, (k - 6 * b) // 4, p, prec)
+    if b:
+        out[0] = convolve_mod(out[0], e6, p, prec)
+    for i in range(m):
+        out[i + 1] = convolve_mod(out[i], inverse_j, p, prec)
+    return out
+
+
 def miller_basis_mod(k, p, prec):
-    """Miller basis of M_k reduced mod p, as FpSeries (weight tag k)."""
+    """Miller basis of M_k reduced mod p: an int64 array of shape
+    (d + 1, max(prec, d + 2)), d = m(k), whose row i holds the residues of
+    q^0, q^1, ... of h_i = q^i + O(q^(d+1)).
+
+    The monomial rows (_monomials) are unit upper triangular on the columns
+    0..d, so one back-substitution, from the last row up, clears the
+    columns above the diagonal.  OverflowError, before any arithmetic, when
+    an int64 sum could wrap.
+    """
     if k < 4 or k % 2:
         raise ValueError("need even weight k >= 4")
     d = weight_profile(k).m
-    if prec < d + 2:
-        prec = d + 2
-    e4, e6, dl = _level1_mod(prec, p)
-    dpow = FpSeries.one(p, prec)
-    monos = []
-    for i in range(d + 1):
-        rem = k - 12 * i
-        b = 1 if rem % 4 else 0
-        a = (rem - 6 * b) // 4
-        mono = dpow * e4 ** a
-        if b:
-            mono = mono * e6
-        monos.append(FpSeries(p, mono.coeffs, mono.valuation, mono.precision, k))
-        dpow = dpow * dl
-    basis = [None] * (d + 1)
-    for i in range(d, -1, -1):
-        h = monos[i]
-        for j in range(i + 1, d + 1):
-            c = h.coefficient(j)
-            if c:
-                h = h - basis[j].scale(c)
-        basis[i] = h
+    if not int64_sums_fit(d + 1, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {d + 1} products")
+    basis = _monomials(k, p, max(prec, d + 2))
+    for i in range(d - 1, -1, -1):
+        basis[i] = (basis[i] - basis[i, i + 1:d + 1] @ basis[i + 1:]) % p
     return basis
 
 

@@ -234,16 +234,29 @@ class QExpansion:
         """True iff no coefficient denominator is divisible by p."""
         return all(c.denominator % p != 0 for c in self.coeffs)
 
+    def _residues(self, p, upto):
+        """int64 residues mod p of the coefficients of q^valuation ..
+        q^(upto-1), one inverse per distinct denominator; NotPIntegralError
+        unless they are p-integral."""
+        inverses = {}
+        out = []
+        for n, c in enumerate(self.coeffs[:upto - self.valuation],
+                              start=self.valuation):
+            den = c.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    raise NotPIntegralError(
+                        f"coefficient of q^{n} has denominator divisible "
+                        f"by {p}")
+                inv = inverses[den] = pow(den, -1, p)
+            out.append(c.numerator * inv % p)
+        return np.array(out, dtype=np.int64)
+
     def reduce_mod(self, p):
         """Reduce to an FpSeries; requires p-integral coefficients."""
-        out = np.zeros(len(self.coeffs), dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if c.denominator % p == 0:
-                raise NotPIntegralError(
-                    f"coefficient of q^{self.valuation + i} has denominator "
-                    f"divisible by {p}")
-            out[i] = c.numerator * pow(c.denominator, -1, p) % p
-        return FpSeries(p, out, self.valuation, self.precision, self.weight)
+        return FpSeries(p, self._residues(p, self.precision), self.valuation,
+                        self.precision, self.weight)
 
     def __repr__(self):
         terms = []
@@ -431,6 +444,30 @@ class FpSeries:
                 terms.append(f"{c}*q^{n}")
         body = " + ".join(terms) if terms else "0"
         return f"FpSeries(p={self.p}, {body} + O(q^{self.precision}))"
+
+
+def residue_matrix(forms, p, prec):
+    """Residues mod p of the coefficients of q^0 .. q^(prec-1) of series of
+    valuation >= 0, one int64 row per series.  A QExpansion is reduced
+    first (NotPIntegralError unless it is p-integral); PrecisionError when a
+    series is not known below q^prec.
+    """
+    out = np.zeros((len(forms), prec), dtype=np.int64)
+    for row, f in zip(out, forms):
+        if f.valuation < 0:
+            raise ValueError("residue rows start at q^0")
+        if f.precision < prec:
+            raise PrecisionError(
+                f"series known below q^{f.precision}, need q^{prec}")
+        if f.valuation >= prec:
+            continue
+        if isinstance(f, QExpansion):
+            row[f.valuation:] = f._residues(p, prec)
+        elif f.p == p:
+            row[f.valuation:] = f.coeffs[:prec - f.valuation]
+        else:
+            raise ValueError(f"modulus mismatch: {f.p} vs {p}")
+    return out
 
 
 def series_arith(a, b, op):

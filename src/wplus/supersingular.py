@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .errors import (BoundExceededError, PrecisionExhaustedError,
-                     SplitDegreeMismatchError)
-from .fppoly import FpPoly
+from .errors import (BoundExceededError, InexactDivisionError,
+                     PrecisionExhaustedError, SplitDegreeMismatchError)
+from .fppoly import FpPoly, int64_sums_fit
 from .level1 import divisor_polynomial, j_function, weight_profile
 from .series import FpSeries
 
@@ -77,7 +77,7 @@ def factor_degrees(f):
             for _, d in g.distinct_degree()}
 
 
-def ss_polys(p, e_pm1=None, ctx=None):
+def ss_polys(p, e_pm1=None):
     """Supersingular split of the prime p >= 5.
 
     e_pm1 is the reduction of E_{p-1} mod p (built internally if omitted);
@@ -90,7 +90,7 @@ def ss_polys(p, e_pm1=None, ctx=None):
     m = weight_profile(p - 1).m
     if e_pm1 is None:
         e_pm1 = eisenstein_pm1_mod_p(p, m + 4)
-    s_tilde = divisor_polynomial(e_pm1, ctx)
+    s_tilde = divisor_polynomial(e_pm1)
     alpha_rho = 1 if p % 3 == 2 else 0
     alpha_i = 1 if p % 4 == 3 else 0
     s_p = s_tilde
@@ -201,19 +201,33 @@ def ss_oracle(p, bound=ORACLE_BOUND):
 
 
 def _lagrange_interpolate(xs, ys, p):
-    """Interpolating polynomial through (xs[i], ys[i]) over F_p."""
+    """Interpolating polynomial through (xs[i], ys[i]) over F_p, for
+    distinct xs.
+
+    The master polynomial M = prod (x - x_k) is formed once.  The numerator
+    M / (x - x_i) of each Lagrange basis polynomial is one exact synthetic
+    division of M, run for all i at once, and its value at x_i is the
+    denominator.
+    """
     n = len(xs)
-    out = FpPoly.zero(p)
-    for i in range(n):
-        num = FpPoly.one(p)
-        den = 1
-        for k in range(n):
-            if k == i:
-                continue
-            num = num * FpPoly.linear(p, xs[k])
-            den = den * (xs[i] - xs[k]) % p
-        out = out + num * (ys[i] * pow(den, -1, p) % p)
-    return out
+    if not int64_sums_fit(n, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {n} products")
+    x = np.array(xs, dtype=np.int64) % p
+    master = FpPoly.from_roots(p, xs).coeffs
+    # nums[i] = M / (x - x_i), low degree first; M is monic
+    nums = np.zeros((n, n), dtype=np.int64)
+    nums[:, n - 1] = 1
+    for k in range(n - 1, 0, -1):
+        nums[:, k - 1] = (master[k] + x * nums[:, k]) % p
+    if ((master[0] + x * nums[:, 0]) % p).any():
+        raise InexactDivisionError("an interpolation node is no root of M")
+    dens = np.zeros(n, dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        dens = (dens * x + nums[:, k]) % p
+    weights = np.array([y * pow(int(d), -1, p) % p
+                        for y, d in zip(ys, dens)], dtype=np.int64)
+    return FpPoly(p, weights @ nums % p)
 
 
 # -- class polynomials ---------------------------------------------------------

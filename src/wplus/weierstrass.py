@@ -1,19 +1,24 @@
 """Wronskians, level-1 lifts, and the mod-p divisor polynomial of the
 Weierstrass points of the Atkin-Lehner quotient curve.
 
-The chain: lift each good-basis form f_i to a weight-(p+1) level-1 cusp form
-b_i = Delta^d Etilde P_i(j) mod p at the precision of the basis; read the
-divisor polynomial of the theta-Wronskian W of the lifts (weight g(g+p))
-off the Wronskian W_x(P) of the P_i on the j-line, computed by evaluation
-at roots of unity in F_{p^2}, one batched elimination and interpolation;
-take the square-case correction; divide out the elliptic-point and
-linear-supersingular factors exactly; the remaining polynomial H_1 must be
-a perfect square H^2, and
+The chain runs on int64 residue matrices, one row per form: reduce the good
+basis mod p at its precision; lift each form f_i to a weight-(p+1) level-1
+cusp form b_i = Delta^d Etilde P_i(j) mod p, one product of its
+coefficients with the Miller cusp basis; peel all divisor polynomials P_i
+off the lifts in one elimination; read the divisor polynomial of the theta-Wronskian W of the
+lifts (weight g(g+p)) off the Wronskian W_x(P) of the P_i on the j-line,
+computed by evaluation at roots of unity in F_{p^2}, one batched
+elimination and interpolation; take the square-case correction; divide out
+the elliptic-point and linear-supersingular factors exactly; the remaining
+polynomial H_1 must be a perfect square H^2, and
 
     F_p(x) = S_q(x)^{g^2 - g} * H(x)^2  (mod p).
 
-Every division is checked exact and every forced parity is checked even;
-any failure is a falsifier, not an input error.
+The cross-check compares the lifts with the reduced forms, and an exact
+head of the Wronskian, by Bareiss elimination over Z[q]/(q^K), with the
+mod-p head, by Gaussian elimination over F_p[q]/(q^K).  Every division is
+checked exact and every forced parity is checked even; any failure is a
+falsifier, not an input error.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ import numpy as np
 from .errors import (ConsistencyError, InexactDivisionError, NoLiftError,
                      OddMultiplicityError, ParityViolationError,
                      PrecisionError, ZeroWronskianError)
-from .fppoly import Fp2, FpPoly, int64_sums_fit, legendre
-from .level1 import (Level1Context, divisor_degree, divisor_polynomial,
-                     gp_exponents, gp_poly, miller_basis_mod,
-                     square_divisor_exponents, weight_profile)
+from .fppoly import Fp2, FpPoly, int64_sums_fit, inverse_mod_xn, legendre
+# divisor_polynomial stays importable from this module
+from .level1 import (divisor_degree, divisor_polynomial,  # noqa: F401
+                     divisor_polynomials, gp_exponents, gp_poly,
+                     miller_basis_mod, square_divisor_exponents,
+                     weight_profile)
 from .report import VerificationReport
-from .series import FpSeries, QExpansion
+from .series import FpSeries, QExpansion, residue_matrix
 
 
 def theta(f):
@@ -77,7 +84,9 @@ def wronskian(forms):
 
     The derivative rows use theta = q d/dq, which absorbs the 2*pi*i powers
     of the analytic Wronskian; for forms f_j = q^{c_j} + ... the leading
-    coefficient is the Vandermonde determinant of the c_j.
+    coefficient is the Vandermonde determinant of the c_j.  The chain forms
+    its Wronskian heads by the array kernels integer_wronskian and
+    modp_wronskian; this series route serves the tests as their oracle.
     """
     g = len(forms)
     if g == 0:
@@ -99,31 +108,34 @@ def vandermonde(pivots):
     return v
 
 
-def lift_to_level1(f, p, miller_cusp=None):
-    """Weight-(p+1) level-1 cusp form congruent to f mod p.
+def lift_to_level1(forms, p, miller=None):
+    """Weight-(p+1) level-1 cusp forms congruent mod p to weight-2 forms of
+    level p.
 
-    f is a weight-2 level-p form reduced mod p; the lift is read off the
-    reduced echelon Miller cusp basis at the pivot coefficients, and the
-    residual must vanish through the whole shared precision (it always
-    does, the lift exists for every p-integral weight-2 form).
+    forms holds the residues of q^0 .. q^(n-1) of one reduced form, or of
+    several, one per row (residue_matrix); miller is
+    miller_basis_mod(p + 1, p, n), built when None.  The lift of f is
+    sum_t a_t(f) h_t over the Miller cusp rows h_1 .. h_d, so the lifts are
+    the one product F[..., 1:d+1] @ M[1:] mod p, on the window the two
+    share.  It must equal the forms there (it always does: every p-integral
+    weight-2 form of level p is congruent to a level-1 form of weight
+    p + 1), else NoLiftError.  Returns the lifts' residues on that window.
     """
-    if isinstance(f, QExpansion):
-        f = f.reduce_mod(p)
-    if miller_cusp is None:
-        miller_cusp = miller_basis_mod(p + 1, p, f.precision)[1:]
-    prec = min(f.precision, min(h.precision for h in miller_cusp))
-    if prec < len(miller_cusp) + 2:
+    if miller is None:
+        miller = miller_basis_mod(p + 1, p, forms.shape[-1])
+    d = len(miller) - 1
+    n = min(forms.shape[-1], miller.shape[1])
+    if n < d + 2:
         raise PrecisionError(
-            f"shared precision {prec} cannot determine a weight-{p + 1} lift")
-    lift = FpSeries.zero(p, prec, weight=p + 1)
-    for t, h in enumerate(miller_cusp, start=1):
-        c = f.coefficient(t)
-        if c:
-            lift = lift + h.truncate(prec).scale(c)
-    if not lift.agrees_with(f, upto=prec):
+            f"shared precision {n} cannot determine a weight-{p + 1} lift")
+    if not int64_sums_fit(d, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {d} products")
+    lifts = forms[..., 1:d + 1] @ miller[1:, :n] % p
+    if not np.array_equal(lifts, forms[..., :n]):
         raise NoLiftError(
             f"no weight-{p + 1} level-1 lift mod {p}: residual nonzero")
-    return lift
+    return lifts
 
 
 #: evaluation points per block in polynomial_wronskian: a block holds g^2
@@ -213,8 +225,9 @@ def wronskian_divisor_polynomial(lifts, p):
     """Divisor polynomial F(W, x) of the theta-Wronskian W of weight-(p+1)
     level-1 lifts mod p, and the leading coefficient of W, on the j-line.
 
-    Each lift is b_i = E P_i(j) with E = Delta^d Etilde, Etilde = E_4^a E_6^b
-    of weight p + 1, and P_i = F(b_i, x).  Since W(h f) = h^g W(f), and by
+    The lifts are rows of residues, as lift_to_level1 returns them.  Each
+    lift is b_i = E P_i(j) with E = Delta^d Etilde, Etilde = E_4^a E_6^b of
+    weight p + 1, and P_i = F(b_i, x).  Since W(h f) = h^g W(f), and by
     the chain rule with theta j = -E_4^2 E_6 / Delta,
     W = (-1)^(g(g-1)/2) Delta^e E_4^A E_6^B W_x(P)(j) with A = g a + g(g-1)
     and B = g b + g(g-1)/2.  Writing E_4^A E_6^B as
@@ -224,11 +237,8 @@ def wronskian_divisor_polynomial(lifts, p):
     coefficient of W is (-1)^(g(g-1)/2) times that of W_x(P).
     """
     g = len(lifts)
-    profile = weight_profile(p + 1)
-    d, (a, b) = profile.m, profile.etilde_exponents
-    ctx = Level1Context(2 * d + 4, p=p)
-    wx = polynomial_wronskian([divisor_polynomial(f.truncate(f.valuation + d + 2),
-                                                  ctx) for f in lifts])
+    a, b = weight_profile(p + 1).etilde_exponents
+    wx = polynomial_wronskian(divisor_polynomials(lifts, p + 1, p))
     half = g * (g - 1) // 2
     a_w, b_w = weight_profile(g * (g + p)).etilde_exponents
     s = (g * a + 2 * half - a_w) // 3
@@ -377,6 +387,62 @@ def integer_wronskian(forms):
                       forms[0].level)
 
 
+def _product_mod(a, b, p):
+    """Products in F_p[q]/(q^K), K the length of the last axis, over the
+    broadcast leading axes of the int64 residue arrays a and b: coefficient
+    n is one sum of n + 1 products, which the caller bounds."""
+    terms = a.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for n in range(terms):
+        out[..., n] = (a[..., :n + 1] * b[..., n::-1]).sum(axis=-1)
+    return out % p
+
+
+def modp_wronskian(forms, p, terms):
+    """Theta-Wronskian det[theta^i f_j] mod p of the series f_j whose
+    residues of q^0 .. q^(n-1) are the rows of forms, through relative
+    precision K = min(terms, n - max c_j), c_j = ord f_j, as an FpSeries of
+    valuation sum c_j; by Gaussian elimination over F_p[q]/(q^K) on a
+    (g, g, K) int64 array.
+
+    theta^i (q^c u) = q^c (theta + c)^i u, so entry (i, j) is
+    (theta + c_j)^i u_j, with u_j = f_j / q^(c_j) cut to K terms.  Its
+    constant terms are c_j^i lead(f_j), so the leading k x k minors of the
+    constant terms are V(c_0, ..., c_(k-1)) prod lead(f_j): units when the
+    c_j are distinct mod p, and no pivot search is needed.  Each pivot is
+    inverted mod q^K (inverse_mod_xn), and one with constant term 0 raises
+    ConsistencyError.  OverflowError, before any arithmetic, when an int64
+    sum could wrap.
+    """
+    g, n = forms.shape
+    nonzero = forms != 0
+    if not nonzero.any(axis=1).all():
+        raise ZeroWronskianError("a form vanishes on its window")
+    vals = nonzero.argmax(axis=1)
+    terms = min(terms, n - int(vals.max()))
+    if not int64_sums_fit(terms + 1, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {terms + 1} products")
+    exps = vals[:, None] + np.arange(terms)
+    mat = np.empty((g, g, terms), dtype=np.int64)
+    mat[0] = np.take_along_axis(forms, exps, axis=1)
+    for i in range(1, g):
+        mat[i] = mat[i - 1] * (exps % p) % p
+    det = None
+    for k in range(g):
+        piv = mat[k, k]
+        if piv[0] == 0:
+            raise ConsistencyError(f"mod-{p} pivot {k} has constant term 0")
+        det = piv if det is None else _product_mod(det, piv, p)
+        if k + 1 < g:
+            factor = _product_mod(mat[k + 1:, k],
+                                  inverse_mod_xn(piv, p, terms), p)
+            mat[k + 1:, k + 1:] = (mat[k + 1:, k + 1:] - _product_mod(
+                factor[:, None], mat[k, k + 1:], p)) % p
+    val = int(vals.sum())
+    return FpSeries(p, det, val, val + terms)
+
+
 #: relative precision K of the exact Wronskian head: each basis form f_j is
 #: cut at q^(c_j + K), which fixes the exact determinant below q^(sum c + K);
 #: integer_wronskian eliminates over Z[q]/(q^K)
@@ -387,37 +453,42 @@ def cross_check_wronskian_congruence(basis, lifts, p):
     """Check the lifts against the reduced basis forms, and an exact head of
     the rational Wronskian against the mod-p one.
 
-    Each lift b_j must agree with the reduction of f_j coefficientwise
-    through the window they share (the basis precision, in extract_Fp).
-    Reduction Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with
-    theta, and a coefficient of det[theta^i f_j] below q^(sum c + K) sums
-    products of a_j(n_j) with c_j <= n_j < c_j + K; so on a window of at
-    least max c + K, below q^(sum c + K), the reduction of the exact
-    Wronskian of the p-integral basis forms is the Wronskian of the reduced
-    forms and that of the lifts.
+    Each lift b_j (a row of residues, as lift_to_level1 returns them) must
+    agree with the reduction of f_j coefficientwise through the window they
+    share (the basis precision, in extract_Fp).  Reduction
+    Z_(p)[[q]] -> F_p[[q]] is a ring map that commutes with theta, and a
+    coefficient of det[theta^i f_j] below q^(sum c + K) sums products of
+    a_j(n_j) with c_j <= n_j < c_j + K; so on a window of at least
+    max c + K, below q^(sum c + K), the reduction of the exact Wronskian of
+    the p-integral basis forms is the Wronskian of the reduced forms and
+    that of the lifts.
 
     The exact Wronskian is formed on a head only: each f_j is cut at
     q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
     q^(sum c + K).  It is computed on integers (integer_wronskian): with
     each column scaled to Z[q] and q^(c_j) taken out, Bareiss's elimination
-    over Z[q]/(q^K) checks every division exact.  The one mod-p Wronskian is
-    that of the reduced head cut, by Gaussian elimination over F_p, so the
-    two heads share no arithmetic.  The leading coefficients of both must be
-    the Vandermonde determinant V of the pivots, V must be a p-unit (so the
-    normalized Wronskian det / V is p-integral whenever the basis is), and
-    the exact head must reduce to the mod-p one.
+    over Z[q]/(q^K) on the binomial rows checks every division exact.  The
+    one mod-p Wronskian is that of the reduced forms to the same relative
+    precision, by Gaussian elimination over F_p[q]/(q^K) on the power rows
+    (modp_wronskian), so the two heads share no arithmetic.  The leading
+    coefficients of both must be the Vandermonde determinant V of the
+    pivots, V must be a p-unit (so the normalized Wronskian det / V is
+    p-integral whenever the basis is), and the exact head must reduce to
+    the mod-p one.
 
     Returns (ok, exact head of the Wronskian, V).
     """
     forms = basis.forms
     v = vandermonde(basis.pivots)
-    lifts_ok = len(lifts) == len(forms) and all(
-        b.agrees_with(f.reduce_mod(p)) for f, b in zip(forms, lifts))
-    head = [f.truncate(min(c + _HEAD_TERMS, f.precision))
-            for f, c in zip(forms, basis.pivots)]
-    det = integer_wronskian(head)
+    reduced = residue_matrix(forms, p, basis.precision)
+    n = min(reduced.shape[1], lifts.shape[1])
+    lifts_ok = len(lifts) == len(forms) and np.array_equal(
+        lifts[:, :n], reduced[:, :n])
+    det = integer_wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
+                             for f, c in zip(forms, basis.pivots)])
     lead = det.coefficient(det.valuation)
-    red_det, red_lead = wronskian([f.reduce_mod(p) for f in head])
+    red_det = modp_wronskian(reduced, p, _HEAD_TERMS)
+    red_lead = red_det.coefficient(red_det.valuation)
     ok = (v % p != 0 and lead == v and red_lead == v % p and lifts_ok
           and det.reduce_mod(p).agrees_with(red_det))
     return ok, det, v
@@ -432,8 +503,8 @@ def extract_Fp(p, basis, split, rng=None):
 
     P = (p + 1)//6 + 12, as verify_prime builds it, holds all the chain
     reads.  The head: c_j <= (p + 1)/6 by the Sturm bound (sturm_pivots), so
-    c_j + K <= P.  The lifts: the divisor polynomials read c_j + m(p+1) + 2
-    terms of each.  w_p swaps the cusps, so q is a local parameter at
+    c_j + K <= P.  The lifts: the divisor polynomials need c_j + m(p+1) + 2
+    terms of each, and are peeled off the whole window.  w_p swaps the cusps, so q is a local parameter at
     infinity on X_0^+(p) and the c_j are gaps there: c_j <= 2g - 1 <=
     g(X_0(p)) <= (p + 1)/12 by Riemann-Hurwitz, and m(p+1) <= (p + 1)/12, so
     c_j + m(p+1) + 2 <= (p + 1)//6 + 2 < P.  p-integrality is decided
@@ -478,10 +549,12 @@ def extract_Fp(p, basis, split, rng=None):
             f"basis precision {window} < max(c) + {_HEAD_TERMS} = "
             f"{max(basis.pivots) + _HEAD_TERMS}")
 
-    # lifts to level 1 mod p at the basis precision, and the divisor
+    # lifts to level 1 mod p at the basis precision, one lift_to_level1
+    # product per form against one Miller basis, and the divisor
     # polynomial of their theta-Wronskian, normalized monic
-    miller_cusp = miller_basis_mod(p + 1, p, window)[1:]
-    lifts = [lift_to_level1(f, p, miller_cusp) for f in basis.forms]
+    miller = miller_basis_mod(p + 1, p, window)
+    lifts = np.array([lift_to_level1(f, p, miller)
+                      for f in residue_matrix(basis.forms, p, window)])
     fw, lead = wronskian_divisor_polynomial(lifts, p)
     v = vandermonde(basis.pivots)
     report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)

@@ -31,14 +31,21 @@ def distinct_degree(f):
     return out
 
 
+#: attempts in a row that split nothing before equal_degree gives up
+MAX_STALLS = 200
+
+
 def equal_degree(f, d, rng):
     """Cantor-Zassenhaus split of a monic squarefree product of degree-d
-    irreducibles (p odd)."""
+    irreducibles (p odd).  ValueError when f is no such product: its degree
+    is not a multiple of d, or MAX_STALLS attempts split nothing."""
     p = f.p
+    if f.degree() % d:
+        raise ValueError(f"degree {f.degree()} is not a multiple of {d}")
     if f.degree() == d:
         return [f]
     exp = (p ** d - 1) // 2
-    while True:
+    for _ in range(MAX_STALLS):
         a = FpPoly(p, [rng.randrange(p) for _ in range(f.degree())])
         if a.degree() < 1:
             continue
@@ -48,6 +55,8 @@ def equal_degree(f, d, rng):
             if not 0 < g.degree() < f.degree():
                 continue
         return equal_degree(g, d, rng) + equal_degree(f.exact_div(g), d, rng)
+    raise ValueError(f"no split in {MAX_STALLS} attempts: not a product of "
+                     f"degree-{d} irreducibles")
 
 
 def factor(f, rng=None):

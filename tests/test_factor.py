@@ -154,3 +154,38 @@ def test_frobenius_refuses_moduli_beyond_float64():
                   lambda: factor_degrees(g)):
         with pytest.raises(OverflowError):
             route()
+
+
+@pytest.mark.parametrize("p", [5, 67, 389])
+def test_equal_degree_refuses_products_of_other_degrees(p):
+    # four linear factors passed as degree-2 pieces: a^((p^2 - 1)/2) = 1 at
+    # every root where a is nonzero, so an attempt splits off only roots of
+    # a, a piece of odd degree, or nothing; before the degree check and the
+    # stall bound this looped forever
+    rng = random.Random(p)
+    linears = FpPoly.from_roots(p, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="degree"):
+        linears._equal_degree(2, Frobenius(linears), rng)
+    with pytest.raises(ValueError, match="degree"):
+        factor_oracle.equal_degree(linears, 2, rng)
+    # a degree that 2 does not divide, and a linear piece split off a
+    # linear times a cubic irreducible
+    for f in (FpPoly.from_roots(p, [1, 2, 3]),
+              FpPoly.linear(p, 1) * _irreducible(rng, p, 3)):
+        with pytest.raises(ValueError, match="degree"):
+            f._equal_degree(2, Frobenius(f), rng)
+        with pytest.raises(ValueError, match="degree"):
+            factor_oracle.equal_degree(f, 2, rng)
+
+
+def test_equal_degree_stall_bound(monkeypatch):
+    # at p = 389 an attempt hits a root of a with probability about 1/100,
+    # so three attempts in a row split nothing
+    from wplus import fppoly
+    monkeypatch.setattr(fppoly, "EDF_MAX_STALLS", 3)
+    monkeypatch.setattr(factor_oracle, "MAX_STALLS", 3)
+    linears = FpPoly.from_roots(389, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="no split in 3 attempts"):
+        linears._equal_degree(2, Frobenius(linears), random.Random(0))
+    with pytest.raises(ValueError, match="no split in 3 attempts"):
+        factor_oracle.equal_degree(linears, 2, random.Random(0))

@@ -3,14 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from wplus.errors import ClosedFormMismatchError, NonPolynomialQuotientError
-from wplus.fppoly import FpPoly
-from wplus.level1 import (Level1Context, bernoulli, cp_factor, delta,
-                          divisor_polynomial, eisenstein, gp_exponents,
-                          gp_poly, j_function,
-                          miller_basis, miller_basis_mod, sigma_table,
+import numpy as np
+
+from level1_oracle import (series_divisor_polynomial, series_lift,
+                           series_miller_basis)
+from wplus.errors import (ClosedFormMismatchError, NoLiftError,
+                          NonPolynomialQuotientError, PrecisionError)
+from wplus.fppoly import FpPoly, is_prime
+from wplus.level1 import (_e4_e6_delta, bernoulli, cp_factor, delta,
+                          divisor_polynomial, divisor_polynomials, eisenstein,
+                          gp_exponents, gp_poly, j_function, miller_basis,
+                          miller_basis_mod, sigma_table,
                           square_divisor_relation, weight_profile)
-from wplus.series import FpSeries
+from wplus.modsym import good_basis
+from wplus.series import FpSeries, residue_matrix
+from wplus.weierstrass import lift_to_level1
 
 KNOWN_BERNOULLI = {
     0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6), 4: Fraction(-1, 30),
@@ -81,11 +88,11 @@ def test_level1_mod_p_matches_oracles():
     jacobi = _jacobi_delta(prec)
     e4, e6 = eisenstein(4, prec), eisenstein(6, prec)
     for p in (5, 7, 11, 13, 67, 389):
-        ctx = Level1Context(prec, p)
-        assert ctx.delta.weight == 12 and ctx.delta.precision == prec
-        assert ctx.delta.coefficients(prec) == [c % p for c in jacobi]
-        assert ctx.e4 == e4.reduce_mod(p)
-        assert ctx.e6 == e6.reduce_mod(p)
+        e4_p, e6_p, delta_p = _e4_e6_delta(prec, p)
+        assert delta_p.dtype == np.int64 and len(delta_p) == prec
+        assert delta_p.tolist() == [c % p for c in jacobi]
+        assert np.array_equal(residue_matrix([e4, e6], p, prec),
+                              [e4_p, e6_p])
 
 
 def test_weight_profile():
@@ -176,8 +183,105 @@ def test_miller_basis_mod_matches_rational():
     p = 67
     basis_q = miller_basis(68, 10)
     basis_p = miller_basis_mod(68, p, 10)
-    for hq, hp in zip(basis_q, basis_p):
-        assert hq.reduce_mod(p).agrees_with(hp)
+    assert basis_p.shape == (6, 10)
+    assert np.array_equal(residue_matrix(basis_q, p, 10), basis_p)
+
+
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_miller_matrix_at_weight_p_plus_1_matches_rational(p):
+    # the weight the chain lifts to, against the rational echelon basis
+    # (integral and unimodular, so it reduces mod every p) and the series
+    # route; the window is the one the chain builds at p
+    d = weight_profile(p + 1).m
+    prec = (p + 1) // 6 + 12
+    basis_p = miller_basis_mod(p + 1, p, prec)
+    assert basis_p.shape == (d + 1, prec)
+    assert np.array_equal(basis_p[:, :d + 1], np.eye(d + 1, dtype=np.int64))
+    rational = miller_basis(p + 1, d + 6)
+    assert np.array_equal(residue_matrix(rational, p, d + 6),
+                          basis_p[:, :d + 6])
+    assert np.array_equal(
+        residue_matrix(series_miller_basis(p + 1, p, prec), p, prec), basis_p)
+
+
+def test_miller_basis_mod_short_window_and_bad_weights():
+    # a window below d + 2 is widened to d + 2, as the series route does
+    assert miller_basis_mod(68, 67, 3).shape == (6, 7)
+    for k in (2, 3, 69):
+        with pytest.raises(ValueError):
+            miller_basis_mod(k, 67, 10)
+
+
+def _chain_lifts(p):
+    """The good basis at the pivot precision, reduced, and its lifts."""
+    gb = good_basis(p, (p + 1) // 6 + 12)
+    forms = residue_matrix(gb.forms, p, gb.precision)
+    return gb, forms, lift_to_level1(forms, p)
+
+
+def _assert_lifts_and_polys_match_series_route(p):
+    gb, forms, lifts = _chain_lifts(p)
+    cusp = series_miller_basis(p + 1, p, gb.precision)[1:]
+    series = [series_lift(f, p, cusp) for f in gb.forms]
+    assert np.array_equal(residue_matrix(series, p, gb.precision), lifts)
+    d = weight_profile(p + 1).m
+    polys = divisor_polynomials(lifts, p + 1, p)
+    assert polys == [series_divisor_polynomial(b.truncate(c + d + 2))
+                     for b, c in zip(series, gb.pivots)]
+    assert [f.degree() for f in polys] == [d - c for c in gb.pivots]
+
+
+@pytest.mark.parametrize("p", [67, 199, 389]
+                         + [pytest.param(p, marks=pytest.mark.slow)
+                            for p in (601, 1009)])
+def test_array_lifts_and_divisor_polynomials_match_series_route(p):
+    _assert_lifts_and_polys_match_series_route(p)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 140) if is_prime(p)])
+def test_divisor_polynomial_one_row_matches_series_route(p):
+    # the supersingular route: E_(p-1) = 1 mod p at weight p - 1, and a
+    # Miller form of weight p + 1 with a nonzero constant term
+    m = weight_profile(p - 1).m
+    one = FpSeries.one(p, m + 4, weight=p - 1)
+    assert divisor_polynomial(one) == series_divisor_polynomial(one)
+    h0 = FpSeries(p, miller_basis_mod(p + 1, p, 0)[0], 0,
+                  weight_profile(p + 1).m + 2, weight=p + 1)
+    assert divisor_polynomial(h0) == series_divisor_polynomial(h0)
+
+
+def test_divisor_polynomials_refuse_non_forms():
+    p = 199
+    gb, forms, lifts = _chain_lifts(p)
+    bad = lifts.copy()
+    bad[1, gb.precision - 1] = (bad[1, gb.precision - 1] + 1) % p
+    with pytest.raises(NonPolynomialQuotientError, match="row 1"):
+        divisor_polynomials(bad, p + 1, p)
+    with pytest.raises(NonPolynomialQuotientError):
+        series_divisor_polynomial(FpSeries(p, bad[1], 0, gb.precision,
+                                           weight=p + 1))
+    # a window too short for the largest valuation, and a zero row
+    top = max(gb.pivots)
+    d = weight_profile(p + 1).m
+    with pytest.raises(PrecisionError):
+        divisor_polynomials(lifts[:, :top + d + 1], p + 1, p)
+    assert divisor_polynomials(lifts[:, :top + d + 2], p + 1, p) \
+        == divisor_polynomials(lifts, p + 1, p)
+    with pytest.raises(ValueError):
+        divisor_polynomials(np.zeros((1, 40), dtype=np.int64), p + 1, p)
+
+
+def test_lifts_refuse_a_non_form():
+    # bare q + q^2 is no weight-2 form of level 199, and its lift differs
+    # from it on the window
+    p = 199
+    row = np.zeros((1, 30), dtype=np.int64)
+    row[0, 1:3] = 1
+    with pytest.raises(NoLiftError):
+        lift_to_level1(row, p)
+    with pytest.raises(NoLiftError):
+        series_lift(FpSeries(p, row[0], 0, 30, weight=2), p,
+                    series_miller_basis(p + 1, p, 30)[1:])
 
 
 def test_cp_factor_cases():

@@ -28,6 +28,17 @@ def test_bench_wronskian_head():
     assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
 
 
+def test_bench_wronskian_lifts():
+    out = _run("bench_wronskian.py", "lifts", 67)["output"]
+    assert (out["g"], out["window"]) == (2, 23)
+
+
+def test_bench_wronskian_modp_head():
+    out = _run("bench_wronskian.py", "modp_head", 67)["output"]
+    assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
+    assert out["head"][:6] == [c % 67 for c in (1, -2, -6, 6, 15, 8)]
+
+
 def test_bench_basis_basis():
     out = _run("bench_basis.py", "basis", 67)["output"]
     assert out["g"] == 2 and out["pivots"] == [1, 2]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wplus.errors import NotPIntegralError, PrecisionError
-from wplus.series import FpSeries, QExpansion, series_arith
+from wplus.series import FpSeries, QExpansion, residue_matrix, series_arith
 
 # the basis expansions printed for X_0^+(67), through q^8
 F1_67 = {1: 1, 3: -3, 4: -3, 5: -3, 6: 1, 7: 4, 8: 3}
@@ -139,6 +139,26 @@ def test_reduce_mod_requires_p_integrality():
     bad = qexp({0: Fraction(1, 67)}, 2)
     with pytest.raises(NotPIntegralError):
         bad.reduce_mod(67)
+
+
+def test_residue_matrix_rows():
+    # one row per series from q^0, QExpansion rows reduced, zero rows zero
+    p = 67
+    f = qexp({1: Fraction(1, 2), 3: Fraction(-5, 3), 9: 4}, 10)
+    g = FpSeries(p, [7, 0, 66, 0], 2, 6)
+    zero = QExpansion.zero(10)
+    rows = residue_matrix([f, g, zero], p, 6)
+    assert rows.dtype.kind == "i" and rows.shape == (3, 6)
+    assert rows[0].tolist() == [0, f.reduce_mod(p).coefficient(1), 0,
+                                f.reduce_mod(p).coefficient(3), 0, 0]
+    assert rows[1].tolist() == [0, 0, 7, 0, 66, 0]
+    assert not rows[2].any()
+    with pytest.raises(PrecisionError):
+        residue_matrix([g], p, 7)
+    with pytest.raises(NotPIntegralError):
+        residue_matrix([qexp({2: Fraction(1, 67)}, 5)], p, 5)
+    with pytest.raises(ValueError):
+        residue_matrix([FpSeries(p, [1, 0, 0, 0], -1, 3)], p, 3)
 
 
 def test_theta_basics():

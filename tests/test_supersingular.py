@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from wplus import supersingular
 from wplus.errors import BoundExceededError
-from wplus.fppoly import FpPoly
+from wplus.fppoly import FpPoly, is_prime
 from wplus.modsym import ModSymSpace
 from wplus.supersingular import (ClassPolyData, class_number, class_poly,
                                  eisenstein_pm1_mod_p, fixed_point_poly,
@@ -56,6 +59,46 @@ def test_e_pm1_reduction_matches_true_eisenstein():
 def test_oracle_equivalence_spot():
     for p in (5, 13, 37, 67, 101, 103):
         assert ss_oracle(p) == ss_polys(p).S_p
+
+
+def _lagrange_by_products(xs, ys, p):
+    """Lagrange interpolation with each basis polynomial built from its
+    n - 1 linear factors, as ss_oracle interpolated before the master
+    polynomial; an oracle for supersingular._lagrange_interpolate."""
+    out = FpPoly.zero(p)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        num = FpPoly.one(p)
+        den = 1
+        for k, xk in enumerate(xs):
+            if k != i:
+                num = num * FpPoly.linear(p, xk)
+                den = den * (xi - xk) % p
+        out = out + num * (yi * pow(den, -1, p) % p)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 67, 389])
+def test_lagrange_interpolation_hits_random_data(p):
+    rng = random.Random(p)
+    for n in (n for n in (1, 2, 3, 5, 20, 60) if n <= p):
+        xs = rng.sample(range(p), n)
+        ys = [rng.randrange(p) for _ in xs]
+        f = supersingular._lagrange_interpolate(xs, ys, p)
+        assert f.degree() < n
+        assert [f.evaluate(x) for x in xs] == ys
+        assert f == _lagrange_by_products(xs, ys, p)
+
+
+def test_ss_oracle_unchanged_by_master_polynomial(monkeypatch):
+    # every prime the oracle covers, against the product interpolation
+    for p in [p for p in range(5, supersingular.ORACLE_BOUND + 1)
+              if is_prime(p)]:
+        fast = ss_oracle(p)
+        with monkeypatch.context() as m:
+            m.setattr(supersingular, "_lagrange_interpolate",
+                      _lagrange_by_products)
+            assert ss_oracle(p) == fast
+        assert fast == ss_polys(p).S_p
 
 
 def test_oracle_bound():

@@ -1,22 +1,24 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
                           OddMultiplicityError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
-from wplus.level1 import divisor_degree, divisor_polynomial, miller_basis_mod
+from wplus.level1 import divisor_degree, divisor_polynomials, miller_basis_mod
 from wplus.modsym import GoodBasis, good_basis
-from wplus.series import FpSeries, QExpansion
+from wplus.series import FpSeries, QExpansion, residue_matrix
 from wplus.supersingular import ss_polys
 from wplus.weierstrass import (_HEAD_TERMS, _series_head,
                                cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp,
                                integer_wronskian, lift_to_level1,
-                               polynomial_wronskian, theta, vandermonde,
-                               wronskian, wronskian_divisor_polynomial)
+                               modp_wronskian, polynomial_wronskian, theta,
+                               vandermonde, wronskian,
+                               wronskian_divisor_polynomial)
 from wronskian_oracle import (fraction_wronskian_head,
                               qseries_wronskian_divisor_polynomial,
                               series_polynomial_wronskian)
@@ -38,7 +40,7 @@ def _old_window_basis(p):
 
 
 def _lifts(p, gb):
-    return [lift_to_level1(f, p) for f in gb.forms]
+    return lift_to_level1(residue_matrix(gb.forms, p, gb.precision), p)
 
 
 @pytest.fixture(scope="module")
@@ -89,33 +91,35 @@ def test_wronskian_67_printed(basis67):
 
 
 def test_lift_67_residual(basis67):
-    lift = lift_to_level1(basis67.forms[0], 67)
-    assert lift.weight == 68
-    assert lift.agrees_with(basis67.forms[0].reduce_mod(67))
+    forms = residue_matrix(basis67.forms, 67, basis67.precision)
+    lifts = lift_to_level1(forms[:1], 67)
+    assert lifts.shape == (1, basis67.precision)
+    assert np.array_equal(lifts, forms[:1])
 
 
 def test_lift_of_miller_element_is_itself():
     p = 67
-    cusp = miller_basis_mod(p + 1, p, 20)[1:]
-    target = cusp[2]
-    as_weight2 = FpSeries(p, target.coeffs, target.valuation,
-                          target.precision, weight=2)
-    lift = lift_to_level1(as_weight2, p, cusp)
-    assert lift.agrees_with(target)
+    miller = miller_basis_mod(p + 1, p, 20)
+    assert np.array_equal(lift_to_level1(miller[3:4], p, miller), miller[3:4])
+    # the window is the one the forms and the Miller basis share
+    assert lift_to_level1(miller[1:, :12], p, miller).shape == (5, 12)
 
 
 def test_lift_rejects_non_p_integral():
     f = QExpansion.from_dict({1: Fraction(1, 67)}, 10, weight=2, level=67)
     with pytest.raises(NotPIntegralError):
-        lift_to_level1(f, 67)
+        lift_to_level1(residue_matrix([f], 67, 10), 67)
 
 
 def test_lift_no_solution_raises():
     p = 67
-    cusp = miller_basis_mod(p + 1, p, 20)[1:]
-    fake = FpSeries(p, [1] + [0] * 17, 1, 19, weight=2)  # bare q is no form
+    miller = miller_basis_mod(p + 1, p, 20)
+    fake = np.zeros((1, 19), dtype=np.int64)
+    fake[0, 1] = 1  # bare q is no form
     with pytest.raises(NoLiftError):
-        lift_to_level1(fake, p, cusp)
+        lift_to_level1(fake, p, miller)
+    with pytest.raises(PrecisionError):
+        lift_to_level1(miller[1:, :6], p, miller)
 
 
 def test_elliptic_exponents_67():
@@ -208,10 +212,9 @@ def test_cross_check_sensitivity(basis67):
     ok, _, v = cross_check_wronskian_congruence(short, lifts, p)
     assert ok and v == 1
     # perturbing one coefficient of b_1 must break the congruence
-    bad = FpSeries(p, lifts[0].coeffs.copy(), lifts[0].valuation,
-                   lifts[0].precision, lifts[0].weight)
-    bad.coeffs[3] = (bad.coeffs[3] + 1) % p
-    ok_bad, _, _ = cross_check_wronskian_congruence(short, [bad, lifts[1]], p)
+    bad = lifts.copy()
+    bad[0, 4] = (bad[0, 4] + 1) % p
+    ok_bad, _, _ = cross_check_wronskian_congruence(short, bad, p)
     assert not ok_bad
 
 
@@ -247,53 +250,55 @@ def test_cross_check_catches_lift_error_past_head(past_head):
     assert cross_check_wronskian_congruence(gb, lifts, p)[0]
     n = max(gb.pivots) + _HEAD_TERMS + past_head
     assert n < gb.precision
-    b = lifts[-1]
-    bad = FpSeries(p, b.coeffs.copy(), b.valuation, b.precision, b.weight)
-    bad.coeffs[n - b.valuation] = (bad.coeffs[n - b.valuation] + 1) % p
-    ok_bad, _, _ = cross_check_wronskian_congruence(
-        gb, lifts[:-1] + [bad], p)
+    bad = lifts.copy()
+    bad[-1, n] = (bad[-1, n] + 1) % p
+    ok_bad, _, _ = cross_check_wronskian_congruence(gb, bad, p)
     assert not ok_bad
 
 
 def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
     # the lifts are compared with the forms, not through Wronskians on the
-    # window: the only mod-p Wronskian is that of the reduced head cut
+    # window: the only mod-p Wronskian is the int64 head of the reduced
+    # forms, of relative precision K, and no series elimination runs
     import wplus.weierstrass as ws
     p = 389
     gb = _chain_basis(p)
     lifts = _lifts(p, gb)
-    full = ws.wronskian
-    lengths = []
+    full = ws.modp_wronskian
+    heads = []
 
-    def recording(forms):
-        if isinstance(forms[0], FpSeries):
-            lengths.append(max(f.precision for f in forms))
-        return full(forms)
+    def recording(forms, p, terms):
+        det = full(forms, p, terms)
+        heads.append((terms, det.precision - det.valuation))
+        return det
 
-    monkeypatch.setattr(ws, "wronskian", recording)
+    def refuse(*args):
+        raise AssertionError("series elimination in the cross-check")
+
+    monkeypatch.setattr(ws, "modp_wronskian", recording)
+    monkeypatch.setattr(ws, "series_matrix_determinant", refuse)
     ok, _, _ = cross_check_wronskian_congruence(gb, lifts, p)
     assert ok
-    assert len(lengths) == 1
-    assert lengths[0] <= max(gb.pivots) + _HEAD_TERMS
+    assert heads == [(_HEAD_TERMS, _HEAD_TERMS)]
 
 
 def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
                                                         monkeypatch):
     # the reduction of the exact head must equal the mod-p Wronskian of the
-    # reduced head cut; a mod-p determinant wrong past its lead is refused
+    # reduced head; a mod-p determinant wrong past its lead is refused
     import wplus.weierstrass as ws
     p = 67
     lifts = _lifts(p, basis67)
-    full = ws.wronskian
+    full = ws.modp_wronskian
 
-    def off(forms):
-        det, lead = full(forms)
-        if isinstance(det, FpSeries):
-            det = FpSeries(p, det.coeffs.copy(), det.valuation, det.precision)
-            det.coeffs[1] = (det.coeffs[1] + 1) % p
-        return det, lead
+    def off(forms, p, terms):
+        det = full(forms, p, terms)
+        coeffs = det.coeffs.copy()
+        coeffs[1] = (coeffs[1] + 1) % p
+        return FpSeries(p, coeffs, det.valuation, det.precision)
 
-    monkeypatch.setattr(ws, "wronskian", off)
+    assert cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)[0]
+    monkeypatch.setattr(ws, "modp_wronskian", off)
     ok, _, _ = cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)
     assert not ok
 
@@ -404,6 +409,67 @@ def test_integer_wronskian_refuses_zero_pivot(valuations):
         integer_wronskian(forms)
 
 
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_modp_head_matches_series_wronskian_of_head_cut(p):
+    # the int64 elimination against Gaussian elimination over FpSeries
+    gb = _chain_basis(p)
+    det = modp_wronskian(residue_matrix(gb.forms, p, gb.precision), p,
+                         _HEAD_TERMS)
+    series, lead = wronskian([f.reduce_mod(p) for f in _head_cut(gb)])
+    assert (det.valuation, det.precision) == (series.valuation,
+                                              series.precision)
+    assert det.agrees_with(series)
+    assert lead == vandermonde(gb.pivots) % p
+
+
+def _random_rows(rng, g, p, width):
+    """g rows of residues with distinct valuations below 3g and random
+    units after them."""
+    rows = np.zeros((g, width), dtype=np.int64)
+    for row, c in zip(rows, sorted(rng.sample(range(3 * g), g))):
+        row[c] = rng.randrange(1, p)
+        row[c + 1:] = [rng.randrange(p) for _ in range(width - c - 1)]
+    return rows
+
+
+@pytest.mark.parametrize("p, g", [(67, 20), (389, 24), (2003, 30)])
+def test_modp_head_random_rows_match_series_wronskian(p, g):
+    rng = random.Random(p + g)
+    for terms in (1, 5, _HEAD_TERMS):
+        rows = _random_rows(rng, g, p, 3 * g + terms + 3)
+        det = modp_wronskian(rows, p, terms)
+        forms = [FpSeries(p, row, 0, rows.shape[1]) for row in rows]
+        vals = [f.valuation for f in forms]
+        cut = [f.truncate(c + terms) for f, c in zip(forms, vals)]
+        series, _ = wronskian(cut)
+        assert det.valuation == series.valuation == sum(vals)
+        assert det.precision == series.precision == sum(vals) + terms
+        assert det.agrees_with(series)
+
+
+@pytest.mark.parametrize("p, valuations", [(67, (1, 1)), (67, (1, 2, 2)),
+                                           (7, (1, 3, 8))])
+def test_modp_head_refuses_zero_pivot(p, valuations):
+    # equal valuations, or valuations equal mod p, make a leading minor of
+    # the constant terms vanish mod p
+    rows = np.zeros((len(valuations), 12), dtype=np.int64)
+    for n, (row, c) in enumerate(zip(rows, valuations), start=1):
+        row[c:] = [(n * i + 1) % p for i in range(12 - c)]
+    with pytest.raises(ConsistencyError, match="constant term 0"):
+        modp_wronskian(rows, p, 3)
+
+
+def test_modp_head_refuses_int64_overflow_and_zero_form():
+    p = next(n for n in range(2**31 + 1, 2**31 + 1000) if is_prime(n))
+    rows = np.zeros((2, 6), dtype=np.int64)
+    rows[0, 1] = rows[1, 2] = 1
+    with pytest.raises(OverflowError):
+        modp_wronskian(rows, p, 3)
+    rows[1] = 0
+    with pytest.raises(ZeroWronskianError):
+        modp_wronskian(rows, 67, 3)
+
+
 def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
     # the mod-p chain after the basis, the exact head included, multiplies
     # and divides no rational q-expansion
@@ -416,6 +482,21 @@ def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__"):
         monkeypatch.setattr(QExpansion, name, refuse)
     assert extract_Fp(p, gb, split).status == "ok"
+
+
+def test_chain_uses_no_fp_series_arithmetic(monkeypatch):
+    # the Miller basis, the lifts, the P_i, S_tilde and the mod-p head run
+    # on residue arrays: no FpSeries product, quotient, sum or theta
+    p = 389
+    gb = _chain_basis(p)
+
+    def refuse(*args):
+        raise AssertionError("FpSeries arithmetic in the chain")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__add__", "__sub__",
+                 "scale", "theta"):
+        monkeypatch.setattr(FpSeries, name, refuse)
+    assert extract_Fp(p, gb, ss_polys(p)).status == "ok"
 
 
 def test_non_integral_basis_reports_not_good(basis67):
@@ -471,9 +552,7 @@ def test_polynomial_wronskian_small_cases(monkeypatch):
 def test_polynomial_wronskian_matches_series_oracle(p):
     # the chain's P_i: at 389 the element of order N = 260 lies outside F_p
     gb = _chain_basis(p)
-    d = divisor_degree(p + 1)
-    polys = [divisor_polynomial(b.truncate(c + d + 2))
-             for b, c in zip(_lifts(p, gb), gb.pivots)]
+    polys = divisor_polynomials(_lifts(p, gb), p + 1, p)
     assert polynomial_wronskian(polys) == series_polynomial_wronskian(polys)
 
 
@@ -572,9 +651,7 @@ def test_polynomial_wronskian_pointwise(p):
     # shares no code with series_matrix_determinant; deg W_x < p here, so
     # the values fix the polynomial
     gb = _chain_basis(p)
-    d = divisor_degree(p + 1)
-    polys = [divisor_polynomial(b.truncate(c + d + 2))
-             for b, c in zip(_lifts(p, gb), gb.pivots)]
+    polys = divisor_polynomials(_lifts(p, gb), p + 1, p)
     w = [int(c) for c in polynomial_wronskian(polys).coeffs]
     assert 0 <= len(w) - 1 < p
     rows = [[[int(c) for c in f.coeffs] for f in polys]]

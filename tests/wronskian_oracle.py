@@ -6,18 +6,20 @@ Wronskian head, kept as an oracle for its integer kernel.
 
 The q-series route builds the good basis at sum(c) + m(k_W) + 2, a longer
 window than the chain's (p + 1)//6 + 12; the lifts b_i are read off the
-Miller cusp basis at that precision, and their theta-Wronskian W
-(weight k_W = g(g + p), valuation sum(c)) is then known far enough for
-divisor_polynomial to peel off F(W, x), of degree m(k_W) - sum(c), against
-a level-1 context of the same length.
+Miller cusp basis at that precision, one FpSeries per form
+(`level1_oracle`), and their theta-Wronskian W (weight k_W = g(g + p),
+valuation sum(c)) is then known far enough for the series peel of
+`level1_oracle` to take off F(W, x), of degree m(k_W) - sum(c).
 """
 
+from level1_oracle import (series_divisor_polynomial, series_lift,
+                           series_miller_basis)
 from wplus.errors import PrecisionError
 from wplus.fppoly import FpPoly
-from wplus.level1 import divisor_degree, divisor_polynomial
+from wplus.level1 import divisor_degree
 from wplus.modsym import good_basis
 from wplus.series import FpSeries
-from wplus.weierstrass import _HEAD_TERMS, lift_to_level1, wronskian
+from wplus.weierstrass import _HEAD_TERMS, wronskian
 
 
 def qseries_wronskian_divisor_polynomial(p, basis):
@@ -25,9 +27,10 @@ def qseries_wronskian_divisor_polynomial(p, basis):
     basis of S_2^+(p) with g >= 2 (built again here at the window it needs)."""
     g = basis.g
     prec = sum(basis.pivots) + divisor_degree(g * (g + p)) + 2
-    lifts = [lift_to_level1(f, p) for f in good_basis(p, prec).forms]
+    cusp = series_miller_basis(p + 1, p, prec)[1:]
+    lifts = [series_lift(f, p, cusp) for f in good_basis(p, prec).forms]
     det, lead = wronskian(lifts)
-    return divisor_polynomial(det.scale(pow(lead, -1, p))), lead
+    return series_divisor_polynomial(det.scale(pow(lead, -1, p))), lead
 
 
 def series_polynomial_wronskian(polys):
