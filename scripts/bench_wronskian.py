@@ -17,8 +17,10 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
   checkout that has no such routine.
 - `head`: the exact theta-Wronskian of the head cut of the good basis (each
   f_j cut at q^(c_j + _HEAD_TERMS)) at p = 389, 601 and 1009, as the
-  cross-check forms it: by `integer_wronskian`, or by `wronskian` over
-  `Fraction` in a checkout that has no integer kernel.
+  cross-check forms it: by `integer_wronskian` on the numerator rows and
+  denominators of the basis, or on its forms in a checkout whose basis
+  holds `QExpansion`s, or by `wronskian` over `Fraction` in a checkout that
+  has no integer kernel.
 - `modp_head`: the mod-p theta-Wronskian of the reduced head cut at
   p = 389, 601 and 1009, as the cross-check forms it: by `modp_wronskian`
   from the residue matrix of the basis, or by `wronskian` of the reduced
@@ -85,8 +87,10 @@ def _lifts_and_polys(p, gb):
     if divisor_polynomials is not None:
         from wplus.series import residue_matrix
 
+        rows = (residue_matrix(gb.num, p, window, gb.den)
+                if hasattr(gb, "num") else residue_matrix(gb.forms, p, window))
         lifts = np.array([weierstrass.lift_to_level1(f, p, miller)
-                          for f in residue_matrix(gb.forms, p, window)])
+                          for f in rows])
         return lifts, divisor_polynomials(lifts, p + 1, p)
     d = level1.weight_profile(p + 1).m
     lifts = [weierstrass.lift_to_level1(f, p, miller[1:]) for f in gb.forms]
@@ -156,7 +160,9 @@ def measure(kind, arg):
         if kernel is not None:
             from wplus.series import residue_matrix
 
-            rows = residue_matrix(gb.forms, p, gb.precision)
+            rows = (residue_matrix(gb.num, p, gb.precision, gb.den)
+                    if hasattr(gb, "num")
+                    else residue_matrix(gb.forms, p, gb.precision))
             t0 = time.perf_counter()
             det = kernel(rows, p, weierstrass._HEAD_TERMS)
         else:
@@ -165,20 +171,37 @@ def measure(kind, arg):
             det = weierstrass.wronskian(head)[0]
         wall = time.perf_counter() - t0
         return {"timings_ms": {"modp_head": 1e3 * wall}, "output": {
-            "g": len(gb.forms), "valuation": det.valuation,
+            "g": gb.g, "valuation": det.valuation,
             "precision": det.precision,
             "head": [int(c) for c in det.coeffs]}}
     if kind == "head":
         from wplus import weierstrass
 
-        head = _head_cut(_chain_basis(int(arg)))
-        kernel = getattr(weierstrass, "integer_wronskian",
-                         lambda forms: weierstrass.wronskian(forms)[0])
+        gb = _chain_basis(int(arg))
+        if hasattr(gb, "num"):
+            cuts = np.array(gb.pivots)[:, None] + np.arange(
+                weierstrass._HEAD_TERMS)
+            args = (np.take_along_axis(gb.num, cuts, axis=1), gb.den,
+                    gb.pivots)
+            kernel = weierstrass.integer_wronskian
+        else:
+            args = (_head_cut(gb),)
+            kernel = getattr(weierstrass, "integer_wronskian",
+                             lambda forms: weierstrass.wronskian(forms)[0])
         t0 = time.perf_counter()
-        det = kernel(head)
+        det = kernel(*args)
         wall = time.perf_counter() - t0
+        if hasattr(det, "den"):
+            from fractions import Fraction
+
+            from wplus.series import QExpansion
+
+            g = gb.g
+            det = QExpansion([Fraction(int(c), det.den) for c in det.num],
+                             det.valuation, det.precision,
+                             2 * g + g * (g - 1), gb.p)
         return {"timings_ms": {"head": 1e3 * wall}, "output": {
-            "g": len(head), "valuation": det.valuation,
+            "g": gb.g, "valuation": det.valuation,
             "precision": det.precision, "weight": det.weight,
             "head_sha256": _sha256(json.dumps(
                 [str(c) for c in det.coeffs]).encode())}}

@@ -152,13 +152,13 @@ def main(argv=None):
         cache = DiskCache(cfg.cache_dir) if cfg.use_cache else NullCache()
         prec = args.prec or (args.p + 1) // 6 + 10
         gb = good_basis(args.p, prec, cache=cache)
-        from .weierstrass import _series_head
+        from .weierstrass import basis_heads
         print(f"p = {args.p}: genus of X_0(p) = {gb.genus_x0}, "
               f"quotient genus = {gb.g}")
         print(f"pivots: {gb.pivots}, wt(infinity) = {gb.wt_infinity()}, "
               f"p-integral: {gb.p_integral}")
-        for i, f in enumerate(gb.forms):
-            print(f"  f_{i + 1} = " + _series_head(f, 10))
+        for i, head in enumerate(basis_heads(gb, 10)):
+            print(f"  f_{i + 1} = " + head)
         return 0
 
     parser.error("unknown command")

@@ -3,8 +3,9 @@
 Small matrices over Q are lists of Fraction lists, reduced by plain Gaussian
 elimination.  The Manin-relation matrix gets a sparse routine on dicts,
 whose entries stay Python ints while every pivot is a unit.  Integer
-matrices are numpy arrays: ``exact_matmul`` multiplies them in int64 when a
-bound proves that nothing overflows and in Python ints otherwise, pivots
+matrices are numpy arrays: ``exact_matmul`` multiplies them in float64
+through BLAS or in int64 when a bound proves every partial sum exact there,
+and in Python ints otherwise, pivots
 are searched modulo the word-size prime ``PIVOT_PRIME`` in int64 or, as the
 exact oracle, by fraction-free elimination, and the inverse is
 fraction-free.
@@ -24,6 +25,9 @@ _ONE = Fraction(1)
 #: residues fits in int64
 PIVOT_PRIME = 2 ** 31 - 1
 _INT64_SAFE = 2 ** 62
+#: below this bound every integer, and so every partial sum of a product of
+#: integer matrices, is a float64 exactly, whatever the order of summation
+_FLOAT64_EXACT = 2 ** 53
 
 
 def mat_copy(a):
@@ -119,12 +123,25 @@ def _abs_max(a):
 def exact_matmul(a, b):
     """a @ b for integer arrays (int64 or Python-int object arrays), exactly.
 
-    In int64 when max|a| * max|b| * inner < 2^62, which bounds every partial
-    sum; in Python ints otherwise."""
+    The bound max|a| * max|b| * inner bounds every partial sum.  Below 2^53
+    the product runs in float64 through BLAS and comes back as int64; below
+    2^62 in int64; in Python ints otherwise."""
     a, b = np.asarray(a), np.asarray(b)
-    if _abs_max(a) * _abs_max(b) * a.shape[-1] < _INT64_SAFE:
+    bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
+    if bound < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)
+
+
+def exact_scale(a, k):
+    """k a for an integer array a and an integer k, exactly: in int64 when
+    |k| max|a| < 2^62, in Python ints otherwise."""
+    a = np.asarray(a)
+    if abs(k) * _abs_max(a) < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) * k
+    return a.astype(object) * k
 
 
 def pivot_columns_mod(a):

@@ -18,7 +18,9 @@ to the quotient curve.  M+ is free of rank one over the Hecke algebra, so
 for a cyclic vector x of M+ each coordinate i gives a form
 sum_n (T_n x)_i q^n of S_2^+(p), and these span it.  The unique reduced
 echelon basis of the rows ((T_n x)_i)_{n < prec} is the good basis, with
-pivots c_1 < ... < c_g.
+pivots c_1 < ... < c_g.  It is held on integers: a g x P numerator matrix
+and one least denominator D_i per form, taken from K x span and the column
+denominators of the Krylov vectors (see GoodBasis).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,6 @@ from .errors import PrecisionError, WplusError
 from .fppoly import is_prime
 from .series import QExpansion
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: payload version of cached good bases; any other version is a miss
@@ -397,23 +398,45 @@ class GoodBasis:
     and the pivot columns form an identity block (when the pivots are
     consecutive this is the classical f_i = q^{c_i} + O(q^{c_g+1})).
     verify_prime builds it, and the chain reads it, at the one precision
-    (p + 1)//6 + 12 (see extract_Fp)."""
+    (p + 1)//6 + 12 (see extract_Fp).
+
+    The coefficient of q^n in f_i is num[i, n] / den[i] for n < precision:
+    num is a g x precision integer matrix (int64, or Python ints where
+    int64 could overflow) and den[i] > 0 the least common denominator of
+    f_i there, so f_i is p-integral exactly when p does not divide den[i].
+    ``forms`` views the rows as QExpansions, for display and tests only."""
 
     p: int
     g: int
     genus_x0: int
-    forms: list        # QExpansion, weight 2, level p
+    num: np.ndarray    # g x precision numerators, column n is q^n
+    den: list          # D_1, ..., D_g
     pivots: list       # c_1 < ... < c_g
     p_integral: bool
 
     @property
     def precision(self):
-        return self.forms[0].precision if self.forms else 0
+        return self.num.shape[1]
+
+    @functools.cached_property
+    def forms(self):
+        """The forms as QExpansions over Fraction, built on first use."""
+        return [QExpansion([Fraction(int(c), d) for c in row], 0,
+                           self.precision, weight=2, level=self.p)
+                for row, d in zip(self.num, self.den)]
 
     def wt_infinity(self):
         """Weierstrass weight of the cusp at infinity on the quotient curve:
         sum (c_j - j); zero exactly when the pivots are 1..g."""
         return sum(c - (j + 1) for j, c in enumerate(self.pivots))
+
+
+def _least_denominators(num, den):
+    """(num, den) with each row i and den[i] divided by their gcd, so that
+    den[i] is the least common denominator of the row num[i] / den[i]."""
+    common = [gcd(d, *row) for row, d in zip(num.tolist(), den)]
+    num = num // np.array(common, dtype=num.dtype)[:, None]
+    return num, [d // c for d, c in zip(den, common)]
 
 
 def wt_infinity(basis):
@@ -536,7 +559,8 @@ class BasisComputer:
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
-            return GoodBasis(self.p, 0, self.space.genus, [], [], True)
+            return GoodBasis(self.p, 0, self.space.genus,
+                             np.zeros((0, 0), dtype=np.int64), [], [], True)
         pivots = self._pivots
         if pivots[-1] >= prec - 1:
             if prec <= (self.p + 1) // 6 + 1:
@@ -547,23 +571,27 @@ class BasisComputer:
         self._extend(prec)
         cols = np.array(self._cols[:prec - 1]).T   # dim x (prec-1)
         span = cols[self.rows]
-        # rref = diag(d_P) B^{-1} span diag(1/d_n), B = span[:, pivots]
+        # K span = k B^{-1} span for the pivot block B = span[:, pivots]
         k = self._k
         red = linalg.exact_matmul(self._kinv, span)
         # every coordinate is the same combination of the rows, at every n
         if not np.array_equal(linalg.exact_matmul(cols[:, pivots], red),
-                              k * cols.astype(object)):
+                              linalg.exact_scale(cols, k)):
             raise WplusError("a Hecke operator left the w_p = +1 space")
-        dens = self._dens
-        forms = []
-        for i, c in enumerate(pivots):
-            coeffs = [Fraction(dens[c] * int(v), k * dens[n])
-                      for n, v in enumerate(red[i])]
-            forms.append(QExpansion([_ZERO] + coeffs, 0, prec,
-                                    weight=2, level=self.p))
-        p_integral = all(f.is_p_integral(self.p) for f in forms)
-        return GoodBasis(self.p, self.g, self.space.genus, forms,
-                         [c + 1 for c in pivots], p_integral)
+        # column n holds d_n T_{n+1} x, so f_i = sum_n d_(c_i) red[i, n]
+        # q^(n+1) / (k d_n): over the common denominator k L, L = lcm d_n
+        dens = self._dens[:prec - 1]
+        big = lcm(*dens)
+        if big > 1:
+            red = red.astype(object) * np.array(
+                [[dens[c] * (big // d) for d in dens] for c in pivots],
+                dtype=object)
+        num = np.zeros((self.g, prec), dtype=red.dtype)
+        num[:, 1:] = red
+        num, den = _least_denominators(num, [k * big] * self.g)
+        return GoodBasis(self.p, self.g, self.space.genus, num, den,
+                         [c + 1 for c in pivots],
+                         all(d % self.p for d in den))
 
 
 def _plus_dimension(space, w):
@@ -617,6 +645,18 @@ def good_basis(p, prec, cache=None):
     return gb
 
 
+def _ratio(n, d):
+    """n / d in lowest terms as "n/d", d > 0, as Fraction writes it."""
+    c = gcd(n, d)
+    return f"{n // c}/{d // c}"
+
+
+def _parse_ratio(s):
+    """(n, d) of a string "n/d" or "n"."""
+    n, _, d = s.partition("/")
+    return int(n), int(d or 1)
+
+
 def _basis_to_payload(gb):
     return {
         "version": _PAYLOAD_VERSION,
@@ -624,10 +664,10 @@ def _basis_to_payload(gb):
         "g": gb.g,
         "genus_x0": gb.genus_x0,
         "pivots": list(gb.pivots),
-        "precision": gb.precision if gb.forms else 0,
+        "precision": gb.precision,
         "p_integral": gb.p_integral,
-        "coefficients": [[f"{c.numerator}/{c.denominator}" for c in f.coefficients(f.precision)]
-                         for f in gb.forms],
+        "coefficients": [[_ratio(n, d) for n in row]
+                         for row, d in zip(gb.num.tolist(), gb.den)],
     }
 
 
@@ -636,15 +676,34 @@ def _basis_from_payload(payload, prec):
     have the identity block at the pivots and their p-integrality, over
     the stored precision, is the stored ``p_integral``."""
     p, pivots = payload["p"], payload["pivots"]
-    rows = [[Fraction(s) for s in coeffs] for coeffs in payload["coefficients"]]
-    if len(rows) != len(pivots) or any(
-            row[c] != (i == j) for i, row in enumerate(rows)
-            for j, c in enumerate(pivots)):
+    rows, dens = [], []
+    for strings in payload["coefficients"]:
+        pairs = [_parse_ratio(s) for s in strings]
+        d = lcm(*(b for _, b in pairs))
+        if d == 0:
+            return None
+        rows.append([a * (d // b) for a, b in pairs])
+        dens.append(d)
+    if len(rows) != len(pivots):
         return None
-    p_integral = all(x.denominator % p for row in rows for x in row)
+    num, den = _least_denominators(_integer_matrix(rows), dens)
+    if any(num[i, c] != den[i] * (i == j) for i in range(len(rows))
+           for j, c in enumerate(pivots)):
+        return None
+    p_integral = all(d % p for d in den)
     if p_integral != payload["p_integral"]:
         return None
-    forms = [QExpansion(row[:prec], 0, prec, weight=2, level=p)
-             for row in rows]
-    return GoodBasis(p, payload["g"], payload["genus_x0"], forms,
+    num, den = _least_denominators(num[:, :prec], den)
+    return GoodBasis(p, payload["g"], payload["genus_x0"], num, den,
                      list(pivots), p_integral)
+
+
+def _integer_matrix(rows):
+    """Equal-length rows of Python ints as an int64 matrix, or as an object
+    one where an entry does not fit int64."""
+    if not rows:
+        return np.zeros((0, 0), dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)

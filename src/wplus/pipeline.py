@@ -14,7 +14,7 @@ from .modsym import good_basis
 from .report import VerificationReport
 from .supersingular import (ORACLE_BOUND, ss_oracle, ss_polys,
                             verify_fixedlinear)
-from .weierstrass import extract_Fp
+from .weierstrass import basis_heads, extract_Fp
 
 #: checks that are observational (reported, never flip the status)
 OBSERVATIONAL_CHECKS = {"gcd_H_Sp_is_1"}
@@ -83,7 +83,7 @@ def verify_prime(p, config=None, basis_only=False):
         report.epsilon_i = chain.epsilon_i
         report.wronskian_head = chain.wronskian_head
         report.h_factorization = chain.h_factorization
-        report.basis_heads = [_head(f) for f in gb.forms]
+        report.basis_heads = basis_heads(gb)
 
         if chain.status == "not_good_basis" or not gb.p_integral:
             report.status = "not_good_basis"
@@ -101,11 +101,6 @@ def verify_prime(p, config=None, basis_only=False):
         report.error = f"{type(exc).__name__}: {exc}"
     report.timings_ms["total"] = 1e3 * (time.perf_counter() - t_start)
     return report
-
-
-def _head(form, nterms=8):
-    from .weierstrass import _series_head
-    return _series_head(form, nterms)
 
 
 def _scan_worker(args):

@@ -2,30 +2,33 @@
 Weierstrass points of the Atkin-Lehner quotient curve.
 
 The chain runs on int64 residue matrices, one row per form: reduce the good
-basis mod p at its precision; lift each form f_i to a weight-(p+1) level-1
-cusp form b_i = Delta^d Etilde P_i(j) mod p, one product of its
-coefficients with the Miller cusp basis; peel all divisor polynomials P_i
-off the lifts in one elimination; read the divisor polynomial of the theta-Wronskian W of the
-lifts (weight g(g+p)) off the Wronskian W_x(P) of the P_i on the j-line,
-computed by evaluation at roots of unity in F_{p^2}, one batched
-elimination and interpolation; take the square-case correction; divide out
-the elliptic-point and linear-supersingular factors exactly; the remaining
-polynomial H_1 must be a perfect square H^2, and
+basis mod p at its precision, from its integer numerator rows with one
+modular inverse of each form's denominator; lift each form f_i to a
+weight-(p+1) level-1 cusp form b_i = Delta^d Etilde P_i(j) mod p, one
+product of its coefficients with the Miller cusp basis; peel all divisor
+polynomials P_i off the lifts in one elimination; read the divisor
+polynomial of the theta-Wronskian W of the lifts (weight g(g+p)) off the
+Wronskian W_x(P) of the P_i on the j-line, computed by evaluation at roots
+of unity in F_{p^2}, one batched elimination and interpolation; take the
+square-case correction; divide out the elliptic-point and
+linear-supersingular factors exactly; the remaining polynomial H_1 must be
+a perfect square H^2, and
 
     F_p(x) = S_q(x)^{g^2 - g} * H(x)^2  (mod p).
 
 The cross-check compares the lifts with the reduced forms, and an exact
-head of the Wronskian, by Bareiss elimination over Z[q]/(q^K), with the
-mod-p head, by Gaussian elimination over F_p[q]/(q^K).  Every division is
-checked exact and every forced parity is checked even; any failure is a
-falsifier, not an input error.
+head of the Wronskian, by Bareiss elimination over Z[q]/(q^K) on the
+numerator rows with their denominators D_j, with the mod-p head, by
+Gaussian elimination over F_p[q]/(q^K).  The exact head stays on integers
+over one denominator (ExactHead), and the report prints it from them.
+Every division is checked exact and every forced parity is checked even;
+any failure is a falsifier, not an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .level1 import (divisor_degree, divisor_polynomial,  # noqa: F401
                      miller_basis_mod, square_divisor_exponents,
                      weight_profile)
 from .report import VerificationReport
-from .series import FpSeries, QExpansion, residue_matrix
+from .series import FpSeries, residue_matrix
 
 
 def theta(f):
@@ -350,17 +353,43 @@ def _bareiss_det(mat):
     return prev
 
 
-def integer_wronskian(forms):
-    """Exact theta-Wronskian det[theta^i f_j] of forms with rational
-    coefficients, through the least relative precision K of the forms, by
-    fraction-free elimination over Z[q]/(q^K).
+@dataclass(frozen=True)
+class ExactHead:
+    """A head of a series over Q on integers: the coefficient of
+    q^(valuation + n) is num[n] / den for n < len(num), with num a tuple of
+    ints and den > 0."""
 
-    Column j is scaled by the lcm D_j of the denominators of f_j, and
-    q^(c_j), c_j = ord f_j, is taken out of it: theta^i (q^c u) =
-    q^c (theta + c)^i u.  The rows theta^i are traded for the binomial rows
-    C(theta, i), a triangular change with diagonal 1/i!, so the entries
-    C(theta + c_j, i) D_j u_j are integer series whose minors are far
-    shorter integers than those of (theta + c_j)^i D_j u_j, and the
+    num: tuple
+    den: int
+    valuation: int
+
+    @property
+    def precision(self):
+        return self.valuation + len(self.num)
+
+    def least_denominator(self):
+        """The least common denominator of the coefficients."""
+        return self.den // gcd(self.den, *self.num)
+
+    def reduce_mod(self, p):
+        """The FpSeries of the head mod p, for den prime to p."""
+        inv = pow(self.den, -1, p)
+        return FpSeries(p, [c * inv % p for c in self.num], self.valuation,
+                        self.precision)
+
+
+def integer_wronskian(rows, dens, valuations):
+    """Exact theta-Wronskian det[theta^i f_j] of forms with rational
+    coefficients, through relative precision K, by fraction-free elimination
+    over Z[q]/(q^K).  Form j is f_j = q^(c_j) u_j, c_j = valuations[j],
+    with u_j = (rows[j, 0] + rows[j, 1] q + ...) / D_j + O(q^K), D_j =
+    dens[j] and rows a g x K integer array; returns the ExactHead of the
+    Wronskian, of valuation sum c and relative precision K.
+
+    theta^i (q^c u) = q^c (theta + c)^i u.  The rows theta^i are traded for
+    the binomial rows C(theta, i), a triangular change with diagonal 1/i!,
+    so the entries C(theta + c_j, i) D_j u_j are integer series whose minors
+    are far shorter integers than those of (theta + c_j)^i D_j u_j, and the
     Wronskian is
     q^(sum c) prod_(i<g) i! det / prod D_j.  The constant terms of the matrix
     are C(c_j, i) D_j lead(f_j); its leading k x k minors are
@@ -368,23 +397,17 @@ def integer_wronskian(forms):
     distinct c_j, so Bareiss's elimination needs no pivot search
     (_bareiss_det).  Raises ConsistencyError if an elimination check fails.
     """
-    g = len(forms)
-    terms = min(f.precision - f.valuation for f in forms)
-    dens = [lcm(*(c.denominator for c in f.coeffs[:terms])) for f in forms]
+    g, terms = len(rows), rows.shape[1]
     mat = np.empty((g, g, terms), dtype=object)
-    mat[0] = [[c.numerator * (d // c.denominator) for c in f.coeffs[:terms]]
-              for f, d in zip(forms, dens)]
-    shifts = np.array([[f.valuation + n for n in range(terms)]
-                       for f in forms], dtype=object)
+    mat[0] = rows
+    shifts = np.array([[c + n for n in range(terms)] for c in valuations],
+                      dtype=object)
     for i in range(1, g):
         # C(x, i) = C(x, i - 1) (x - i + 1) / i, exactly
         mat[i] = mat[i - 1] * (shifts - (i - 1)) // i
-    det = _bareiss_det(mat)
-    num, den = prod(factorial(i) for i in range(g)), prod(dens)
-    val = sum(f.valuation for f in forms)
-    return QExpansion([Fraction(int(c) * num, den) for c in det], val,
-                      val + terms, sum(f.weight for f in forms) + g * (g - 1),
-                      forms[0].level)
+    scale = prod(factorial(i) for i in range(g))
+    return ExactHead(tuple(int(c) * scale for c in _bareiss_det(mat)),
+                     prod(dens), sum(valuations))
 
 
 def _product_mod(a, b, p):
@@ -466,8 +489,9 @@ def cross_check_wronskian_congruence(basis, lifts, p):
     The exact Wronskian is formed on a head only: each f_j is cut at
     q^(c_j + K), K = _HEAD_TERMS, which fixes the determinant below
     q^(sum c + K).  It is computed on integers (integer_wronskian): with
-    each column scaled to Z[q] and q^(c_j) taken out, Bareiss's elimination
-    over Z[q]/(q^K) on the binomial rows checks every division exact.  The
+    each column the numerator row of f_j over its denominator D_j from the
+    basis and q^(c_j) taken out, Bareiss's elimination over Z[q]/(q^K) on
+    the binomial rows checks every division exact.  The
     one mod-p Wronskian is that of the reduced forms to the same relative
     precision, by Gaussian elimination over F_p[q]/(q^K) on the power rows
     (modp_wronskian), so the two heads share no arithmetic.  The leading
@@ -476,21 +500,22 @@ def cross_check_wronskian_congruence(basis, lifts, p):
     p-integral whenever the basis is), and the exact head must reduce to
     the mod-p one.
 
-    Returns (ok, exact head of the Wronskian, V).
+    Returns (ok, ExactHead of the Wronskian, V).
     """
-    forms = basis.forms
     v = vandermonde(basis.pivots)
-    reduced = residue_matrix(forms, p, basis.precision)
+    reduced = residue_matrix(basis.num, p, basis.precision, basis.den)
     n = min(reduced.shape[1], lifts.shape[1])
-    lifts_ok = len(lifts) == len(forms) and np.array_equal(
+    lifts_ok = len(lifts) == basis.g and np.array_equal(
         lifts[:, :n], reduced[:, :n])
-    det = integer_wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
-                             for f, c in zip(forms, basis.pivots)])
-    lead = det.coefficient(det.valuation)
+    cuts = np.array(basis.pivots)[:, None] + np.arange(
+        min(_HEAD_TERMS, basis.precision - max(basis.pivots)))
+    det = integer_wronskian(np.take_along_axis(basis.num, cuts, axis=1),
+                            basis.den, basis.pivots)
     red_det = modp_wronskian(reduced, p, _HEAD_TERMS)
     red_lead = red_det.coefficient(red_det.valuation)
-    ok = (v % p != 0 and lead == v and red_lead == v % p and lifts_ok
-          and det.reduce_mod(p).agrees_with(red_det))
+    # det.den = prod D_j is a p-unit: residue_matrix has checked each D_j
+    ok = (v % p != 0 and det.num[0] == v * det.den and red_lead == v % p
+          and lifts_ok and det.reduce_mod(p).agrees_with(red_det))
     return ok, det, v
 
 
@@ -553,8 +578,8 @@ def extract_Fp(p, basis, split, rng=None):
     # product per form against one Miller basis, and the divisor
     # polynomial of their theta-Wronskian, normalized monic
     miller = miller_basis_mod(p + 1, p, window)
-    lifts = np.array([lift_to_level1(f, p, miller)
-                      for f in residue_matrix(basis.forms, p, window)])
+    lifts = np.array([lift_to_level1(f, p, miller) for f in residue_matrix(
+        basis.num, p, window, basis.den)])
     fw, lead = wronskian_divisor_polynomial(lifts, p)
     v = vandermonde(basis.pivots)
     report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)
@@ -567,7 +592,7 @@ def extract_Fp(p, basis, split, rng=None):
 
     gpol = gp_poly(g, p)
     gg = g * g + g
-    report.checks["gp_divides_Sl"] = _divides(gpol, split.S_l ** gg)
+    report.checks["gp_divides_Sl"] = gp_divides_power(g, p, split.S_l)
 
     numerator = gpol * fw2
     denominator = (xpoly ** exps.eps_rho * x1728 ** exps.eps_i
@@ -609,9 +634,11 @@ def extract_Fp(p, basis, split, rng=None):
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
         basis, lifts, p)
     report.checks["wronskian_congruence"] = ok_cross
-    w_exact = det_exact.scale(Fraction(1, v_exact))
+    w_exact = ExactHead(det_exact.num, det_exact.den * v_exact,   # W / V
+                        det_exact.valuation)
     report.checks["wronskian_p_integral"] = (
-        basis.p_integral and v_exact % p != 0 and w_exact.is_p_integral(p))
+        basis.p_integral and v_exact % p != 0
+        and w_exact.least_denominator() % p != 0)
     report.wronskian_head = [_series_head(w_exact, 6)]
 
     if not report.checks["theorem_assembly"] or not ok_cross:
@@ -619,29 +646,53 @@ def extract_Fp(p, basis, split, rng=None):
     return report
 
 
-def _divides(a, b):
-    """True iff a divides b in F_p[x]."""
-    if a.is_zero():
-        return b.is_zero()
-    return (b % a).is_zero()
+def _root_multiplicity(f, r):
+    """Multiplicity of r as a root of the nonzero polynomial f over F_p."""
+    m = 0
+    while f.degree() > 0 and f.evaluate(r) == 0:
+        f = f.exact_div(FpPoly.linear(f.p, r))
+        m += 1
+    return m
 
 
-def _series_head(f, nterms=8):
+def gp_divides_power(g, p, s_l):
+    """Whether gp = x^a (x - 1728)^b (gp_poly) divides S_l^(g^2 + g) in
+    F_p[x].  By unique factorization this holds exactly when
+    a <= (g^2 + g) m_0 and b <= (g^2 + g) m_1728, m_r the multiplicity of r
+    as a root of S_l (1728 is a unit mod p >= 5), so the power is never
+    formed."""
+    a, b = gp_exponents(g, p)
+    gg = g * g + g
+    return (a <= gg * _root_multiplicity(s_l, 0)
+            and b <= gg * _root_multiplicity(s_l, 1728))
+
+
+def _term(c, den, n):
+    """The term (c / den) q^n as the report prints it, c / den in lowest
+    terms."""
+    k = gcd(c, den)
+    a, b = c // k, den // k
+    mono = "q" if n == 1 else f"q^{n}"
+    if b == 1 and a in (1, -1):
+        return mono if a == 1 else f"-{mono}"
+    return (f"{a}" if b == 1 else f"{a}/{b}") + mono
+
+
+def _series_head(head, nterms=8):
+    """The first nterms nonzero terms of an ExactHead, then O(q^N) with N
+    the exponent after the last term shown, or the precision."""
     parts = []
-    shown = 0
-    n = f.valuation
-    while shown < nterms and n < f.precision:
-        c = f.coefficient(n)
+    n = head.valuation
+    for c in head.num:
+        if len(parts) == nterms:
+            break
         if c:
-            mono = "q" if n == 1 else f"q^{n}"
-            if c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{c}{mono}"
-            parts.append(term)
-            shown += 1
+            parts.append(_term(int(c), head.den, n))
         n += 1
-    return (" + ".join(parts).replace("+ -", "- ")
-            + f" + O(q^{min(n, f.precision)})")
+    return " + ".join(parts).replace("+ -", "- ") + f" + O(q^{n})"
+
+
+def basis_heads(basis, nterms=8):
+    """The printed head of each form of a GoodBasis."""
+    return [_series_head(ExactHead(row, d, 0), nterms)
+            for row, d in zip(basis.num, basis.den)]

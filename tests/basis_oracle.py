@@ -1,0 +1,46 @@
+"""The `Fraction` route to the good basis, kept as an oracle for the integer
+numerator rows of `BasisComputer.basis` and for the cache codec.
+
+It starts from the same Krylov columns and the same scaled inverse K of the
+pivot block, and builds one `Fraction` per coefficient,
+d_(c_i) (K span)[i, n] / (k d_n) at q^(n+1), and one `QExpansion` per form;
+the payload is written from those Fractions, "numerator/denominator" each.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from wplus.modsym import _PAYLOAD_VERSION
+from wplus.series import QExpansion
+
+
+def fraction_forms(bc, prec):
+    """The good basis of the BasisComputer bc at precision prec, as one
+    QExpansion over Fraction per form."""
+    if bc.g == 0:
+        return []
+    bc._extend(prec)
+    span = np.array(bc._cols[:prec - 1]).T[bc.rows].astype(object)
+    red = np.array(bc._kinv, dtype=object) @ span
+    dens = bc._dens
+    return [QExpansion([0] + [Fraction(dens[c] * int(v), bc._k * dens[n])
+                              for n, v in enumerate(red[i])],
+                       0, prec, weight=2, level=bc.p)
+            for i, c in enumerate(bc._pivots)]
+
+
+def fraction_payload(bc, prec):
+    """The good_basis cache payload of fraction_forms(bc, prec)."""
+    forms = fraction_forms(bc, prec)
+    return {
+        "version": _PAYLOAD_VERSION,
+        "p": bc.p,
+        "g": bc.g,
+        "genus_x0": bc.space.genus,
+        "pivots": [c + 1 for c in bc._pivots] if forms else [],
+        "precision": prec if forms else 0,
+        "p_integral": all(f.is_p_integral(bc.p) for f in forms),
+        "coefficients": [[f"{c.numerator}/{c.denominator}"
+                          for c in f.coefficients(prec)] for f in forms],
+    }

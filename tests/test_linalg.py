@@ -112,3 +112,27 @@ def test_exact_matmul_matches_python_ints():
                                   np.array(b, dtype=object))
         assert got.dtype == dtype
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("top", [2 ** 24 - 1, 2 ** 24])
+def test_exact_matmul_float64_path_at_its_bound(monkeypatch, top):
+    # max|a| max|b| inner = 2^23 top 64: just below 2^53 the product runs
+    # in float64 (shown by switching the int64 route off), at 2^53 it runs
+    # in int64; rows and columns of extreme entries take partial sums to
+    # the bound, and every route equals the product on Python ints
+    rng = np.random.default_rng(top)
+    inner, big = 64, 2 ** 23
+    a = rng.integers(-big, big, size=(5, inner), endpoint=True)
+    a[0], a[1] = big, -big
+    b = rng.integers(-top, top, size=(inner, 4), endpoint=True)
+    b[:, 0] = top
+    b[:, 1] = rng.choice([-top, top], inner)
+    want = a.astype(object) @ b.astype(object)
+    assert abs(want[0, 0]) == big * top * inner
+    got = linalg.exact_matmul(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    monkeypatch.setattr(linalg, "_INT64_SAFE", 0)
+    for right in (b, b[:, 1]):
+        got = linalg.exact_matmul(a, right)
+        assert np.array_equal(got, a.astype(object) @ right.astype(object))
+        assert got.dtype == (np.int64 if top < 2 ** 24 else object)

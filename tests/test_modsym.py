@@ -524,3 +524,112 @@ def test_cache_rechecks_identity_block_and_p_integral(tmp_path):
         assert gb.pivots == [1, 2] and gb.p_integral
         assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
         assert cache.get("good_basis", "67") == good
+
+
+PRIMES_5_300 = [p for p in range(5, 301) if all(p % d for d in range(2, p))]
+
+
+def _assert_integer_basis_matches_fraction_oracle(p):
+    # the numerator rows over their least denominators against one Fraction
+    # per coefficient, from the same Krylov columns
+    from basis_oracle import fraction_forms
+    prec = (p + 1) // 6 + 12
+    bc = BasisComputer(p)
+    gb = bc.basis(prec)
+    oracle = fraction_forms(bc, prec)
+    assert len(oracle) == gb.g == len(gb.den) == len(gb.num)
+    for row, d, f in zip(gb.num.tolist(), gb.den, oracle):
+        coeffs = f.coefficients(prec)
+        assert d == math.lcm(*(c.denominator for c in coeffs)), p
+        assert [Fraction(n, d) for n in row] == coeffs, p
+    assert gb.p_integral == all(f.is_p_integral(p) for f in oracle)
+
+
+def test_integer_basis_matches_fraction_oracle():
+    for p in PRIMES_5_300 + [389]:
+        _assert_integer_basis_matches_fraction_oracle(p)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [601, 1009])
+def test_integer_basis_matches_fraction_oracle_large(p):
+    # opt-in (pytest -m slow)
+    _assert_integer_basis_matches_fraction_oracle(p)
+
+
+@pytest.mark.parametrize("p", [67, 199, 389])
+def test_payload_bytes_match_fraction_oracle(p):
+    # the codec writes from the integers the "n/d" strings, in the key
+    # order, that the Fraction route writes
+    from basis_oracle import fraction_payload
+    from wplus import modsym
+    prec = (p + 1) // 6 + 12
+    bc = BasisComputer(p)
+    assert json.dumps(modsym._basis_to_payload(bc.basis(prec))) == \
+        json.dumps(fraction_payload(bc, prec))
+
+
+#: a hand-built basis at p = 7 with pivots 1 and 3, whose denominators
+#: differ from coefficient to coefficient; 1/14 makes it not 7-integral
+MIXED_ROWS = [
+    [0, 1, Fraction(1, 2), 0, Fraction(-3, 4), Fraction(5, 6),
+     Fraction(2, 9), Fraction(1, 14)],
+    [0, 0, 0, 1, Fraction(-1, 3), 0, Fraction(7, 10), Fraction(-11, 5)],
+]
+
+
+def _integer_basis(p, rows, pivots, p_integral):
+    from wplus.modsym import GoodBasis
+    dens = [math.lcm(*(Fraction(c).denominator for c in row)) for row in rows]
+    num = np.array([[int(c * d) for c in row] for row, d in zip(rows, dens)])
+    return GoodBasis(p, len(rows), 3, num, dens, pivots, p_integral)
+
+
+def test_codec_round_trips_mixed_denominators():
+    from wplus.modsym import _basis_from_payload, _basis_to_payload
+    gb = _integer_basis(7, MIXED_ROWS, [1, 3], False)
+    payload = _basis_to_payload(gb)
+    assert payload["coefficients"] == [
+        [f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in row]
+        for row in MIXED_ROWS]
+    back = _basis_from_payload(json.loads(json.dumps(payload)), 8)
+    assert np.array_equal(back.num, gb.num)
+    assert back.den == gb.den == [252, 30]
+    assert (back.pivots, back.p_integral) == ([1, 3], False)
+    assert json.dumps(_basis_to_payload(back)) == json.dumps(payload)
+    # cut at 7, each form over the least denominator of what is left; the
+    # stored p-integrality is that of the stored precision
+    cut = _basis_from_payload(payload, 7)
+    assert cut.den == [36, 30] and not cut.p_integral
+    assert [[Fraction(n, d) for n in row] for row, d in zip(
+        cut.num.tolist(), cut.den)] == [row[:7] for row in MIXED_ROWS]
+    assert cut.forms[0].coefficients(7) == MIXED_ROWS[0][:7]
+    assert _basis_from_payload(dict(payload, p_integral=True), 8) is None
+    # numerators past int64 come back as Python ints
+    huge = _integer_basis(7, [[0, 1, Fraction(2 ** 70 + 1, 3)]], [1], True)
+    back = _basis_from_payload(_basis_to_payload(huge), 3)
+    assert back.num.dtype == object and back.den == [3]
+    assert back.num.tolist() == huge.num.tolist() == [[0, 3, 2 ** 70 + 1]]
+
+
+def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
+    # cold and served from the cache, the basis and the chain that reads
+    # it build no QExpansion of the basis; only the forms view does
+    from wplus.cache import DiskCache
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    from wplus.series import QExpansion
+    p = 389
+    prec = (p + 1) // 6 + 12
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("QExpansion built")
+
+    monkeypatch.setattr(QExpansion, "__init__", refuse)
+    cache = DiskCache(tmp_path)
+    cold = good_basis(p, prec, cache)
+    warm = good_basis(p, prec, cache)
+    assert np.array_equal(cold.num, warm.num) and cold.den == warm.den
+    assert verify_prime(p, Config(cache_dir=tmp_path)).status == "ok"
+    with pytest.raises(AssertionError, match="QExpansion built"):
+        warm.forms

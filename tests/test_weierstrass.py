@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,14 +9,16 @@ from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
                           OddMultiplicityError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
-from wplus.level1 import divisor_degree, divisor_polynomials, miller_basis_mod
+from wplus.level1 import (divisor_degree, divisor_polynomials, gp_exponents,
+                          gp_poly, miller_basis_mod)
 from wplus.modsym import GoodBasis, good_basis
 from wplus.series import FpSeries, QExpansion, residue_matrix
 from wplus.supersingular import ss_polys
-from wplus.weierstrass import (_HEAD_TERMS, _series_head,
+from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
                                cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp,
-                               integer_wronskian, lift_to_level1,
+                               gp_divides_power, integer_wronskian,
+                               lift_to_level1,
                                modp_wronskian, polynomial_wronskian, theta,
                                vandermonde, wronskian,
                                wronskian_divisor_polynomial)
@@ -40,7 +43,28 @@ def _old_window_basis(p):
 
 
 def _lifts(p, gb):
-    return lift_to_level1(residue_matrix(gb.forms, p, gb.precision), p)
+    return lift_to_level1(residue_matrix(gb.num, p, gb.precision, gb.den), p)
+
+
+def _as_qexpansion(head, g, level):
+    """The ExactHead of a theta-Wronskian of g weight-2 forms as a
+    QExpansion over Fraction, of weight 2g + g(g - 1)."""
+    return QExpansion([Fraction(c, head.den) for c in head.num],
+                      head.valuation, head.precision, 2 * g + g * (g - 1),
+                      level)
+
+
+def _integer_wronskian_of(forms):
+    """integer_wronskian of weight-2 QExpansions of distinct valuations,
+    each over the least common denominator of its head, through their least
+    relative precision, as a QExpansion."""
+    terms = min(f.precision - f.valuation for f in forms)
+    dens = [math.lcm(*(c.denominator for c in f.coeffs[:terms]))
+            for f in forms]
+    rows = np.array([[int(c * d) for c in f.coeffs[:terms]]
+                     for f, d in zip(forms, dens)], dtype=object)
+    head = integer_wronskian(rows, dens, [f.valuation for f in forms])
+    return _as_qexpansion(head, len(forms), forms[0].level)
 
 
 @pytest.fixture(scope="module")
@@ -225,14 +249,12 @@ def test_cross_check_catches_basis_error_past_exact_head(basis67):
     lifts = _lifts(p, basis67)
     ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, p)
     assert ok
-    f1 = basis67.forms[0]
     n = basis67.pivots[0] + _HEAD_TERMS + 4
     assert n < basis67.precision
-    coeffs = list(f1.coeffs)
-    coeffs[n - f1.valuation] += 1
-    bad_f1 = QExpansion(coeffs, f1.valuation, f1.precision, weight=2, level=p)
-    bad = GoodBasis(p, basis67.g, basis67.genus_x0,
-                    [bad_f1] + basis67.forms[1:], basis67.pivots, True)
+    num = basis67.num.copy()
+    num[0, n] += basis67.den[0]                 # f_1 + q^n
+    bad = GoodBasis(p, basis67.g, basis67.genus_x0, num, basis67.den,
+                    basis67.pivots, True)
     ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, p)
     assert head_bad == head
     assert not ok_bad
@@ -314,9 +336,36 @@ def test_exact_head_matches_absolute_window(p):
     full, _ = wronskian([f.truncate(window) for f in gb.forms])
     assert head.valuation == full.valuation == sum(gb.pivots)
     assert head.precision == sum(gb.pivots) + _HEAD_TERMS < full.precision
-    assert head == full.truncate(head.precision)
-    line = f"  wronskian = {_series_head(full.scale(Fraction(1, v)), 6)}"
-    assert line in extract_Fp(p, gb, ss_polys(p)).text_lines()
+    assert _as_qexpansion(head, gb.g, p) == full.truncate(head.precision)
+    assert line_of(full.scale(Fraction(1, v)), 6) in (
+        extract_Fp(p, gb, ss_polys(p)).text_lines())
+
+
+def line_of(w, nterms):
+    """The report line of the Wronskian head w, a QExpansion over Fraction,
+    written term by term from its Fractions."""
+    parts, n = [], w.valuation
+    while len(parts) < nterms and n < w.precision:
+        c = w.coefficient(n)
+        if c:
+            mono = "q" if n == 1 else f"q^{n}"
+            parts.append(mono if c == 1 else f"-{mono}" if c == -1
+                         else f"{c}{mono}")
+        n += 1
+    return ("  wronskian = " + " + ".join(parts).replace("+ -", "- ")
+            + f" + O(q^{n})")
+
+
+@pytest.mark.parametrize("c, den, n, text", [
+    (1, 1, 1, "q"), (-1, 1, 5, "-q^5"), (6, 3, 2, "2q^2"), (-3, 6, 4,
+                                                            "-1/2q^4"),
+    (4, 6, 0, "2/3q^0"), (-7, 7, 3, "-q^3")])
+def test_series_head_writes_fractions_in_lowest_terms(c, den, n, text):
+    head = ExactHead((0, c, 0), den, n - 1)
+    assert _series_head(head) == f"{text} + O(q^{n + 2})"
+    assert _series_head(head, 0) == f" + O(q^{n - 1})"
+    w = QExpansion([Fraction(c, den), 0], n, n + 2)
+    assert line_of(w, 8) == f"  wronskian = {text} + O(q^{n + 2})"
 
 
 def _head_cut(gb):
@@ -331,7 +380,7 @@ def test_integer_head_matches_fraction_oracle(p):
     gb = _chain_basis(p)
     ok, head, _ = cross_check_wronskian_congruence(gb, _lifts(p, gb), p)
     assert ok
-    assert head == fraction_wronskian_head(gb)
+    assert _as_qexpansion(head, gb.g, p) == fraction_wronskian_head(gb)
     assert head.valuation == sum(gb.pivots)
 
 
@@ -340,7 +389,7 @@ def test_integer_head_matches_fraction_oracle(p):
 def test_integer_head_matches_fraction_oracle_large(p):
     # opt-in (pytest -m slow)
     gb = _chain_basis(p)
-    assert integer_wronskian(_head_cut(gb)) == fraction_wronskian_head(gb)
+    assert _integer_wronskian_of(_head_cut(gb)) == fraction_wronskian_head(gb)
 
 
 def _random_head(rng, g, p):
@@ -364,7 +413,7 @@ def test_integer_wronskian_random_forms_match_fraction_route(p):
     for g in range(1, 7):
         for _ in range(4):
             forms = _random_head(rng, g, p)
-            det = integer_wronskian(forms)
+            det = _integer_wronskian_of(forms)
             assert det == wronskian(forms)[0]
             assert det.precision == sum(f.valuation for f in forms) + min(
                 f.precision - f.valuation for f in forms)
@@ -382,7 +431,7 @@ def test_integer_wronskian_refuses_inexact_division(monkeypatch):
     import wplus.weierstrass as ws
     forms = [QExpansion([1, n, 2 * n, -3], c, c + 4, weight=2, level=67)
              for n, c in enumerate((1, 3, 6, 10), start=1)]
-    assert integer_wronskian(forms) == wronskian(forms)[0]
+    assert _integer_wronskian_of(forms) == wronskian(forms)[0]
     full = ws._truncated_product
     calls = []
 
@@ -395,7 +444,7 @@ def test_integer_wronskian_refuses_inexact_division(monkeypatch):
 
     monkeypatch.setattr(ws, "_truncated_product", corrupt)
     with pytest.raises(ConsistencyError, match="inexact"):
-        integer_wronskian(forms)
+        _integer_wronskian_of(forms)
     assert len(calls) == 6
 
 
@@ -406,7 +455,7 @@ def test_integer_wronskian_refuses_zero_pivot(valuations):
     forms = [QExpansion([1, n, 2 * n], c, c + 3, weight=2, level=67)
              for n, c in enumerate(valuations, start=1)]
     with pytest.raises(ConsistencyError, match="constant term 0"):
-        integer_wronskian(forms)
+        _integer_wronskian_of(forms)
 
 
 @pytest.mark.parametrize("p", [67, 199, 389])
@@ -501,8 +550,8 @@ def test_chain_uses_no_fp_series_arithmetic(monkeypatch):
 
 def test_non_integral_basis_reports_not_good(basis67):
     from wplus.modsym import GoodBasis
-    doubted = GoodBasis(67, basis67.g, basis67.genus_x0, basis67.forms,
-                        basis67.pivots, p_integral=False)
+    doubted = GoodBasis(67, basis67.g, basis67.genus_x0, basis67.num,
+                        basis67.den, basis67.pivots, p_integral=False)
     rep = extract_Fp(67, doubted, ss_polys(67))
     assert rep.status == "not_good_basis"
     assert rep.exit_code == 2
@@ -675,3 +724,39 @@ def test_cold_verify_extends_basis_to_window_only(tmp_path):
     assert stored["precision"] == (p + 1) // 6 + 12
     assert sorted(d.name for d in tmp_path.iterdir()) == [
         "class_poly", "good_basis"]
+
+
+def _gp_divides_by_power(g, p, s_l):
+    """The test extract_Fp made before: gp_poly divides S_l^(g^2 + g)."""
+    return (s_l ** (g * g + g) % gp_poly(g, p)).is_zero()
+
+
+def test_gp_divides_power_matches_power_test():
+    # the multiplicity comparison against the formed power, at every prime
+    # in [5, 400] where the chain runs (g+ >= 2)
+    from wplus.modsym import BasisComputer
+    plus_genus = {p: BasisComputer(p).g for p in range(5, 401) if is_prime(p)}
+    chain = {p: g for p, g in plus_genus.items() if g >= 2}
+    assert len(chain) == 54
+    for p, g in chain.items():
+        s_l = ss_polys(p).S_l
+        assert gp_divides_power(g, p, s_l) == _gp_divides_by_power(g, p, s_l)
+        assert gp_divides_power(g, p, s_l)
+
+
+@pytest.mark.parametrize("p, roots, expected", [
+    (383, [5, 7], False),          # p = 11 mod 12: x and x - 1728 missing
+    (383, [0, 7], False),          # x - 1728 missing
+    (383, [1728 % 383, 9], False),  # x missing
+    (383, [0, 1728 % 383], True),
+    (367, [0, 3], False),          # p = 7 mod 12: x - 1728 missing
+    (367, [1728 % 367, 1728 % 367, 3], True),
+    (389, [5], False),             # p = 5 mod 12: gp = x^a, x missing
+    (389, [0, 5], True),
+    (397, [5], True),              # p = 1 mod 12: gp = 1
+])
+def test_gp_divides_power_on_built_s_l(p, roots, expected):
+    g = 5
+    s_l = FpPoly.from_roots(p, roots)
+    assert gp_divides_power(g, p, s_l) is expected
+    assert _gp_divides_by_power(g, p, s_l) is expected
