@@ -687,12 +687,12 @@ def _series_head(head, nterms=8):
         if len(parts) == nterms:
             break
         if c:
-            parts.append(_term(int(c), head.den, n))
+            parts.append(_term(c, head.den, n))
         n += 1
     return " + ".join(parts).replace("+ -", "- ") + f" + O(q^{n})"
 
 
 def basis_heads(basis, nterms=8):
     """The printed head of each form of a GoodBasis."""
-    return [_series_head(ExactHead(row, d, 0), nterms)
-            for row, d in zip(basis.num, basis.den)]
+    return [_series_head(ExactHead(tuple(row), d, 0), nterms)
+            for row, d in zip(basis.num.tolist(), basis.den)]

@@ -633,3 +633,22 @@ def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
     assert verify_prime(p, Config(cache_dir=tmp_path)).status == "ok"
     with pytest.raises(AssertionError, match="QExpansion built"):
         warm.forms
+
+
+@pytest.mark.parametrize("p", [67, 389])
+def test_basis_reads_column_denominators(p):
+    # no prime below 1100 gives the reduction map a denominator, so every
+    # Krylov column has d_n = 1; the same vectors T_n x held as s_n v_n over
+    # s_n d_n, with the pivot block inverted again, give the same basis
+    prec = (p + 1) // 6 + 12
+    bc = BasisComputer(p)
+    want = bc.basis(prec)
+    scale = [1 + n % 3 for n in range(len(bc._cols))]
+    bc._cols = [v * s for v, s in zip(bc._cols, scale)]
+    bc._dens = [d * s for d, s in zip(bc._dens, scale)]
+    bc._pivots, bc._k, bc._kinv = bc._echelon(
+        np.array(bc._cols)[:, bc.rows].T)
+    got = bc.basis(prec)
+    assert got.num.dtype == object
+    assert got.num.tolist() == want.num.tolist() and got.den == want.den
+    assert got.pivots == want.pivots and got.p_integral

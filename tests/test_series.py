@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wplus.errors import NotPIntegralError, PrecisionError
@@ -185,3 +186,21 @@ def test_fp_series_shift_truncate():
     assert f.shift(2).valuation == 3
     t = f.truncate(2)
     assert t.precision == 2 and t.coefficients(2) == [0, 1]
+
+
+def test_residue_matrix_of_numerator_rows():
+    # rows of numerators over one denominator each reduce as the
+    # QExpansions they stand for, with one inverse per row
+    num = np.array([[0, 3, -5, 2 ** 40], [0, 0, 7, 1]])
+    den = [6, 35]
+    forms = [QExpansion([Fraction(int(c), d) for c in row], 0, 4)
+             for row, d in zip(num, den)]
+    for p in (11, 13):
+        assert np.array_equal(residue_matrix(num, p, 3, den),
+                              residue_matrix(forms, p, 3))
+        assert np.array_equal(residue_matrix(num.astype(object), p, 4, den),
+                              residue_matrix(forms, p, 4))
+    with pytest.raises(NotPIntegralError):
+        residue_matrix(num, 7, 4, den)
+    with pytest.raises(PrecisionError):
+        residue_matrix(num, 11, 5, den)
