@@ -8,6 +8,8 @@ vanishes away from the elliptic points.
 """
 
 from wplus import delta, divisor_polynomial, eisenstein, j_function, miller_basis
+from wplus.level1 import divisor_polynomials
+from wplus.series import residue_matrix
 
 # The Eisenstein series have exact rational coefficients built from
 # Bernoulli numbers; the discriminant and j come out of them.
@@ -35,7 +37,9 @@ for i, h in enumerate(basis):
 
 # Reducing a weight-(p-1) Eisenstein series mod p and extracting its divisor
 # polynomial produces the supersingular polynomial with the elliptic
-# j-invariants removed -- the bridge used throughout the package.
-e66 = eisenstein(66, 30)
-print("E_66 reduces to 1 mod 67:", e66.reduce_mod(67).coefficients(6))
-print("F(E_66, x) mod 67 =", divisor_polynomial(e66.reduce_mod(67)))
+# j-invariants removed -- the bridge used throughout the package.  Over F_p
+# a form is a row of residues, and divisor_polynomials peels every row of a
+# matrix at once.
+e66 = residue_matrix([eisenstein(66, 30)], 67, 30)
+print("E_66 reduces to 1 mod 67:", e66[0, :6].tolist())
+print("F(E_66, x) mod 67 =", divisor_polynomials(e66, 66, 67)[0])

@@ -10,7 +10,7 @@ coordinate of T_n x read as the coefficient of q^n is a form; echelonizing
 these gives the unique basis f_i = q^{c_i} + ... with increasing pivots.
 """
 
-from wplus import ModSymSpace, atkin_lehner_plus, good_basis, wt_infinity
+from wplus import ModSymSpace, atkin_lehner_plus, good_basis
 
 space = ModSymSpace(67)
 print("p = 67: quotient dimension", space.dim, " genus of X_0(67) =", space.genus)
@@ -26,9 +26,9 @@ for i, f in enumerate(gb.forms):
 # The cusp of the quotient curve is a Weierstrass point exactly when the
 # pivots are not 1..g.  For p = 67 they are; p = 109 is the first prime
 # where a pivot is skipped.
-print("\nwt(infinity) at 67:", wt_infinity(gb))
+print("\nwt(infinity) at 67:", gb.wt_infinity())
 gb109 = good_basis(109, 30)
-print("p = 109: pivots", gb109.pivots, "-> wt(infinity) =", wt_infinity(gb109))
+print("p = 109: pivots", gb109.pivots, "-> wt(infinity) =", gb109.wt_infinity())
 
 # The genus-0 quotients (the small "moonshine" primes) have empty bases.
 print("\nquotient genus at p = 71:", good_basis(71, 10).g)

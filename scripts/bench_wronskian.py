@@ -13,8 +13,9 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
 - `lifts`: from the good basis at the pivot precision, its reduction mod p,
   the Miller basis of weight p + 1, the lifts and their divisor polynomials
   P_i, at p = 389, 601 and 1009, as `extract_Fp` forms them: on residue
-  matrices (`divisor_polynomials`), or one `FpSeries` per form in a
-  checkout that has no such routine.
+  matrices (`GoodBasis.residues`, or `residue_matrix` in a checkout without
+  it, and `divisor_polynomials`), or one `FpSeries` per form in a checkout
+  that has no such routine.
 - `head`: the exact theta-Wronskian of the head cut of the good basis (each
   f_j cut at q^(c_j + _HEAD_TERMS)) at p = 389, 601 and 1009, as the
   cross-check forms it: by `integer_wronskian` on the numerator rows and
@@ -23,9 +24,10 @@ Each measurement runs in a fresh interpreter that imports `wplus` from the
   has no integer kernel.
 - `modp_head`: the mod-p theta-Wronskian of the reduced head cut at
   p = 389, 601 and 1009, as the cross-check forms it: by `modp_wronskian`
-  from the residue matrix of the basis, or by `wronskian` of the reduced
-  head cut over `FpSeries` in a checkout that has no int64 kernel; the
-  reduction is made before the timer starts.
+  from the residue matrix of the basis (returning residues and a valuation,
+  or an `FpSeries` in a checkout before that), or by `wronskian` of the
+  reduced head cut over `FpSeries` in a checkout that has no int64 kernel;
+  the reduction is made before the timer starts.
 - `class_poly`: `class_poly(D)` at D = 1556 and 6044, the first call in the
   interpreter, so it includes the j-coefficients it needs.
 - `sweep`: `class_poly` of all 187 discriminants of the primes 5 <= p < 700
@@ -74,6 +76,18 @@ def _chain_basis(p):
     return good_basis(p, (p + 1) // 6 + 12)
 
 
+def _residues(gb):
+    """The residues mod p of the good basis gb at its precision: from
+    GoodBasis.residues, or from residue_matrix in a checkout without it."""
+    if hasattr(gb, "residues"):
+        return gb.residues()
+    from wplus.series import residue_matrix
+
+    if hasattr(gb, "num"):
+        return residue_matrix(gb.num, gb.p, gb.precision, gb.den)
+    return residue_matrix(gb.forms, gb.p, gb.precision)
+
+
 def _lifts_and_polys(p, gb):
     """The lifts of the good basis gb, as rows of residues of q^0 .. q^(P-1),
     and their divisor polynomials P_i, as extract_Fp forms them: on residue
@@ -85,12 +99,8 @@ def _lifts_and_polys(p, gb):
     miller = level1.miller_basis_mod(p + 1, p, window)
     divisor_polynomials = getattr(level1, "divisor_polynomials", None)
     if divisor_polynomials is not None:
-        from wplus.series import residue_matrix
-
-        rows = (residue_matrix(gb.num, p, window, gb.den)
-                if hasattr(gb, "num") else residue_matrix(gb.forms, p, window))
         lifts = np.array([weierstrass.lift_to_level1(f, p, miller)
-                          for f in rows])
+                          for f in _residues(gb)])
         return lifts, divisor_polynomials(lifts, p + 1, p)
     d = level1.weight_profile(p + 1).m
     lifts = [weierstrass.lift_to_level1(f, p, miller[1:]) for f in gb.forms]
@@ -158,11 +168,7 @@ def measure(kind, arg):
         gb = _chain_basis(p)
         kernel = getattr(weierstrass, "modp_wronskian", None)
         if kernel is not None:
-            from wplus.series import residue_matrix
-
-            rows = (residue_matrix(gb.num, p, gb.precision, gb.den)
-                    if hasattr(gb, "num")
-                    else residue_matrix(gb.forms, p, gb.precision))
+            rows = _residues(gb)
             t0 = time.perf_counter()
             det = kernel(rows, p, weierstrass._HEAD_TERMS)
         else:
@@ -170,10 +176,12 @@ def measure(kind, arg):
             t0 = time.perf_counter()
             det = weierstrass.wronskian(head)[0]
         wall = time.perf_counter() - t0
+        # residues and a valuation, or an FpSeries in an older checkout
+        coeffs, val = det if isinstance(det, tuple) else (det.coeffs,
+                                                          det.valuation)
         return {"timings_ms": {"modp_head": 1e3 * wall}, "output": {
-            "g": gb.g, "valuation": det.valuation,
-            "precision": det.precision,
-            "head": [int(c) for c in det.coeffs]}}
+            "g": gb.g, "valuation": val, "precision": val + len(coeffs),
+            "head": [int(c) for c in coeffs]}}
     if kind == "head":
         from wplus import weierstrass
 
@@ -192,19 +200,21 @@ def measure(kind, arg):
         det = kernel(*args)
         wall = time.perf_counter() - t0
         if hasattr(det, "den"):
+            # an ExactHead, integers over one denominator; the series of g
+            # weight-2 forms has weight 2g + g(g - 1), and its lead V D is
+            # nonzero
             from fractions import Fraction
 
-            from wplus.series import QExpansion
-
             g = gb.g
-            det = QExpansion([Fraction(int(c), det.den) for c in det.num],
-                             det.valuation, det.precision,
-                             2 * g + g * (g - 1), gb.p)
+            coeffs = [Fraction(int(c), det.den) for c in det.num]
+            weight = 2 * g + g * (g - 1)
+        else:
+            coeffs, weight = det.coeffs, det.weight
         return {"timings_ms": {"head": 1e3 * wall}, "output": {
             "g": gb.g, "valuation": det.valuation,
-            "precision": det.precision, "weight": det.weight,
+            "precision": det.precision, "weight": weight,
             "head_sha256": _sha256(json.dumps(
-                [str(c) for c in det.coeffs]).encode())}}
+                [str(c) for c in coeffs]).encode())}}
     if kind == "class_poly":
         from wplus.supersingular import class_poly
 

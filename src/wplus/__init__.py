@@ -9,22 +9,25 @@ points of the quotient curve, verifying the congruence
     F_p(x) = S_q(x)^{g(g-1)} * H(x)^2  (mod p)
 
 together with every identity used along the way.  Everything is exact:
-rational arithmetic for q-expansions and linear algebra, F_p arithmetic
-for the mod-p pipeline, big floats only inside the class-polynomial
-evaluation (with verified integer rounding).
+integer arithmetic for the modular symbols and the good basis (numerator
+rows over one denominator per form), int64 residue arrays and F_p[x] for
+the mod-p chain, and big floats only inside the class-polynomial
+evaluation (with verified integer rounding).  The rational q-expansions
+(QExpansion) and the F_p series (FpSeries) serve the tests, their oracles
+and the level-1 forms over Q; the pipeline builds a QExpansion only for the
+q-expansion of j.
 """
 
 from .config import Config
 from .errors import WplusError
-from .fppoly import FpPoly, is_prime, legendre, poly_factor, poly_sqrt
+from .fppoly import FpPoly, is_prime, legendre
 from .level1 import (bernoulli, cp_factor, delta, divisor_polynomial,
                      eisenstein, gp_poly, j_function, miller_basis,
                      square_divisor_relation, weight_profile)
-from .modsym import (GoodBasis, ModSymSpace, atkin_lehner_plus, build_space,
-                     good_basis, wt_infinity)
+from .modsym import GoodBasis, ModSymSpace, atkin_lehner_plus, good_basis
 from .pipeline import scan_primes, verify_prime
 from .report import VerificationReport
-from .series import FpSeries, QExpansion, series_arith
+from .series import FpSeries, QExpansion
 from .supersingular import (ClassPolyData, SupersingularSplit, class_number,
                             class_poly, fixed_point_poly, reduced_forms,
                             ss_oracle, ss_polys, verify_fixedlinear)
@@ -34,13 +37,12 @@ from .weierstrass import (elliptic_exponents, extract_Fp, lift_to_level1,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Config", "WplusError", "FpPoly", "is_prime", "legendre", "poly_factor",
-    "poly_sqrt", "bernoulli", "cp_factor", "delta", "divisor_polynomial",
-    "eisenstein", "gp_poly", "j_function", "miller_basis",
-    "square_divisor_relation", "weight_profile", "GoodBasis", "ModSymSpace",
-    "atkin_lehner_plus", "build_space", "good_basis", "wt_infinity",
+    "Config", "WplusError", "FpPoly", "is_prime", "legendre", "bernoulli",
+    "cp_factor", "delta", "divisor_polynomial", "eisenstein", "gp_poly",
+    "j_function", "miller_basis", "square_divisor_relation", "weight_profile",
+    "GoodBasis", "ModSymSpace", "atkin_lehner_plus", "good_basis",
     "scan_primes", "verify_prime", "VerificationReport", "FpSeries",
-    "QExpansion", "series_arith", "ClassPolyData", "SupersingularSplit",
+    "QExpansion", "ClassPolyData", "SupersingularSplit",
     "class_number", "class_poly", "fixed_point_poly", "reduced_forms",
     "ss_oracle", "ss_polys", "verify_fixedlinear", "elliptic_exponents",
     "extract_Fp", "lift_to_level1", "theta", "wronskian",

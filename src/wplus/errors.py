@@ -23,7 +23,7 @@ class NonPolynomialQuotientError(WplusError):
 
 
 class OddMultiplicityError(WplusError):
-    """poly_sqrt hit an irreducible factor with odd exponent (falsifier)."""
+    """FpPoly.sqrt hit an irreducible factor with odd exponent (falsifier)."""
 
 
 class InexactDivisionError(WplusError):

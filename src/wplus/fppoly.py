@@ -271,9 +271,6 @@ class FpPoly:
     def __sub__(self, other):
         return self._binop(other, -1)
 
-    def __neg__(self):
-        return FpPoly(self.p, -self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
             return FpPoly(self.p, self.coeffs * (int(other) % self.p))
@@ -303,9 +300,6 @@ class FpPoly:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = _divmod_arrays(self.coeffs, other.coeffs, self.p)
         return FpPoly(self.p, q), FpPoly(self.p, r)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -652,16 +646,6 @@ class Frobenius:
     def __call__(self, h):
         """h^p mod g, for an int64 array h of at most n residues."""
         return _trim(_matmul_mod(self._padded(h), self.matrix, self.p))
-
-
-def poly_factor(f, rng=None):
-    """Module-level alias for FpPoly.factor."""
-    return f.factor(rng)
-
-
-def poly_sqrt(f):
-    """Module-level alias for FpPoly.sqrt."""
-    return f.sqrt()
 
 
 # -- F_{p^2} on pairs of int64 arrays ------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatchError, NonPolynomialQuotientError, PrecisionError
 from .fppoly import FpPoly, convolve_mod, int64_sums_fit, inverse_mod_xn
-from .series import FpSeries, QExpansion, residue_matrix
+from .series import QExpansion
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
 
@@ -174,10 +174,6 @@ class Level1Context:
         self._jpow = [self.delta / self.delta]  # exact one, right precision
         self._jpow.append(self.e4 ** 3 / self.delta)
 
-    @property
-    def j(self):
-        return self._jpow[1]
-
     def j_power(self, t):
         while len(self._jpow) <= t:
             self._jpow.append(self._jpow[-1] * self._jpow[1])
@@ -195,15 +191,13 @@ def context_precision_for(valuation, precision, k):
 
 
 def divisor_polynomial(f, ctx=None):
-    """Divisor polynomial F(f, x) of a series f of even weight f.weight with
-    leading coefficient 1: the unique polynomial with
-    f = Delta^{m} * Etilde * F(f, j).
-
-    For an FpSeries input (valuation >= 0) the result is an FpPoly, the
-    one-row case of divisor_polynomials; for a QExpansion it is a list of
-    Fractions (low degree first), peeled off the top power of j against the
-    Level1Context ctx.  Any leftover series falsifies the claim that f is a
-    genuine form of its weight and raises NonPolynomialQuotientError.
+    """Divisor polynomial F(f, x) over Q of a QExpansion f of even weight
+    f.weight with leading coefficient 1: the unique polynomial with
+    f = Delta^{m} * Etilde * F(f, j), as a list of Fractions (low degree
+    first), peeled off the top power of j against the Level1Context ctx.
+    Any leftover series falsifies the claim that f is a genuine form of its
+    weight and raises NonPolynomialQuotientError.  Over F_p the divisor
+    polynomials of residue rows come from divisor_polynomials.
     """
     k = f.weight
     m = weight_profile(k).m
@@ -215,10 +209,6 @@ def divisor_polynomial(f, ctx=None):
             f"have {f.precision}")
     if f.coefficient(f.valuation) != 1:
         raise ValueError("divisor polynomial expects leading coefficient 1")
-    if isinstance(f, FpSeries):
-        return divisor_polynomials(residue_matrix([f], f.p, f.precision),
-                                   k, f.p)[0]
-
     if ctx is None:
         ctx = Level1Context(context_precision_for(f.valuation, f.precision, k))
     quotient = f / (ctx.delta ** m * ctx.etilde(k))
@@ -454,23 +444,17 @@ def qpoly_mul(a, b):
 
 
 def square_divisor_relation(f, ctx=None):
-    """Check F(f^2, x) against x^a (x-1728)^b F(f, x)^2.
+    """Check F(f^2, x) against x^a (x-1728)^b F(f, x)^2 for a QExpansion f.
 
     Returns (ok, direct, expected) where direct is the divisor polynomial
     of f^2 and expected the case-formula product.
     """
-    k = f.weight
-    a, b = square_divisor_exponents(k)
-    f2 = f * f
-    direct = divisor_polynomial(f2, ctx)
+    a, b = square_divisor_exponents(f.weight)
+    direct = divisor_polynomial(f * f, ctx)
     base = divisor_polynomial(f, ctx)
-    if isinstance(f, FpSeries):
-        expected = (FpPoly.x(f.p) ** a * FpPoly.linear(f.p, 1728) ** b
-                    * base * base)
-    else:
-        expected = qpoly_mul(base, base)
-        for _ in range(a):
-            expected = qpoly_mul(expected, [Fraction(0), Fraction(1)])
-        for _ in range(b):
-            expected = qpoly_mul(expected, [Fraction(-1728), Fraction(1)])
+    expected = qpoly_mul(base, base)
+    for _ in range(a):
+        expected = qpoly_mul(expected, [Fraction(0), Fraction(1)])
+    for _ in range(b):
+        expected = qpoly_mul(expected, [Fraction(-1728), Fraction(1)])
     return expected == direct, direct, expected

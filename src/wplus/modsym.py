@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import PrecisionError, WplusError
+from .errors import NotPIntegralError, PrecisionError, WplusError
 from .fppoly import is_prime
 from .series import QExpansion
 
@@ -156,7 +156,9 @@ class ModSymSpace:
         p, n:        prime level, n = p + 1 symbols
         dim:         dimension of the quotient (genus of X_0(p) plus one)
         genus:       dimension of the cuspidal subspace
-        cuspidal:    dim x genus matrix over Q, columns a cuspidal basis
+        boundary:    int64 vector b over the coordinates, the boundary map
+        cuspidal:    dim x genus matrix, as rows of Python ints, whose columns
+                     are an integer basis of the kernel of b
     """
 
     def __init__(self, p):
@@ -233,12 +235,16 @@ class ModSymSpace:
 
         # boundary: symbols (0:1) and (1:0) hit the two cusps, others vanish
         self.boundary = rnum[:, 0] - rnum[:, self.index(1, 0)]
-        boundary = self.boundary.tolist()
-        kern = linalg.nullspace([boundary]) if any(boundary) \
-            else linalg.identity(self.dim)
-        self.cuspidal = linalg.transpose(kern) if kern \
-            else [[] for _ in range(self.dim)]  # dim x genus
-        self.genus = len(kern)
+        # its kernel: column i is b_k e_i - b_i e_k for each i != k, with k
+        # the first nonzero entry of b
+        b = self.boundary.tolist()
+        k = next((i for i, x in enumerate(b) if x), None)
+        if k is None:
+            raise WplusError("the boundary map vanishes")
+        others = [i for i in range(self.dim) if i != k]
+        self.cuspidal = [[b[k] if r == i else -b[i] if r == k else 0
+                          for i in others] for r in range(self.dim)]
+        self.genus = len(others)
 
     def symbol_pair(self, i):
         return int(self._sym_c[i]), int(self._sym_d[i])
@@ -366,11 +372,6 @@ class ModSymSpace:
         return sol
 
 
-def build_space(p):
-    """Construct the star-quotient symbol space for a prime level."""
-    return ModSymSpace(p)
-
-
 def atkin_lehner_plus(space):
     """Basis (genus x g matrix of columns) of the w_p = +1 cuspidal part.
 
@@ -404,7 +405,8 @@ class GoodBasis:
     num is a g x precision integer matrix (int64, or Python ints where
     int64 could overflow) and den[i] > 0 the least common denominator of
     f_i there, so f_i is p-integral exactly when p does not divide den[i].
-    ``forms`` views the rows as QExpansions, for display and tests only."""
+    ``residues`` reduces the rows mod p for the chain; ``forms`` views them
+    as QExpansions, for display and tests only."""
 
     p: int
     g: int
@@ -417,6 +419,19 @@ class GoodBasis:
     @property
     def precision(self):
         return self.num.shape[1]
+
+    def residues(self):
+        """Residues mod p of the coefficients of q^0 .. q^(precision - 1),
+        one int64 row per form: each numerator row times one modular inverse
+        of its denominator.  NotPIntegralError when p divides a den[i]."""
+        inverses = []
+        for i, d in enumerate(self.den):
+            if d % self.p == 0:
+                raise NotPIntegralError(
+                    f"row {i} has denominator divisible by {self.p}")
+            inverses.append(pow(d, -1, self.p))
+        rows = (self.num % self.p).astype(np.int64)
+        return rows * np.array(inverses, dtype=np.int64)[:, None] % self.p
 
     @functools.cached_property
     def forms(self):
@@ -437,10 +452,6 @@ def _least_denominators(num, den):
     common = [gcd(d, *row) for row, d in zip(num.tolist(), den)]
     num = num // np.array(common, dtype=num.dtype)[:, None]
     return num, [d // c for d, c in zip(den, common)]
-
-
-def wt_infinity(basis):
-    return basis.wt_infinity()
 
 
 class BasisComputer:
@@ -471,9 +482,7 @@ class BasisComputer:
             return
         den = space._r_den
         w = space.atkin_lehner_matrix().num
-        scale = lcm(*(x.denominator for row in space.cuspidal for x in row))
-        cusp = np.array([[x.numerator * (scale // x.denominator) for x in row]
-                         for row in space.cuspidal], dtype=object)
+        cusp = np.array(space.cuspidal, dtype=object)
         wc = linalg.exact_matmul(w, cusp)
         if not np.array_equal(linalg.exact_matmul(w, wc), den * den * cusp):
             raise WplusError("W_p is not an involution on the cuspidal subspace")

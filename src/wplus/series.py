@@ -11,8 +11,12 @@ is no silent truncation.  Laurent tails (negative valuation, e.g. the
 j-function) are allowed.  ``weight`` is formal bookkeeping: it adds under
 multiplication, subtracts under division, and must match under addition.
 
-``residue_matrix`` reduces series, or integer numerator rows with one
-denominator per row (the good basis), to one int64 row of residues each.
+``residue_matrix`` reduces series to one int64 row of residues each.  The
+verification pipeline builds no FpSeries, and a QExpansion only for the
+q-expansion of j behind the class polynomials (``level1.j_function``): it
+reduces the good basis from its integer numerator rows
+(``GoodBasis.residues``) and runs the chain on residue arrays.  The other
+uses are the tests, their oracles and the rational level-1 route.
 """
 
 from __future__ import annotations
@@ -216,11 +220,6 @@ class QExpansion:
                           self.valuation, precision, self.weight, self.level) \
             if precision > self.valuation else \
             QExpansion.zero(precision, self.weight, self.level)
-
-    def shift(self, n):
-        """Multiply by q^n."""
-        return QExpansion(list(self.coeffs), self.valuation + n,
-                          self.precision + n, self.weight, self.level)
 
     def theta(self):
         """Apply q d/dq: multiply the coefficient of q^n by n.
@@ -449,29 +448,12 @@ class FpSeries:
         return f"FpSeries(p={self.p}, {body} + O(q^{self.precision}))"
 
 
-def residue_matrix(forms, p, prec, den=None):
+def residue_matrix(forms, p, prec):
     """Residues mod p of the coefficients of q^0 .. q^(prec-1) of series of
     valuation >= 0, one int64 row per series.  A QExpansion is reduced
     first (NotPIntegralError unless it is p-integral); PrecisionError when a
     series is not known below q^prec.
-
-    With den, forms is an integer matrix (int64 or Python ints) whose row i
-    holds the numerators over den[i] of the coefficients from q^0 on, as a
-    GoodBasis holds them: one modular inverse per row, and NotPIntegralError
-    when p divides a den[i].
     """
-    if den is not None:
-        if forms.shape[1] < prec:
-            raise PrecisionError(
-                f"series known below q^{forms.shape[1]}, need q^{prec}")
-        inverses = []
-        for i, d in enumerate(den):
-            if d % p == 0:
-                raise NotPIntegralError(
-                    f"row {i} has denominator divisible by {p}")
-            inverses.append(pow(d, -1, p))
-        rows = (forms[:, :prec] % p).astype(np.int64)
-        return rows * np.array(inverses, dtype=np.int64)[:, None] % p
     out = np.zeros((len(forms), prec), dtype=np.int64)
     for row, f in zip(out, forms):
         if f.valuation < 0:
@@ -488,14 +470,3 @@ def residue_matrix(forms, p, prec, den=None):
         else:
             raise ValueError(f"modulus mismatch: {f.p} vs {p}")
     return out
-
-
-def series_arith(a, b, op):
-    """Dispatch helper: op in {'add', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -1,13 +1,13 @@
 """Supersingular polynomials and CM class polynomials.
 
 The production route computes the supersingular polynomial S_p from level-1
-series mod p: E_{p-1} reduces to the constant series 1 mod p (von
+residues mod p: E_{p-1} reduces to the constant series 1 mod p (von
 Staudt-Clausen puts exactly one factor p in the denominator of B_{p-1}), and
-its divisor polynomial mod p is the supersingular polynomial with the
-j = 0, 1728 factors removed.  The elliptic factors are restored from the
-classical membership criteria (j = 0 supersingular iff p = 2 mod 3,
-j = 1728 iff p = 3 mod 4), and the linear part is split off with
-gcd(S_p, x^p - x).
+the divisor polynomial of its residue row (level1.divisor_polynomials) is
+the supersingular polynomial with the j = 0, 1728 factors removed.  The
+elliptic factors are restored from the classical membership criteria
+(j = 0 supersingular iff p = 2 mod 3, j = 1728 iff p = 3 mod 4), and the
+linear part is split off with gcd(S_p, x^p - x).
 
 An independent oracle recomputes S_p for small p from first principles:
 point counts over F_p for the linear part, and the Hasse polynomial in the
@@ -33,11 +33,12 @@ import numpy as np
 from .errors import (BoundExceededError, InexactDivisionError,
                      PrecisionExhaustedError, SplitDegreeMismatchError)
 from .fppoly import FpPoly, int64_sums_fit
-from .level1 import divisor_polynomial, j_function, weight_profile
-from .series import FpSeries
+from .level1 import divisor_polynomials, j_function, weight_profile
 
 #: upper bound for the point-counting oracle; the pipeline runs it up to here
 ORACLE_BOUND = 103
+#: class_poly doubles its working precision up to this factor times the start
+_MAX_PRECISION_FACTOR = 16
 
 
 @dataclass
@@ -60,15 +61,6 @@ class SupersingularSplit:
     alpha_i: int
 
 
-def eisenstein_pm1_mod_p(p, prec):
-    """E_{p-1} mod p as a weight-(p-1) series: the constant series 1.
-
-    B_{p-1} has p-adic valuation -1 (von Staudt-Clausen), so every positive
-    q-coefficient -2(p-1)/B_{p-1} * sigma(n) of E_{p-1} is divisible by p.
-    """
-    return FpSeries.one(p, prec, weight=p - 1)
-
-
 def factor_degrees(f):
     """The set of degrees of the irreducible factors of a nonzero f, by
     distinct-degree splitting of each squarefree part (no factor is split
@@ -77,20 +69,22 @@ def factor_degrees(f):
             for _, d in g.distinct_degree()}
 
 
-def ss_polys(p, e_pm1=None):
+def ss_polys(p):
     """Supersingular split of the prime p >= 5.
 
-    e_pm1 is the reduction of E_{p-1} mod p (built internally if omitted);
-    its divisor polynomial mod p is S_tilde.  S_q is checked to split into
-    quadratics by factor_degrees, without factoring it; the least other
-    degree is named in SplitDegreeMismatchError.
+    E_{p-1} reduces mod p to the constant series 1: B_{p-1} has p-adic
+    valuation -1 (von Staudt-Clausen), so every positive q-coefficient
+    -2(p-1)/B_{p-1} * sigma(n) of E_{p-1} is divisible by p.  S_tilde is
+    the divisor polynomial of its residue row [1, 0, ..., 0], of m(p-1) + 4
+    terms.  S_q is checked to split into quadratics by factor_degrees,
+    without factoring it; the least other degree is named in
+    SplitDegreeMismatchError.
     """
     if p < 5:
         raise ValueError("p must be a prime >= 5")
-    m = weight_profile(p - 1).m
-    if e_pm1 is None:
-        e_pm1 = eisenstein_pm1_mod_p(p, m + 4)
-    s_tilde = divisor_polynomial(e_pm1)
+    e_pm1 = np.zeros((1, weight_profile(p - 1).m + 4), dtype=np.int64)
+    e_pm1[0, 0] = 1
+    s_tilde = divisor_polynomials(e_pm1, p - 1, p)[0]
     alpha_rho = 1 if p % 3 == 2 else 0
     alpha_i = 1 if p % 4 == 3 else 0
     s_p = s_tilde
@@ -153,7 +147,7 @@ def hasse_polynomial(p):
     return FpPoly(p, c)
 
 
-def ss_oracle(p, bound=ORACLE_BOUND):
+def ss_oracle(p):
     """Supersingular polynomial of p computed independently of any modular
     forms machinery.
 
@@ -162,9 +156,10 @@ def ss_oracle(p, bound=ORACLE_BOUND):
     the resultant in lambda at deg-many j values and interpolating; the
     multiplicity artifacts of the cover are removed by taking the squarefree
     part, and membership of j = 0, 1728 is corrected by direct point counts.
+    Primes above ORACLE_BOUND raise BoundExceededError.
     """
-    if p > bound:
-        raise BoundExceededError(f"oracle bound is {bound}, got {p}")
+    if p > ORACLE_BOUND:
+        raise BoundExceededError(f"oracle bound is {ORACLE_BOUND}, got {p}")
     if p < 5:
         raise ValueError("p must be a prime >= 5")
     h = hasse_polynomial(p)
@@ -299,15 +294,15 @@ def _j_coefficients(nterms):
 _j_coefficients.cache = []
 
 
-def class_poly(D, start_bits=None, max_factor=16, cache=None):
+def class_poly(D, start_bits=None, cache=None):
     """Hilbert class polynomial of discriminant -D by CM evaluation.
 
     j is evaluated at tau = (-b + sqrt(-D))/(2a) for every reduced form via
     its q-expansion in mpmath arithmetic; the product of (x - j(tau)) is
     rounded to integers and the residual must stay below 0.01, doubling the
-    working precision (up to max_factor times the start) otherwise.  Rungs
-    below the estimated bit size of the largest coefficient cannot round it,
-    so the doubling starts past them.
+    working precision (up to _MAX_PRECISION_FACTOR times the start)
+    otherwise.  Rungs below the estimated bit size of the largest
+    coefficient cannot round it, so the doubling starts past them.
     """
     if cache is not None:
         payload = cache.get("class_poly", str(D))
@@ -322,7 +317,7 @@ def class_poly(D, start_bits=None, max_factor=16, cache=None):
     bits = start_bits if start_bits else _start_bits(D, forms)
     start = bits
     size = _qsize_bits(D, forms)
-    while bits < size and bits < start * max_factor:
+    while bits < size and bits < start * _MAX_PRECISION_FACTOR:
         bits *= 2
     while True:
         with mpmath.workprec(bits):
@@ -337,7 +332,7 @@ def class_poly(D, start_bits=None, max_factor=16, cache=None):
                     "float_precision_bits": bits,
                 })
             return data
-        if bits >= start * max_factor:
+        if bits >= start * _MAX_PRECISION_FACTOR:
             raise PrecisionExhaustedError(
                 f"rounding failed for D={D} at {bits} bits")
         bits *= 2

@@ -42,7 +42,6 @@ from .level1 import (divisor_degree, divisor_polynomial,  # noqa: F401
                      miller_basis_mod, square_divisor_exponents,
                      weight_profile)
 from .report import VerificationReport
-from .series import FpSeries, residue_matrix
 
 
 def theta(f):
@@ -116,7 +115,7 @@ def lift_to_level1(forms, p, miller=None):
     level p.
 
     forms holds the residues of q^0 .. q^(n-1) of one reduced form, or of
-    several, one per row (residue_matrix); miller is
+    several, one per row (GoodBasis.residues); miller is
     miller_basis_mod(p + 1, p, n), built when None.  The lift of f is
     sum_t a_t(f) h_t over the Miller cusp rows h_1 .. h_d, so the lifts are
     the one product F[..., 1:d+1] @ M[1:] mod p, on the window the two
@@ -372,10 +371,12 @@ class ExactHead:
         return self.den // gcd(self.den, *self.num)
 
     def reduce_mod(self, p):
-        """The FpSeries of the head mod p, for den prime to p."""
+        """(residues, valuation) of the head mod p, for den prime to p: the
+        int64 residues of the coefficients of q^valuation .. q^(precision-1).
+        """
         inv = pow(self.den, -1, p)
-        return FpSeries(p, [c * inv % p for c in self.num], self.valuation,
-                        self.precision)
+        return (np.array([c * inv % p for c in self.num], dtype=np.int64),
+                self.valuation)
 
 
 def integer_wronskian(rows, dens, valuations):
@@ -424,9 +425,10 @@ def _product_mod(a, b, p):
 def modp_wronskian(forms, p, terms):
     """Theta-Wronskian det[theta^i f_j] mod p of the series f_j whose
     residues of q^0 .. q^(n-1) are the rows of forms, through relative
-    precision K = min(terms, n - max c_j), c_j = ord f_j, as an FpSeries of
-    valuation sum c_j; by Gaussian elimination over F_p[q]/(q^K) on a
-    (g, g, K) int64 array.
+    precision K = min(terms, n - max c_j), c_j = ord f_j, by Gaussian
+    elimination over F_p[q]/(q^K) on a (g, g, K) int64 array.  Returns
+    (det, v), v = sum c_j, with det the int64 residues of the coefficients
+    of q^v .. q^(v + K - 1); det[0] is nonzero.
 
     theta^i (q^c u) = q^c (theta + c)^i u, so entry (i, j) is
     (theta + c_j)^i u_j, with u_j = f_j / q^(c_j) cut to K terms.  Its
@@ -462,8 +464,7 @@ def modp_wronskian(forms, p, terms):
                                   inverse_mod_xn(piv, p, terms), p)
             mat[k + 1:, k + 1:] = (mat[k + 1:, k + 1:] - _product_mod(
                 factor[:, None], mat[k, k + 1:], p)) % p
-    val = int(vals.sum())
-    return FpSeries(p, det, val, val + terms)
+    return det, int(vals.sum())
 
 
 #: relative precision K of the exact Wronskian head: each basis form f_j is
@@ -503,7 +504,7 @@ def cross_check_wronskian_congruence(basis, lifts, p):
     Returns (ok, ExactHead of the Wronskian, V).
     """
     v = vandermonde(basis.pivots)
-    reduced = residue_matrix(basis.num, p, basis.precision, basis.den)
+    reduced = basis.residues()
     n = min(reduced.shape[1], lifts.shape[1])
     lifts_ok = len(lifts) == basis.g and np.array_equal(
         lifts[:, :n], reduced[:, :n])
@@ -511,11 +512,13 @@ def cross_check_wronskian_congruence(basis, lifts, p):
         min(_HEAD_TERMS, basis.precision - max(basis.pivots)))
     det = integer_wronskian(np.take_along_axis(basis.num, cuts, axis=1),
                             basis.den, basis.pivots)
-    red_det = modp_wronskian(reduced, p, _HEAD_TERMS)
-    red_lead = red_det.coefficient(red_det.valuation)
-    # det.den = prod D_j is a p-unit: residue_matrix has checked each D_j
-    ok = (v % p != 0 and det.num[0] == v * det.den and red_lead == v % p
-          and lifts_ok and det.reduce_mod(p).agrees_with(red_det))
+    red_det, red_val = modp_wronskian(reduced, p, _HEAD_TERMS)
+    # det.den = prod D_j is a p-unit: basis.residues has checked each D_j
+    exact_det, exact_val = det.reduce_mod(p)
+    ok = (v % p != 0 and det.num[0] == v * det.den
+          and int(red_det[0]) == v % p
+          and lifts_ok and exact_val == red_val
+          and np.array_equal(exact_det, red_det))
     return ok, det, v
 
 
@@ -578,8 +581,8 @@ def extract_Fp(p, basis, split, rng=None):
     # product per form against one Miller basis, and the divisor
     # polynomial of their theta-Wronskian, normalized monic
     miller = miller_basis_mod(p + 1, p, window)
-    lifts = np.array([lift_to_level1(f, p, miller) for f in residue_matrix(
-        basis.num, p, window, basis.den)])
+    lifts = np.array([lift_to_level1(f, p, miller)
+                      for f in basis.residues()])
     fw, lead = wronskian_divisor_polynomial(lifts, p)
     v = vandermonde(basis.pivots)
     report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)

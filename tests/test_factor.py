@@ -136,9 +136,9 @@ def test_quartic_factor_in_s_q_is_named(monkeypatch):
     # a falsifier of the quadratic split: S_tilde times a quartic irreducible
     p = 67
     quartic = _irreducible(random.Random(7), p, 4)
-    real = supersingular.divisor_polynomial
-    monkeypatch.setattr(supersingular, "divisor_polynomial",
-                        lambda e, ctx=None: real(e, ctx) * quartic)
+    real = supersingular.divisor_polynomials
+    monkeypatch.setattr(supersingular, "divisor_polynomials",
+                        lambda *args: [f * quartic for f in real(*args)])
     with pytest.raises(SplitDegreeMismatchError, match="of degree 4$"):
         ss_polys(p)
 

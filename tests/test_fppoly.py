@@ -5,8 +5,7 @@ import pytest
 
 from wplus.errors import OddMultiplicityError
 from wplus.fppoly import (NEWTON_MIN_QUOTIENT, Fp2, FpPoly, convolve_mod,
-                          inverse_table, is_prime, legendre, poly_factor,
-                          poly_sqrt)
+                          inverse_table, is_prime, legendre)
 from wplus.level1 import _e4_e6_delta
 from wplus.series import FpSeries
 
@@ -20,7 +19,7 @@ def s67_paper_factors():
 def test_factor_supersingular_67():
     fac = s67_paper_factors()
     product = fac[0] * fac[1] * fac[2] * fac[3]
-    found = poly_factor(product)
+    found = product.factor()
     assert sorted((f.degree(), tuple(map(int, f.coeffs))) for f, _ in found) \
         == sorted((f.degree(), tuple(map(int, f.coeffs))) for f in fac)
     assert all(e == 1 for _, e in found)
@@ -69,11 +68,11 @@ def test_factor_product_reconstructs():
 
 def test_sqrt_examples():
     p = 67
-    assert poly_sqrt(FpPoly(p, [1, 1]) ** 2) == FpPoly(p, [1, 1])
+    assert (FpPoly(p, [1, 1]) ** 2).sqrt() == FpPoly(p, [1, 1])
     h = FpPoly(p, [62, 10, 1])
-    assert poly_sqrt(h * h) == h
+    assert (h * h).sqrt() == h
     with pytest.raises(OddMultiplicityError):
-        poly_sqrt(FpPoly(p, [0, 0, 0, 1]))
+        FpPoly(p, [0, 0, 0, 1]).sqrt()
 
 
 def test_sqrt_round_trip_random():
@@ -81,7 +80,7 @@ def test_sqrt_round_trip_random():
     p = 13
     for _ in range(20):
         f = FpPoly(p, [rng.randrange(p) for _ in range(5)] + [1])
-        r = poly_sqrt(f * f)
+        r = (f * f).sqrt()
         assert r * r == f * f
         assert r.is_monic()
 
@@ -90,7 +89,7 @@ def test_sqrt_of_pth_power_multiplicities():
     # exponents divisible by p exercise the p-th root branch
     p = 5
     f = FpPoly(p, [1, 1])
-    g = poly_sqrt(f ** (2 * p))
+    g = (f ** (2 * p)).sqrt()
     assert g == f ** p
 
 

@@ -111,9 +111,9 @@ def test_divisor_polynomial_delta_and_e4cubed():
 def test_divisor_polynomial_weight_pminus1_mod_67():
     e66 = eisenstein(66, 30)
     assert e66.is_p_integral(67)
-    reduced = e66.reduce_mod(67)
-    assert reduced.coefficients(10) == [1] + [0] * 9
-    pol = divisor_polynomial(reduced)
+    reduced = residue_matrix([e66], 67, 30)
+    assert reduced[0, :10].tolist() == [1] + [0] * 9
+    pol = divisor_polynomials(reduced, 66, 67)[0]
     expect = FpPoly(67, [1, 1]) * FpPoly(67, [45, 8, 1]) * FpPoly(67, [24, 44, 1])
     assert pol == expect
 
@@ -240,14 +240,16 @@ def test_array_lifts_and_divisor_polynomials_match_series_route(p):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 140) if is_prime(p)])
 def test_divisor_polynomial_one_row_matches_series_route(p):
-    # the supersingular route: E_(p-1) = 1 mod p at weight p - 1, and a
-    # Miller form of weight p + 1 with a nonzero constant term
+    # the supersingular route: S_tilde of ss_polys, from the residue row of
+    # E_(p-1) = 1 mod p at weight p - 1, and one row of a Miller form of
+    # weight p + 1 with a nonzero constant term
+    from wplus.supersingular import ss_polys
     m = weight_profile(p - 1).m
     one = FpSeries.one(p, m + 4, weight=p - 1)
-    assert divisor_polynomial(one) == series_divisor_polynomial(one)
-    h0 = FpSeries(p, miller_basis_mod(p + 1, p, 0)[0], 0,
-                  weight_profile(p + 1).m + 2, weight=p + 1)
-    assert divisor_polynomial(h0) == series_divisor_polynomial(h0)
+    assert ss_polys(p).S_tilde == series_divisor_polynomial(one)
+    h0 = miller_basis_mod(p + 1, p, 0)[:1, :weight_profile(p + 1).m + 2]
+    assert divisor_polynomials(h0, p + 1, p)[0] == series_divisor_polynomial(
+        FpSeries(p, h0[0], 0, h0.shape[1], weight=p + 1))
 
 
 def test_divisor_polynomials_refuse_non_forms():

@@ -9,8 +9,7 @@ import pytest
 from wplus import linalg
 from wplus.errors import PrecisionError
 from wplus.modsym import (BasisComputer, ModSymSpace, atkin_lehner_plus,
-                          good_basis, heilbronn_cremona, merel_set,
-                          wt_infinity)
+                          good_basis, heilbronn_cremona, merel_set)
 
 
 def genus_x0(p):
@@ -247,12 +246,12 @@ def test_hasse_bound_numeric():
 
 def test_wt_infinity():
     gb = good_basis(67, 12)
-    assert wt_infinity(gb) == 0
+    assert gb.wt_infinity() == 0
     gb109 = good_basis(109, 30)
     assert gb109.pivots == [1, 2, 4]
-    assert wt_infinity(gb109) == 1
+    assert gb109.wt_infinity() == 1
     gb397 = good_basis(397, 80)
-    assert wt_infinity(gb397) > 0
+    assert gb397.wt_infinity() > 0
 
 
 def test_basis_is_hecke_stable():
@@ -403,16 +402,18 @@ def test_verify_prime_serves_longer_cached_basis_unchanged(tmp_path,
 
 
 def test_plus_dimension_from_trace_matches_rank():
-    # g+ = (genus + tr W_p + 1) / 2 against the exact rank of (1 + W_p) C
+    # g+ = (genus + tr W_p + 1) / 2 against the exact rank of (1 + W_p) C,
+    # C the integer cuspidal basis: dim x genus, in the kernel of the
+    # boundary row
     for p in PRIMES_11_199:
         bc = BasisComputer(p)
         space = bc.space
         den = space._r_den
         w = space.atkin_lehner_matrix().num.astype(object)
-        scale = math.lcm(*(x.denominator for row in space.cuspidal
-                           for x in row))
-        cusp = np.array([[int(x * scale) for x in row]
-                         for row in space.cuspidal], dtype=object)
+        assert all(type(x) is int for row in space.cuspidal for x in row)
+        cusp = np.array(space.cuspidal, dtype=object)
+        assert cusp.shape == (space.dim, space.genus), p
+        assert not (space.boundary.astype(object) @ cusp).any(), p
         rank = len(linalg.pivot_columns(den * cusp + w @ cusp)) \
             if space.genus else 0
         assert bc.g == rank, p

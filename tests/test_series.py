@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wplus.errors import NotPIntegralError, PrecisionError
-from wplus.series import FpSeries, QExpansion, residue_matrix, series_arith
+from wplus.series import FpSeries, QExpansion, residue_matrix
 
 # the basis expansions printed for X_0^+(67), through q^8
 F1_67 = {1: 1, 3: -3, 4: -3, 5: -3, 6: 1, 7: 4, 8: 3}
@@ -36,7 +36,7 @@ def test_basis_product_hand_multiplied():
     # (q - 3q^3 - ...) * (q^2 - q^3 - ...) starts q^3 - q^4 - 6q^5
     f1 = qexp(F1_67, 9, level=67)
     f2 = qexp(F2_67, 9, level=67)
-    prod = series_arith(f1, f2, "mul")
+    prod = f1 * f2
     assert prod.coefficient(3) == 1
     assert prod.coefficient(4) == -1
     assert prod.coefficient(5) == -6
@@ -65,7 +65,7 @@ def test_division_by_zero_series():
     a = qexp({1: 1}, 5)
     z = QExpansion.zero(5)
     with pytest.raises(ZeroDivisionError):
-        series_arith(a, z, "div")
+        a / z
 
 
 def test_mismatched_moduli_rejected():
@@ -189,18 +189,18 @@ def test_fp_series_shift_truncate():
 
 
 def test_residue_matrix_of_numerator_rows():
-    # rows of numerators over one denominator each reduce as the
-    # QExpansions they stand for, with one inverse per row
+    # GoodBasis.residues reduces rows of numerators over one denominator
+    # each as residue_matrix reduces the QExpansions they stand for, with
+    # one inverse per row, from int64 and from Python-int numerators
+    from wplus.modsym import GoodBasis
     num = np.array([[0, 3, -5, 2 ** 40], [0, 0, 7, 1]])
     den = [6, 35]
     forms = [QExpansion([Fraction(int(c), d) for c in row], 0, 4)
              for row, d in zip(num, den)]
     for p in (11, 13):
-        assert np.array_equal(residue_matrix(num, p, 3, den),
-                              residue_matrix(forms, p, 3))
-        assert np.array_equal(residue_matrix(num.astype(object), p, 4, den),
-                              residue_matrix(forms, p, 4))
+        for rows in (num, num.astype(object)):
+            basis = GoodBasis(p, 2, 0, rows, den, [1, 2], True)
+            assert np.array_equal(basis.residues(),
+                                  residue_matrix(forms, p, 4))
     with pytest.raises(NotPIntegralError):
-        residue_matrix(num, 7, 4, den)
-    with pytest.raises(PrecisionError):
-        residue_matrix(num, 11, 5, den)
+        GoodBasis(7, 2, 0, num, den, [1, 2], False).residues()

@@ -7,7 +7,7 @@ from wplus.errors import BoundExceededError
 from wplus.fppoly import FpPoly, is_prime
 from wplus.modsym import ModSymSpace
 from wplus.supersingular import (ClassPolyData, class_number, class_poly,
-                                 eisenstein_pm1_mod_p, fixed_point_poly,
+                                 fixed_point_poly,
                                  hasse_polynomial, is_supersingular_by_counting,
                                  reduced_forms, ss_oracle, ss_polys,
                                  verify_fixedlinear)
@@ -50,10 +50,15 @@ def test_ss_split_structure():
 
 
 def test_e_pm1_reduction_matches_true_eisenstein():
-    # E_{p-1} really is the constant series 1 mod p
-    from wplus.level1 import eisenstein
-    e66 = eisenstein(66, 12).reduce_mod(67)
-    assert e66.agrees_with(eisenstein_pm1_mod_p(67, 12))
+    # E_{p-1} really is the constant series 1 mod p, and the divisor
+    # polynomial of its residue row is the S_tilde of ss_polys
+    from wplus.level1 import divisor_polynomials, eisenstein, weight_profile
+    from wplus.series import residue_matrix
+    for p in (67, 101, 107):
+        prec = weight_profile(p - 1).m + 4
+        row = residue_matrix([eisenstein(p - 1, prec)], p, prec)
+        assert row.tolist() == [[1] + [0] * (prec - 1)]
+        assert divisor_polynomials(row, p - 1, p)[0] == ss_polys(p).S_tilde
 
 
 def test_oracle_equivalence_spot():

@@ -43,7 +43,13 @@ def _old_window_basis(p):
 
 
 def _lifts(p, gb):
-    return lift_to_level1(residue_matrix(gb.num, p, gb.precision, gb.den), p)
+    return lift_to_level1(gb.residues(), p)
+
+
+def _modp_head(rows, p, terms):
+    """modp_wronskian as an FpSeries, to compare with the series route."""
+    det, val = modp_wronskian(rows, p, terms)
+    return FpSeries(p, det, val, val + len(det))
 
 
 def _as_qexpansion(head, g, level):
@@ -290,9 +296,9 @@ def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
     heads = []
 
     def recording(forms, p, terms):
-        det = full(forms, p, terms)
-        heads.append((terms, det.precision - det.valuation))
-        return det
+        det, val = full(forms, p, terms)
+        heads.append((terms, len(det)))
+        return det, val
 
     def refuse(*args):
         raise AssertionError("series elimination in the cross-check")
@@ -314,10 +320,10 @@ def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
     full = ws.modp_wronskian
 
     def off(forms, p, terms):
-        det = full(forms, p, terms)
-        coeffs = det.coeffs.copy()
-        coeffs[1] = (coeffs[1] + 1) % p
-        return FpSeries(p, coeffs, det.valuation, det.precision)
+        det, val = full(forms, p, terms)
+        det = det.copy()
+        det[1] = (det[1] + 1) % p
+        return det, val
 
     assert cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)[0]
     monkeypatch.setattr(ws, "modp_wronskian", off)
@@ -462,8 +468,8 @@ def test_integer_wronskian_refuses_zero_pivot(valuations):
 def test_modp_head_matches_series_wronskian_of_head_cut(p):
     # the int64 elimination against Gaussian elimination over FpSeries
     gb = _chain_basis(p)
-    det = modp_wronskian(residue_matrix(gb.forms, p, gb.precision), p,
-                         _HEAD_TERMS)
+    det = _modp_head(residue_matrix(gb.forms, p, gb.precision), p,
+                     _HEAD_TERMS)
     series, lead = wronskian([f.reduce_mod(p) for f in _head_cut(gb)])
     assert (det.valuation, det.precision) == (series.valuation,
                                               series.precision)
@@ -486,7 +492,7 @@ def test_modp_head_random_rows_match_series_wronskian(p, g):
     rng = random.Random(p + g)
     for terms in (1, 5, _HEAD_TERMS):
         rows = _random_rows(rng, g, p, 3 * g + terms + 3)
-        det = modp_wronskian(rows, p, terms)
+        det = _modp_head(rows, p, terms)
         forms = [FpSeries(p, row, 0, rows.shape[1]) for row in rows]
         vals = [f.valuation for f in forms]
         cut = [f.truncate(c + terms) for f, c in zip(forms, vals)]
@@ -519,33 +525,30 @@ def test_modp_head_refuses_int64_overflow_and_zero_form():
         modp_wronskian(rows, 67, 3)
 
 
-def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
-    # the mod-p chain after the basis, the exact head included, multiplies
-    # and divides no rational q-expansion
+def test_pipeline_builds_no_series_objects(tmp_path, monkeypatch):
+    # the pipeline runs on arrays: with FpSeries refused, a cold
+    # verify_prime gives the report of an unpatched run, timings aside; with
+    # QExpansion refused too, the uncached basis, S_tilde and the chain (the
+    # Miller basis, the lifts, the P_i, both Wronskian heads) still run, so
+    # only the q-series of j behind the class polynomials builds one
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
     p = 389
-    gb, split = _chain_basis(p), ss_polys(p)
 
-    def refuse(*args):
-        raise AssertionError("QExpansion arithmetic in the chain")
+    def report(cache_dir):
+        out = verify_prime(p, Config(cache_dir=cache_dir)).to_json_dict()
+        del out["timings_ms"]
+        return out
 
-    for name in ("__mul__", "__rmul__", "__truediv__"):
-        monkeypatch.setattr(QExpansion, name, refuse)
-    assert extract_Fp(p, gb, split).status == "ok"
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
 
-
-def test_chain_uses_no_fp_series_arithmetic(monkeypatch):
-    # the Miller basis, the lifts, the P_i, S_tilde and the mod-p head run
-    # on residue arrays: no FpSeries product, quotient, sum or theta
-    p = 389
-    gb = _chain_basis(p)
-
-    def refuse(*args):
-        raise AssertionError("FpSeries arithmetic in the chain")
-
-    for name in ("__mul__", "__rmul__", "__truediv__", "__add__", "__sub__",
-                 "scale", "theta"):
-        monkeypatch.setattr(FpSeries, name, refuse)
-    assert extract_Fp(p, gb, ss_polys(p)).status == "ok"
+    want = report(tmp_path / "unpatched")
+    assert want["status"] == "ok"
+    monkeypatch.setattr(FpSeries, "__init__", refuse)
+    assert report(tmp_path / "patched") == want
+    monkeypatch.setattr(QExpansion, "__init__", refuse)
+    assert extract_Fp(p, _chain_basis(p), ss_polys(p)).status == "ok"
 
 
 def test_non_integral_basis_reports_not_good(basis67):
