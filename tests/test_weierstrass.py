@@ -525,12 +525,13 @@ def test_modp_head_refuses_int64_overflow_and_zero_form():
         modp_wronskian(rows, 67, 3)
 
 
-def test_pipeline_builds_no_series_objects(tmp_path, monkeypatch):
+def _refuse_construction(self, *args, **kwargs):
+    raise AssertionError(f"{type(self).__name__} built")
+
+
+def test_chain_uses_no_fp_series_arithmetic(tmp_path, monkeypatch):
     # the pipeline runs on arrays: with FpSeries refused, a cold
-    # verify_prime gives the report of an unpatched run, timings aside; with
-    # QExpansion refused too, the uncached basis, S_tilde and the chain (the
-    # Miller basis, the lifts, the P_i, both Wronskian heads) still run, so
-    # only the q-series of j behind the class polynomials builds one
+    # verify_prime gives the report of an unpatched run, timings aside
     from wplus.config import Config
     from wplus.pipeline import verify_prime
     p = 389
@@ -540,14 +541,20 @@ def test_pipeline_builds_no_series_objects(tmp_path, monkeypatch):
         del out["timings_ms"]
         return out
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built")
-
     want = report(tmp_path / "unpatched")
     assert want["status"] == "ok"
-    monkeypatch.setattr(FpSeries, "__init__", refuse)
+    monkeypatch.setattr(FpSeries, "__init__", _refuse_construction)
     assert report(tmp_path / "patched") == want
-    monkeypatch.setattr(QExpansion, "__init__", refuse)
+
+
+def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
+    # with QExpansion and FpSeries refused, the uncached basis, S_tilde and
+    # the chain (the Miller basis, the lifts, the P_i, both Wronskian heads)
+    # still run, so only the q-series of j behind the class polynomials
+    # builds one
+    p = 389
+    monkeypatch.setattr(FpSeries, "__init__", _refuse_construction)
+    monkeypatch.setattr(QExpansion, "__init__", _refuse_construction)
     assert extract_Fp(p, _chain_basis(p), ss_polys(p)).status == "ok"
 
 
