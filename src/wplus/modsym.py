@@ -2,7 +2,10 @@
 
 The space is presented on Manin symbols (c:d) over P^1(F_p), quotiented by
 the two- and three-term relations and by the star involution (so complex
-conjugation acts trivially and every Hecke eigenvalue appears once).  T_ell
+conjugation acts trivially and every Hecke eigenvalue appears once).  The
+star involution and the two-term involution S generate a Klein four-group
+on the symbols, so those relations are read off its orbits, all symbols at
+once; the three-term relations are then eliminated on Python ints.  T_ell
 acts on Manin symbols through a set of integer matrices of determinant ell,
 applied to all symbols at once: Cremona's Heilbronn matrices for an odd
 prime ell != p, Merel's matrices for ell = 2.  The Atkin-Lehner involution
@@ -16,7 +19,8 @@ Since every cusp form of prime level is new, the Atkin-Lehner involution
 acts on the cuspidal subspace as -U_p, and its +1 eigenspace M+ corresponds
 to the quotient curve.  M+ is free of rank one over the Hecke algebra, so
 for a cyclic vector x of M+ each coordinate i gives a form
-sum_n (T_n x)_i q^n of S_2^+(p), and these span it.  The unique reduced
+sum_n (T_n x)_i q^n of S_2^+(p), and these span it; x = (1 + W_p) y for a
+y on four coordinates, tried in turn until x is cyclic.  The unique reduced
 echelon basis of the rows ((T_n x)_i)_{n < prec} is the good basis, with
 pivots c_1 < ... < c_g.  It is held on integers: a g x P numerator matrix
 and one least denominator D_i per form, taken from K x span and the column
@@ -105,50 +109,6 @@ class HeckeMatrix(NamedTuple):
         return [[Fraction(int(x), self.den) for x in row] for row in self.num]
 
 
-class _SignedUnionFind:
-    """Union-find tracking x_i = +-x_root, with a kill flag for x = -x."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n    # sign of node relative to its parent
-        self.dead = [False] * n
-
-    def find(self, i):
-        path = []
-        j = i
-        while self.parent[j] != j:
-            path.append(j)
-            j = self.parent[j]
-        root = j
-        # compress, nearest-the-root first, keeping signs relative to root
-        for node in reversed(path):
-            par = self.parent[node]
-            if par != root:
-                self.sign[node] *= self.sign[par]
-            self.parent[node] = root
-        return (root, self.sign[i]) if path else (root, 1)
-
-    def relate(self, i, j, s):
-        """Impose x_i = s * x_j."""
-        ri, si = self.find(i)
-        rj, sj = self.find(j)
-        if ri == rj:
-            if si != s * sj:
-                self.dead[ri] = True
-            return
-        self.parent[ri] = rj
-        self.sign[ri] = si * s * sj
-        if self.dead[ri]:
-            self.dead[rj] = True
-
-    def resolve(self, i):
-        """(root, sign) with x_i = sign * x_root, or (root, 0) if killed."""
-        r, s = self.find(i)
-        if self.dead[r]:
-            return r, 0
-        return r, s
-
-
 class ModSymSpace:
     """Star-quotient of weight-2 modular symbols for Gamma_0(p).
 
@@ -167,69 +127,67 @@ class ModSymSpace:
         self.p = p
         n = p + 1
         self.n = n
-        self._inv = np.zeros(p, dtype=np.int64)
-        for c in range(1, p):
-            self._inv[c] = pow(c, -1, p)
+        # c^(p - 2) = 1/c mod p for every c at once (and 0 for c = 0)
+        self._inv = np.ones(p, dtype=np.int64)
+        base, e = np.arange(p, dtype=np.int64), p - 2
+        while e:
+            if e & 1:
+                self._inv = self._inv * base % p
+            base = base * base % p
+            e >>= 1
 
         # symbols: index 0 is (0:1), index 1+d is (1:d)
-        pairs_c = np.concatenate([[0], np.ones(p, dtype=np.int64)])
-        pairs_d = np.concatenate([[1], np.arange(p, dtype=np.int64)])
-        self._sym_c = pairs_c
-        self._sym_d = pairs_d
+        c = np.concatenate([[0], np.ones(p, dtype=np.int64)])
+        d = np.concatenate([[1], np.arange(p, dtype=np.int64)])
+        self._sym_c, self._sym_d = c, d
 
-        def idx(c, d):
-            c %= p
-            d %= p
-            if c == 0:
-                return 0
-            return 1 + d * int(self._inv[c]) % p
+        # the star involution iota (c:d) -> (-c:d), with x = x iota, and
+        # S (c:d) -> (d:-c), with x + x S = 0, generate a Klein four-group:
+        # each orbit {i, iota i, S i, iota S i} is one coordinate x_root,
+        # root its least symbol, with sign +1 on i and iota i and -1 on the
+        # other two; it is killed when S i is i or iota i
+        sym = np.arange(n)
+        iota = self._indices(-c % p, d)
+        s = self._indices(d, -c % p)
+        root = np.minimum(np.minimum(sym, iota), np.minimum(s, iota[s]))
+        sign = np.where((root == sym) | (root == iota), 1, -1)
+        sign[(s == sym) | (s == iota)] = 0
 
-        self.index = idx
-
-        # two-term, star, and three-term Manin relations, on Python ints
-        uf = _SignedUnionFind(n)
-        for i in range(n):
-            c, d = int(pairs_c[i]), int(pairs_d[i])
-            uf.relate(i, idx(-c, d), 1)       # star involution
-            uf.relate(i, idx(d, -c), -1)      # x + xS = 0
-        resolved = [uf.resolve(i) for i in range(n)]
+        # three-term relations x + x tau + x tau^2 = 0, tau (c:d) ->
+        # (d:-c-d), one row per tau-orbit, keyed by its least symbol
+        j = self._indices(d, (-c - d) % p)
+        k = self._indices((-c - d) % p, c)
+        _, first = np.unique(np.minimum(np.minimum(sym, j), k),
+                             return_index=True)
+        terms = np.stack([first, j[first], k[first]])
         reducer = linalg.SparseRREF()
-        seen = set()
-        for i in range(n):
-            c, d = int(pairs_c[i]), int(pairs_d[i])
-            j = idx(d, -c - d)
-            k = idx(-c - d, c)
-            key = min(i, j, k)
-            if key in seen:
-                continue
-            seen.add(key)
+        for roots, signs in zip(root[terms].T.tolist(),
+                                sign[terms].T.tolist()):
             row = {}
-            for t in (i, j, k):
-                r, s = resolved[t]
-                if s:
-                    row[r] = row.get(r, 0) + s
+            for r, sg in zip(roots, signs):
+                if sg:
+                    row[r] = row.get(r, 0) + sg
             reducer.add_row(row)
         pivot_rows = reducer.finish()
 
-        roots = {r for r, s in resolved if s}
-        free = sorted(r for r in roots if r not in pivot_rows)
+        live = np.flatnonzero((root == sym) & (sign != 0)).tolist()
+        free = [r for r in live if r not in pivot_rows]
         self.free = free
         self.dim = len(free)
         pos = {r: t for t, r in enumerate(free)}
 
-        # reduction map: R_num[t, i] / R_den is coordinate t of symbol i
+        # reduction map: R_num[t, i] / R_den is coordinate t of symbol i;
+        # column r of by_root is that of x_r for every live root r
         den = lcm(*(v.denominator for row in pivot_rows.values()
                     for v in row.values()))
-        scaled = {r: [(pos[c_], v.numerator * (den // v.denominator))
-                      for c_, v in row.items() if c_ != r]
-                  for r, row in pivot_rows.items()}
-        rnum = np.zeros((self.dim, n), dtype=np.int64)
-        for i, (r, s) in enumerate(resolved):
-            if s and r in scaled:
-                for t, v in scaled[r]:
-                    rnum[t, i] = -s * v
-            elif s:
-                rnum[pos[r], i] = s * den
+        by_root = np.zeros((self.dim, n), dtype=np.int64)
+        by_root[np.arange(self.dim), free] = den
+        for r, row in pivot_rows.items():
+            for c_, v in row.items():
+                if c_ != r:
+                    by_root[pos[c_], r] = -v.numerator * (den // v.denominator)
+        rnum = by_root[:, root]
+        rnum *= sign
         self._r_den = den
         self._r_num = rnum
 
@@ -246,6 +204,25 @@ class ModSymSpace:
                           for i in others] for r in range(self.dim)]
         self.genus = len(others)
 
+    def index(self, c, d):
+        """Index of the Manin symbol (c:d), for Python ints."""
+        c %= self.p
+        d %= self.p
+        if c == 0:
+            return 0
+        return 1 + d * int(self._inv[c]) % self.p
+
+    def _indices(self, u, v):
+        """Indices of the symbols (u:v) for int64 arrays u, v reduced mod p;
+        the non-symbol (0:0) gets index n."""
+        idx = self._inv[u]
+        idx *= v
+        idx %= self.p
+        idx += 1
+        zero = u == 0
+        idx[zero] = np.where(v[zero] == 0, self.n, 0)
+        return idx
+
     def symbol_pair(self, i):
         return int(self._sym_c[i]), int(self._sym_d[i])
 
@@ -256,30 +233,25 @@ class ModSymSpace:
             return (1, 0, 0, 1)
         return (0, -1, 1, d)
 
-    def _count_images(self, mats):
-        """counts[s, j] = number of matrices sending free symbol j to symbol
-        s, for all free symbols in one pass; images (0:0) are dropped."""
+    def _count_images(self, mats, symbols):
+        """counts[s, j] = number of matrices sending symbols[j] to symbol s,
+        for all the symbols in one pass; images (0:0) are dropped."""
         p, n = self.p, self.n
         a, b, c, d = np.asarray(mats, dtype=np.int64).T
-        u0 = self._sym_c[self.free][:, None]
-        v0 = self._sym_d[self.free][:, None]
-        # in place where possible: every temporary is dim x len(mats), and
-        # each fresh one of that size faults in new pages
+        u0 = self._sym_c[symbols][:, None]
+        v0 = self._sym_d[symbols][:, None]
+        # in place where possible: every temporary is len(symbols) x
+        # len(mats), and each fresh one of that size faults in new pages
         u = u0 * a
         u += v0 * c
         u %= p
         v = u0 * b
         v += v0 * d
         v %= p
-        idx = self._inv[u]
-        idx *= v
-        idx %= p
-        idx += 1
-        zero = u == 0
-        idx[zero] = np.where(v[zero] == 0, n, 0)
-        idx += (n + 1) * np.arange(self.dim)[:, None]
-        counts = np.bincount(idx.ravel(), minlength=(n + 1) * self.dim)
-        return counts.reshape(self.dim, n + 1)[:, :n].T
+        idx = self._indices(u, v)
+        idx += (n + 1) * np.arange(len(symbols))[:, None]
+        counts = np.bincount(idx.ravel(), minlength=(n + 1) * len(symbols))
+        return counts.reshape(len(symbols), n + 1)[:, :n].T
 
     def _accumulate_infty_path(self, num, den, coeff, out):
         """Manin symbols of the path from the infinite cusp to num/den, by
@@ -324,23 +296,27 @@ class ModSymSpace:
         one matrix acting on paths, so O(dim log p) steps in all."""
         return self._counts_to_matrix(self._path_counts([(0, -1, self.p, 0)]))
 
-    def _hecke_counts(self, ell):
-        mats = merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
-        return self._count_images(mats)
+    def _hecke_mats(self, ell):
+        return merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
 
     def hecke_matrix(self, ell):
         """HeckeMatrix of T_ell on the quotient; ell must be prime, and
         ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
         Merel's matrices otherwise (for ell = p only as a reference: the
         production basis uses W_p)."""
-        return self._counts_to_matrix(self._hecke_counts(ell))
+        return self._counts_to_matrix(
+            self._count_images(self._hecke_mats(ell), self.free))
 
-    def hecke_apply(self, ell, v):
-        """Numerator of T_ell v (the denominator is _r_den) for an integer
-        vector v, as _r_num @ (counts @ v): the dim x dim matrix of T_ell
-        is never formed."""
-        return linalg.exact_matmul(
-            self._r_num, linalg.exact_matmul(self._hecke_counts(ell), v))
+    def hecke_columns(self, ells, y):
+        """Numerators of T_ell y (the denominator is _r_den), one column per
+        prime ell, for an integer vector y: only the free symbols in the
+        support of y go through the matrices of each T_ell, and the
+        reduction map runs once on all the images."""
+        support = np.flatnonzero(y)
+        symbols = np.asarray(self.free)[support]
+        images = np.stack([self._count_images(self._hecke_mats(ell), symbols)
+                           @ y[support] for ell in ells], axis=1)
+        return linalg.exact_matmul(self._r_num, images)
 
     def hecke_matrix_path(self, ell):
         """T_ell by the coset representatives (1, j; 0, ell) for
@@ -354,7 +330,8 @@ class ModSymSpace:
     def hecke_matrix_merel(self, ell):
         """T_ell from Merel's determinant-ell matrices for every ell; kept as
         an independent cross-check."""
-        return self._counts_to_matrix(self._count_images(merel_set(ell)))
+        return self._counts_to_matrix(
+            self._count_images(merel_set(ell), self.free))
 
     def _counts_to_matrix(self, counts):
         return HeckeMatrix(linalg.exact_matmul(self._r_num, counts),
@@ -458,10 +435,14 @@ class BasisComputer:
     """Krylov good-basis engine for one prime.
 
     Prime level is all new, so U_p = -w_p on S_2, and the +1 space of w_p is
-    reached through the one matrix W_p rather than through U_p.
-    x = (1 + W_p) y for a cuspidal y with fixed small integer weights lies in
-    M+; its columns T_n x are kept as integer vectors v_n (int64, or Python
-    ints where a product could overflow) with T_n x = v_n / d_n.  ``rows``
+    reached through the one matrix W_p rather than through U_p.  W_p acts as
+    -1 on M modulo the cuspidal subspace C, so x = (1 + W_p) y lies in M+
+    and in C for every y; trial t takes y = sum_j j e_(j + 4t mod dim),
+    j = 1..4, both facts are checked exactly, and the next trial runs when x
+    is not cyclic.  The columns T_n x are kept as integer vectors v_n (int64,
+    or Python ints where a product could overflow) with T_n x = v_n / d_n.
+    W_p commutes with T_ell for ell != p, so T_ell x = (1 + W_p) T_ell y,
+    and T_ell y needs the images of four symbols only.  ``rows``
     are g coordinates that are independent over n <= (p + 1) / 6 + 2, so x
     is cyclic and their forms span S_2^+(p).
 
@@ -481,22 +462,24 @@ class BasisComputer:
         if space.genus == 0:
             return
         den = space._r_den
-        w = space.atkin_lehner_matrix().num
-        cusp = np.array(space.cuspidal, dtype=object)
-        wc = linalg.exact_matmul(w, cusp)
-        if not np.array_equal(linalg.exact_matmul(w, wc), den * den * cusp):
-            raise WplusError("W_p is not an involution on the cuspidal subspace")
+        self._w = w = space.atkin_lehner_matrix().num
+        if not np.array_equal(linalg.exact_matmul(w, w), linalg.exact_scale(
+                np.eye(space.dim, dtype=np.int64), den * den)):
+            raise WplusError("W_p is not an involution")
         self.g = _plus_dimension(space, w)
         if self.g == 0:
             return
-        plus = den * cusp + wc                     # den (1 + W_p) C
         head = (p + 1) // 6 + 3                    # columns n < head
         for trial in range(_TRIALS):
-            weights = np.array([(j + 1) ** trial for j in range(space.genus)],
-                               dtype=object)
-            x = linalg.exact_matmul(plus, weights)
+            y = np.zeros(space.dim, dtype=np.int64)
+            np.add.at(y, (np.arange(1, 5) + 4 * trial) % space.dim,
+                      np.arange(1, 5))
+            x = self._plus(y)
             if not np.array_equal(linalg.exact_matmul(w, x), den * x):
                 raise WplusError("x is not in the w_p = +1 space")
+            if linalg.exact_matmul(space.boundary, x):
+                raise WplusError("x is not cuspidal")
+            self._y = y
             self._cols, self._dens = [x], [1]
             self._extend(head)
             krylov = np.array(self._cols)          # row n - 1 is T_n x
@@ -511,6 +494,11 @@ class BasisComputer:
                     self._pivots, self._k, self._kinv = echelon
                     return
         raise WplusError(f"no cyclic vector of the +1 space found for p={p}")
+
+    def _plus(self, v):
+        """den (1 + W_p) v for an integer vector or matrix v."""
+        return (linalg.exact_scale(v, self.space._r_den)
+                + linalg.exact_matmul(self._w, v))
 
     def _echelon(self, span):
         """(pivots, k, K) for the g x head matrix span of the Krylov rows, or
@@ -545,9 +533,17 @@ class BasisComputer:
         """Columns T_n x for every n < upto: T_{ell m} = T_ell T_m for ell
         not dividing m, T_{ell^{k+1} m} = T_ell T_{ell^k m} - ell T_{ell^{k-1} m},
         and U_p = -1 on M+.  A prime ell with ell^2 >= upto occurs only as
-        n = ell, so it acts on x alone and its matrix is never formed."""
+        n = ell, and its matrix is never formed: W_p commutes with T_ell, so
+        den T_ell x = (den + w) h_ell for h_ell the numerator of T_ell y,
+        and h_ell needs the images of the support of y alone."""
         cols, dens, den = self._cols, self._dens, self.space._r_den
-        for n in range(len(cols) + 1, upto):
+        start = len(cols) + 1
+        late = [n for n in range(start, upto) if n * n >= upto
+                and n != self.p and _smallest_prime_factor(n) == n]
+        if late:
+            late = dict(zip(late, self._plus(
+                self.space.hecke_columns(late, self._y)).T))
+        for n in range(start, upto):
             ell = _smallest_prime_factor(n)
             m = n // ell
             if ell == self.p:
@@ -555,7 +551,7 @@ class BasisComputer:
                 dens.append(dens[m - 1])
                 continue
             if ell * ell >= upto:
-                col = self.space.hecke_apply(ell, cols[0])
+                col = late[ell]
             else:
                 col = linalg.exact_matmul(self._t(ell), cols[m - 1])
             if m % ell == 0:
@@ -606,9 +602,9 @@ class BasisComputer:
 def _plus_dimension(space, w):
     """g+ = dim of the W_p = +1 cuspidal space, from the trace of W_p = w/den.
 
-    W_p^2 = 1 on the cuspidal space C (checked by the caller), and W_p swaps
-    the two cusps, so the boundary row delta satisfies delta W_p = -delta
-    (checked here): W_p preserves C = ker delta and acts as -1 on the
+    W_p^2 = 1 (checked by the caller), and W_p swaps the two cusps, so the
+    boundary row delta satisfies delta W_p = -delta (checked here): W_p
+    preserves C = ker delta and acts as -1 on the
     quotient by C, which has dimension dim - genus = 1.  Hence
     tr W_p = (g+ - (genus - g+)) - 1 = 2 g+ - dim."""
     den = space._r_den

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .cache import DiskCache, NullCache
 from .config import Config
@@ -123,6 +122,9 @@ def scan_primes(pmin, pmax, config=None, basis_only=False):
     primes = [p for p in range(max(pmin, 5), pmax + 1) if is_prime(p)]
     jobs = min(config.jobs, max(len(primes), 1))
     if jobs > 1:
+        # imported here: it pulls in multiprocessing, which a serial run
+        # never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
                 _scan_worker, [(p, config, basis_only) for p in primes]))

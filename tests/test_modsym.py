@@ -530,12 +530,12 @@ def test_cache_rechecks_identity_block_and_p_integral(tmp_path):
 PRIMES_5_300 = [p for p in range(5, 301) if all(p % d for d in range(2, p))]
 
 
-def _assert_integer_basis_matches_fraction_oracle(p):
+def _assert_integer_basis_matches_fraction_oracle(p, bc=None):
     # the numerator rows over their least denominators against one Fraction
     # per coefficient, from the same Krylov columns
     from basis_oracle import fraction_forms
     prec = (p + 1) // 6 + 12
-    bc = BasisComputer(p)
+    bc = bc or BasisComputer(p)
     gb = bc.basis(prec)
     oracle = fraction_forms(bc, prec)
     assert len(oracle) == gb.g == len(gb.den) == len(gb.num)
@@ -620,12 +620,16 @@ def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
     from wplus.config import Config
     from wplus.pipeline import verify_prime
     from wplus.series import QExpansion
+    from wplus.supersingular import fixed_point_poly
     p = 389
     prec = (p + 1) // 6 + 12
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("QExpansion built")
 
+    # the class polynomials read j's q-expansion, built once per process:
+    # build it before the refusal, so the test passes in any order
+    fixed_point_poly(p)
     monkeypatch.setattr(QExpansion, "__init__", refuse)
     cache = DiskCache(tmp_path)
     cold = good_basis(p, prec, cache)
@@ -653,3 +657,80 @@ def test_basis_reads_column_denominators(p):
     assert got.num.dtype == object
     assert got.num.tolist() == want.num.tolist() and got.den == want.den
     assert got.pivots == want.pivots and got.p_integral
+
+
+PRIMES_5_400 = [p for p in range(5, 401) if all(p % d for d in range(2, p))]
+
+
+def _trace(num, den):
+    return Fraction(int(np.trace(num)), den)
+
+
+def test_relations_match_union_find_oracle():
+    # the orbit quotient against the union-find one: their coordinates
+    # differ, so compare dim, genus, the denominator, the row space of the
+    # reduction map (each map is an invertible combination of the rows of
+    # the other, so stacking them gives rank dim) and the traces of T_2,
+    # T_3 and W_p, the oracle's lifting its own free symbols
+    import copy
+
+    from modsym_oracle import OracleRelations
+    for p in PRIMES_5_400:
+        s, o = ModSymSpace(p), OracleRelations(p)
+        assert (s.dim, s.genus, s._r_den) == (o.dim, o.genus, o.r_den), p
+        for r, den, free in ((s._r_num, s._r_den, s.free),
+                             (o.r_num, o.r_den, o.free)):
+            assert np.array_equal(r[:, free], den * np.eye(s.dim)), p
+        assert np.array_equal(o.r_num * s._r_den,
+                              o.r_num[:, s.free] @ s._r_num), p
+        assert np.array_equal(s._r_num * o.r_den,
+                              s._r_num[:, o.free] @ o.r_num), p
+        lifted = copy.copy(s)
+        lifted.free, lifted.dim = o.free, o.dim
+        for ell in (2, 3):
+            counts = s._count_images(merel_set(ell), o.free)
+            assert _trace(o.r_num @ counts, o.r_den) == _trace(
+                *s.hecke_matrix(ell)), (p, ell)
+        w_counts = lifted._path_counts([(0, -1, p, 0)])
+        assert _trace(o.r_num @ w_counts, o.r_den) == _trace(
+            *s.atkin_lehner_matrix()), p
+
+
+@pytest.mark.parametrize("p", [11, 67, 389])
+def test_support_route_matches_hecke_matrices(p):
+    # T_ell y from the images of the support of y alone is the matrix of
+    # T_ell times y, and W_p commutes with it: (den + w) T_ell y =
+    # T_ell (den + w) y, for every prime ell != p below the precision
+    from wplus.fppoly import is_prime
+    space = ModSymSpace(p)
+    den = space._r_den
+    w = space.atkin_lehner_matrix().num
+    ells = [ell for ell in range(2, (p + 1) // 6 + 12)
+            if ell != p and is_prime(ell)]
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        y = np.zeros(space.dim, dtype=np.int64)
+        support = rng.choice(space.dim, size=min(4, space.dim), replace=False)
+        y[support] = rng.integers(1, 10, size=support.size) * rng.choice(
+            [-1, 1], size=support.size)
+        h = space.hecke_columns(ells, y)
+        assert h.shape == (space.dim, len(ells))
+        for col, ell in zip(h.T, ells):
+            t = space.hecke_matrix(ell).num
+            assert np.array_equal(col, t @ y), (p, ell)
+            assert np.array_equal(den * col + w @ col,
+                                  t @ (den * y + w @ y)), (p, ell)
+
+
+def test_cyclic_vector_fallback_at_1051():
+    # the support vectors of trials 0 and 1 are not cyclic at 1051, so the
+    # third, on coordinates 9..12, is taken; its basis is the Fraction
+    # route's and the payload is the one the dense (1 + W_p) C x gave
+    p = 1051
+    bc = BasisComputer(p)
+    assert np.flatnonzero(bc._y).tolist() == [9, 10, 11, 12]
+    assert bc._y[9:13].tolist() == [1, 2, 3, 4]
+    _assert_integer_basis_matches_fraction_oracle(p, bc)
+    gb = bc.basis((p + 1) // 6 + 12)
+    assert _payload_sha256(gb) == (
+        "52ae6bbc242ad4959f8670614e2eba51ddbad4b7b979a2f37732cf3b5fb29328")
