@@ -671,7 +671,8 @@ def test_relations_match_union_find_oracle():
     # differ, so compare dim, genus, the denominator, the row space of the
     # reduction map (each map is an invertible combination of the rows of
     # the other, so stacking them gives rank dim) and the traces of T_2,
-    # T_3 and W_p, the oracle's lifting its own free symbols
+    # T_3 and W_p, each reduction map taking the images of its own free
+    # symbols
     import copy
 
     from modsym_oracle import OracleRelations
@@ -686,7 +687,7 @@ def test_relations_match_union_find_oracle():
         assert np.array_equal(s._r_num * o.r_den,
                               s._r_num[:, o.free] @ o.r_num), p
         lifted = copy.copy(s)
-        lifted.free, lifted.dim = o.free, o.dim
+        lifted.free = o.free
         for ell in (2, 3):
             counts = s._count_images(merel_set(ell), o.free)
             assert _trace(o.r_num @ counts, o.r_den) == _trace(
@@ -725,7 +726,7 @@ def test_support_route_matches_hecke_matrices(p):
 def test_cyclic_vector_fallback_at_1051():
     # the support vectors of trials 0 and 1 are not cyclic at 1051, so the
     # third, on coordinates 9..12, is taken; its basis is the Fraction
-    # route's and the payload is the one the dense (1 + W_p) C x gave
+    # route's, and its payload hash is the one a dense cyclic vector gives
     p = 1051
     bc = BasisComputer(p)
     assert np.flatnonzero(bc._y).tolist() == [9, 10, 11, 12]
