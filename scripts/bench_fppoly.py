@@ -7,7 +7,8 @@ Three measurements, each made in a fresh interpreter that imports `wplus`
 from the `src/` of one checkout, the two checkouts taking turns:
 
 - `ladder`: cold `verify_prime` (empty cache) at p = 67, 199, 389, 601, with
-  the report's per-stage `timings_ms`; `--runs` runs per prime and checkout.
+  the report's per-stage `timings_ms` and the child's peak RSS after the
+  run (`ru_maxrss`); `--runs` runs per prime and checkout.
 - `layers`: `FpPoly.divmod` of a product of two residues, and `pow_mod`
   of a residue to the p-th power (the step of distinct-degree splitting),
   modulo seeded random polynomials of degree 100, 500 and 2000 over F_601;
@@ -66,6 +67,7 @@ def check_checkout():
 def measure(kind, arg):
     """Run inside the child interpreter; returns a JSON-ready dict."""
     import random
+    import resource
 
     from wplus.config import Config
     from wplus.fppoly import FpPoly
@@ -77,7 +79,8 @@ def measure(kind, arg):
             report = verify_prime(int(arg), Config(cache_dir=cache_dir))
         out = report.to_json_dict()
         timings = out.pop("timings_ms")
-        return {"timings_ms": timings, "report": out,
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        return {"timings_ms": timings, "peak_rss_mb": rss, "report": out,
                 "H": [int(c) for c in report.polys["H"].coeffs]
                 if "H" in report.polys else None}
     if kind == "layers":
@@ -160,6 +163,7 @@ def environment():
 def record(baseline, runs):
     sides = {"baseline": Path(baseline).resolve(), "change": ROOT}
     ladder = {side: {str(p): [] for p in LADDER} for side in sides}
+    rss = {side: {str(p): [] for p in LADDER} for side in sides}
     h = {}
     for p in LADDER:
         for run in range(runs):
@@ -169,6 +173,7 @@ def record(baseline, runs):
                 raise SystemExit(f"reports differ at p = {p}")
             for side in sides:
                 ladder[side][str(p)].append(got[side]["timings_ms"])
+                rss[side][str(p)].append(got[side]["peak_rss_mb"])
             h[p] = got["change"]["H"]
     layers = {side: child(path, "layers", 0) for side, path in sides.items()}
     for p in FACTOR_PRIMES:
@@ -200,6 +205,11 @@ def record(baseline, runs):
         "environment": environment(),
         "commits": {side: git_commit(path) for side, path in sides.items()},
         "ladder_cold_timings_ms": {"median": median, "runs": ladder},
+        "ladder_peak_rss_mb": {
+            "median": {side: {p: round(statistics.median(rs), 2)
+                              for p, rs in by_p.items()}
+                       for side, by_p in rss.items()},
+            "runs": rss},
         "layers_p601": layers,
         "factor_H": factor,
         "split_S_q": split,

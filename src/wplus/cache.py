@@ -6,15 +6,29 @@ serialized as decimal strings by the producers.  A checksum or version
 mismatch reads as a miss and the entry is recomputed; deleting the cache
 never changes any result, only timing.  Writes go through a temp file and
 os.replace so concurrent scans can share one cache directory.
+
+The checksum is SHA-256 from the interpreter's own extension (`_sha256`,
+or `_sha2` from Python 3.12 on), as `random` does for SHA-512: `hashlib`
+loads `_hashlib`, which maps OpenSSL's libcrypto, about 3.5 MB of resident
+memory in every process for hashing a few kilobytes of JSON.  `hashlib` is
+only the fallback.  The digests are the same bytes either way, so stored
+entries and their checksums do not depend on which module computed them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
+
+try:  # Python 3.10 and 3.11
+    from _sha256 import sha256
+except ImportError:
+    try:  # Python 3.12 and later
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = 1
 
@@ -23,7 +37,7 @@ _KINDS = ("good_basis", "class_poly")
 
 def _checksum(payload):
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 class DiskCache:

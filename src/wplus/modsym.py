@@ -118,7 +118,7 @@ class ModSymSpace:
         genus:       dimension of the cuspidal subspace
         boundary:    int64 vector b over the coordinates, the boundary map
         cuspidal:    dim x genus matrix, as rows of Python ints, whose columns
-                     are an integer basis of the kernel of b
+                     are an integer basis of the kernel of b (on first use)
     """
 
     def __init__(self, p):
@@ -193,16 +193,20 @@ class ModSymSpace:
 
         # boundary: symbols (0:1) and (1:0) hit the two cusps, others vanish
         self.boundary = rnum[:, 0] - rnum[:, self.index(1, 0)]
-        # its kernel: column i is b_k e_i - b_i e_k for each i != k, with k
-        # the first nonzero entry of b
-        b = self.boundary.tolist()
-        k = next((i for i, x in enumerate(b) if x), None)
-        if k is None:
+        if not self.boundary.any():
             raise WplusError("the boundary map vanishes")
+        self.genus = self.dim - 1
+
+    @functools.cached_property
+    def cuspidal(self):
+        """The kernel of the boundary map, built on first use: column i is
+        b_k e_i - b_i e_k for each i != k, with k the first nonzero entry
+        of b."""
+        b = self.boundary.tolist()
+        k = next(i for i, x in enumerate(b) if x)
         others = [i for i in range(self.dim) if i != k]
-        self.cuspidal = [[b[k] if r == i else -b[i] if r == k else 0
-                          for i in others] for r in range(self.dim)]
-        self.genus = len(others)
+        return [[b[k] if r == i else -b[i] if r == k else 0
+                 for i in others] for r in range(self.dim)]
 
     def index(self, c, d):
         """Index of the Manin symbol (c:d), for Python ints."""

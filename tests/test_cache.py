@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from wplus.cache import SCHEMA_VERSION, DiskCache, NullCache, _checksum
+from wplus.config import Config
+from wplus.pipeline import verify_prime
 
 
 def test_round_trip(tmp_path):
@@ -72,3 +75,39 @@ def test_written_file_is_json_dumps_of_the_entry(tmp_path):
              "key": "389", "payload": payload, "checksum": _checksum(payload)}
     assert (tmp_path / "good_basis" / "389.json").read_bytes() == \
         json.dumps(entry).encode()
+
+
+def _hashlib_checksum(payload):
+    # the OpenSSL route, which shares no code with the builtin SHA-256
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_checksum_known_answers():
+    assert _checksum({}) == ("44136fa355b3678a1146ad16f7e8649e"
+                             "94fb4fc21fe77e8310c060f61caaff8a")
+    assert _checksum({"D": 268, "h": 4}) == (
+        "1a1a2751437cbf1884714a7b77b3aeb50b886d801024b931f56ad78b49c621a9")
+
+
+@pytest.mark.parametrize("p", [67, 199])
+def test_checksum_matches_hashlib_on_every_written_entry(tmp_path, p):
+    report = verify_prime(p, Config(cache_dir=tmp_path))
+    assert report.status == "ok"
+    entries = [json.loads(path.read_text())
+               for path in sorted(tmp_path.glob("*/*.json"))]
+    assert {e["kind"] for e in entries} == {"good_basis", "class_poly"}
+    for entry in entries:
+        assert entry["checksum"] == _checksum(entry["payload"]) == \
+            _hashlib_checksum(entry["payload"])
+
+
+def test_entry_written_with_hashlib_is_a_hit(tmp_path):
+    payload = {"H_D": ["-3375", "1"], "D": 7}
+    entry = {"schema_version": SCHEMA_VERSION, "kind": "class_poly",
+             "key": "7", "payload": payload,
+             "checksum": _hashlib_checksum(payload)}
+    path = tmp_path / "class_poly" / "7.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry))
+    assert DiskCache(tmp_path).get("class_poly", "7") == payload

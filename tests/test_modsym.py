@@ -735,3 +735,23 @@ def test_cyclic_vector_fallback_at_1051():
     gb = bc.basis((p + 1) // 6 + 12)
     assert _payload_sha256(gb) == (
         "52ae6bbc242ad4959f8670614e2eba51ddbad4b7b979a2f37732cf3b5fb29328")
+
+
+def test_good_basis_leaves_cuspidal_unbuilt(monkeypatch):
+    # production never reads the cuspidal basis, so an uncached basis
+    # leaves it unbuilt; restrict_to_cuspidal builds it on first use
+    from wplus import modsym
+    spaces = []
+
+    class Recorded(ModSymSpace):
+        def __init__(self, p):
+            super().__init__(p)
+            spaces.append(self)
+
+    monkeypatch.setattr(modsym, "ModSymSpace", Recorded)
+    p = 389
+    assert good_basis(p, (p + 1) // 6 + 12).g == 11
+    assert [s.p for s in spaces] == [p]
+    assert "cuspidal" not in vars(spaces[0])
+    assert len(spaces[0].cuspidal) == spaces[0].dim
+    assert "cuspidal" in vars(spaces[0])

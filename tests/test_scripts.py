@@ -49,6 +49,12 @@ def test_bench_fppoly_ladder():
     assert got["report"]["status"] == "ok" and got["H"] == [62, 10, 1]
 
 
+def test_bench_fppoly_ladder_peak_rss():
+    # the child's ru_maxrss after the cold run: at least numpy is resident
+    got = _run("bench_fppoly.py", "ladder", 67)
+    assert 10 < got["peak_rss_mb"] < 1000
+
+
 def test_bench_fppoly_factor(tmp_path):
     h = tmp_path / "h.json"
     h.write_text(json.dumps({"67": [62, 10, 1]}))
