@@ -195,7 +195,7 @@ class ModSymSpace:
         self.boundary = rnum[:, 0] - rnum[:, self.index(1, 0)]
         if not self.boundary.any():
             raise WplusError("the boundary map vanishes")
-        self.genus = self.dim - 1
+        self.genus = self.dim - 1              # the kernel of a nonzero row
 
     @functools.cached_property
     def cuspidal(self):

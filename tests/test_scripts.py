@@ -47,11 +47,7 @@ def test_bench_basis_basis():
 def test_bench_fppoly_ladder():
     got = _run("bench_fppoly.py", "ladder", 67)
     assert got["report"]["status"] == "ok" and got["H"] == [62, 10, 1]
-
-
-def test_bench_fppoly_ladder_peak_rss():
-    # the child's ru_maxrss after the cold run: at least numpy is resident
-    got = _run("bench_fppoly.py", "ladder", 67)
+    # the child's ru_maxrss after the cold run, numpy resident at least
     assert 10 < got["peak_rss_mb"] < 1000
 
 
