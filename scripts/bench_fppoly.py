@@ -6,22 +6,23 @@ baseline checkout of wplus.
 Three measurements, each made in a fresh interpreter that imports `wplus`
 from the `src/` of one checkout, the two checkouts taking turns:
 
-- `ladder`: cold `verify_prime` (empty cache) at p = 67, 199, 389, 601, with
-  the report's per-stage `timings_ms` and the child's peak RSS after the
-  run (`ru_maxrss`); `--runs` runs per prime and checkout.
+- `ladder`: cold `verify_prime` (empty cache) at p = 67, 199, 389, 601 and
+  1009, with the report's per-stage `timings_ms` and the child's peak RSS
+  after the run (`ru_maxrss`); `--runs` runs per prime and checkout.  The
+  text report is formed after the peak is read, since it factors H.
 - `layers`: `FpPoly.divmod` of a product of two residues, and `pow_mod`
   of a residue to the p-th power (the step of distinct-degree splitting),
   modulo seeded random polynomials of degree 100, 500 and 2000 over F_601;
   the median over repeats of at least 0.2 s.
 - `factor`: `FpPoly.factor` of H at p = 389, 601 and 1009 (degrees 110,
-  368 and 1306; H at 1009 from one cold `verify_prime` of this checkout),
-  median of 3.
+  368 and 1306; H from the ladder runs of this checkout), median of 3.
 - `split`: the check that S_q splits into quadratics, at p = 389, 601 and
   1009: `supersingular.factor_degrees`, or on a checkout without it the
   degrees of `FpPoly.factor`; the median over repeats of at least 0.2 s.
 
-Both checkouts must give identical reports (timings aside), identical
-factorizations and identical split answers; the script stops otherwise.
+Both checkouts must give identical reports (timings aside) and text
+reports, identical factorizations and identical split answers; the script
+stops otherwise.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LADDER = (67, 199, 389, 601)
+LADDER = (67, 199, 389, 601, 1009)
 LAYER_P = 601
 LAYER_DEGREES = (100, 500, 2000)
+#: the H factored here come from the ladder runs, so each prime is in LADDER
 FACTOR_PRIMES = (389, 601, 1009)
 
 
@@ -81,6 +83,7 @@ def measure(kind, arg):
         timings = out.pop("timings_ms")
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return {"timings_ms": timings, "peak_rss_mb": rss, "report": out,
+                "text": report.text_lines(),
                 "H": [int(c) for c in report.polys["H"].coeffs]
                 if "H" in report.polys else None}
     if kind == "layers":
@@ -169,16 +172,14 @@ def record(baseline, runs):
         for run in range(runs):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]
             got = {side: child(sides[side], "ladder", p) for side in order}
-            if got["baseline"]["report"] != got["change"]["report"]:
-                raise SystemExit(f"reports differ at p = {p}")
+            for part in ("report", "text"):
+                if got["baseline"][part] != got["change"][part]:
+                    raise SystemExit(f"{part}s differ at p = {p}")
             for side in sides:
                 ladder[side][str(p)].append(got[side]["timings_ms"])
                 rss[side][str(p)].append(got[side]["peak_rss_mb"])
             h[p] = got["change"]["H"]
     layers = {side: child(path, "layers", 0) for side, path in sides.items()}
-    for p in FACTOR_PRIMES:
-        if p not in h:
-            h[p] = child(ROOT, "ladder", p)["H"]
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump({str(p): h[p] for p in FACTOR_PRIMES}, fh)
     try:

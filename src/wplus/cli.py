@@ -7,7 +7,8 @@
     wplus basis <p> [--prec N]
 
 Exit codes for verify: 0 all checks pass, 1 falsifier triggered, 2 good
-basis hypothesis unmet (or usage error), 3 internal error.  The cache
+basis hypothesis unmet (or usage error), 3 internal error (in the text
+report too, when H cannot be factored for its "H factors" line).  The cache
 directory comes from WPLUS_CACHE or ~/.cache/wplus.
 """
 
@@ -18,6 +19,7 @@ import json
 import sys
 
 from .config import Config
+from .errors import WplusError
 from .fppoly import is_prime
 from .report import _poly_str
 
@@ -83,8 +85,13 @@ def main(argv=None):
         report = verify_prime(args.p, cfg)
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2))
-        else:
-            print("\n".join(report.text_lines()))
+            return report.exit_code
+        try:
+            lines = report.text_lines()
+        except WplusError as exc:
+            print(f"wplus: {exc}", file=sys.stderr)
+            return 3
+        print("\n".join(lines))
         return report.exit_code
 
     if args.command == "scan":

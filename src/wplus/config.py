@@ -19,11 +19,13 @@ class Config:
     """Runtime settings of the verification pipeline.
 
     cache_dir holds the on-disk cache, which use_cache=False bypasses; jobs
-    is the number of worker processes of a scan; rng_seed drives the
-    randomized equal-degree splitting of H (S_q is checked to split into
-    quadratics without the RNG).  Precisions, the point-counting
-    oracle bound (supersingular.ORACLE_BOUND) and the class-polynomial float
-    precision are fixed by the algorithms, not configured.
+    is the number of worker processes of a scan; rng_seed is accepted and
+    read by nothing: the one randomized step, the equal-degree splitting of
+    H for the text report, gives a result that no RNG changes (S_q is
+    checked to split into quadratics without one).  Precisions, the
+    point-counting oracle bound (supersingular.ORACLE_BOUND) and the
+    class-polynomial float precision are fixed by the algorithms, not
+    configured.
     """
 
     cache_dir: Path = field(default_factory=default_cache_dir)

@@ -226,13 +226,14 @@ def divisor_polynomial(f, ctx=None):
     return [Fraction(c) for c in coeffs]
 
 
-def divisor_polynomials(forms, k, p):
+def divisor_polynomials(forms, k, p, monos=None):
     """Divisor polynomials F(f, x) over F_p of weight-k forms f, given as the
     rows of an int64 array of the residues of q^0 .. q^(n-1); a list of
-    FpPoly, one per row.
+    FpPoly, one per row.  monos is monomials_mod(k, p, n), built when None;
+    it is only read.
 
     With D = Delta^m Etilde_k, m = m(k), the monomial D j^t is row m - t of
-    _monomials(k, p, n): it starts with q^(m - t), coefficient 1.  So
+    monomials_mod(k, p, n): it starts with q^(m - t), coefficient 1.  So
     f = D F(f, j) is peeled in one elimination over all rows at once: step
     i = 0, ..., m reads the coefficient of q^i of what is left as that of
     x^(m - i) and subtracts that multiple of monomial row i.  This is the
@@ -255,7 +256,11 @@ def divisor_polynomials(forms, k, p):
             f"have {n}")
     if not int64_sums_fit(2, p):
         raise OverflowError(f"modulus {p} too large for int64 row operations")
-    monos = _monomials(k, p, n)
+    if monos is None:
+        monos = monomials_mod(k, p, n)
+    elif monos.shape != (m + 1, n):
+        raise ValueError(f"monomial rows of shape {monos.shape}, need "
+                         f"{(m + 1, n)}")
     residue = forms.copy()
     coeffs = np.zeros((rows, m + 1), dtype=np.int64)
     for i in range(m + 1):
@@ -316,7 +321,7 @@ def _series_power(a, e, p, n):
     return out
 
 
-def _monomials(k, p, prec):
+def monomials_mod(k, p, prec):
     """Residues mod p of q^0 .. q^(prec-1) of the level-1 monomials
     Delta^i E_4^(a - 3i) E_6^b of weight k, i = 0, ..., m(k), as the rows of
     an int64 array; row i is q^i + O(q^(i+1)), and equals D j^(m - i) for
@@ -342,12 +347,13 @@ def _monomials(k, p, prec):
     return out
 
 
-def miller_basis_mod(k, p, prec):
+def miller_basis_mod(k, p, prec, monos=None):
     """Miller basis of M_k reduced mod p: an int64 array of shape
-    (d + 1, max(prec, d + 2)), d = m(k), whose row i holds the residues of
-    q^0, q^1, ... of h_i = q^i + O(q^(d+1)).
+    (d + 1, n), n = max(prec, d + 2), d = m(k), whose row i holds the
+    residues of q^0, q^1, ... of h_i = q^i + O(q^(d+1)).  monos is
+    monomials_mod(k, p, n), built when None; the basis is built on a copy.
 
-    The monomial rows (_monomials) are unit upper triangular on the columns
+    The monomial rows (monomials_mod) are unit upper triangular on the columns
     0..d, so one back-substitution, from the last row up, clears the
     columns above the diagonal.  OverflowError, before any arithmetic, when
     an int64 sum could wrap.
@@ -358,7 +364,14 @@ def miller_basis_mod(k, p, prec):
     if not int64_sums_fit(d + 1, p):
         raise OverflowError(
             f"modulus {p} too large for int64 sums of {d + 1} products")
-    basis = _monomials(k, p, max(prec, d + 2))
+    n = max(prec, d + 2)
+    if monos is None:
+        basis = monomials_mod(k, p, n)
+    elif monos.shape != (d + 1, n):
+        raise ValueError(f"monomial rows of shape {monos.shape}, need "
+                         f"{(d + 1, n)}")
+    else:
+        basis = monos.copy()
     for i in range(d - 1, -1, -1):
         basis[i] = (basis[i] - basis[i, i + 1:d + 1] @ basis[i + 1:]) % p
     return basis

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import time
 
 from .cache import DiskCache, NullCache
@@ -32,7 +31,6 @@ def verify_prime(p, config=None, basis_only=False):
     if not is_prime(p) or p < 5:
         raise ValueError(f"{p} is not a prime >= 5")
     cache = _cache_for(config)
-    rng = random.Random(config.rng_seed)
     t_start = time.perf_counter()
     report = VerificationReport(p=p)
     try:
@@ -74,14 +72,13 @@ def verify_prime(p, config=None, basis_only=False):
         report.timings_ms["class_poly"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        chain = extract_Fp(p, gb, split, rng=rng)
+        chain = extract_Fp(p, gb, split)
         report.timings_ms["chain"] = 1e3 * (time.perf_counter() - t0)
         report.checks.update(chain.checks)
-        report.polys.update(chain.polys)
+        report.polys.merge(chain.polys)
         report.epsilon_rho = chain.epsilon_rho
         report.epsilon_i = chain.epsilon_i
         report.wronskian_head = chain.wronskian_head
-        report.h_factorization = chain.h_factorization
         report.basis_heads = basis_heads(gb)
 
         if chain.status == "not_good_basis" or not gb.p_integral:

@@ -3,6 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .errors import WplusError
+
+
+class Polys(dict):
+    """Polynomials by name, some of them deferred: defer(key, build) keeps
+    a zero-argument build that the first read of self[key] runs and stores.
+    A deferred entry is no member until it is read, so `in`, iteration,
+    get and the JSON report pass it by."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.deferred = {}
+
+    def defer(self, key, build):
+        self.deferred[key] = build
+
+    def __missing__(self, key):
+        if key not in self.deferred:
+            raise KeyError(key)
+        self[key] = value = self.deferred.pop(key)()
+        return value
+
+    def merge(self, other):
+        """Take the entries of other, a Polys, deferred ones included."""
+        self.update(other)
+        self.deferred.update(other.deferred)
 
 
 @dataclass
@@ -10,8 +38,9 @@ class VerificationReport:
     """Outcome of the full divisor-polynomial verification for one prime.
 
     ``checks`` maps check names to booleans; ``polys`` holds the mod-p
-    polynomials as FpPoly (S_p, S_l, S_q, H_p_mod_p, F_p, H).  ``status``
-    is one of ok / falsified / not_good_basis / error.
+    polynomials as FpPoly (S_p, S_l, S_q, H_p_mod_p, F_p, H, and F_wtilde,
+    built when first read).  ``status`` is one of ok / falsified /
+    not_good_basis / error.
     """
 
     p: int
@@ -23,14 +52,13 @@ class VerificationReport:
     sigma: int = 0
     epsilon_rho: int = 0
     epsilon_i: int = 0
-    polys: dict = field(default_factory=dict)
+    polys: dict = field(default_factory=Polys)
     checks: dict = field(default_factory=dict)
     timings_ms: dict = field(default_factory=dict)
     status: str = "ok"
     error: str = ""
     basis_heads: list = field(default_factory=list)
     wronskian_head: list = field(default_factory=list)
-    h_factorization: list = field(default_factory=list)
 
     SCHEMA = 1
     POLY_KEYS = ("S_p", "S_l", "S_q", "H_p_mod_p", "F_p", "H")
@@ -48,6 +76,23 @@ class VerificationReport:
         if self.status == "not_good_basis":
             return 2
         return 3
+
+    @cached_property
+    def h_factorization(self):
+        """The factors of H that the text report prints: (coefficients of a
+        monic irreducible factor, multiplicity) pairs in FpPoly.factor's
+        sorted order, which no RNG changes; [] unless H has positive degree.
+        Factored on first read, since no check and no JSON field reads it.
+        A failure raises WplusError naming this stage."""
+        h = self.polys.get("H")
+        if h is None or h.degree() < 1:
+            return []
+        try:
+            factors = h.factor()
+        except Exception as exc:
+            raise WplusError(f"factoring H for the text report: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        return [([int(c) for c in f.coeffs], e) for f, e in factors]
 
     def to_json_dict(self):
         polys = {}
@@ -71,7 +116,8 @@ class VerificationReport:
 
     def text_lines(self):
         """Human-readable summary, in the order basis / Wronskian / divisor
-        polynomial / supersingular polynomial / F_p / H."""
+        polynomial / supersingular polynomial / F_p / H and its factors
+        (h_factorization, which this factors on the first call)."""
         out = [f"p = {self.p}: X_0(p) genus {self.g_p}, quotient genus {self.g_plus}"]
         out.append(f"pivots = {self.pivots}, wt(infinity) = {self.wt_inf}, "
                    f"good basis: {self.good_basis}")

@@ -16,7 +16,9 @@ for the full polynomial.
 
 Hilbert class polynomials are computed by enumerating reduced binary
 quadratic forms and evaluating j at the CM points with mpmath big floats,
-with precision escalation until the rounding residual is small.  Each form
+with precision escalation until the rounding residual is small.  mpmath is
+imported on the first evaluation, so a run that reads its class polynomials
+from the cache, or never needs one, does not load it.  Each form
 sums the q-series of j to the length its own |q| = exp(-pi sqrt(D)/a)
 needs, and the form (a, b, c) takes the complex conjugate of the j-value of
 (a, -b, c).
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import (BoundExceededError, InexactDivisionError,
@@ -312,6 +313,9 @@ def class_poly(D, start_bits=None, cache=None):
                 [tuple(f) for f in payload["reduced_forms"]],
                 [int(c) for c in payload["H_D"]],
                 payload["float_precision_bits"])
+    # imported on a cache miss only (module docstring)
+    import mpmath
+
     forms = reduced_forms(D)
     h = len(forms)
     bits = start_bits if start_bits else _start_bits(D, forms)
@@ -354,6 +358,8 @@ def _class_poly_attempt(D, forms, bits):
     when a residual reaches 0.01.  Each form sums the j-series to its own
     length; (a, b, c) and (a, -b, c) give tau and -conj(tau), so the second
     j-value is the conjugate of the first."""
+    import mpmath
+
     sqrtD = mpmath.sqrt(D)
     cj = _j_coefficients(max(_j_terms(D, a, bits) for a, _, _ in forms))
     jvals = {}

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wplus.cli import main
+from wplus.fppoly import FpPoly
 from wplus.report import VerificationReport
 
 JSON_TOP_KEYS = {"schema", "p", "g_p", "g_plus", "pivots", "wt_inf",
@@ -37,6 +38,21 @@ def test_verify_67_json_schema(capsys, tmp_path):
     # polynomials are coefficient lists, low degree first, mod p
     assert data["polys"]["H"] == [62, 10, 1]
     assert all(v is True for v in data["checks"].values())
+
+
+def test_verify_text_names_a_factoring_error(capsys, tmp_path, monkeypatch):
+    # only the text report factors H: --json is unaffected, and the text
+    # path exits 3 with the stage in the message
+    def refuse(self, rng=None):
+        raise RuntimeError("factor called")
+
+    monkeypatch.setattr(FpPoly, "factor", refuse)
+    code, _ = run(capsys, "--cache-dir", str(tmp_path), "verify", "67",
+                  "--json")
+    assert code == 0
+    assert main(["--cache-dir", str(tmp_path), "verify", "67"]) == 3
+    err = capsys.readouterr().err
+    assert "factoring H for the text report: RuntimeError" in err
 
 
 def test_verify_trivial_genus(capsys, tmp_path):

@@ -1,20 +1,56 @@
-"""The scan driver: serial and pooled scans, and what `import wplus` loads."""
+"""The scan driver: serial and pooled scans, what `import wplus` and a run
+load, and the work a JSON run leaves out."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wplus.config import Config
-from wplus.pipeline import scan_primes
+from wplus.errors import WplusError
+from wplus.fppoly import FpPoly
+from wplus.pipeline import scan_primes, verify_prime
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: the "H factors" lines of the text report, as it printed them when the
+#: chain factored H on every run
+H_FACTORS = {
+    67: "  H factors: [([62, 10, 1], 1)]",
+    199: "  H factors: [([169, 134, 85, 135, 137, 100, 1], 1), "
+         "([171, 125, 198, 119, 61, 169, 1], 1)]",
+}
 
 
 def _stripped(scan):
     for r in scan["results"]:
         r.pop("timings_ms")
     return scan
+
+
+def _untimed(report):
+    out = report.to_json_dict()
+    out.pop("timings_ms")
+    return out
+
+
+def _loads_mpmath(code, tmp_path):
+    """Run code after `import sys, wplus` in a fresh interpreter, with
+    Config, scan_primes, verify_prime and a cache config `cache` at
+    tmp_path / "cache" in scope; whether mpmath was loaded after it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, wplus\n"
+             "from wplus.config import Config\n"
+             "from wplus.pipeline import scan_primes, verify_prime\n"
+             f"cache = Config(cache_dir={str(tmp_path / 'cache')!r})\n"
+             f"{code}\n"
+             "print('mpmath' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
 
 
 def test_import_leaves_out_multiprocessing():
@@ -46,6 +82,44 @@ def test_cold_runs_leave_out_hashlib(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
     assert list((tmp_path / "cache").glob("*/*.json"))
+
+
+def test_mpmath_loads_on_the_first_class_polynomial(tmp_path):
+    # the class polynomials are the only use of mpmath: importing wplus, a
+    # basis-only scan and a run on a warm cache leave it out
+    assert _loads_mpmath(
+        "print('mpmath' in sys.modules)\n"
+        "scan_primes(5, 41, cache, basis_only=True)", tmp_path) \
+        == ["False", "False"]
+    assert _loads_mpmath("assert verify_prime(67, cache).status == 'ok'",
+                         tmp_path) == ["True"]
+    assert list((tmp_path / "cache" / "class_poly").glob("*.json"))
+    assert _loads_mpmath("assert verify_prime(67, cache).status == 'ok'",
+                         tmp_path) == ["False"]
+
+
+@pytest.mark.parametrize("p", sorted(H_FACTORS))
+def test_text_report_prints_the_factors_of_H(p):
+    lines = verify_prime(p, Config(use_cache=False)).text_lines()
+    assert [line for line in lines if "H factors" in line] == [H_FACTORS[p]]
+
+
+def test_json_report_never_factors_H(monkeypatch):
+    # no check reads the factors of H, so neither the JSON report nor the
+    # status depends on factoring; the text report factors on first read
+    config = Config(use_cache=False)
+    expected = _untimed(verify_prime(389, config))
+
+    def refuse(self, rng=None):
+        raise RuntimeError("factor called")
+
+    monkeypatch.setattr(FpPoly, "factor", refuse)
+    report = verify_prime(389, config)
+    assert report.status == "ok"
+    assert _untimed(report) == expected
+    with pytest.raises(WplusError, match="^factoring H for the text report: "
+                                         "RuntimeError: factor called$"):
+        report.text_lines()
 
 
 def test_pooled_scan_matches_serial_scan(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
                                modp_wronskian, polynomial_wronskian, theta,
                                vandermonde, wronskian,
                                wronskian_divisor_polynomial)
+from assembly_oracle import expanded_assembly
 from wronskian_oracle import (fraction_wronskian_head,
                               qseries_wronskian_divisor_polynomial,
                               series_polynomial_wronskian)
@@ -189,6 +191,55 @@ def test_extract_67_wtilde_assembly(report67):
     assert report67.polys["F_wtilde"] == expected
 
 
+#: primes p <= 449 at which the chain reaches theorem_assembly (g+ >= 2)
+ASSEMBLY_PRIMES_TO_449 = 63
+
+
+@pytest.mark.parametrize("primes", [
+    pytest.param(tuple(p for p in range(5, 450) if is_prime(p)), id="to449"),
+    pytest.param((601,), id="601", marks=pytest.mark.slow),
+    pytest.param((1009,), id="1009", marks=pytest.mark.slow)])
+def test_theorem_assembly_closed_form_matches_expanded(primes):
+    # the three identities of the closed form against the expanded product
+    # at every prime where the chain reaches the check
+    checked = 0
+    for p in primes:
+        split = ss_polys(p)
+        rep = extract_Fp(p, _chain_basis(p), split)
+        if rep.g_plus < 2:
+            continue
+        assert rep.status == "ok", p
+        assert rep.checks["theorem_assembly"], p
+        assert expanded_assembly(rep, split), p
+        checked += 1
+    assert checked == (ASSEMBLY_PRIMES_TO_449 if len(primes) > 1 else 1)
+
+
+def test_theorem_assembly_rejects_a_wrong_square_root(basis67, monkeypatch):
+    split = ss_polys(67)
+    root = FpPoly.sqrt
+    monkeypatch.setattr(FpPoly, "sqrt",
+                        lambda self: root(self) * FpPoly.linear(self.p, 1))
+    rep = extract_Fp(67, basis67, split)
+    assert rep.checks["square_extraction"]
+    assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
+    assert not expanded_assembly(rep, split)
+
+
+def test_theorem_assembly_rejects_a_short_S_tilde_l(basis67):
+    # S~_l = x + 1 at 67; without it num / den gains the square
+    # (x + 1)^(2g), so H^2 den = num still holds and only identities (i)
+    # and (ii) of the closed form see the fault
+    split = ss_polys(67)
+    assert split.S_tilde_l == FpPoly(67, [1, 1])
+    short = dataclasses.replace(split, S_tilde_l=FpPoly.one(67))
+    rep = extract_Fp(67, basis67, short)
+    assert rep.checks["exact_divisions"] and rep.checks["square_extraction"]
+    assert rep.polys["H"] == FpPoly(67, [62, 10, 1]) * FpPoly(67, [1, 1]) ** 2
+    assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
+    assert not expanded_assembly(rep, short)
+
+
 def test_extract_small_genus_trivial():
     gb = good_basis(23, 10)
     rep = extract_Fp(23, gb, ss_polys(23))
@@ -219,8 +270,7 @@ def test_chain_report_independent_of_window(p):
     assert max(gb.pivots) <= 2 * gb.g - 1
     assert max(gb.pivots) + divisor_degree(p + 1) + 2 <= gb.precision
     split = ss_polys(p)
-    reports = [extract_Fp(p, b, split, rng=random.Random(0))
-               for b in (gb, old)]
+    reports = [extract_Fp(p, b, split) for b in (gb, old)]
     assert reports[0].status == "ok"
     dicts = [r.to_json_dict() for r in reports]
     for d in dicts:
