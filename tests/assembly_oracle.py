@@ -1,5 +1,5 @@
 """The assembled identity of the averaged Wronskian with every power formed,
-as extract_Fp checked it before theorem_assembly's closed form:
+the oracle of the closed form weierstrass.theorem_assembly:
 
     x^eps_rho (x - 1728)^eps_i F_p S_l^(g^2+g) = F_W~.
 

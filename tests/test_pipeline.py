@@ -122,6 +122,17 @@ def test_json_report_never_factors_H(monkeypatch):
         report.text_lines()
 
 
+def test_F_wtilde_is_built_on_first_read():
+    # the JSON and text reports never read F_W~, so the chain defers it
+    report = verify_prime(67, Config(use_cache=False))
+    report.to_json_dict()
+    report.text_lines()
+    assert "F_wtilde" not in report.polys
+    f_wtilde = report.polys["F_wtilde"]
+    assert report.polys["F_wtilde"] is f_wtilde
+    assert not report.polys.deferred
+
+
 def test_pooled_scan_matches_serial_scan(tmp_path):
     serial = scan_primes(5, 41, Config(cache_dir=tmp_path / "serial",
                                        jobs=1), basis_only=True)
