@@ -60,13 +60,9 @@ def _build_parser():
 
 
 def _config(args, **kwargs):
-    cfg = Config(**kwargs)
     if args.cache_dir:
-        cfg.cache_dir = args.cache_dir
-        cfg.__post_init__()
-    if args.no_cache:
-        cfg.use_cache = False
-    return cfg
+        kwargs["cache_dir"] = args.cache_dir
+    return Config(use_cache=not args.no_cache, **kwargs)
 
 
 def _require_prime(value, parser):
@@ -95,6 +91,8 @@ def main(argv=None):
         return report.exit_code
 
     if args.command == "scan":
+        if args.jobs < 1:
+            parser.error(f"--jobs must be >= 1, not {args.jobs}")
         from .pipeline import scan_primes
         cfg = _config(args, jobs=args.jobs)
         agg = scan_primes(args.pmin, args.pmax, cfg,
@@ -154,11 +152,9 @@ def main(argv=None):
     if args.command == "basis":
         _require_prime(args.p, parser)
         from .modsym import good_basis
-        from .cache import DiskCache, NullCache
-        cfg = _config(args)
-        cache = DiskCache(cfg.cache_dir) if cfg.use_cache else NullCache()
+        from .pipeline import _cache_for
         prec = args.prec or (args.p + 1) // 6 + 10
-        gb = good_basis(args.p, prec, cache=cache)
+        gb = good_basis(args.p, prec, cache=_cache_for(_config(args)))
         from .weierstrass import basis_heads
         print(f"p = {args.p}: genus of X_0(p) = {gb.genus_x0}, "
               f"quotient genus = {gb.g}")

@@ -79,6 +79,14 @@ def test_scan_range_json(capsys, tmp_path):
         assert set(r) == JSON_TOP_KEYS
 
 
+def test_scan_rejects_zero_jobs(capsys):
+    # a usage error (exit 2), not the scan's own exit 1 for a falsifier
+    with pytest.raises(SystemExit) as err:
+        main(["--no-cache", "scan", "67", "71", "--jobs", "0"])
+    assert err.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_scan_empty_range(capsys):
     code, out = run(capsys, "--no-cache", "scan", "90", "96")
     assert code == 0
@@ -113,6 +121,15 @@ def test_basis_67(capsys, tmp_path):
     assert code == 0
     assert "q - 3q^3 - 3q^4 - 3q^5" in out
     assert "pivots: [1, 2]" in out
+
+
+def test_basis_cache_follows_no_cache(capsys, tmp_path, monkeypatch):
+    # without --cache-dir the cache is WPLUS_CACHE, and --no-cache skips it
+    monkeypatch.setenv("WPLUS_CACHE", str(tmp_path))
+    assert run(capsys, "--no-cache", "basis", "67")[0] == 0
+    assert not any(tmp_path.iterdir())
+    assert run(capsys, "basis", "67")[0] == 0
+    assert any(tmp_path.iterdir())
 
 
 def test_cache_delete_reproduces_result(capsys, tmp_path):

@@ -1,63 +1,103 @@
-"""The benchmark scripts run end to end at p = 67, each measurement in a
+"""The bench script's measurements run end to end at small inputs, each in a
 fresh interpreter on this checkout, as `--baseline` runs make them: a name
-of `wplus` that a script uses and that is gone fails here, not only when a
-benchmark is next recorded."""
+of `wplus` that a measurement uses and that is gone fails here, not only
+when a benchmark is next recorded."""
 
-import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-sys.path.insert(0, str(SCRIPTS))
+sys.path.insert(0, str(ROOT / "scripts"))
 
-from bench_fppoly import child  # noqa: E402
+from bench import child  # noqa: E402
 
 
-def _run(script, kind, arg):
-    return child(ROOT, kind, arg, script=SCRIPTS / script)
+def _run(kind, arg):
+    return child(ROOT, kind, arg)
 
 
 def test_bench_wronskian_wx():
-    out = _run("bench_wronskian.py", "wx", 67)["output"]
-    assert out["g"] == 2 and out["degree"] == len(out["W_x"]) - 1 == 6
+    out = _run("wx", 67)["output"]
+    assert out["g"] == 2 and out["degree"] == 6
+    assert out["W_x_sha256"] == (
+        "c9380cb4cf0017be607bdb6e3ad5a3d5483ace7902b0ed4a4561a73378e08f57")
 
 
 def test_bench_wronskian_head():
-    out = _run("bench_wronskian.py", "head", 67)["output"]
+    out = _run("head", 67)["output"]
     assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
 
 
 def test_bench_wronskian_lifts():
-    out = _run("bench_wronskian.py", "lifts", 67)["output"]
+    out = _run("lifts", 67)["output"]
     assert (out["g"], out["window"]) == (2, 23)
 
 
 def test_bench_wronskian_modp_head():
-    out = _run("bench_wronskian.py", "modp_head", 67)["output"]
+    out = _run("modp_head", 67)["output"]
     assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
     assert out["head"][:6] == [c % 67 for c in (1, -2, -6, 6, 15, 8)]
 
 
+def test_bench_wronskian_class_poly():
+    out = _run("class_poly", 268)["output"]
+    assert out["h"] == 3
+    assert out["H_D_sha256"] == (
+        "03ed87d544c3ab69d52f0858130df3462f2b2301caecd00541acccd48e3b1172")
+
+
+def test_bench_wronskian_sweep():
+    # the cache files of the 187 class polynomials, as BENCH_wronskian.json
+    # records them
+    out = _run("sweep", None)["output"]
+    assert out == {"count": 187, "cache_sha256": (
+        "74ab0ae58b16b695459e802f1f2c24d02c4fb43cfe354fe5347f3ed2d122a73e")}
+
+
 def test_bench_basis_basis():
-    out = _run("bench_basis.py", "basis", 67)["output"]
+    out = _run("basis", 67)["output"]
     assert out["g"] == 2 and out["pivots"] == [1, 2]
 
 
+def test_bench_basis_scan():
+    out = _run("scan", None)["output"]
+    assert len(out) == 32
+    assert {r["status"] for r in out} <= {"ok", "not_good_basis"}
+
+
 def test_bench_fppoly_ladder():
-    got = _run("bench_fppoly.py", "ladder", 67)
-    assert got["report"]["status"] == "ok" and got["H"] == [62, 10, 1]
+    got = _run("ladder", 67)
+    report = got["output"]["report"]
+    assert report["status"] == "ok" and report["polys"]["H"] == [62, 10, 1]
     # the child's ru_maxrss after the cold run, numpy resident at least
     assert 10 < got["peak_rss_mb"] < 1000
 
 
-def test_bench_fppoly_factor(tmp_path):
-    h = tmp_path / "h.json"
-    h.write_text(json.dumps({"67": [62, 10, 1]}))
-    got = _run("bench_fppoly.py", "factor", h)["67"]
-    assert got["factors"] == [[[62, 10, 1], 1]] and got["factor_degrees"] == [2]
+def test_bench_fppoly_layers():
+    got = _run("layers", None)
+    assert got.pop("output") is None and list(got) == ["100", "500", "2000"]
+    assert all(r["divmod_reps"] >= 3 and r["pow_mod_reps"] >= 3
+               for r in got.values())
+
+
+def test_bench_fppoly_factor():
+    got = _run("factor", {"67": [62, 10, 1]})
+    assert got["output"]["67"] == [[[62, 10, 1], 1]]
+    assert got["67"]["factor_degrees"] == [2]
 
 
 def test_bench_fppoly_split():
-    got = _run("bench_fppoly.py", "split", 67)
-    assert got["splits"] is True and got["degree"] == 4
+    got = _run("split", 67)
+    assert got["output"] is True and got["degree"] == 4
+
+
+def test_bench_child_names_its_failure():
+    # the kind, the argument, the checkout, the exit code and the child's
+    # traceback, not a bare CalledProcessError
+    with pytest.raises(RuntimeError, match="unknown measurement") as err:
+        _run("no_such_kind", 67)
+    message = str(err.value)
+    assert "no_such_kind 67" in message and str(ROOT) in message
+    assert "exited 1" in message and "ValueError" in message
