@@ -3,9 +3,10 @@
 Entries live at <cache_dir>/<kind>/<key>.json as
 {"schema_version", "kind", "key", "payload", "checksum"} with numerics
 serialized as decimal strings by the producers.  A checksum or version
-mismatch reads as a miss and the entry is recomputed; deleting the cache
-never changes any result, only timing.  Writes go through a temp file and
-os.replace so concurrent scans can share one cache directory.
+mismatch, or a file that is not a JSON object, reads as a miss and the
+entry is recomputed; deleting the cache never changes any result, only
+timing.  Writes go through a temp file and os.replace so concurrent scans
+can share one cache directory.
 
 The checksum is SHA-256 from the interpreter's own extension (`_sha256`,
 or `_sha2` from Python 3.12 on), as `random` does for SHA-512: `hashlib`
@@ -56,7 +57,8 @@ class DiskCache:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
-        if entry.get("schema_version") != SCHEMA_VERSION:
+        if (not isinstance(entry, dict)
+                or entry.get("schema_version") != SCHEMA_VERSION):
             return None
         payload = entry.get("payload")
         if payload is None or entry.get("checksum") != _checksum(payload):

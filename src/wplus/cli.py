@@ -117,12 +117,14 @@ def main(argv=None):
         from .level1 import weight_profile
         split = ss_polys(args.p)
         fac = " * ".join(
-            f"({_poly_str(f)})" if e == 1 else f"({_poly_str(f)})^{e}"
+            f"({_poly_str(f.coeffs)})" + (f"^{e}" if e > 1 else "")
             for f, e in split.S_p.factor())
+        s_p, s_l, s_q = (_poly_str(f.coeffs)
+                         for f in (split.S_p, split.S_l, split.S_q))
         print(f"S_{args.p} = {fac}  (mod {args.p})")
-        print(f"  = {_poly_str(split.S_p)}")
-        print(f"S_l = {_poly_str(split.S_l)}   (roots in the prime field)")
-        print(f"S_q = {_poly_str(split.S_q)}   (conjugate quadratic pairs)")
+        print(f"  = {s_p}")
+        print(f"S_l = {s_l}   (roots in the prime field)")
+        print(f"S_q = {s_q}   (conjugate quadratic pairs)")
         m = weight_profile(args.p - 1).m
         print(f"route: divisor polynomial of E_(p-1) mod p at precision {m + 4}")
         if args.p <= ORACLE_BOUND:
@@ -136,14 +138,7 @@ def main(argv=None):
             data = class_poly(args.D)
         except ValueError as exc:
             parser.error(str(exc))
-        terms = []
-        for i in range(data.h, -1, -1):
-            c = data.H_D[i]
-            if c:
-                mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-                terms.append(f"{c}{mono}" if not mono or abs(c) != 1 else
-                             (mono if c == 1 else f"-{mono}"))
-        print(f"H_{args.D}(x) = " + " + ".join(terms).replace("+ -", "- "))
+        print(f"H_{args.D}(x) = {_poly_str(data.H_D)}")
         print(f"class number h(-{args.D}) = {data.h}")
         print(f"reduced forms: {data.reduced_forms}")
         print(f"float precision: {data.float_precision_bits} bits")

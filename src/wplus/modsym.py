@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPIntegralError, PrecisionError, WplusError
-from .fppoly import is_prime
+from .fppoly import inverse_table, is_prime
 from .series import QExpansion
 
 _ONE = Fraction(1)
@@ -127,14 +127,8 @@ class ModSymSpace:
         self.p = p
         n = p + 1
         self.n = n
-        # c^(p - 2) = 1/c mod p for every c at once (and 0 for c = 0)
-        self._inv = np.ones(p, dtype=np.int64)
-        base, e = np.arange(p, dtype=np.int64), p - 2
-        while e:
-            if e & 1:
-                self._inv = self._inv * base % p
-            base = base * base % p
-            e >>= 1
+        # 1/c mod p for every c at once (and 0 for c = 0)
+        self._inv = inverse_table(p)
 
         # symbols: index 0 is (0:1), index 1+d is (1:d)
         c = np.concatenate([[0], np.ones(p, dtype=np.int64)])

@@ -1,4 +1,12 @@
-"""Per-prime verification pipeline and the multi-prime scan driver."""
+"""Per-prime verification pipeline and the multi-prime scan driver.
+
+verify_prime fills one VerificationReport per prime, stage by stage: the
+good basis, the supersingular split, the class-polynomial check and, on a
+p-integral basis, the congruence chain (weierstrass.extract_Fp), which
+writes into the same report.  report.settle() then sets the status, the
+same rule for the full run and the basis-only run; a stage that raises
+sets falsified (a FALSIFIERS error) or error instead.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +21,6 @@ from .report import VerificationReport
 from .supersingular import (ORACLE_BOUND, ss_oracle, ss_polys,
                             verify_fixedlinear)
 from .weierstrass import basis_heads, extract_Fp
-
-#: checks that are observational (reported, never flip the status)
-OBSERVATIONAL_CHECKS = {"gcd_H_Sp_is_1"}
 
 
 def _cache_for(config):
@@ -46,7 +51,7 @@ def verify_prime(p, config=None, basis_only=False):
             1 <= c <= (p + 1) // 6 for c in gb.pivots)
 
         if basis_only:
-            report.status = "ok" if gb.p_integral else "not_good_basis"
+            report.settle()
             report.timings_ms["total"] = 1e3 * (time.perf_counter() - t_start)
             return report
 
@@ -72,23 +77,11 @@ def verify_prime(p, config=None, basis_only=False):
         report.timings_ms["class_poly"] = 1e3 * (time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        chain = extract_Fp(p, gb, split)
+        if gb.p_integral:
+            extract_Fp(report, gb, split)
         report.timings_ms["chain"] = 1e3 * (time.perf_counter() - t0)
-        report.checks.update(chain.checks)
-        report.polys.merge(chain.polys)
-        report.epsilon_rho = chain.epsilon_rho
-        report.epsilon_i = chain.epsilon_i
-        report.wronskian_head = chain.wronskian_head
         report.basis_heads = basis_heads(gb)
-
-        if chain.status == "not_good_basis" or not gb.p_integral:
-            report.status = "not_good_basis"
-        elif chain.status == "falsified" or any(
-                not v for k, v in report.checks.items()
-                if k not in OBSERVATIONAL_CHECKS):
-            report.status = "falsified"
-        else:
-            report.status = "ok"
+        report.settle()
     except FALSIFIERS as exc:
         report.status = "falsified"
         report.error = f"{type(exc).__name__}: {exc}"

@@ -1,4 +1,13 @@
-"""Verification report: everything one prime's run produced, JSON-stable."""
+"""Verification report: everything one prime's run produced, JSON-stable.
+
+verify_prime fills one VerificationReport per prime: the basis, the
+supersingular split and the class-polynomial checks, then, through
+weierstrass.extract_Fp, the congruence chain's checks and polynomials.
+settle() sets the status from what was filled in, by one rule.  Two values
+are formed only when first read, since no check and no JSON field reads
+them: f_wtilde, the divisor polynomial of the averaged Wronskian, and
+h_factorization, which the text report prints.
+"""
 
 from __future__ import annotations
 
@@ -8,29 +17,8 @@ from functools import cached_property
 from .errors import WplusError
 
 
-class Polys(dict):
-    """Polynomials by name, some of them deferred: defer(key, build) keeps
-    a zero-argument build that the first read of self[key] runs and stores.
-    A deferred entry is no member until it is read, so `in`, iteration,
-    get and the JSON report pass it by."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.deferred = {}
-
-    def defer(self, key, build):
-        self.deferred[key] = build
-
-    def __missing__(self, key):
-        if key not in self.deferred:
-            raise KeyError(key)
-        self[key] = value = self.deferred.pop(key)()
-        return value
-
-    def merge(self, other):
-        """Take the entries of other, a Polys, deferred ones included."""
-        self.update(other)
-        self.deferred.update(other.deferred)
+#: checks that are observational (reported, never flip the status)
+OBSERVATIONAL_CHECKS = {"gcd_H_Sp_is_1"}
 
 
 @dataclass
@@ -38,9 +26,11 @@ class VerificationReport:
     """Outcome of the full divisor-polynomial verification for one prime.
 
     ``checks`` maps check names to booleans; ``polys`` holds the mod-p
-    polynomials as FpPoly (S_p, S_l, S_q, H_p_mod_p, F_p, H, and F_wtilde,
-    built when first read).  ``status`` is one of ok / falsified /
-    not_good_basis / error.
+    polynomials as FpPoly (S_p, S_l, S_q, H_p_mod_p, F_p, H).  ``status``
+    is one of ok / falsified / not_good_basis / error: settle() sets one
+    of the first three, and verify_prime sets falsified or error when a
+    stage raises.  ``wtilde_factors`` holds the chain's (S~, num), the
+    factors of f_wtilde.
     """
 
     p: int
@@ -52,13 +42,14 @@ class VerificationReport:
     sigma: int = 0
     epsilon_rho: int = 0
     epsilon_i: int = 0
-    polys: dict = field(default_factory=Polys)
+    polys: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     timings_ms: dict = field(default_factory=dict)
     status: str = "ok"
     error: str = ""
     basis_heads: list = field(default_factory=list)
     wronskian_head: list = field(default_factory=list)
+    wtilde_factors: tuple = field(default=(), repr=False)
 
     SCHEMA = 1
     POLY_KEYS = ("S_p", "S_l", "S_q", "H_p_mod_p", "F_p", "H")
@@ -76,6 +67,30 @@ class VerificationReport:
         if self.status == "not_good_basis":
             return 2
         return 3
+
+    def settle(self):
+        """Set the status from the basis and the checks: not_good_basis
+        without a p-integral basis, falsified when a check outside
+        OBSERVATIONAL_CHECKS fails, ok otherwise."""
+        if not self.good_basis:
+            self.status = "not_good_basis"
+        elif any(not v for k, v in self.checks.items()
+                 if k not in OBSERVATIONAL_CHECKS):
+            self.status = "falsified"
+        else:
+            self.status = "ok"
+
+    @cached_property
+    def f_wtilde(self):
+        """The divisor polynomial of the averaged Wronskian,
+        F_W~ = S~^(g^2-g) num, from wtilde_factors; None unless the chain
+        reached theorem_assembly, which checks it in closed form.  Built
+        on first read, since its degree is about g^2 deg S_p and no check
+        and no JSON field reads it."""
+        if not self.wtilde_factors:
+            return None
+        s_tilde, num = self.wtilde_factors
+        return s_tilde ** (self.g_plus ** 2 - self.g_plus) * num
 
     @cached_property
     def h_factorization(self):
@@ -125,17 +140,18 @@ class VerificationReport:
             out.append(f"  f_{i + 1} = {head}")
         if self.wronskian_head:
             out.append(f"  wronskian = {self.wronskian_head[0]}")
+        shown = {k: _poly_str(f.coeffs) for k, f in self.polys.items()}
         for key in ("S_p", "S_l", "S_q"):
-            if key in self.polys:
-                out.append(f"  {key} = {_poly_str(self.polys[key])}")
-        if "H_p_mod_p" in self.polys:
-            out.append(f"  H_p mod p = {_poly_str(self.polys['H_p_mod_p'])} "
+            if key in shown:
+                out.append(f"  {key} = {shown[key]}")
+        if "H_p_mod_p" in shown:
+            out.append(f"  H_p mod p = {shown['H_p_mod_p']} "
                        f"(sigma = {self.sigma})")
-        if self.g_plus >= 2 and "F_p" in self.polys:
+        if self.g_plus >= 2 and "F_p" in shown:
             out.append(f"  epsilon_rho = {self.epsilon_rho}, "
                        f"epsilon_i = {self.epsilon_i}")
-            out.append(f"  F_p mod p = {_poly_str(self.polys['F_p'])}")
-            out.append(f"  H = {_poly_str(self.polys['H'])}")
+            out.append(f"  F_p mod p = {shown['F_p']}")
+            out.append(f"  H = {shown['H']}")
             if self.h_factorization:
                 out.append(f"  H factors: {self.h_factorization}")
         failed = [k for k, v in self.checks.items() if not v]
@@ -145,20 +161,18 @@ class VerificationReport:
         return out
 
 
-def _poly_str(poly):
-    if poly is None:
-        return "?"
-    if poly.is_zero():
-        return "0"
+def _poly_str(coeffs):
+    """The polynomial with these coefficients, constant term first, as
+    the reports print it: highest degree first, a unit coefficient left
+    out of x and x^i, a negative term joined by " - "."""
     terms = []
-    for i in range(poly.degree(), -1, -1):
-        c = int(poly.coeffs[i])
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = int(coeffs[i])
         if not c:
             continue
-        if i == 0:
-            terms.append(f"{c}")
-        elif i == 1:
-            terms.append("x" if c == 1 else f"{c}x")
+        mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
+        if mono and c in (1, -1):
+            terms.append(mono if c == 1 else f"-{mono}")
         else:
-            terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-    return " + ".join(terms)
+            terms.append(f"{c}{mono}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"

@@ -18,7 +18,7 @@ a perfect square H^2, and
 
 The assembly of the averaged Wronskian is checked in closed form, by three
 identities of low degree (theorem_assembly), so its g^2-th powers are never
-formed; its divisor polynomial F_wtilde is built when first read.
+formed; the report builds its divisor polynomial F_wtilde when first read.
 
 The cross-check compares the lifts with the reduced forms, and an exact
 head of the Wronskian, by Bareiss elimination over Z[q]/(q^K) on the
@@ -26,7 +26,10 @@ numerator rows with their denominators D_j, with the mod-p head, by
 Gaussian elimination over F_p[q]/(q^K).  The exact head stays on integers
 over one denominator (ExactHead), and the report prints it from them.
 Every division is checked exact and every forced parity is checked even;
-any failure is a falsifier, not an input error.
+any failure is a falsifier, not an input error.  extract_Fp writes what the
+chain finds into the report that verify_prime is filling and sets no
+status: a failed check stays in report.checks, and report.settle() reads
+it as a falsifier.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .level1 import (divisor_degree, divisor_polynomial,  # noqa: F401
                      divisor_polynomials, gp_exponents, gp_poly,
                      miller_basis_mod, monomials_mod,
                      square_divisor_exponents, weight_profile)
-from .report import VerificationReport
 
 
 def theta(f):
@@ -558,38 +560,28 @@ def theorem_assembly(split, elliptic, h, numerator, denominator):
             and h * h * denominator == numerator)
 
 
-def extract_Fp(p, basis, split):
-    """Run the congruence chain for one prime; returns a VerificationReport
-    with the chain checks filled in (the caller merges CM and oracle checks).
+def extract_Fp(report, basis, split):
+    """Run the congruence chain for one prime, writing its checks, F_p, H,
+    the epsilons, the factors of F_wtilde and the Wronskian head into
+    report, the VerificationReport that verify_prime fills; the status is
+    left to report.settle().
 
-    basis: GoodBasis, read at its own precision P >= max c + K,
+    basis: GoodBasis, p-integral, read at its own precision P >= max c + K,
     K = _HEAD_TERMS (PrecisionError otherwise); split: SupersingularSplit.
 
     P = (p + 1)//6 + 12, as verify_prime builds it, holds all the chain
-    reads.  The head: c_j <= (p + 1)/6 by the Sturm bound (sturm_pivots), so
-    c_j + K <= P.  The lifts: the divisor polynomials need c_j + m(p+1) + 2
-    terms of each, and are peeled off the whole window.  w_p swaps the cusps, so q is a local parameter at
-    infinity on X_0^+(p) and the c_j are gaps there: c_j <= 2g - 1 <=
-    g(X_0(p)) <= (p + 1)/12 by Riemann-Hurwitz, and m(p+1) <= (p + 1)/12, so
+    reads.  The head: c_j <= (p + 1)/6 by the Sturm bound (sturm_pivots),
+    so c_j + K <= P.  The lifts: the divisor polynomials need
+    c_j + m(p+1) + 2 terms of each, and are peeled off the whole window.
+    w_p swaps the cusps, so q is a local parameter at infinity on X_0^+(p)
+    and the c_j are gaps there: c_j <= 2g - 1 <= g(X_0(p)) <= (p + 1)/12
+    by Riemann-Hurwitz, and m(p+1) <= (p + 1)/12, so
     c_j + m(p+1) + 2 <= (p + 1)//6 + 2 < P.  p-integrality is decided
     through the Sturm bound, the same at P as on any longer window; and
     lifts that agree with the forms through P >= max c + K are what the
     cross-check's W(f) = W(b) below q^(sum c + K) needs.
     """
-    report = VerificationReport(p=p)
-    report.g_p = basis.genus_x0
-    report.g_plus = basis.g
-    report.pivots = list(basis.pivots)
-    report.wt_inf = basis.wt_infinity()
-    report.good_basis = basis.p_integral
-    report.polys["S_p"] = split.S_p
-    report.polys["S_l"] = split.S_l
-    report.polys["S_q"] = split.S_q
-    g = basis.g
-
-    if not basis.p_integral:
-        report.status = "not_good_basis"
-        return report
+    p, g = basis.p, basis.g
 
     if g < 2:
         # no Weierstrass points on a curve of genus < 2
@@ -598,8 +590,7 @@ def extract_Fp(p, basis, split):
         for name in ("degree_identity", "gcd_H_Sp_is_1", "exact_divisions",
                      "square_extraction"):
             report.checks[name] = True
-        report.status = "ok"
-        return report
+        return
 
     exps = elliptic_exponents(p, g)
     report.epsilon_rho = exps.eps_rho
@@ -644,29 +635,26 @@ def extract_Fp(p, basis, split):
         report.checks["exact_divisions"] = True
     except InexactDivisionError:
         report.checks["exact_divisions"] = False
-        report.status = "falsified"
-        return report
+        return
     try:
         h = h1.sqrt()
         report.checks["square_extraction"] = True
     except OddMultiplicityError:
         report.checks["square_extraction"] = False
-        report.status = "falsified"
-        return report
+        return
 
     f_p = split.S_q ** (g * g - g) * h * h
     report.polys["F_p"] = f_p
     report.polys["H"] = h
     report.checks["degree_identity"] = bool(
-        f_p.degree() == 2 * (g ** 3 - g - report.wt_inf))
+        f_p.degree() == 2 * (g ** 3 - g - basis.wt_infinity()))
     report.checks["gcd_H_Sp_is_1"] = bool(h.gcd(split.S_p).is_one())
 
     # the assembled divisor polynomial of the averaged Wronskian: checked
-    # in closed form, and built only if read
+    # in closed form; the report builds it only if read (f_wtilde)
     report.checks["theorem_assembly"] = theorem_assembly(
         split, elliptic, h, numerator, denominator)
-    report.polys.defer("F_wtilde",
-                       lambda: split.S_tilde ** (g * g - g) * numerator)
+    report.wtilde_factors = (split.S_tilde, numerator)
 
     # the mod-p Wronskian congruence and p-integrality of the exact one
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
@@ -678,10 +666,6 @@ def extract_Fp(p, basis, split):
         basis.p_integral and v_exact % p != 0
         and w_exact.least_denominator() % p != 0)
     report.wronskian_head = [_series_head(w_exact, 6)]
-
-    if not report.checks["theorem_assembly"] or not ok_cross:
-        report.status = "falsified"
-    return report
 
 
 def _root_multiplicity(f, r):

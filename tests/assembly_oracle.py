@@ -3,7 +3,8 @@ the oracle of the closed form weierstrass.theorem_assembly:
 
     x^eps_rho (x - 1728)^eps_i F_p S_l^(g^2+g) = F_W~.
 
-It reads the report's F_p = S_q^(g^2-g) H^2 and F_W~ = S~^(g^2-g) num,
+It reads the report's F_p = S_q^(g^2-g) H^2 and F_W~ = S~^(g^2-g) num
+(f_wtilde),
 and forms S_l^(g^2+g) and the left side, so it shares none of the closed
 form's three identities.
 """
@@ -19,4 +20,4 @@ def expanded_assembly(report, split):
     exps = elliptic_exponents(p, g)
     lhs = (FpPoly.x(p) ** exps.eps_rho * FpPoly.linear(p, 1728) ** exps.eps_i
            * report.polys["F_p"] * split.S_l ** (g * (g + 1)))
-    return lhs == report.polys["F_wtilde"]
+    return lhs == report.f_wtilde

@@ -62,7 +62,7 @@ def test_criterion_1_flagship_67():
     q1 = FpPoly(67, [45, 8, 1])
     q2 = FpPoly(67, [24, 44, 1])
     h = FpPoly(67, [62, 10, 1])
-    if report.polys["F_wtilde"] != x ** 4 * (lin1 * lin14) ** 6 * (q1 * q2 * h) ** 2:
+    if report.f_wtilde != x ** 4 * (lin1 * lin14) ** 6 * (q1 * q2 * h) ** 2:
         problems.append("averaged-wronskian divisor polynomial")
     if report.polys["S_p"] != lin1 * lin14 * q1 * q2:
         problems.append("supersingular polynomial")

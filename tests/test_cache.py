@@ -43,8 +43,9 @@ def test_corrupt_json_is_a_miss(tmp_path):
     cache = DiskCache(tmp_path)
     path = tmp_path / "class_poly" / "x.json"
     path.parent.mkdir(parents=True)
-    path.write_text("{not json")
-    assert cache.get("class_poly", "x") is None
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text)
+        assert cache.get("class_poly", "x") is None
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from wplus.cli import main
 from wplus.fppoly import FpPoly
-from wplus.report import VerificationReport
+from wplus.report import VerificationReport, _poly_str
 
 JSON_TOP_KEYS = {"schema", "p", "g_p", "g_plus", "pivots", "wt_inf",
                  "good_basis", "polys", "checks", "timings_ms", "status",
@@ -114,6 +114,48 @@ def test_hilbert_4(capsys):
     code, out = run(capsys, "--no-cache", "hilbert", "4")
     assert code == 0
     assert "x - 1728" in out
+
+
+#: the whole output of `wplus hilbert D`, as the command's own printer
+#: wrote it before it shared the report's
+HILBERT = {
+    3: "H_3(x) = x\n"
+       "class number h(-3) = 1\n"
+       "reduced forms: [(1, 1, 1)]\n"
+       "float precision: 92 bits\n",
+    4: "H_4(x) = x - 1728\n"
+       "class number h(-4) = 1\n"
+       "reduced forms: [(1, 0, 1)]\n"
+       "float precision: 96 bits\n",
+    7: "H_7(x) = x + 3375\n"
+       "class number h(-7) = 1\n"
+       "reduced forms: [(1, 1, 2)]\n"
+       "float precision: 106 bits\n",
+    23: "H_23(x) = x^3 + 3491750x^2 - 5151296875x + 12771880859375\n"
+        "class number h(-23) = 3\n"
+        "reduced forms: [(1, 1, 6), (2, -1, 3), (2, 1, 3)]\n"
+        "float precision: 115 bits\n",
+    268: "H_268(x) = x^3 - 21667237292024856738000x^2"
+         " + 32240842762858236972000000x"
+         " - 3189376432736929569384216000000000\n"
+         "class number h(-268) = 3\n"
+         "reduced forms: [(1, 0, 67), (4, -2, 17), (4, 2, 17)]\n"
+         "float precision: 194 bits\n",
+}
+
+
+@pytest.mark.parametrize("D", sorted(HILBERT))
+def test_hilbert_output_pinned(capsys, D):
+    assert run(capsys, "--no-cache", "hilbert", str(D)) == (0, HILBERT[D])
+
+
+def test_poly_str_signs():
+    # FpPoly coefficients lie in [0, p), so only class polynomials print
+    # a negative term
+    assert _poly_str([0, -1, 0, 1]) == "x^3 - x"
+    assert _poly_str([-5, 1, -1]) == "-x^2 + x - 5"
+    assert _poly_str([-1]) == "-1" and _poly_str([]) == "0"
+    assert _poly_str(FpPoly(7, [6, 1, 1]).coeffs) == "x^2 + x + 6"
 
 
 def test_basis_67(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """The scan driver: serial and pooled scans, what `import wplus` and a run
 load, and the work a JSON run leaves out."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 from wplus.config import Config
 from wplus.errors import WplusError
 from wplus.fppoly import FpPoly
+from wplus import pipeline
 from wplus.pipeline import scan_primes, verify_prime
+from wplus.report import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,14 +126,55 @@ def test_json_report_never_factors_H(monkeypatch):
 
 
 def test_F_wtilde_is_built_on_first_read():
-    # the JSON and text reports never read F_W~, so the chain defers it
+    # the JSON and text reports never read F_W~, so the report forms it
+    # on first read, from the factors the chain left
     report = verify_prime(67, Config(use_cache=False))
     report.to_json_dict()
     report.text_lines()
-    assert "F_wtilde" not in report.polys
-    f_wtilde = report.polys["F_wtilde"]
-    assert report.polys["F_wtilde"] is f_wtilde
-    assert not report.polys.deferred
+    assert "f_wtilde" not in vars(report)
+    s_tilde, num = report.wtilde_factors
+    f_wtilde = report.f_wtilde
+    assert f_wtilde == s_tilde ** 2 * num
+    assert report.f_wtilde is f_wtilde and "f_wtilde" in vars(report)
+    # no chain past the square root, no F_W~
+    assert verify_prime(23, Config(use_cache=False)).f_wtilde is None
+
+
+def _moved_last_pivot(monkeypatch):
+    """Patch the pipeline's good_basis to move the last pivot one past the
+    Sturm bound (p + 1)//6."""
+    build = pipeline.good_basis
+
+    def moved(p, *args):
+        gb = build(p, *args)
+        return dataclasses.replace(
+            gb, pivots=gb.pivots[:-1] + [(p + 1) // 6 + 1])
+
+    monkeypatch.setattr(pipeline, "good_basis", moved)
+
+
+def test_basis_only_run_reports_a_failed_check(monkeypatch):
+    # a basis-only run settles its status by the same rule as a full run
+    _moved_last_pivot(monkeypatch)
+    report = verify_prime(389, Config(use_cache=False), basis_only=True)
+    assert report.good_basis
+    assert report.checks == {"sturm_pivots": False}
+    assert report.status == "falsified" and report.exit_code == 1
+
+
+def test_settle_is_one_rule():
+    report = VerificationReport(p=67, good_basis=True)
+    report.settle()
+    assert report.status == "ok"
+    report.checks["gcd_H_Sp_is_1"] = False      # observational
+    report.settle()
+    assert report.status == "ok"
+    report.checks["fixedlinear"] = False
+    report.settle()
+    assert report.status == "falsified"
+    report.good_basis = False
+    report.settle()
+    assert report.status == "not_good_basis"
 
 
 def test_pooled_scan_matches_serial_scan(tmp_path):

@@ -13,6 +13,7 @@ from wplus.fppoly import FpPoly, is_prime
 from wplus.level1 import (divisor_degree, divisor_polynomials, gp_exponents,
                           gp_poly, miller_basis_mod)
 from wplus.modsym import GoodBasis, good_basis
+from wplus.report import VerificationReport
 from wplus.series import FpSeries, QExpansion, residue_matrix
 from wplus.supersingular import ss_polys
 from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
@@ -75,6 +76,19 @@ def _integer_wronskian_of(forms):
     return _as_qexpansion(head, len(forms), forms[0].level)
 
 
+def _chain(p, basis, split):
+    """extract_Fp on a report that holds the basis and the split as
+    verify_prime fills them in, then settled."""
+    rep = VerificationReport(p=p, g_p=basis.genus_x0, g_plus=basis.g,
+                             pivots=list(basis.pivots),
+                             wt_inf=basis.wt_infinity(),
+                             good_basis=basis.p_integral)
+    rep.polys.update(S_p=split.S_p, S_l=split.S_l, S_q=split.S_q)
+    extract_Fp(rep, basis, split)
+    rep.settle()
+    return rep
+
+
 @pytest.fixture(scope="module")
 def basis67():
     return _chain_basis(67)
@@ -82,7 +96,7 @@ def basis67():
 
 @pytest.fixture(scope="module")
 def report67(basis67):
-    return extract_Fp(67, basis67, ss_polys(67))
+    return _chain(67, basis67, ss_polys(67))
 
 
 def test_theta_examples():
@@ -188,7 +202,7 @@ def test_extract_67_wtilde_assembly(report67):
     expected = (x ** 4 * (FpPoly(67, [1, 1]) * FpPoly(67, [14, 1])) ** 6
                 * (FpPoly(67, [45, 8, 1]) * FpPoly(67, [24, 44, 1])
                    * FpPoly(67, [62, 10, 1])) ** 2)
-    assert report67.polys["F_wtilde"] == expected
+    assert report67.f_wtilde == expected
 
 
 #: primes p <= 449 at which the chain reaches theorem_assembly (g+ >= 2)
@@ -205,7 +219,7 @@ def test_theorem_assembly_closed_form_matches_expanded(primes):
     checked = 0
     for p in primes:
         split = ss_polys(p)
-        rep = extract_Fp(p, _chain_basis(p), split)
+        rep = _chain(p, _chain_basis(p), split)
         if rep.g_plus < 2:
             continue
         assert rep.status == "ok", p
@@ -220,7 +234,7 @@ def test_theorem_assembly_rejects_a_wrong_square_root(basis67, monkeypatch):
     root = FpPoly.sqrt
     monkeypatch.setattr(FpPoly, "sqrt",
                         lambda self: root(self) * FpPoly.linear(self.p, 1))
-    rep = extract_Fp(67, basis67, split)
+    rep = _chain(67, basis67, split)
     assert rep.checks["square_extraction"]
     assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
     assert not expanded_assembly(rep, split)
@@ -233,7 +247,7 @@ def test_theorem_assembly_rejects_a_short_S_tilde_l(basis67):
     split = ss_polys(67)
     assert split.S_tilde_l == FpPoly(67, [1, 1])
     short = dataclasses.replace(split, S_tilde_l=FpPoly.one(67))
-    rep = extract_Fp(67, basis67, short)
+    rep = _chain(67, basis67, short)
     assert rep.checks["exact_divisions"] and rep.checks["square_extraction"]
     assert rep.polys["H"] == FpPoly(67, [62, 10, 1]) * FpPoly(67, [1, 1]) ** 2
     assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
@@ -242,7 +256,7 @@ def test_theorem_assembly_rejects_a_short_S_tilde_l(basis67):
 
 def test_extract_small_genus_trivial():
     gb = good_basis(23, 10)
-    rep = extract_Fp(23, gb, ss_polys(23))
+    rep = _chain(23, gb, ss_polys(23))
     assert rep.status == "ok"
     assert rep.polys["F_p"].is_one() and rep.polys["H"].is_one()
 
@@ -250,7 +264,7 @@ def test_extract_small_genus_trivial():
 def test_extract_degree_identity_with_weierstrass_cusp():
     p = 109
     gb = _chain_basis(p)
-    rep = extract_Fp(p, gb, ss_polys(p))
+    rep = _chain(p, gb, ss_polys(p))
     assert rep.status == "ok"
     assert rep.wt_inf == 1
     g = gb.g
@@ -270,7 +284,7 @@ def test_chain_report_independent_of_window(p):
     assert max(gb.pivots) <= 2 * gb.g - 1
     assert max(gb.pivots) + divisor_degree(p + 1) + 2 <= gb.precision
     split = ss_polys(p)
-    reports = [extract_Fp(p, b, split) for b in (gb, old)]
+    reports = [_chain(p, b, split) for b in (gb, old)]
     assert reports[0].status == "ok"
     dicts = [r.to_json_dict() for r in reports]
     for d in dicts:
@@ -282,7 +296,7 @@ def test_chain_report_independent_of_window(p):
 def test_extract_requires_precision(basis67):
     short = good_basis(67, 12)
     with pytest.raises(PrecisionError):
-        extract_Fp(67, short, ss_polys(67))
+        _chain(67, short, ss_polys(67))
 
 
 def test_cross_check_sensitivity(basis67):
@@ -394,7 +408,7 @@ def test_exact_head_matches_absolute_window(p):
     assert head.precision == sum(gb.pivots) + _HEAD_TERMS < full.precision
     assert _as_qexpansion(head, gb.g, p) == full.truncate(head.precision)
     assert line_of(full.scale(Fraction(1, v)), 6) in (
-        extract_Fp(p, gb, ss_polys(p)).text_lines())
+        _chain(p, gb, ss_polys(p)).text_lines())
 
 
 def line_of(w, nterms):
@@ -605,16 +619,22 @@ def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
     p = 389
     monkeypatch.setattr(FpSeries, "__init__", _refuse_construction)
     monkeypatch.setattr(QExpansion, "__init__", _refuse_construction)
-    assert extract_Fp(p, _chain_basis(p), ss_polys(p)).status == "ok"
+    assert _chain(p, _chain_basis(p), ss_polys(p)).status == "ok"
 
 
-def test_non_integral_basis_reports_not_good(basis67):
-    from wplus.modsym import GoodBasis
+def test_non_integral_basis_reports_not_good(basis67, monkeypatch):
+    # verify_prime runs the chain only on a p-integral basis
+    from wplus import pipeline
+    from wplus.config import Config
     doubted = GoodBasis(67, basis67.g, basis67.genus_x0, basis67.num,
                         basis67.den, basis67.pivots, p_integral=False)
-    rep = extract_Fp(67, doubted, ss_polys(67))
-    assert rep.status == "not_good_basis"
+    monkeypatch.setattr(pipeline, "good_basis", lambda *args: doubted)
+    monkeypatch.setattr(pipeline, "extract_Fp", None)
+    rep = pipeline.verify_prime(67, Config(use_cache=False))
+    assert rep.status == "not_good_basis" and not rep.error
     assert rep.exit_code == 2
+    assert "F_p" not in rep.polys and rep.f_wtilde is None
+    assert "chain" in rep.timings_ms
 
 
 @pytest.mark.parametrize("exc, status", [(RuntimeError, "error"),
