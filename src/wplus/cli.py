@@ -8,7 +8,8 @@
 
 Exit codes for verify: 0 all checks pass, 1 falsifier triggered, 2 good
 basis hypothesis unmet (or usage error), 3 internal error (in the text
-report too, when H cannot be factored for its "H factors" line).  The cache
+report too, when H cannot be factored for its "H factors" line).  basis
+exits 2, a usage error, when --prec does not pass the pivots.  The cache
 directory comes from WPLUS_CACHE or ~/.cache/wplus.
 """
 
@@ -19,7 +20,7 @@ import json
 import sys
 
 from .config import Config
-from .errors import WplusError
+from .errors import PrecisionError, WplusError
 from .fppoly import is_prime
 from .report import _poly_str
 
@@ -149,7 +150,10 @@ def main(argv=None):
         from .modsym import good_basis
         from .pipeline import _cache_for
         prec = args.prec or (args.p + 1) // 6 + 10
-        gb = good_basis(args.p, prec, cache=_cache_for(_config(args)))
+        try:
+            gb = good_basis(args.p, prec, cache=_cache_for(_config(args)))
+        except PrecisionError as exc:
+            parser.error(str(exc))
         from .weierstrass import basis_heads
         print(f"p = {args.p}: genus of X_0(p) = {gb.genus_x0}, "
               f"quotient genus = {gb.g}")

@@ -1,8 +1,9 @@
 """Exact linear algebra over Q and Z.
 
 Small matrices over Q are lists of Fraction lists, reduced by plain Gaussian
-elimination.  The Manin-relation matrix gets a sparse routine on dicts,
-whose entries stay Python ints while every pivot is a unit.  Integer
+elimination.  The Manin-relation matrix gets a sparse routine on dicts of
+Python ints, which divides each pivot row by its leading entry exactly and
+raises when that entry does not divide the row.  Integer
 matrices are numpy arrays: ``exact_matmul`` multiplies them in float64
 through BLAS or in int64 when a bound proves every partial sum exact there,
 and in Python ints otherwise, pivots
@@ -266,13 +267,14 @@ def charpoly(a):
 
 
 class SparseRREF:
-    """Incremental reduced echelon form for sparse rational rows.
+    """Incremental reduced echelon form for sparse integer rows.
 
-    Rows are dicts {column: int or Fraction}.  A new pivot row is divided by
-    its leading entry, which keeps Python ints when that entry is +-1 and
-    makes Fractions only otherwise.  After feeding all rows, ``finish``
-    back-substitutes so that every pivot row is supported on its pivot column
-    and free columns only.
+    Rows are dicts {column: int}.  A new pivot row is divided by its leading
+    entry exactly, so every pivot row has leading entry 1 and stays on
+    Python ints; ValueError, naming the column and the pivot, when that
+    entry does not divide every entry of the row.  After feeding all rows,
+    ``finish`` back-substitutes so that every pivot row is supported on its
+    pivot column and free columns only.
     """
 
     def __init__(self):
@@ -285,11 +287,10 @@ class SparseRREF:
             piv = self.pivot_rows.get(c)
             if piv is None:
                 lead = row[c]
-                if lead in (1, -1):
-                    self.pivot_rows[c] = {k: v * lead for k, v in row.items()}
-                else:
-                    self.pivot_rows[c] = {k: Fraction(v) / lead
-                                          for k, v in row.items()}
+                if any(v % lead for v in row.values()):
+                    raise ValueError(f"the pivot {lead} at column {c} does "
+                                     f"not divide its row")
+                self.pivot_rows[c] = {k: v // lead for k, v in row.items()}
                 return
             f = row[c]
             for k, v in piv.items():

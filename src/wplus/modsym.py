@@ -22,9 +22,11 @@ for a cyclic vector x of M+ each coordinate i gives a form
 sum_n (T_n x)_i q^n of S_2^+(p), and these span it; x = (1 + W_p) y for a
 y on four coordinates, tried in turn until x is cyclic.  The unique reduced
 echelon basis of the rows ((T_n x)_i)_{n < prec} is the good basis, with
-pivots c_1 < ... < c_g.  It is held on integers: a g x P numerator matrix
-and one least denominator D_i per form, taken from K x span and the column
-denominators of the Krylov vectors (see GoodBasis).
+pivots c_1 < ... < c_g.  Every pivot of the three-term relations divides
+its row (linalg.SparseRREF raises otherwise), so the reduction map, the
+Hecke matrices and the Krylov vectors T_n x are integral.  The basis is
+held on integers: a g x P numerator matrix and one least denominator D_i
+per form, taken from K x span (see GoodBasis).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,18 +98,6 @@ def heilbronn_cremona(ell):
         y1, y2 = y2, q * y2 - y1
 
 
-class HeckeMatrix(NamedTuple):
-    """An operator on the quotient, exactly: T = num / den, with num an
-    integer matrix (int64, or Python ints where int64 could overflow)."""
-
-    num: np.ndarray
-    den: int
-
-    def fractions(self):
-        """The matrix as lists of Fractions."""
-        return [[Fraction(int(x), self.den) for x in row] for row in self.num]
-
-
 class ModSymSpace:
     """Star-quotient of weight-2 modular symbols for Gamma_0(p).
 
@@ -170,19 +159,16 @@ class ModSymSpace:
         self.dim = len(free)
         pos = {r: t for t, r in enumerate(free)}
 
-        # reduction map: R_num[t, i] / R_den is coordinate t of symbol i;
-        # column r of by_root is that of x_r for every live root r
-        den = lcm(*(v.denominator for row in pivot_rows.values()
-                    for v in row.values()))
+        # reduction map: R_num[t, i] is coordinate t of symbol i; column r
+        # of by_root is that of x_r for every live root r
         by_root = np.zeros((self.dim, n), dtype=np.int64)
-        by_root[np.arange(self.dim), free] = den
+        by_root[np.arange(self.dim), free] = 1
         for r, row in pivot_rows.items():
             for c_, v in row.items():
                 if c_ != r:
-                    by_root[pos[c_], r] = -v.numerator * (den // v.denominator)
+                    by_root[pos[c_], r] = -v
         rnum = by_root[:, root]
         rnum *= sign
-        self._r_den = den
         self._r_num = rnum
 
         # boundary: symbols (0:1) and (1:0) hit the two cusps, others vanish
@@ -290,15 +276,17 @@ class ModSymSpace:
         return counts
 
     def atkin_lehner_matrix(self):
-        """HeckeMatrix of the Atkin-Lehner involution W_p = (0, -1; p, 0):
+        """Integer matrix of the Atkin-Lehner involution W_p = (0, -1; p, 0):
         one matrix acting on paths, so O(dim log p) steps in all."""
         return self._counts_to_matrix(self._path_counts([(0, -1, self.p, 0)]))
 
     def _hecke_mats(self, ell):
+        if not is_prime(ell):
+            raise ValueError(f"T_{ell}: ell must be prime")
         return merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
 
     def hecke_matrix(self, ell):
-        """HeckeMatrix of T_ell on the quotient; ell must be prime, and
+        """Integer matrix of T_ell on the quotient; ell must be prime, and
         ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
         Merel's matrices otherwise (for ell = p only as a reference: the
         production basis uses W_p)."""
@@ -306,15 +294,14 @@ class ModSymSpace:
             self._count_images(self._hecke_mats(ell), self.free))
 
     def hecke_columns(self, ells, y):
-        """Numerators of T_ell y (the denominator is _r_den), one column per
-        prime ell, for an integer vector y: only the free symbols in the
-        support of y go through the matrices of each T_ell, and the
-        reduction map runs once on all the images."""
+        """T_ell y, one column per prime ell, for an integer vector y: only
+        the free symbols in the support of y go through the matrices of
+        each T_ell, and the reduction map runs once on all the images."""
         support = np.flatnonzero(y)
         symbols = np.asarray(self.free)[support]
         images = np.stack([self._count_images(self._hecke_mats(ell), symbols)
                            @ y[support] for ell in ells], axis=1)
-        return linalg.exact_matmul(self._r_num, images)
+        return self._counts_to_matrix(images)
 
     def hecke_matrix_path(self, ell):
         """T_ell by the coset representatives (1, j; 0, ell) for
@@ -332,8 +319,8 @@ class ModSymSpace:
             self._count_images(merel_set(ell), self.free))
 
     def _counts_to_matrix(self, counts):
-        return HeckeMatrix(linalg.exact_matmul(self._r_num, counts),
-                           self._r_den)
+        """The reduction map applied to symbol counts, exactly."""
+        return linalg.exact_matmul(self._r_num, counts)
 
     def restrict_to_cuspidal(self, t):
         """Matrix of t (over Q) on the cuspidal subspace, in the cuspidal
@@ -355,7 +342,7 @@ def atkin_lehner_plus(space):
     """
     if space.genus == 0:
         return []
-    u = space.restrict_to_cuspidal(space.hecke_matrix(space.p).fractions())
+    u = space.restrict_to_cuspidal(space.hecke_matrix(space.p).tolist())
     g = space.genus
     usq = linalg.mat_mul(u, u)
     if usq != linalg.identity(g):
@@ -437,12 +424,11 @@ class BasisComputer:
     -1 on M modulo the cuspidal subspace C, so x = (1 + W_p) y lies in M+
     and in C for every y; trial t takes y = sum_j j e_(j + 4t mod dim),
     j = 1..4, both facts are checked exactly, and the next trial runs when x
-    is not cyclic.  The columns T_n x are kept as integer vectors v_n (int64,
-    or Python ints where a product could overflow) with T_n x = v_n / d_n.
-    W_p commutes with T_ell for ell != p, so T_ell x = (1 + W_p) T_ell y,
-    and T_ell y needs the images of four symbols only.  ``rows``
-    are g coordinates that are independent over n <= (p + 1) / 6 + 2, so x
-    is cyclic and their forms span S_2^+(p).
+    is not cyclic.  The columns T_n x are integer vectors (int64, or Python
+    ints where a product could overflow).  W_p commutes with T_ell for
+    ell != p, so T_ell x = (1 + W_p) T_ell y, and T_ell y needs the images
+    of four symbols only.  ``rows`` are g coordinates that are independent
+    over n <= (p + 1) / 6 + 2, so x is cyclic and their forms span S_2^+(p).
 
     Both pivot searches, for ``rows`` and for the echelon pivots of their
     forms, run modulo ``linalg.PIVOT_PRIME`` first.  The pivots are kept
@@ -455,15 +441,15 @@ class BasisComputer:
         self.p = p
         self.space = space = ModSymSpace(p)
         self._hecke = {}
-        self._cols, self._dens = [], []
+        self._cols = []
         self.g = 0
         if space.genus == 0:
             return
-        den = space._r_den
-        self._w = w = space.atkin_lehner_matrix().num
-        if not np.array_equal(linalg.exact_matmul(w, w), linalg.exact_scale(
-                np.eye(space.dim, dtype=np.int64), den * den)):
+        w = space.atkin_lehner_matrix()
+        one = np.eye(space.dim, dtype=np.int64)
+        if not np.array_equal(linalg.exact_matmul(w, w), one):
             raise WplusError("W_p is not an involution")
+        self._plus_w = w + one
         self.g = _plus_dimension(space, w)
         if self.g == 0:
             return
@@ -473,12 +459,12 @@ class BasisComputer:
             np.add.at(y, (np.arange(1, 5) + 4 * trial) % space.dim,
                       np.arange(1, 5))
             x = self._plus(y)
-            if not np.array_equal(linalg.exact_matmul(w, x), den * x):
+            if not np.array_equal(linalg.exact_matmul(w, x), x):
                 raise WplusError("x is not in the w_p = +1 space")
             if linalg.exact_matmul(space.boundary, x):
                 raise WplusError("x is not cuspidal")
             self._y = y
-            self._cols, self._dens = [x], [1]
+            self._cols = [x]
             self._extend(head)
             krylov = np.array(self._cols)          # row n - 1 is T_n x
             for search in (linalg.pivot_columns_mod, linalg.pivot_columns):
@@ -494,9 +480,8 @@ class BasisComputer:
         raise WplusError(f"no cyclic vector of the +1 space found for p={p}")
 
     def _plus(self, v):
-        """den (1 + W_p) v for an integer vector or matrix v."""
-        return (linalg.exact_scale(v, self.space._r_den)
-                + linalg.exact_matmul(self._w, v))
+        """(1 + W_p) v for an integer vector or matrix v."""
+        return linalg.exact_matmul(self._plus_w, v)
 
     def _echelon(self, span):
         """(pivots, k, K) for the g x head matrix span of the Krylov rows, or
@@ -520,10 +505,10 @@ class BasisComputer:
         return None
 
     def _t(self, ell):
-        """Numerator of T_ell; the denominator is _r_den."""
+        """T_ell, built once per ell."""
         t = self._hecke.get(ell)
         if t is None:
-            t = self.space.hecke_matrix(ell).num
+            t = self.space.hecke_matrix(ell)
             self._hecke[ell] = t
         return t
 
@@ -532,9 +517,9 @@ class BasisComputer:
         not dividing m, T_{ell^{k+1} m} = T_ell T_{ell^k m} - ell T_{ell^{k-1} m},
         and U_p = -1 on M+.  A prime ell with ell^2 >= upto occurs only as
         n = ell, and its matrix is never formed: W_p commutes with T_ell, so
-        den T_ell x = (den + w) h_ell for h_ell the numerator of T_ell y,
-        and h_ell needs the images of the support of y alone."""
-        cols, dens, den = self._cols, self._dens, self.space._r_den
+        T_ell x = (1 + W_p) T_ell y, and T_ell y needs the images of the
+        support of y alone."""
+        cols = self._cols
         start = len(cols) + 1
         late = [n for n in range(start, upto) if n * n >= upto
                 and n != self.p and _smallest_prime_factor(n) == n]
@@ -546,7 +531,6 @@ class BasisComputer:
             m = n // ell
             if ell == self.p:
                 cols.append(-cols[m - 1])
-                dens.append(dens[m - 1])
                 continue
             if ell * ell >= upto:
                 col = late[ell]
@@ -555,9 +539,8 @@ class BasisComputer:
             if m % ell == 0:
                 col = linalg.exact_matmul(
                     np.stack([col, cols[m // ell - 1]], axis=1),
-                    np.array([1, -ell * den * den], dtype=object))
+                    np.array([1, -ell], dtype=object))
             cols.append(col)
-            dens.append(den * dens[m - 1])
 
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
@@ -581,36 +564,28 @@ class BasisComputer:
         if not np.array_equal(linalg.exact_matmul(cols[:, pivots], red),
                               linalg.exact_scale(cols, k)):
             raise WplusError("a Hecke operator left the w_p = +1 space")
-        # column n holds d_n T_{n+1} x, so f_i = sum_n d_(c_i) red[i, n]
-        # q^(n+1) / (k d_n): over the common denominator k L, L = lcm d_n
-        dens = self._dens[:prec - 1]
-        big = lcm(*dens)
-        if big > 1:
-            red = red.astype(object) * np.array(
-                [[dens[c] * (big // d) for d in dens] for c in pivots],
-                dtype=object)
+        # column n holds T_{n+1} x, so f_i = sum_n red[i, n] q^(n+1) / k
         num = np.zeros((self.g, prec), dtype=red.dtype)
         num[:, 1:] = red
-        num, den = _least_denominators(num, [k * big] * self.g)
+        num, den = _least_denominators(num, [k] * self.g)
         return GoodBasis(self.p, self.g, self.space.genus, num, den,
                          [c + 1 for c in pivots],
                          all(d % self.p for d in den))
 
 
 def _plus_dimension(space, w):
-    """g+ = dim of the W_p = +1 cuspidal space, from the trace of W_p = w/den.
+    """g+ = dim of the W_p = +1 cuspidal space, from the trace of W_p = w.
 
     W_p^2 = 1 (checked by the caller), and W_p swaps the two cusps, so the
     boundary row delta satisfies delta W_p = -delta (checked here): W_p
     preserves C = ker delta and acts as -1 on the
     quotient by C, which has dimension dim - genus = 1.  Hence
     tr W_p = (g+ - (genus - g+)) - 1 = 2 g+ - dim."""
-    den = space._r_den
     if not np.array_equal(linalg.exact_matmul(space.boundary, w),
-                          -den * space.boundary):
+                          -space.boundary):
         raise WplusError("W_p does not swap the cusps")
-    twice, rest = divmod(space.dim * den + int(np.trace(w)), den)
-    if rest or twice % 2:
+    twice = space.dim + int(np.trace(w))
+    if twice % 2:
         raise WplusError("the trace of W_p is not that of an involution")
     return twice // 2
 
@@ -630,15 +605,18 @@ def good_basis(p, prec, cache=None):
     """The reduced echelon basis of S_2^+(p) to the given precision.
 
     Results round-trip through the cache (kind ``good_basis``) when one is
-    supplied; a cached basis of the current payload version and of at least
-    the requested precision, cut to prec, is reused once its forms pass the
-    checks of ``_basis_from_payload`` (the reduced echelon basis at a given
-    precision is unique), and anything else is recomputed and overwritten.
+    supplied; a cached basis of the current payload version, of at least
+    the requested precision and with every pivot below it (the rule of a
+    cold computation, which raises PrecisionError otherwise), cut to prec,
+    is reused once its forms pass the checks of ``_basis_from_payload``
+    (the reduced echelon basis at a given precision is unique), and
+    anything else is recomputed and overwritten.
     """
     if cache is not None:
         payload = cache.get("good_basis", str(p))
         if (payload is not None and payload.get("version") == _PAYLOAD_VERSION
-                and payload["precision"] >= prec):
+                and payload["precision"] >= prec
+                and all(c < prec for c in payload["pivots"])):
             gb = _basis_from_payload(payload, prec)
             if gb is not None:
                 return gb

@@ -2,8 +2,8 @@
 numerator rows of `BasisComputer.basis` and for the cache codec.
 
 It starts from the same Krylov columns and the same scaled inverse K of the
-pivot block, and builds one `Fraction` per coefficient,
-d_(c_i) (K span)[i, n] / (k d_n) at q^(n+1), and one `QExpansion` per form;
+pivot block, and builds one `Fraction` per coefficient, (K span)[i, n] / k
+at q^(n+1), and one `QExpansion` per form;
 the payload is written from those Fractions, "numerator/denominator" each.
 """
 
@@ -23,11 +23,9 @@ def fraction_forms(bc, prec):
     bc._extend(prec)
     span = np.array(bc._cols[:prec - 1]).T[bc.rows].astype(object)
     red = np.array(bc._kinv, dtype=object) @ span
-    dens = bc._dens
-    return [QExpansion([0] + [Fraction(dens[c] * int(v), bc._k * dens[n])
-                              for n, v in enumerate(red[i])],
+    return [QExpansion([0] + [Fraction(int(v), bc._k) for v in row],
                        0, prec, weight=2, level=bc.p)
-            for i, c in enumerate(bc._pivots)]
+            for row in red]
 
 
 def fraction_payload(bc, prec):

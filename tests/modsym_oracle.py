@@ -12,8 +12,6 @@ coordinates.  The three-term relations are eliminated by the same
 
 from __future__ import annotations
 
-from math import lcm
-
 import numpy as np
 
 from wplus import linalg
@@ -68,8 +66,8 @@ class OracleRelations:
     (0:1) and symbol 1 + d being (1:d), as ``ModSymSpace`` numbers them.
 
     Attributes: ``free`` (the free symbols), ``dim``, ``genus``, and the
-    reduction map ``r_num`` / ``r_den``, column i the coordinates of
-    symbol i."""
+    integer reduction map ``r_num``, column i the coordinates of symbol
+    i."""
 
     def __init__(self, p):
         self.p = p
@@ -109,10 +107,7 @@ class OracleRelations:
         self.free = sorted(r for r in roots if r not in pivot_rows)
         self.dim = len(self.free)
         pos = {r: t for t, r in enumerate(self.free)}
-        den = lcm(*(v.denominator for row in pivot_rows.values()
-                    for v in row.values()))
-        scaled = {r: [(pos[c_], v.numerator * (den // v.denominator))
-                      for c_, v in row.items() if c_ != r]
+        scaled = {r: [(pos[c_], v) for c_, v in row.items() if c_ != r]
                   for r, row in pivot_rows.items()}
         rnum = np.zeros((self.dim, n), dtype=np.int64)
         for i, (r, s) in enumerate(resolved):
@@ -120,8 +115,7 @@ class OracleRelations:
                 for t, v in scaled[r]:
                     rnum[t, i] = -s * v
             elif s:
-                rnum[pos[r], i] = s * den
+                rnum[pos[r], i] = s
         self.r_num = rnum
-        self.r_den = den
         # the two cusps are the images of (0:1) and (1:0) = symbol 1
         self.genus = self.dim - bool((rnum[:, 0] - rnum[:, 1]).any())

@@ -165,6 +165,21 @@ def test_basis_67(capsys, tmp_path):
     assert "pivots: [1, 2]" in out
 
 
+@pytest.mark.parametrize("prec", ["2", "-3"])
+def test_basis_precision_below_pivots_is_a_usage_error(capsys, tmp_path,
+                                                       prec):
+    # cold, then warm from an entry at precision 23, a --prec that does
+    # not pass the pivots exits 2 with the reason
+    argv = ["--cache-dir", str(tmp_path), "basis", "67"]
+    for warm in (False, True):
+        if warm:
+            assert run(capsys, *argv, "--prec", "23")[0] == 0
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--prec", prec])
+        assert err.value.code == 2
+        assert "too small to echelonize" in capsys.readouterr().err
+
+
 def test_basis_cache_follows_no_cache(capsys, tmp_path, monkeypatch):
     # without --cache-dir the cache is WPLUS_CACHE, and --no-cache skips it
     monkeypatch.setenv("WPLUS_CACHE", str(tmp_path))

@@ -136,3 +136,21 @@ def test_exact_matmul_float64_path_at_its_bound(monkeypatch, top):
         got = linalg.exact_matmul(a, right)
         assert np.array_equal(got, a.astype(object) @ right.astype(object))
         assert got.dtype == (np.int64 if top < 2 ** 24 else object)
+
+
+def test_sparse_rref_planted_row_whose_lead_does_not_divide_it():
+    # a pivot must divide its row: a lead of 2 over an odd entry raises,
+    # naming the pivot and the column, whether the row arrives with that
+    # lead or reaches it by reduction; a lead of 6 over even entries passes
+    with pytest.raises(ValueError, match="pivot 2 at column 0"):
+        linalg.SparseRREF().add_row({0: 2, 1: 3})
+    reducer = linalg.SparseRREF()
+    reducer.add_row({0: 1, 1: 1})
+    with pytest.raises(ValueError, match="pivot 2 at column 1"):
+        reducer.add_row({0: 1, 1: 3, 2: 1})
+    reducer.add_row({0: -3, 1: 3, 5: 6})
+    finished = reducer.finish()
+    assert finished == {0: {0: 1, 5: -1}, 1: {1: 1, 5: 1}}
+    assert all(type(v) is int for row in finished.values()
+               for v in row.values())
+

@@ -34,7 +34,7 @@ def hecke_on_plus(space, ell):
     """T_ell on the w_p = +1 cuspidal part, in the basis of
     atkin_lehner_plus: the public reference route, apart from the basis."""
     embed = linalg.mat_mul(space.cuspidal, atkin_lehner_plus(space))
-    image = linalg.mat_mul(space.hecke_matrix(ell).fractions(), embed)
+    image = linalg.mat_mul(space.hecke_matrix(ell).tolist(), embed)
     restricted = linalg.solve(embed, image)
     assert restricted is not None, "T_ell left the +1 part"
     return restricted
@@ -76,7 +76,7 @@ def test_x0_11_hecke_eigenvalues():
     # the unique weight-2 newform of level 11 has these a_ell
     s = ModSymSpace(11)
     for ell, a in ((2, -2), (3, -1), (5, 1), (7, -2), (13, 4), (11, 1)):
-        t = s.restrict_to_cuspidal(s.hecke_matrix(ell).fractions())
+        t = s.restrict_to_cuspidal(s.hecke_matrix(ell).tolist())
         assert t == [[Fraction(a)]]
 
 
@@ -86,9 +86,31 @@ def test_path_hecke_agrees_with_merel():
     for p in (11, 23, 67, 109):
         s = ModSymSpace(p)
         for ell in (2, 3, 5, 7, 11, 13, 31, p):
-            path = s.hecke_matrix_path(ell).fractions()
-            assert s.hecke_matrix_merel(ell).fractions() == path, (p, ell)
-            assert s.hecke_matrix(ell).fractions() == path, (p, ell)
+            path = s.hecke_matrix_path(ell)
+            assert np.array_equal(s.hecke_matrix_merel(ell), path), (p, ell)
+            assert np.array_equal(s.hecke_matrix(ell), path), (p, ell)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 15])
+def test_hecke_matrix_refuses_a_non_prime_index(n):
+    # the Heilbronn-Cremona and production Merel sets give T_ell for prime
+    # ell only, so hecke_matrix and hecke_columns refuse any other n
+    s = ModSymSpace(67)
+    with pytest.raises(ValueError, match="must be prime"):
+        s.hecke_matrix(n)
+    with pytest.raises(ValueError, match="must be prime"):
+        s.hecke_columns([2, n], np.arange(1, s.dim + 1))
+
+
+def test_merel_composite_index_matches_recurrence():
+    # Merel's matrices give T_n for every n: T_4 = T_2^2 - 2, T_9 = T_3^2 - 3
+    for p in (67, 389):
+        s = ModSymSpace(p)
+        one = np.eye(s.dim, dtype=np.int64)
+        for ell in (2, 3):
+            t = s.hecke_matrix(ell)
+            assert np.array_equal(s.hecke_matrix_merel(ell * ell),
+                                  t @ t - ell * one), (p, ell)
 
 
 def test_heilbronn_cremona_set():
@@ -121,7 +143,7 @@ def test_trace_formula_oracle_matches_hecke():
         if s.genus == 0:
             continue
         t_prime = {ell: exact_array(s.restrict_to_cuspidal(
-                       s.hecke_matrix(ell).fractions()))
+                       s.hecke_matrix(ell).tolist()))
                    for ell in range(2, 51) if ell != p and all(
                        ell % d for d in range(2, ell))}
         ops = hecke_operators(t_prime, 50)
@@ -142,9 +164,9 @@ def test_atkin_lehner_matrix_matches_merel_up():
             continue
         w = s.atkin_lehner_matrix()
         minus_w = [[-x for x in row]
-                   for row in s.restrict_to_cuspidal(w.fractions())]
+                   for row in s.restrict_to_cuspidal(w.tolist())]
         assert minus_w == s.restrict_to_cuspidal(
-            s.hecke_matrix(p).fractions()), p
+            s.hecke_matrix(p).tolist()), p
 
 
 def test_basis_never_enumerates_merel_for_up(tmp_path, monkeypatch):
@@ -169,17 +191,17 @@ def test_hecke_commutativity():
     # T_2, T_3 and W_p commute on the whole quotient
     for p in (67, 101):
         s = ModSymSpace(p)
-        t2 = s.hecke_matrix(2).fractions()
-        t3 = s.hecke_matrix(3).fractions()
-        w = s.atkin_lehner_matrix().fractions()
+        t2 = s.hecke_matrix(2).tolist()
+        t3 = s.hecke_matrix(3).tolist()
+        w = s.atkin_lehner_matrix().tolist()
         for a, b in ((t2, t3), (w, t2), (w, t3)):
             assert linalg.mat_mul(a, b) == linalg.mat_mul(b, a), p
 
 
 def test_atkin_lehner_commutes_with_hecke():
     s = ModSymSpace(67)
-    up = s.restrict_to_cuspidal(s.hecke_matrix(67).fractions())
-    t2 = s.restrict_to_cuspidal(s.hecke_matrix(2).fractions())
+    up = s.restrict_to_cuspidal(s.hecke_matrix(67).tolist())
+    t2 = s.restrict_to_cuspidal(s.hecke_matrix(2).tolist())
     assert linalg.mat_mul(up, t2) == linalg.mat_mul(t2, up)
 
 
@@ -190,7 +212,7 @@ def test_atkin_lehner_is_involution():
         s = ModSymSpace(p)
         atkin_lehner_plus(s)
         w = s.atkin_lehner_matrix()
-        assert np.array_equal(w.num @ w.num, w.den ** 2 * np.eye(s.dim)), p
+        assert np.array_equal(w @ w, np.eye(s.dim)), p
 
 
 def test_quotient_genus_known_values():
@@ -226,6 +248,20 @@ def test_good_basis_echelon_identity_block():
 def test_good_basis_precision_too_small():
     with pytest.raises(PrecisionError):
         BasisComputer(193).basis(6)
+
+
+@pytest.mark.parametrize("prec", [2, 0, -3])
+def test_cached_basis_refuses_a_precision_below_its_pivots(tmp_path, prec):
+    # the cache changes timing only: a precision that does not pass the
+    # pivots raises cold, and warm from an entry at a longer precision
+    from wplus.cache import DiskCache
+    with pytest.raises(PrecisionError):
+        good_basis(67, prec)
+    cache = DiskCache(tmp_path)
+    assert good_basis(67, 23, cache).pivots == [1, 2]
+    with pytest.raises(PrecisionError):
+        good_basis(67, prec, cache)
+    assert cache.get("good_basis", "67")["precision"] == 23
 
 
 def test_sturm_bound_on_pivots():
@@ -408,13 +444,12 @@ def test_plus_dimension_from_trace_matches_rank():
     for p in PRIMES_11_199:
         bc = BasisComputer(p)
         space = bc.space
-        den = space._r_den
-        w = space.atkin_lehner_matrix().num.astype(object)
+        w = space.atkin_lehner_matrix().astype(object)
         assert all(type(x) is int for row in space.cuspidal for x in row)
         cusp = np.array(space.cuspidal, dtype=object)
         assert cusp.shape == (space.dim, space.genus), p
         assert not (space.boundary.astype(object) @ cusp).any(), p
-        rank = len(linalg.pivot_columns(den * cusp + w @ cusp)) \
+        rank = len(linalg.pivot_columns(cusp + w @ cusp)) \
             if space.genus else 0
         assert bc.g == rank, p
         assert bc.g == KNOWN_G_PLUS.get(p, bc.g), p
@@ -640,35 +675,12 @@ def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
         warm.forms
 
 
-@pytest.mark.parametrize("p", [67, 389])
-def test_basis_reads_column_denominators(p):
-    # no prime below 1100 gives the reduction map a denominator, so every
-    # Krylov column has d_n = 1; the same vectors T_n x held as s_n v_n over
-    # s_n d_n, with the pivot block inverted again, give the same basis
-    prec = (p + 1) // 6 + 12
-    bc = BasisComputer(p)
-    want = bc.basis(prec)
-    scale = [1 + n % 3 for n in range(len(bc._cols))]
-    bc._cols = [v * s for v, s in zip(bc._cols, scale)]
-    bc._dens = [d * s for d, s in zip(bc._dens, scale)]
-    bc._pivots, bc._k, bc._kinv = bc._echelon(
-        np.array(bc._cols)[:, bc.rows].T)
-    got = bc.basis(prec)
-    assert got.num.dtype == object
-    assert got.num.tolist() == want.num.tolist() and got.den == want.den
-    assert got.pivots == want.pivots and got.p_integral
-
-
 PRIMES_5_400 = [p for p in range(5, 401) if all(p % d for d in range(2, p))]
-
-
-def _trace(num, den):
-    return Fraction(int(np.trace(num)), den)
 
 
 def test_relations_match_union_find_oracle():
     # the orbit quotient against the union-find one: their coordinates
-    # differ, so compare dim, genus, the denominator, the row space of the
+    # differ, so compare dim, genus, the row space of the integer
     # reduction map (each map is an invertible combination of the rows of
     # the other, so stacking them gives rank dim) and the traces of T_2,
     # T_3 and W_p, each reduction map taking the images of its own free
@@ -678,34 +690,100 @@ def test_relations_match_union_find_oracle():
     from modsym_oracle import OracleRelations
     for p in PRIMES_5_400:
         s, o = ModSymSpace(p), OracleRelations(p)
-        assert (s.dim, s.genus, s._r_den) == (o.dim, o.genus, o.r_den), p
-        for r, den, free in ((s._r_num, s._r_den, s.free),
-                             (o.r_num, o.r_den, o.free)):
-            assert np.array_equal(r[:, free], den * np.eye(s.dim)), p
-        assert np.array_equal(o.r_num * s._r_den,
-                              o.r_num[:, s.free] @ s._r_num), p
-        assert np.array_equal(s._r_num * o.r_den,
-                              s._r_num[:, o.free] @ o.r_num), p
+        assert (s.dim, s.genus) == (o.dim, o.genus), p
+        for r, free in ((s._r_num, s.free), (o.r_num, o.free)):
+            assert np.array_equal(r[:, free], np.eye(s.dim)), p
+        assert np.array_equal(o.r_num, o.r_num[:, s.free] @ s._r_num), p
+        assert np.array_equal(s._r_num, s._r_num[:, o.free] @ o.r_num), p
         lifted = copy.copy(s)
         lifted.free = o.free
         for ell in (2, 3):
             counts = s._count_images(merel_set(ell), o.free)
-            assert _trace(o.r_num @ counts, o.r_den) == _trace(
-                *s.hecke_matrix(ell)), (p, ell)
+            assert np.trace(o.r_num @ counts) == np.trace(
+                s.hecke_matrix(ell)), (p, ell)
         w_counts = lifted._path_counts([(0, -1, p, 0)])
-        assert _trace(o.r_num @ w_counts, o.r_den) == _trace(
-            *s.atkin_lehner_matrix()), p
+        assert np.trace(o.r_num @ w_counts) == np.trace(
+            s.atkin_lehner_matrix()), p
+
+
+def _three_term_rows(monkeypatch, p):
+    """The rows ModSymSpace(p) feeds its SparseRREF, and the finished
+    pivot rows."""
+    fed, finished = [], []
+
+    class Recording(linalg.SparseRREF):
+        def add_row(self, row):
+            fed.append(dict(row))
+            super().add_row(row)
+
+        def finish(self):
+            finished.append(super().finish())
+            return finished[-1]
+
+    monkeypatch.setattr(linalg, "SparseRREF", Recording)
+    ModSymSpace(p)
+    return fed, finished[0]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 67, 109, 199, 389])
+def test_sparse_rref_matches_dense_fraction_rref(monkeypatch, p):
+    # the exact pivot rule on ints against dense Fraction elimination of
+    # the same three-term rows; at p = 1 (mod 3) a fixed point of tau
+    # gives the row 3 x_r = 0, whose pivot 3 divides it
+    fed, finished = _three_term_rows(monkeypatch, p)
+    cols = sorted({c for row in fed for c in row})
+    red, pivots = linalg.rref([[row.get(c, 0) for c in cols] for row in fed])
+    assert sorted(finished) == [cols[j] for j in pivots], p
+    for row, j in zip(red, pivots):
+        got = finished[cols[j]]
+        assert got == {cols[t]: v for t, v in enumerate(row) if v}, p
+        assert all(type(v) is int for v in got.values()), p
+    assert any(sorted(map(abs, row.values())) == [3] for row in fed) == (
+        p % 3 == 1), p
+
+
+def test_good_basis_builds_no_fraction(tmp_path, monkeypatch):
+    # cold and served from the cache, the basis of every prime in [5, 400]
+    # stays on integers: the relations, the reduction map, the Hecke
+    # matrices and the Krylov columns (an entry of genus 0 is stored at
+    # precision 0, so it is never served)
+    from wplus import modsym
+    from wplus.cache import DiskCache
+
+    def refuse(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr(modsym, "Fraction", refuse)
+    cache = DiskCache(tmp_path)
+    cold = {p: good_basis(p, (p + 1) // 6 + 12, cache) for p in PRIMES_5_400}
+    monkeypatch.setattr(modsym, "BasisComputer", None)
+    for p, gb in cold.items():
+        if gb.g == 0:
+            continue
+        warm = good_basis(p, (p + 1) // 6 + 12, cache)
+        assert np.array_equal(warm.num, gb.num) and warm.den == gb.den, p
+        assert warm.pivots == gb.pivots, p
+
+
+@pytest.mark.slow
+def test_every_space_below_6000_meets_the_pivot_rule():
+    # every pivot of the three-term relations divides its row (SparseRREF
+    # raises otherwise) at each prime below 6000; opt-in (pytest -m slow)
+    from wplus.fppoly import is_prime
+    for p in range(5, 6000):
+        if is_prime(p):
+            assert ModSymSpace(p).dim == genus_x0(p) + 1, p
 
 
 @pytest.mark.parametrize("p", [11, 67, 389])
 def test_support_route_matches_hecke_matrices(p):
     # T_ell y from the images of the support of y alone is the matrix of
-    # T_ell times y, and W_p commutes with it: (den + w) T_ell y =
-    # T_ell (den + w) y, for every prime ell != p below the precision
+    # T_ell times y, and W_p commutes with it: (1 + w) T_ell y =
+    # T_ell (1 + w) y, for every prime ell != p below the precision
     from wplus.fppoly import is_prime
     space = ModSymSpace(p)
-    den = space._r_den
-    w = space.atkin_lehner_matrix().num
+    w = space.atkin_lehner_matrix()
     ells = [ell for ell in range(2, (p + 1) // 6 + 12)
             if ell != p and is_prime(ell)]
     rng = np.random.default_rng(p)
@@ -717,10 +795,9 @@ def test_support_route_matches_hecke_matrices(p):
         h = space.hecke_columns(ells, y)
         assert h.shape == (space.dim, len(ells))
         for col, ell in zip(h.T, ells):
-            t = space.hecke_matrix(ell).num
+            t = space.hecke_matrix(ell)
             assert np.array_equal(col, t @ y), (p, ell)
-            assert np.array_equal(den * col + w @ col,
-                                  t @ (den * y + w @ y)), (p, ell)
+            assert np.array_equal(col + w @ col, t @ (y + w @ y)), (p, ell)
 
 
 def test_cyclic_vector_fallback_at_1051():
