@@ -23,11 +23,10 @@ The kinds marked * run `--runs` times, the rest once:
 - wronskian, from a cold good basis at 389, 601 and 1009, as the chain and
   its cross-check form them: `wx`* (`polynomial_wronskian` of the divisor
   polynomials P_i of the lifts), `lifts`* (Miller basis, lifts and P_i),
-  `head`* (`integer_wronskian` of the head cut), `modp_head`*
-  (`modp_wronskian` of the residues); then `class_poly`* (the first call in
-  the interpreter, D = 1556 and 6044), `sweep`* (the 187 discriminants 4p,
-  and p if p = 3 mod 4, of 5 <= p < 700 into a fresh cache, whose files are
-  hashed) and `verify`* (`ladder` at 601).
+  `head`* (`integer_wronskian` of the head cut); then `class_poly`* (the
+  first call in the interpreter, D = 1556 and 6044), `sweep`* (the 187
+  discriminants 4p, and p if p = 3 mod 4, of 5 <= p < 700 into a fresh
+  cache, whose files are hashed) and `verify`* (`ladder` at 601).
 """
 
 import argparse
@@ -238,17 +237,6 @@ def _head(p):
                                 for c in det.num])}}
 
 
-def _modp_head(p):
-    from wplus import weierstrass
-
-    gb = _chain_basis(p)
-    (coeffs, val), wall = _clock(weierstrass.modp_wronskian, gb.residues(),
-                                 p, weierstrass._HEAD_TERMS)
-    return {"timings_ms": {"modp_head": wall}, "output": {
-        "g": gb.g, "valuation": val, "precision": val + len(coeffs),
-        "head": [int(c) for c in coeffs]}}
-
-
 def _class_poly(D):
     from wplus.supersingular import class_poly
 
@@ -287,8 +275,8 @@ def _sweep(_):
 MEASUREMENTS = {
     "ladder": _ladder, "layers": _layers, "factor": _factor,
     "split": _split, "scan": _scan, "basis": _basis, "wx": _wx,
-    "lifts": _lifts, "head": _head, "modp_head": _modp_head,
-    "class_poly": _class_poly, "sweep": _sweep}
+    "lifts": _lifts, "head": _head, "class_poly": _class_poly,
+    "sweep": _sweep}
 
 
 def measure(kind, arg):
@@ -384,7 +372,7 @@ def basis_suite(sides, runs):
 def wronskian_suite(sides, runs):
     outputs, stats = paired(
         sides, [(f"{kind}_{p}", kind, p)
-                for kind in ("wx", "lifts", "head", "modp_head")
+                for kind in ("wx", "lifts", "head")
                 for p in CHAIN_PRIMES]
         + [(f"class_poly_{D}", "class_poly", D) for D in CLASS_POLY_D]
         + [("sweep", "sweep", None), ("verify_601", "ladder", 601)], runs)

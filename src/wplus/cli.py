@@ -55,7 +55,7 @@ def _build_parser():
 
     b = sub.add_parser("basis", help="print the good basis of S_2^+(p)")
     b.add_argument("p", type=int)
-    b.add_argument("--prec", type=int, default=0,
+    b.add_argument("--prec", type=int,
                    help="q-expansion precision (default: Sturm bound + 10)")
     return parser
 
@@ -149,7 +149,7 @@ def main(argv=None):
         _require_prime(args.p, parser)
         from .modsym import good_basis
         from .pipeline import _cache_for
-        prec = args.prec or (args.p + 1) // 6 + 10
+        prec = (args.p + 1) // 6 + 10 if args.prec is None else args.prec
         try:
             gb = good_basis(args.p, prec, cache=_cache_for(_config(args)))
         except PrecisionError as exc:

@@ -14,8 +14,10 @@ straight from the divisor sums, and Delta = (E_4^3 - E_6^2) / 1728 is
 formed by int64 convolutions mod p, where 1728 = 2^6 3^3 is a unit for
 p >= 5.  The monomials Delta^i E_4^(a - 3i) E_6^b of weight k are one power
 and then one product by Delta / E_4^3 = 1/j per row; one back-substitution
-turns them into the Miller basis mod p, and peeling them off a matrix of
-forms gives all the divisor polynomials at once (divisor_polynomials).
+turns them into the Miller basis mod p, peeling them off a matrix of
+forms gives all the divisor polynomials at once (divisor_polynomials), and
+the head of a form is read back from the top of its divisor polynomial
+(divisor_expansion).
 The same integer formulas, divided exactly over Z, give j.  The rational
 route (eisenstein and delta through the Bernoulli numbers, QExpansion
 arithmetic, Level1Context) serves divisor polynomials over Q and the
@@ -276,6 +278,31 @@ def divisor_polynomials(forms, k, p, monos=None):
     return [FpPoly(p, c) for c in coeffs]
 
 
+def divisor_expansion(poly, k, terms):
+    """The head of the weight-k form f = D F(j), D = Delta^m Etilde_k, of
+    the divisor polynomial F = poly over F_p, the inverse of
+    divisor_polynomials on a head: (residues of q^v .. q^(v + terms - 1),
+    v), v = m - deg F = ord f.  D j^t is monomial m - t, q^(m - t) + ..., so
+    only the top `terms` coefficients of F and the heads of monomials
+    v .. v + terms - 1 count (_monomial_rows).  ValueError unless
+    0 <= deg F <= m; OverflowError, before any arithmetic, when an int64
+    sum could wrap."""
+    p, d = poly.p, poly.degree()
+    m = weight_profile(k).m
+    if not 0 <= d <= m:
+        raise ValueError(f"degree {d} is no divisor polynomial of weight {k}")
+    count = min(terms, d + 1)
+    if not int64_sums_fit(count, p):
+        raise OverflowError(
+            f"modulus {p} too large for int64 sums of {count} products")
+    v = m - d
+    rows = _monomial_rows(k, p, terms, v, count)
+    head = np.zeros(terms, dtype=np.int64)
+    for r in range(count):
+        head[r:] += poly.coeffs[d - r] * rows[r, :terms - r]
+    return head % p, v
+
+
 def miller_basis(k, prec):
     """Echelonized integral basis h_0, ..., h_d of M_k over Q, with
     h_i = q^i + O(q^{d+1}) and d = m(k); h_1, ..., h_d span the cusp forms.
@@ -321,29 +348,42 @@ def _series_power(a, e, p, n):
     return out
 
 
+def _monomial_rows(k, p, terms, first, count):
+    """Residues of q^i .. q^(i + terms - 1) of the level-1 monomials
+    Delta^i E_4^(a - 3i) E_6^b of weight k, i = first .. first + count - 1,
+    as the rows of an int64 array.  1/j = Delta / E_4^3 = q u, u a unit, so
+    monomial i is q^i E_4^a E_6^b u^i: row 0 is a power of E_4, times E_6
+    when b = 1, times one power of u, and each later row is one product by
+    u at the same precision."""
+    b = k % 4 // 2
+    e4, e6, dl = _e4_e6_delta(terms + 1, p)
+    e4, e6 = e4[:terms], e6[:terms]
+    e4_cubed = convolve_mod(convolve_mod(e4, e4, p, terms), e4, p, terms)
+    u = convolve_mod(dl[1:], inverse_mod_xn(e4_cubed, p, terms), p, terms)
+    out = np.empty((count, terms), dtype=np.int64)
+    out[0] = _series_power(e4, (k - 6 * b) // 4, p, terms)
+    if b:
+        out[0] = convolve_mod(out[0], e6, p, terms)
+    if first:
+        out[0] = convolve_mod(out[0], _series_power(u, first, p, terms), p,
+                              terms)
+    for r in range(count - 1):
+        out[r + 1] = convolve_mod(out[r], u, p, terms)
+    return out
+
+
 def monomials_mod(k, p, prec):
     """Residues mod p of q^0 .. q^(prec-1) of the level-1 monomials
     Delta^i E_4^(a - 3i) E_6^b of weight k, i = 0, ..., m(k), as the rows of
-    an int64 array; row i is q^i + O(q^(i+1)), and equals D j^(m - i) for
-    D = Delta^m Etilde_k.
-
-    Row 0 is one power E_4^a E_6^b, and row i + 1 is row i times
-    Delta / E_4^3 = 1/j, a series of valuation 1, so each row is one product
-    at the same precision.
-    """
+    an int64 array (_monomial_rows, shifted to q^i); row i is
+    q^i + O(q^(i+1)), and equals D j^(m - i) for D = Delta^m Etilde_k."""
     m = weight_profile(k).m
     if m < 0:
         raise ValueError(f"M_{k} is zero")
-    b = k % 4 // 2
-    e4, e6, dl = _e4_e6_delta(prec, p)
-    e4_cubed = convolve_mod(convolve_mod(e4, e4, p, prec), e4, p, prec)
-    inverse_j = convolve_mod(dl, inverse_mod_xn(e4_cubed, p, prec), p, prec)
-    out = np.empty((m + 1, prec), dtype=np.int64)
-    out[0] = _series_power(e4, (k - 6 * b) // 4, p, prec)
-    if b:
-        out[0] = convolve_mod(out[0], e6, p, prec)
-    for i in range(m):
-        out[i + 1] = convolve_mod(out[i], inverse_j, p, prec)
+    heads = _monomial_rows(k, p, prec, 0, m + 1)
+    out = np.zeros_like(heads)
+    for i in range(min(m + 1, prec)):
+        out[i, i:] = heads[i, :prec - i]
     return out
 
 

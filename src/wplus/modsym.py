@@ -546,7 +546,8 @@ class BasisComputer:
         """GoodBasis at the given q-expansion precision."""
         if self.g == 0:
             return GoodBasis(self.p, 0, self.space.genus,
-                             np.zeros((0, 0), dtype=np.int64), [], [], True)
+                             np.zeros((0, max(prec, 0)), dtype=np.int64),
+                             [], [], True)
         pivots = self._pivots
         if pivots[-1] >= prec - 1:
             if prec <= (self.p + 1) // 6 + 1:
@@ -667,7 +668,8 @@ def _basis_from_payload(payload, prec):
         dens.append(d)
     if len(rows) != len(pivots):
         return None
-    num, den = _least_denominators(_integer_matrix(rows), dens)
+    num, den = _least_denominators(
+        _integer_matrix(rows, payload["precision"]), dens)
     if any(num[i, c] != den[i] * (i == j) for i in range(len(rows))
            for j, c in enumerate(pivots)):
         return None
@@ -679,11 +681,11 @@ def _basis_from_payload(payload, prec):
                      list(pivots), p_integral)
 
 
-def _integer_matrix(rows):
-    """Equal-length rows of Python ints as an int64 matrix, or as an object
-    one where an entry does not fit int64."""
+def _integer_matrix(rows, width):
+    """Rows of `width` Python ints as an int64 matrix, or as an object one
+    where an entry does not fit int64."""
     if not rows:
-        return np.zeros((0, 0), dtype=np.int64)
+        return np.zeros((0, width), dtype=np.int64)
     try:
         return np.array(rows, dtype=np.int64)
     except OverflowError:

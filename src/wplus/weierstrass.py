@@ -22,9 +22,10 @@ formed; the report builds its divisor polynomial F_wtilde when first read.
 
 The cross-check compares the lifts with the reduced forms, and an exact
 head of the Wronskian, by Bareiss elimination over Z[q]/(q^K) on the
-numerator rows with their denominators D_j, with the mod-p head, by
-Gaussian elimination over F_p[q]/(q^K).  The exact head stays on integers
-over one denominator (ExactHead), and the report prints it from them.
+numerator rows with their denominators D_j, with the head of the one mod-p
+Wronskian, W = lead D F(W)(j), expanded from the top K coefficients of
+F(W) (level1.divisor_expansion).  The exact head stays on integers over one
+denominator (ExactHead), and the report prints it from them.
 Every division is checked exact and every forced parity is checked even;
 any failure is a falsifier, not an input error.  extract_Fp writes what the
 chain finds into the report that verify_prime is filling and sets no
@@ -42,9 +43,10 @@ import numpy as np
 from .errors import (ConsistencyError, InexactDivisionError, NoLiftError,
                      OddMultiplicityError, ParityViolationError,
                      PrecisionError, ZeroWronskianError)
-from .fppoly import Fp2, FpPoly, int64_sums_fit, inverse_mod_xn, legendre
+from .fppoly import Fp2, FpPoly, int64_sums_fit, legendre
 # divisor_polynomial stays importable from this module
-from .level1 import (divisor_degree, divisor_polynomial,  # noqa: F401
+from .level1 import (divisor_degree, divisor_expansion,
+                     divisor_polynomial,  # noqa: F401
                      divisor_polynomials, gp_exponents, gp_poly,
                      miller_basis_mod, monomials_mod,
                      square_divisor_exponents, weight_profile)
@@ -93,8 +95,9 @@ def wronskian(forms):
     The derivative rows use theta = q d/dq, which absorbs the 2*pi*i powers
     of the analytic Wronskian; for forms f_j = q^{c_j} + ... the leading
     coefficient is the Vandermonde determinant of the c_j.  The chain forms
-    its Wronskian heads by the array kernels integer_wronskian and
-    modp_wronskian; this series route serves the tests as their oracle.
+    its exact Wronskian head by integer_wronskian, and the mod-p Wronskian
+    only on the j-line (wronskian_divisor_polynomial); this series route
+    serves the tests as their oracle.
     """
     g = len(forms)
     if g == 0:
@@ -418,71 +421,15 @@ def integer_wronskian(rows, dens, valuations):
                      prod(dens), sum(valuations))
 
 
-def _product_mod(a, b, p):
-    """Products in F_p[q]/(q^K), K the length of the last axis, over the
-    broadcast leading axes of the int64 residue arrays a and b: coefficient
-    n is one sum of n + 1 products, which the caller bounds."""
-    terms = a.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-    for n in range(terms):
-        out[..., n] = (a[..., :n + 1] * b[..., n::-1]).sum(axis=-1)
-    return out % p
-
-
-def modp_wronskian(forms, p, terms):
-    """Theta-Wronskian det[theta^i f_j] mod p of the series f_j whose
-    residues of q^0 .. q^(n-1) are the rows of forms, through relative
-    precision K = min(terms, n - max c_j), c_j = ord f_j, by Gaussian
-    elimination over F_p[q]/(q^K) on a (g, g, K) int64 array.  Returns
-    (det, v), v = sum c_j, with det the int64 residues of the coefficients
-    of q^v .. q^(v + K - 1); det[0] is nonzero.
-
-    theta^i (q^c u) = q^c (theta + c)^i u, so entry (i, j) is
-    (theta + c_j)^i u_j, with u_j = f_j / q^(c_j) cut to K terms.  Its
-    constant terms are c_j^i lead(f_j), so the leading k x k minors of the
-    constant terms are V(c_0, ..., c_(k-1)) prod lead(f_j): units when the
-    c_j are distinct mod p, and no pivot search is needed.  Each pivot is
-    inverted mod q^K (inverse_mod_xn), and one with constant term 0 raises
-    ConsistencyError.  OverflowError, before any arithmetic, when an int64
-    sum could wrap.
-    """
-    g, n = forms.shape
-    nonzero = forms != 0
-    if not nonzero.any(axis=1).all():
-        raise ZeroWronskianError("a form vanishes on its window")
-    vals = nonzero.argmax(axis=1)
-    terms = min(terms, n - int(vals.max()))
-    if not int64_sums_fit(terms + 1, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {terms + 1} products")
-    exps = vals[:, None] + np.arange(terms)
-    mat = np.empty((g, g, terms), dtype=np.int64)
-    mat[0] = np.take_along_axis(forms, exps, axis=1)
-    for i in range(1, g):
-        mat[i] = mat[i - 1] * (exps % p) % p
-    det = None
-    for k in range(g):
-        piv = mat[k, k]
-        if piv[0] == 0:
-            raise ConsistencyError(f"mod-{p} pivot {k} has constant term 0")
-        det = piv if det is None else _product_mod(det, piv, p)
-        if k + 1 < g:
-            factor = _product_mod(mat[k + 1:, k],
-                                  inverse_mod_xn(piv, p, terms), p)
-            mat[k + 1:, k + 1:] = (mat[k + 1:, k + 1:] - _product_mod(
-                factor[:, None], mat[k, k + 1:], p)) % p
-    return det, int(vals.sum())
-
-
 #: relative precision K of the exact Wronskian head: each basis form f_j is
 #: cut at q^(c_j + K), which fixes the exact determinant below q^(sum c + K);
 #: integer_wronskian eliminates over Z[q]/(q^K)
 _HEAD_TERMS = 12
 
 
-def cross_check_wronskian_congruence(basis, lifts, p):
+def cross_check_wronskian_congruence(basis, lifts, fw, lead):
     """Check the lifts against the reduced basis forms, and an exact head of
-    the rational Wronskian against the mod-p one.
+    the rational Wronskian against the mod-p one on the j-line.
 
     Each lift b_j (a row of residues, as lift_to_level1 returns them) must
     agree with the reduction of f_j coefficientwise through the window they
@@ -499,33 +446,38 @@ def cross_check_wronskian_congruence(basis, lifts, p):
     q^(sum c + K).  It is computed on integers (integer_wronskian): with
     each column the numerator row of f_j over its denominator D_j from the
     basis and q^(c_j) taken out, Bareiss's elimination over Z[q]/(q^K) on
-    the binomial rows checks every division exact.  The
-    one mod-p Wronskian is that of the reduced forms to the same relative
-    precision, by Gaussian elimination over F_p[q]/(q^K) on the power rows
-    (modp_wronskian), so the two heads share no arithmetic.  The leading
-    coefficients of both must be the Vandermonde determinant V of the
-    pivots, V must be a p-unit (so the normalized Wronskian det / V is
+    the binomial rows checks every division exact.  The one mod-p Wronskian
+    is that of the lifts on the j-line, W = lead D F(W)(j) with
+    D = Delta^m Etilde of the weight g(g + p) of W and fw = F(W), lead as
+    wronskian_divisor_polynomial returns them; its head from q^(sum c) on
+    reads only the top K coefficients of F(W) (level1.divisor_expansion),
+    so it shares no arithmetic with the Bareiss kernel.  The leading
+    coefficient of the exact head must be the Vandermonde determinant V of
+    the pivots, V must be a p-unit (so the normalized Wronskian det / V is
     p-integral whenever the basis is), and the exact head must reduce to
-    the mod-p one.
+    the mod-p one, in valuation (deg F(W) = m - sum c) and in each of its
+    K coefficients.
 
     Returns (ok, ExactHead of the Wronskian, V).
     """
+    p, g = basis.p, basis.g
     v = vandermonde(basis.pivots)
     reduced = basis.residues()
     n = min(reduced.shape[1], lifts.shape[1])
-    lifts_ok = len(lifts) == basis.g and np.array_equal(
+    lifts_ok = len(lifts) == g and np.array_equal(
         lifts[:, :n], reduced[:, :n])
     cuts = np.array(basis.pivots)[:, None] + np.arange(
         min(_HEAD_TERMS, basis.precision - max(basis.pivots)))
     det = integer_wronskian(np.take_along_axis(basis.num, cuts, axis=1),
                             basis.den, basis.pivots)
-    red_det, red_val = modp_wronskian(reduced, p, _HEAD_TERMS)
     # det.den = prod D_j is a p-unit: basis.residues has checked each D_j
     exact_det, exact_val = det.reduce_mod(p)
-    ok = (v % p != 0 and det.num[0] == v * det.den
-          and int(red_det[0]) == v % p
-          and lifts_ok and exact_val == red_val
-          and np.array_equal(exact_det, red_det))
+    k_w = g * (g + p)
+    ok = (v % p != 0 and det.num[0] == v * det.den and lifts_ok
+          and divisor_degree(k_w) - fw.degree() == exact_val)
+    if ok:
+        head, _ = divisor_expansion(fw, k_w, len(exact_det))
+        ok = np.array_equal(exact_det, lead * head % p)
     return ok, det, v
 
 
@@ -656,9 +608,10 @@ def extract_Fp(report, basis, split):
         split, elliptic, h, numerator, denominator)
     report.wtilde_factors = (split.S_tilde, numerator)
 
-    # the mod-p Wronskian congruence and p-integrality of the exact one
+    # the exact Wronskian head against the j-line one, and p-integrality of
+    # the exact one
     ok_cross, det_exact, v_exact = cross_check_wronskian_congruence(
-        basis, lifts, p)
+        basis, lifts, fw, lead)
     report.checks["wronskian_congruence"] = ok_cross
     w_exact = ExactHead(det_exact.num, det_exact.den * v_exact,   # W / V
                         det_exact.valuation)

@@ -165,7 +165,7 @@ def test_basis_67(capsys, tmp_path):
     assert "pivots: [1, 2]" in out
 
 
-@pytest.mark.parametrize("prec", ["2", "-3"])
+@pytest.mark.parametrize("prec", ["2", "-3", "0"])
 def test_basis_precision_below_pivots_is_a_usage_error(capsys, tmp_path,
                                                        prec):
     # cold, then warm from an entry at precision 23, a --prec that does

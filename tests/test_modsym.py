@@ -745,8 +745,7 @@ def test_sparse_rref_matches_dense_fraction_rref(monkeypatch, p):
 def test_good_basis_builds_no_fraction(tmp_path, monkeypatch):
     # cold and served from the cache, the basis of every prime in [5, 400]
     # stays on integers: the relations, the reduction map, the Hecke
-    # matrices and the Krylov columns (an entry of genus 0 is stored at
-    # precision 0, so it is never served)
+    # matrices and the Krylov columns
     from wplus import modsym
     from wplus.cache import DiskCache
 
@@ -759,11 +758,29 @@ def test_good_basis_builds_no_fraction(tmp_path, monkeypatch):
     cold = {p: good_basis(p, (p + 1) // 6 + 12, cache) for p in PRIMES_5_400}
     monkeypatch.setattr(modsym, "BasisComputer", None)
     for p, gb in cold.items():
-        if gb.g == 0:
-            continue
         warm = good_basis(p, (p + 1) // 6 + 12, cache)
         assert np.array_equal(warm.num, gb.num) and warm.den == gb.den, p
         assert warm.pivots == gb.pivots, p
+
+
+@pytest.mark.parametrize("p", [67, 71])
+def test_good_basis_is_built_once_per_cache(tmp_path, monkeypatch, p):
+    # the second call is served from the cache, also at 71, where g+ = 0 and
+    # the basis is 0 x prec
+    from wplus import modsym
+    from wplus.cache import DiskCache
+    built = []
+    init = modsym.BasisComputer.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(modsym.BasisComputer, "__init__", counting)
+    cache = DiskCache(tmp_path)
+    cold, warm = (good_basis(p, 24, cache) for _ in range(2))
+    assert len(built) == 1
+    assert warm.num.shape == cold.num.shape == (cold.g, 24)
 
 
 @pytest.mark.slow

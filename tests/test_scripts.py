@@ -35,12 +35,6 @@ def test_bench_wronskian_lifts():
     assert (out["g"], out["window"]) == (2, 23)
 
 
-def test_bench_wronskian_modp_head():
-    out = _run("modp_head", 67)["output"]
-    assert (out["g"], out["valuation"], out["precision"]) == (2, 3, 15)
-    assert out["head"][:6] == [c % 67 for c in (1, -2, -6, 6, 15, 8)]
-
-
 def test_bench_wronskian_class_poly():
     out = _run("class_poly", 268)["output"]
     assert out["h"] == 3

@@ -10,8 +10,9 @@ from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
                           OddMultiplicityError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
-from wplus.level1 import (divisor_degree, divisor_polynomials, gp_exponents,
-                          gp_poly, miller_basis_mod)
+from wplus.level1 import (divisor_degree, divisor_expansion,
+                          divisor_polynomials, gp_exponents, gp_poly,
+                          miller_basis_mod)
 from wplus.modsym import GoodBasis, good_basis
 from wplus.report import VerificationReport
 from wplus.series import FpSeries, QExpansion, residue_matrix
@@ -20,8 +21,7 @@ from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
                                cross_check_wronskian_congruence,
                                elliptic_exponents, extract_Fp,
                                gp_divides_power, integer_wronskian,
-                               lift_to_level1,
-                               modp_wronskian, polynomial_wronskian, theta,
+                               lift_to_level1, polynomial_wronskian, theta,
                                vandermonde, wronskian,
                                wronskian_divisor_polynomial)
 from assembly_oracle import expanded_assembly
@@ -49,10 +49,11 @@ def _lifts(p, gb):
     return lift_to_level1(gb.residues(), p)
 
 
-def _modp_head(rows, p, terms):
-    """modp_wronskian as an FpSeries, to compare with the series route."""
-    det, val = modp_wronskian(rows, p, terms)
-    return FpSeries(p, det, val, val + len(det))
+def _jline(p, gb):
+    """The lifts of the basis and F(W), lead of their Wronskian, as
+    extract_Fp hands them to the cross-check."""
+    lifts = _lifts(p, gb)
+    return (lifts, *wronskian_divisor_polynomial(lifts, p))
 
 
 def _as_qexpansion(head, g, level):
@@ -301,14 +302,14 @@ def test_extract_requires_precision(basis67):
 
 def test_cross_check_sensitivity(basis67):
     p = 67
-    lifts = _lifts(p, basis67)
+    lifts, fw, lead = _jline(p, basis67)
     short = good_basis(p, 14)
-    ok, _, v = cross_check_wronskian_congruence(short, lifts, p)
+    ok, _, v = cross_check_wronskian_congruence(short, lifts, fw, lead)
     assert ok and v == 1
     # perturbing one coefficient of b_1 must break the congruence
     bad = lifts.copy()
     bad[0, 4] = (bad[0, 4] + 1) % p
-    ok_bad, _, _ = cross_check_wronskian_congruence(short, bad, p)
+    ok_bad, _, _ = cross_check_wronskian_congruence(short, bad, fw, lead)
     assert not ok_bad
 
 
@@ -316,8 +317,8 @@ def test_cross_check_catches_basis_error_past_exact_head(basis67):
     # a wrong basis coefficient inside the window but past the exact head
     # q^(c_j + K) is invisible to the head and caught mod p
     p = 67
-    lifts = _lifts(p, basis67)
-    ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, p)
+    lifts, fw, lead = _jline(p, basis67)
+    ok, head, _ = cross_check_wronskian_congruence(basis67, lifts, fw, lead)
     assert ok
     n = basis67.pivots[0] + _HEAD_TERMS + 4
     assert n < basis67.precision
@@ -325,7 +326,8 @@ def test_cross_check_catches_basis_error_past_exact_head(basis67):
     num[0, n] += basis67.den[0]                 # f_1 + q^n
     bad = GoodBasis(p, basis67.g, basis67.genus_x0, num, basis67.den,
                     basis67.pivots, True)
-    ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, p)
+    ok_bad, head_bad, _ = cross_check_wronskian_congruence(bad, lifts, fw,
+                                                           lead)
     assert head_bad == head
     assert not ok_bad
 
@@ -338,61 +340,65 @@ def test_cross_check_catches_lift_error_past_head(past_head):
     # q^26 lies inside it
     p = 67
     gb = good_basis(p, 27)
-    lifts = _lifts(p, gb)
-    assert cross_check_wronskian_congruence(gb, lifts, p)[0]
+    lifts, fw, lead = _jline(p, gb)
+    assert cross_check_wronskian_congruence(gb, lifts, fw, lead)[0]
     n = max(gb.pivots) + _HEAD_TERMS + past_head
     assert n < gb.precision
     bad = lifts.copy()
     bad[-1, n] = (bad[-1, n] + 1) % p
-    ok_bad, _, _ = cross_check_wronskian_congruence(gb, bad, p)
+    ok_bad, _, _ = cross_check_wronskian_congruence(gb, bad, fw, lead)
     assert not ok_bad
 
 
 def test_cross_check_forms_one_head_sized_mod_p_wronskian(monkeypatch):
     # the lifts are compared with the forms, not through Wronskians on the
-    # window: the only mod-p Wronskian is the int64 head of the reduced
-    # forms, of relative precision K, and no series elimination runs
+    # window: the only mod-p Wronskian is F(W) from extract_Fp, expanded to
+    # a head of K terms, and no series elimination and no W_x run
     import wplus.weierstrass as ws
     p = 389
     gb = _chain_basis(p)
-    lifts = _lifts(p, gb)
-    full = ws.modp_wronskian
+    lifts, fw, lead = _jline(p, gb)
     heads = []
 
-    def recording(forms, p, terms):
-        det, val = full(forms, p, terms)
-        heads.append((terms, len(det)))
-        return det, val
+    def recording(poly, k, terms):
+        heads.append((k, terms))
+        return divisor_expansion(poly, k, terms)
 
     def refuse(*args):
-        raise AssertionError("series elimination in the cross-check")
+        raise AssertionError("a second Wronskian in the cross-check")
 
-    monkeypatch.setattr(ws, "modp_wronskian", recording)
+    monkeypatch.setattr(ws, "divisor_expansion", recording)
     monkeypatch.setattr(ws, "series_matrix_determinant", refuse)
-    ok, _, _ = cross_check_wronskian_congruence(gb, lifts, p)
+    monkeypatch.setattr(ws, "polynomial_wronskian", refuse)
+    ok, _, _ = cross_check_wronskian_congruence(gb, lifts, fw, lead)
     assert ok
-    assert heads == [(_HEAD_TERMS, _HEAD_TERMS)]
+    assert heads == [(gb.g * (gb.g + p), _HEAD_TERMS)]
 
 
-def test_cross_check_compares_exact_head_with_mod_p_head(basis67,
-                                                        monkeypatch):
-    # the reduction of the exact head must equal the mod-p Wronskian of the
-    # reduced head; a mod-p determinant wrong past its lead is refused
-    import wplus.weierstrass as ws
-    p = 67
-    lifts = _lifts(p, basis67)
-    full = ws.modp_wronskian
+def test_cross_check_compares_exact_head_with_mod_p_head():
+    # the exact head reads the top K coefficients of F(W): at 389, where
+    # deg F(W) = 300, a wrong coefficient of x^289 is refused, one of x^288
+    # is not seen, and a wrong lead or degree is refused
+    p = 389
+    gb = _chain_basis(p)
+    lifts, fw, lead = _jline(p, gb)
+    d = fw.degree()
+    assert d == 300
+    assert cross_check_wronskian_congruence(gb, lifts, fw, lead)[0]
 
-    def off(forms, p, terms):
-        det, val = full(forms, p, terms)
-        det = det.copy()
-        det[1] = (det[1] + 1) % p
-        return det, val
+    def off(n):
+        coeffs = fw.coeffs.copy()
+        coeffs[n] = (coeffs[n] + 1) % p
+        return FpPoly(p, coeffs)
 
-    assert cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)[0]
-    monkeypatch.setattr(ws, "modp_wronskian", off)
-    ok, _, _ = cross_check_wronskian_congruence(good_basis(p, 14), lifts, p)
-    assert not ok
+    assert not cross_check_wronskian_congruence(
+        gb, lifts, off(d - _HEAD_TERMS + 1), lead)[0]
+    assert cross_check_wronskian_congruence(
+        gb, lifts, off(d - _HEAD_TERMS), lead)[0]
+    assert not cross_check_wronskian_congruence(
+        gb, lifts, fw, (lead + 1) % p)[0]
+    assert not cross_check_wronskian_congruence(
+        gb, lifts, fw * FpPoly.x(p), lead)[0]
 
 
 @pytest.mark.parametrize("p", [67, 109, 199])
@@ -401,7 +407,7 @@ def test_exact_head_matches_absolute_window(p):
     # at one absolute precision sum(c) + max(24, 4g), as it was formed before
     gb = _old_window_basis(p)
     window = gb.precision
-    ok, head, v = cross_check_wronskian_congruence(gb, _lifts(p, gb), p)
+    ok, head, v = cross_check_wronskian_congruence(gb, *_jline(p, gb))
     assert ok
     full, _ = wronskian([f.truncate(window) for f in gb.forms])
     assert head.valuation == full.valuation == sum(gb.pivots)
@@ -448,7 +454,7 @@ def test_integer_head_matches_fraction_oracle(p):
     # the head the cross-check forms on integers, coefficient by coefficient
     # (and in valuation, precision and weight) against Fraction elimination
     gb = _chain_basis(p)
-    ok, head, _ = cross_check_wronskian_congruence(gb, _lifts(p, gb), p)
+    ok, head, _ = cross_check_wronskian_congruence(gb, *_jline(p, gb))
     assert ok
     assert _as_qexpansion(head, gb.g, p) == fraction_wronskian_head(gb)
     assert head.valuation == sum(gb.pivots)
@@ -529,64 +535,52 @@ def test_integer_wronskian_refuses_zero_pivot(valuations):
 
 
 @pytest.mark.parametrize("p", [67, 199, 389])
-def test_modp_head_matches_series_wronskian_of_head_cut(p):
-    # the int64 elimination against Gaussian elimination over FpSeries
+def test_jline_head_matches_series_wronskian_of_head_cut(p):
+    # lead D F(W)(j), expanded to K terms, against Gaussian elimination over
+    # FpSeries on the reduced forms cut at q^(c_j + K)
     gb = _chain_basis(p)
-    det = _modp_head(residue_matrix(gb.forms, p, gb.precision), p,
-                     _HEAD_TERMS)
-    series, lead = wronskian([f.reduce_mod(p) for f in _head_cut(gb)])
+    _, fw, lead = _jline(p, gb)
+    head, val = divisor_expansion(fw, gb.g * (gb.g + p), _HEAD_TERMS)
+    det = FpSeries(p, lead * head % p, val, val + _HEAD_TERMS)
+    series, series_lead = wronskian([f.reduce_mod(p) for f in _head_cut(gb)])
     assert (det.valuation, det.precision) == (series.valuation,
                                               series.precision)
     assert det.agrees_with(series)
-    assert lead == vandermonde(gb.pivots) % p
+    assert series_lead == lead == vandermonde(gb.pivots) % p
 
 
-def _random_rows(rng, g, p, width):
-    """g rows of residues with distinct valuations below 3g and random
-    units after them."""
-    rows = np.zeros((g, width), dtype=np.int64)
-    for row, c in zip(rows, sorted(rng.sample(range(3 * g), g))):
-        row[c] = rng.randrange(1, p)
-        row[c + 1:] = [rng.randrange(p) for _ in range(width - c - 1)]
-    return rows
+@pytest.mark.parametrize("p", [67, 389, 2003])
+def test_divisor_expansion_inverts_divisor_polynomials(p):
+    # random forms of weight k with valuations from 0 to m(k): the head of
+    # D F(f)(j) is the form's own, for every number of terms
+    rng = random.Random(p)
+    for k in (12, 26, p + 1):
+        m = divisor_degree(k)
+        width = 2 * m + 20
+        miller = miller_basis_mod(k, p, width)
+        rows = np.zeros((8, width), dtype=np.int64)
+        for row in rows:
+            start = rng.randrange(m + 1)
+            coeffs = [rng.randrange(p) for _ in range(m + 1)]
+            coeffs[start] = rng.randrange(1, p)
+            row[:] = np.array(coeffs[start:]) @ miller[start:] % p
+        for row, poly in zip(rows, divisor_polynomials(rows, k, p)):
+            val = int(row.nonzero()[0][0])
+            for terms in (1, 5, _HEAD_TERMS, 2 * m + 15 - val):
+                head, v = divisor_expansion(poly, k, terms)
+                assert v == val
+                assert np.array_equal(head, row[val:val + terms])
 
 
-@pytest.mark.parametrize("p, g", [(67, 20), (389, 24), (2003, 30)])
-def test_modp_head_random_rows_match_series_wronskian(p, g):
-    rng = random.Random(p + g)
-    for terms in (1, 5, _HEAD_TERMS):
-        rows = _random_rows(rng, g, p, 3 * g + terms + 3)
-        det = _modp_head(rows, p, terms)
-        forms = [FpSeries(p, row, 0, rows.shape[1]) for row in rows]
-        vals = [f.valuation for f in forms]
-        cut = [f.truncate(c + terms) for f, c in zip(forms, vals)]
-        series, _ = wronskian(cut)
-        assert det.valuation == series.valuation == sum(vals)
-        assert det.precision == series.precision == sum(vals) + terms
-        assert det.agrees_with(series)
-
-
-@pytest.mark.parametrize("p, valuations", [(67, (1, 1)), (67, (1, 2, 2)),
-                                           (7, (1, 3, 8))])
-def test_modp_head_refuses_zero_pivot(p, valuations):
-    # equal valuations, or valuations equal mod p, make a leading minor of
-    # the constant terms vanish mod p
-    rows = np.zeros((len(valuations), 12), dtype=np.int64)
-    for n, (row, c) in enumerate(zip(rows, valuations), start=1):
-        row[c:] = [(n * i + 1) % p for i in range(12 - c)]
-    with pytest.raises(ConsistencyError, match="constant term 0"):
-        modp_wronskian(rows, p, 3)
-
-
-def test_modp_head_refuses_int64_overflow_and_zero_form():
+def test_divisor_expansion_refuses_int64_overflow_and_bad_degree():
     p = next(n for n in range(2**31 + 1, 2**31 + 1000) if is_prime(n))
-    rows = np.zeros((2, 6), dtype=np.int64)
-    rows[0, 1] = rows[1, 2] = 1
     with pytest.raises(OverflowError):
-        modp_wronskian(rows, p, 3)
-    rows[1] = 0
-    with pytest.raises(ZeroWronskianError):
-        modp_wronskian(rows, 67, 3)
+        divisor_expansion(FpPoly(p, [1, 1]), 24, 3)
+    m = divisor_degree(24)
+    with pytest.raises(ValueError):
+        divisor_expansion(FpPoly(67, [1] * (m + 2)), 24, 3)
+    with pytest.raises(ValueError):
+        divisor_expansion(FpPoly.zero(67), 24, 3)
 
 
 def _refuse_construction(self, *args, **kwargs):
