@@ -3,10 +3,11 @@
 Entries live at <cache_dir>/<kind>/<key>.json as
 {"schema_version", "kind", "key", "payload", "checksum"} with numerics
 serialized as decimal strings by the producers.  A checksum or version
-mismatch, or a file that is not a JSON object, reads as a miss and the
-entry is recomputed; deleting the cache never changes any result, only
-timing.  Writes go through a temp file and os.replace so concurrent scans
-can share one cache directory.
+mismatch, a kind or key other than the one asked for (a file copied or
+renamed under another key), or a file that is not a JSON object, reads as
+a miss and the entry is recomputed; deleting the cache never changes any
+result, only timing.  Writes go through a temp file and os.replace so
+concurrent scans can share one cache directory.
 
 The checksum is SHA-256 from the interpreter's own extension (`_sha256`,
 or `_sha2` from Python 3.12 on), as `random` does for SHA-512: `hashlib`
@@ -58,7 +59,9 @@ class DiskCache:
         except (OSError, ValueError):
             return None
         if (not isinstance(entry, dict)
-                or entry.get("schema_version") != SCHEMA_VERSION):
+                or entry.get("schema_version") != SCHEMA_VERSION
+                or entry.get("kind") != kind
+                or entry.get("key") != str(key)):
             return None
         payload = entry.get("payload")
         if payload is None or entry.get("checksum") != _checksum(payload):

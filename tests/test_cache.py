@@ -112,3 +112,27 @@ def test_entry_written_with_hashlib_is_a_hit(tmp_path):
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps(entry))
     assert DiskCache(tmp_path).get("class_poly", "7") == payload
+
+
+@pytest.mark.parametrize("kind, source, target", [
+    ("good_basis", "67", "73"), ("class_poly", "268", "67")])
+def test_entry_copied_under_another_key_is_a_miss(tmp_path, kind, source,
+                                                   target):
+    # the stored kind and key must be the ones asked for: a copied entry
+    # passes its checksum, but holds the result of another key
+    from wplus.modsym import good_basis
+    from wplus.supersingular import class_poly
+
+    assert verify_prime(67, Config(cache_dir=tmp_path)).status == "ok"
+    cache = DiskCache(tmp_path)
+    entry = (tmp_path / kind / f"{source}.json").read_bytes()
+    (tmp_path / kind / f"{target}.json").write_bytes(entry)
+    assert cache.get(kind, target) is None
+    if kind == "good_basis":
+        assert good_basis(73, 24, cache).p == 73
+    else:
+        assert class_poly(67, cache=cache).H_D == [147197952000, 1]
+    assert cache.get(kind, target) is not None
+    other = "class_poly" if kind == "good_basis" else "good_basis"
+    (tmp_path / other / f"{source}.json").write_bytes(entry)
+    assert cache.get(other, source) is None

@@ -43,11 +43,14 @@ def test_bench_wronskian_class_poly():
 
 
 def test_bench_wronskian_sweep():
-    # the cache files of the 187 class polynomials, as BENCH_wronskian.json
-    # records them
+    # the cache files of the 187 class polynomials.  BENCH_wronskian.json
+    # records those of the mpmath route (74ab0ae5...), whose rungs were
+    # twice these at the 9 discriminants of
+    # test_supersingular.ESCALATED_IN_MPMATH; the payloads are otherwise
+    # the same
     out = _run("sweep", None)["output"]
     assert out == {"count": 187, "cache_sha256": (
-        "74ab0ae58b16b695459e802f1f2c24d02c4fb43cfe354fe5347f3ed2d122a73e")}
+        "a55f9159511ef98bfc4a0ac58c6923919c5344c6514a9d0f54850ba0e43b2c74")}
 
 
 def test_bench_basis_basis():
