@@ -427,9 +427,10 @@ def _cm_plan(D, forms, bits):
     - the product: after k forms the l1 norm of the error is
       e_k <= e_(k-1)(1 + J_k + d_k) + N_(k-1) d_k + sqrt(2) k with
       N_k = prod_(m <= k)(1 + J_m), so every part of the result is within
-      N_h sum_k (d_k/(1 + J_k) + sqrt(2) k / N_k).
-    Relative errors are below 2^-60, so a factor 1 + 2^-10 covers the
-    second-order terms and the rounding of the floats here.
+      N_h S exp(S), S = sum_k (d_k/(1 + J_k) + sqrt(2) k / N_k).
+    The relative errors of x, 1/q and q are below 2^-60 (else the bound is
+    inf), so a factor 1 + 2^-10 covers their second-order terms and the
+    rounding of the floats here.
     """
     w = bits + _GUARD
     e_pi = 12 * w + 180
@@ -465,7 +466,8 @@ def _cm_plan(D, forms, bits):
         log2_j1, ratio = per_a[a]
         log2_n += log2_j1
         total += ratio + _tiny_up(math.log2(math.sqrt(2) * k) - log2_n)
-    return log2_n + math.log2(total * (1 + 2.0 ** -10)) - bits, plan
+    return (log2_n + math.log2(total * (1 + 2.0 ** -10)) - bits
+            + total * _tiny_up(-bits) / _LN2, plan)
 
 
 def _atan_inv(x, w):

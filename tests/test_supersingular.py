@@ -237,15 +237,6 @@ ESCALATED_IN_MPMATH = (71, 191, 244, 356, 443, 571, 619, 691, 1084)
 CLASS_POLY_D = (3, 4, 7, 23, 67, 199, 268, 796, 1556) + ESCALATED_IN_MPMATH
 
 
-def _sweep_discriminants():
-    """4p, and p when p = 3 mod 4, for the primes 5 <= p < 700."""
-    out = []
-    for p in range(5, 700):
-        if is_prime(p):
-            out += [4 * p] + ([p] if p % 4 == 3 else [])
-    return out
-
-
 def _check_class_poly(D, monkeypatch):
     """class_poly(D) equals the mpmath oracle, evaluates once at the first
     rung whose bound is below 1/2, and that bound and the bound of each
@@ -278,8 +269,10 @@ def test_class_poly_matches_the_mpmath_oracle(D, monkeypatch):
 
 @pytest.mark.slow
 def test_class_poly_matches_the_mpmath_oracle_on_the_sweep(monkeypatch):
-    # opt-in (pytest -m slow): the 187 discriminants of the sweep, and 6044
-    sweep = _sweep_discriminants()
+    # opt-in (pytest -m slow): 4p, and p when p = 3 mod 4, for the primes
+    # 5 <= p < 700, and 6044
+    sweep = [D for p in range(5, 700) if is_prime(p)
+             for D in [4 * p] + ([p] if p % 4 == 3 else [])]
     assert len(sweep) == 187
     for D in sweep + [6044]:
         _check_class_poly(D, monkeypatch)
