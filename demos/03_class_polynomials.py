@@ -5,9 +5,8 @@ Hilbert class polynomials and Atkin-Lehner fixed points
 H_D(x) is the monic integer polynomial whose roots are the j-invariants of
 elliptic curves with CM by the order of discriminant -D; it is computed by
 enumerating reduced binary quadratic forms and evaluating j at the CM
-points in fixed point on Python integers, at the first precision rung
-where an error bound proves that the coefficients round to the right
-integers.
+points with big floats, escalating precision until the coefficients round
+cleanly to integers.
 """
 
 from wplus import class_number, class_poly, fixed_point_poly, reduced_forms

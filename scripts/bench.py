@@ -397,8 +397,12 @@ def environment():
                    if line.startswith("model name"))
     except (OSError, StopIteration):
         cpu = None
-    versions = {package: importlib.metadata.version(package)
-                for package in ("numpy", "mpmath")}
+    versions = {}
+    for package in ("numpy", "mpmath"):
+        try:
+            versions[package] = importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            versions[package] = None
     return {"python": platform.python_version(), **versions,
             "nproc": os.cpu_count(), "cpu": cpu, "platform": platform.platform()}
 

@@ -11,11 +11,11 @@ points of the quotient curve, verifying the congruence
 together with every identity used along the way.  Everything is exact:
 integer arithmetic for the modular symbols and the good basis (numerator
 rows over one denominator per form), int64 residue arrays and F_p[x] for
-the mod-p chain, and integer fixed point for the class-polynomial
-evaluation, whose rounding to integers is proven by an error bound.  The
-rational q-expansions (QExpansion) and the F_p series (FpSeries) serve the
-tests, their oracles and the level-1 forms over Q; the pipeline builds a
-QExpansion only for the q-expansion of j.
+the mod-p chain, and big floats only inside the class-polynomial
+evaluation (with verified integer rounding).  The rational q-expansions
+(QExpansion) and the F_p series (FpSeries) serve the tests, their oracles
+and the level-1 forms over Q; the pipeline builds a QExpansion only for the
+q-expansion of j.
 """
 
 from .config import Config

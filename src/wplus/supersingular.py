@@ -15,14 +15,13 @@ Legendre parameter, eliminated against the lambda-to-j cover by a resultant,
 for the full polynomial.
 
 Hilbert class polynomials are computed by enumerating reduced binary
-quadratic forms and evaluating j at the CM points in fixed point on Python
-integers.  An error bound carried through pi, q, the j-series and the
-product (_cm_plan; Enge, Math. Comp. 78 (2009) analyses this evaluation)
-picks, before any evaluation, the first precision rung at which rounding to
-integers is proven, so the product is evaluated once.  Each form sums the
-q-series of j to the length its own |q| = exp(-pi sqrt(D)/a) needs, by the
-Brisebarre-Philibert bound on the coefficients of j, and the form (a, b, c)
-takes the complex conjugate of the j-value of (a, -b, c).
+quadratic forms and evaluating j at the CM points with mpmath big floats,
+with precision escalation until the rounding residual is small.  mpmath is
+imported on the first evaluation, so a run that reads its class polynomials
+from the cache, or never needs one, does not load it.  Each form
+sums the q-series of j to the length its own |q| = exp(-pi sqrt(D)/a)
+needs, and the form (a, b, c) takes the complex conjugate of the j-value of
+(a, -b, c).
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundExceededError, ConsistencyError,
-                     InexactDivisionError, PrecisionExhaustedError,
-                     SplitDegreeMismatchError)
+from .errors import (BoundExceededError, InexactDivisionError,
+                     PrecisionExhaustedError, SplitDegreeMismatchError)
 from .fppoly import FpPoly, int64_sums_fit
 from .level1 import divisor_polynomials, j_function, weight_profile
 
@@ -42,11 +40,6 @@ from .level1 import divisor_polynomials, j_function, weight_profile
 ORACLE_BOUND = 103
 #: class_poly doubles its working precision up to this factor times the start
 _MAX_PRECISION_FACTOR = 16
-#: bits that pi, the exponentials and q carry past the working precision
-_GUARD = 64
-#: each exponential halves its argument below 2^-_REDUCE before its Taylor sum
-_REDUCE = 16
-_LN2 = math.log(2)
 
 
 @dataclass
@@ -306,15 +299,11 @@ def class_poly(D, start_bits=None, cache=None):
     """Hilbert class polynomial of discriminant -D by CM evaluation.
 
     j is evaluated at tau = (-b + sqrt(-D))/(2a) for every reduced form via
-    its q-expansion in integer fixed point, and the product of (x - j(tau))
-    is rounded to integers.  The precision is the first rung whose error
-    bound (_cm_plan), computed before any evaluation, is below 1/2, so the
-    rounding is proven and the product is evaluated once.  Rungs below the
-    estimated bit size of the largest coefficient cannot round it, so the
-    rungs start past them and double up to _MAX_PRECISION_FACTOR times the
-    start.  A rounded part that lies farther than the bound from its
-    integer, or an imaginary part farther than it from 0, raises
-    ConsistencyError.
+    its q-expansion in mpmath arithmetic; the product of (x - j(tau)) is
+    rounded to integers and the residual must stay below 0.01, doubling the
+    working precision (up to _MAX_PRECISION_FACTOR times the start)
+    otherwise.  Rungs below the estimated bit size of the largest
+    coefficient cannot round it, so the doubling starts past them.
     """
     if cache is not None:
         payload = cache.get("class_poly", str(D))
@@ -324,6 +313,9 @@ def class_poly(D, start_bits=None, cache=None):
                 [tuple(f) for f in payload["reduced_forms"]],
                 [int(c) for c in payload["H_D"]],
                 payload["float_precision_bits"])
+    # imported on a cache miss only (module docstring)
+    import mpmath
+
     forms = reduced_forms(D)
     h = len(forms)
     bits = start_bits if start_bits else _start_bits(D, forms)
@@ -332,216 +324,68 @@ def class_poly(D, start_bits=None, cache=None):
     while bits < size and bits < start * _MAX_PRECISION_FACTOR:
         bits *= 2
     while True:
-        log2_bound, plan = _cm_plan(D, forms, bits)
-        if log2_bound < -1:
-            break
+        with mpmath.workprec(bits):
+            coeffs = _class_poly_attempt(D, forms, bits)
+        if coeffs is not None:
+            data = ClassPolyData(D, h, forms, coeffs, bits)
+            if cache is not None:
+                cache.put("class_poly", str(D), {
+                    "D": D, "h": h,
+                    "reduced_forms": [list(f) for f in forms],
+                    "H_D": [str(c) for c in coeffs],
+                    "float_precision_bits": bits,
+                })
+            return data
         if bits >= start * _MAX_PRECISION_FACTOR:
             raise PrecisionExhaustedError(
-                f"no rounding bound below 1/2 for D={D} up to {bits} bits")
+                f"rounding failed for D={D} at {bits} bits")
         bits *= 2
-    coeffs = []
-    for re, im in _cm_product(D, forms, bits, plan):
-        n = (re + (1 << (bits - 1))) >> bits
-        off = max(abs(re - (n << bits)), abs(im))
-        if off and math.log2(off) > log2_bound + bits:
-            raise ConsistencyError(
-                f"H_{D} at {bits} bits: a coefficient lies off its "
-                f"integer by more than the bound 2^{log2_bound:.1f}")
-        coeffs.append(n)
-    data = ClassPolyData(D, h, forms, coeffs, bits)
-    if cache is not None:
-        cache.put("class_poly", str(D), {
-            "D": D, "h": h,
-            "reduced_forms": [list(f) for f in forms],
-            "H_D": [str(c) for c in coeffs],
-            "float_precision_bits": bits,
-        })
-    return data
 
 
-# Fixed point: a real y is an integer Y at a scale 2^s, Y ~ y 2^s, and a
-# complex number is a pair of them; errors are counted in ulps 2^-s.  Every
-# shift and floor division below loses less than one ulp per part.  The
-# evaluation works at two scales: 2^bits for j and the product, and
-# 2^(bits + _GUARD) for pi, the exponentials and q.
+def _j_terms(D, a, bits):
+    """Terms of the j-series, from q^-1 on, that bring |c_n q^n| below
+    2^-(bits + 20) at a form with first coefficient a, where
+    |q| = exp(-pi sqrt(D) / a)."""
+    worst = math.pi * math.sqrt(D) / a
+    n = 8
+    while 4 * math.pi * math.sqrt(n) - worst * n > -(bits + 20) * math.log(2):
+        n += 8
+    return n + 2
 
 
-def _tiny_up(t):
-    """A float at least 2^t, for the terms of a bound that may underflow:
-    below 2^-1000 they count as 2^-1000."""
-    return 2.0 ** max(t, -1000.0)
+def _class_poly_attempt(D, forms, bits):
+    """Coefficients of prod (x - j(tau)) over the forms, rounded, or None
+    when a residual reaches 0.01.  Each form sums the j-series to its own
+    length; (a, b, c) and (a, -b, c) give tau and -conj(tau), so the second
+    j-value is the conjugate of the first."""
+    import mpmath
 
-
-def _cb_log2(n, x):
-    """log2 of e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)) e^(-x n): a bound on
-    c(n) |q|^n for the n-th coefficient of j and |q| = e^-x, n >= 1
-    (Brisebarre-Philibert 2005)."""
-    return ((4 * math.pi * math.sqrt(n) - x * n) / _LN2 - 0.5
-            - 0.75 * math.log2(n))
-
-
-def _cb_sum(x, weight):
-    """A bound on sum_{n >= 1} n^weight c(n) e^(-x n) for x >= pi sqrt(3).
-
-    The ratio of consecutive terms is at most
-    ((n + 1)/n)^weight e^(2 pi / sqrt(n) - x), which falls with n; once it
-    is at most 1/2, the rest of the sum is at most twice its first term."""
-    total, n = 0.0, 1
-    while True:
-        term = 2.0 ** (weight * math.log2(n) + _cb_log2(n, x))
-        ratio = ((n + 1) / n) ** weight * math.exp(2 * math.pi / math.sqrt(n) - x)
-        if ratio <= 0.5 and term <= total * 2.0 ** -60:
-            return total + 2 * term
-        total += term
-        n += 1
-
-
-def _cm_plan(D, forms, bits):
-    """Before any evaluation: log2 of a bound on the error of every real
-    and imaginary part of the coefficients that _cm_product returns at
-    scale 2^bits (inf if the first-order analysis does not hold there),
-    and for each first coefficient a of a form the number of j-series
-    terms, halvings and Taylor terms that it uses there.
-
-    Let x = pi sqrt(D)/a >= pi sqrt(3) and w = bits + _GUARD.  In ulps of
-    2^-w:
-    - pi is within e_pi = 12 w + 180 (_atan_inv) and sqrt(D) within 1, so
-      x is within (4 + (sqrt(D) + 1) e_pi)/a + 1 and the angle pi b/a
-      within e_pi + 1;
-    - 1/q = exp(x + i pi b/a) (_cexp): the Taylor sum of t terms at an
-      argument of modulus <= 2^-_REDUCE is within 1.9 t + 1, relatively
-      1.3 (1.9 t + 1), and each squaring maps a relative error r to
-      2r + sqrt(2), as its values have modulus >= 1; with the error of the
-      argument this gives the relative error rho of 1/q;
-    - q = conj(1/q)/|1/q|^2 is within e_q = e^-x rho + sqrt(2).
-    In ulps of 2^-bits:
-    - the Horner sum of c(n) q^n over n = 1..N is within
-      sqrt(2)/(1 - g) + 2^-_GUARD e_q sum_n n c(n) g^(n-1), where
-      g >= |q~| and c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)); its
-      tail is below 1, since N is the least N >= 2 with
-      2 c(N+1) e^(-x(N+1)) <= 2^-bits and the tail terms fall by 1/2 from
-      n = 2 on;
-    - so j~ = 1/q~ (floored to 2^-bits) + 744 + the sum is within
-      d = 2^-_GUARD e^x rho + sqrt(2) + (the sum's error) + 1 of j, and
-      |j| <= J = e^x + 744 + sum c(n) e^(-x n);
-    - the product: after k forms the l1 norm of the error is
-      e_k <= e_(k-1)(1 + J_k + d_k) + N_(k-1) d_k + sqrt(2) k with
-      N_k = prod_(m <= k)(1 + J_m), so every part of the result is within
-      N_h S exp(S), S = sum_k (d_k/(1 + J_k) + sqrt(2) k / N_k).
-    The relative errors of x, 1/q and q are below 2^-60 (else the bound is
-    inf), so a factor 1 + 2^-10 covers their second-order terms and the
-    rounding of the floats here.
-    """
-    w = bits + _GUARD
-    e_pi = 12 * w + 180
-    sqrt_d = math.sqrt(D)
-    plan, per_a = {}, {}
-    for a in sorted({a for a, _, _ in forms}):
-        x = math.pi * sqrt_d / a
-        halvings = _REDUCE + max(0, math.ceil(math.log2(x + math.pi + 1)))
-        taylor = 1
-        while ((taylor + 1) * _REDUCE + math.lgamma(taylor + 2) / _LN2
-               < w + 1):
-            taylor += 1
-        rho = 1.3 * (1.9 * taylor + 1)
-        for _ in range(halvings):
-            rho = 2 * rho + math.sqrt(2)
-        rho += (4 + (sqrt_d + 1) * e_pi) / a + 1 + e_pi + 1
-        if math.log2(rho) > w - 60:
-            return math.inf, None
-        terms = 2
-        while 1 + _cb_log2(terms + 1, x) > -bits:
-            terms += 1
-        g = math.exp(-x) * (1 + 2.0 ** -40) + _tiny_up(2 - w)
-        e_q = math.exp(-x) * rho + math.sqrt(2)
-        series = (math.sqrt(2) / (1 - g)
-                  + 2.0 ** -_GUARD * e_q * _cb_sum(-math.log(g), 1) / g)
-        log2_j1 = x / _LN2 + math.log2(1 + (745 + _cb_sum(x, 0)) * math.exp(-x))
-        # d/(1 + J), as e^x <= 1 + J
-        per_a[a] = (log2_j1, 2.0 ** -_GUARD * rho
-                    + (math.sqrt(2) + series + 1) * _tiny_up(-log2_j1))
-        plan[a] = (terms, halvings, taylor)
-    log2_n, total = 0.0, 0.0
-    for k, (a, _, _) in enumerate(forms, 1):
-        log2_j1, ratio = per_a[a]
-        log2_n += log2_j1
-        total += ratio + _tiny_up(math.log2(math.sqrt(2) * k) - log2_n)
-    return (log2_n + math.log2(total * (1 + 2.0 ** -10)) - bits
-            + total * _tiny_up(-bits) / _LN2, plan)
-
-
-def _atan_inv(x, w):
-    """atan(1/x) at scale 2^w for an integer x >= 5, within
-    3 (w / (2 log2 x) + 3) ulps.
-
-    The power 2^w / x^(2k+1) is floored from the one before, so it stays
-    within 1.05 ulps; its term is floored again, so within 2.05.  The loop
-    adds at most w / (2 log2 x) + 2 terms, and past the last the
-    alternating tail is below 1.05."""
-    power = (1 << w) // x
-    total, k, x2 = power, 1, x * x
-    while power:
-        power //= x2
-        term = power // (2 * k + 1)
-        total += -term if k % 2 else term
-        k += 1
-    return total
-
-
-def _cexp(re, im, w, halvings, terms):
-    """exp(z) at scale 2^w for z = (re + i im) 2^-w: the Taylor sum of
-    z / 2^halvings up to its terms-th power, squared halvings times.  The
-    bound of _cm_plan needs |z| / 2^halvings <= 2^-_REDUCE."""
-    s = w + halvings
-    tr, ti = 1 << w, 0
-    er, ei = tr, ti
-    for k in range(1, terms + 1):
-        tr, ti = ((tr * re - ti * im) // k) >> s, ((tr * im + ti * re) // k) >> s
-        er += tr
-        ei += ti
-    for _ in range(halvings):
-        er, ei = ((er + ei) * (er - ei)) >> w, (er * ei) >> (w - 1)
-    return er, ei
-
-
-def _cm_product(D, forms, bits, plan):
-    """Real and imaginary parts of the coefficients of prod (x - j(tau))
-    over the forms, low degree first, at scale 2^bits, by the terms,
-    halvings and Taylor lengths of plan (_cm_plan).  (a, b, c) and
-    (a, -b, c) give tau and -conj(tau), so the second j-value is the
-    conjugate of the first."""
-    w = bits + _GUARD
-    pi = 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
-    sqrt_d = math.isqrt(D << 2 * w)
-    cj = _j_coefficients(max(terms for terms, _, _ in plan.values()) + 2)
+    sqrtD = mpmath.sqrt(D)
+    cj = _j_coefficients(max(_j_terms(D, a, bits) for a, _, _ in forms))
     jvals = {}
-    poly = [(1 << bits, 0)]
+    poly = [mpmath.mpc(1)]
     for a, b, c in forms:
         if (a, -b, c) in jvals:
-            jr, ji = jvals[a, -b, c]
-            ji = -ji
+            jval = mpmath.conj(jvals[a, -b, c])
         else:
-            terms, halvings, taylor = plan[a]
-            # 1/q = exp(pi sqrt(D)/a + i pi b/a), and q = conj(1/q)/|1/q|^2
-            er, ei = _cexp((pi * sqrt_d) // (a << w), (pi * b) // a, w,
-                           halvings, taylor)
-            norm = er * er + ei * ei
-            qr, qi = (er << 2 * w) // norm, (-ei << 2 * w) // norm
-            # sum_{n=1}^{terms} c(n) q^n by Horner, at scale 2^bits
-            sr, si = cj[terms + 1] << bits, 0
-            for coeff in reversed(cj[2:terms + 1]):
-                sr, si = (((sr * qr - si * qi) >> w) + (coeff << bits),
-                          (sr * qi + si * qr) >> w)
-            sr, si = (sr * qr - si * qi) >> w, (sr * qi + si * qr) >> w
-            jr = (er >> _GUARD) + (744 << bits) + sr
-            ji = (ei >> _GUARD) + si
-        jvals[a, b, c] = jr, ji
-        poly = [(0, 0)] + poly
+            tau = (-b + sqrtD * 1j) / (2 * a)
+            q = mpmath.exp(2j * mpmath.pi * tau)
+            jval = mpmath.mpc(0)
+            qpow = 1 / q
+            for coeff in cj[:_j_terms(D, a, bits)]:
+                jval += coeff * qpow
+                qpow *= q
+        jvals[a, b, c] = jval
+        poly = [mpmath.mpc(0)] + poly
         for i in range(len(poly) - 1):
-            (cr, ci), (nr, ni) = poly[i], poly[i + 1]
-            poly[i] = (cr - ((jr * nr - ji * ni) >> bits),
-                       ci - ((jr * ni + ji * nr) >> bits))
-    return poly
+            poly[i] -= jval * poly[i + 1]
+    out = []
+    for z in poly:
+        n_int = int(mpmath.nint(mpmath.re(z)))
+        if abs(mpmath.re(z) - n_int) >= 0.01 or abs(mpmath.im(z)) >= 0.01:
+            return None
+        out.append(n_int)
+    return out
 
 
 def fixed_point_poly(p, cache=None):

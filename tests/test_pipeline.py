@@ -39,6 +39,23 @@ def _untimed(report):
     return out
 
 
+def _loads_mpmath(code, tmp_path):
+    """Run code after `import sys, wplus` in a fresh interpreter, with
+    Config, scan_primes, verify_prime and a cache config `cache` at
+    tmp_path / "cache" in scope; whether mpmath was loaded after it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, wplus\n"
+             "from wplus.config import Config\n"
+             "from wplus.pipeline import scan_primes, verify_prime\n"
+             f"cache = Config(cache_dir={str(tmp_path / 'cache')!r})\n"
+             f"{code}\n"
+             "print('mpmath' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
 def test_import_leaves_out_multiprocessing():
     # the process pool is imported only by a scan with jobs > 1
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -52,8 +69,7 @@ def test_import_leaves_out_multiprocessing():
 
 
 def test_cold_runs_leave_out_hashlib(tmp_path):
-    # the cache checksum uses the builtin SHA-256, so no run maps OpenSSL,
-    # and the class polynomials are computed on Python integers
+    # the cache checksum uses the builtin SHA-256, so no run maps OpenSSL
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys, wplus\n"
@@ -62,13 +78,27 @@ def test_cold_runs_leave_out_hashlib(tmp_path):
         f"cache = Config(cache_dir={str(tmp_path / 'cache')!r})\n"
         "assert verify_prime(67, cache).status == 'ok'\n"
         "scan_primes(5, 41, cache, basis_only=True)\n"
-        "print(sorted(m for m in ('hashlib', '_hashlib', 'mpmath') "
+        "print(sorted(m for m in ('hashlib', '_hashlib') "
         "if m in sys.modules))\n")
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
     assert list((tmp_path / "cache").glob("*/*.json"))
+
+
+def test_mpmath_loads_on_the_first_class_polynomial(tmp_path):
+    # the class polynomials are the only use of mpmath: importing wplus, a
+    # basis-only scan and a run on a warm cache leave it out
+    assert _loads_mpmath(
+        "print('mpmath' in sys.modules)\n"
+        "scan_primes(5, 41, cache, basis_only=True)", tmp_path) \
+        == ["False", "False"]
+    assert _loads_mpmath("assert verify_prime(67, cache).status == 'ok'",
+                         tmp_path) == ["True"]
+    assert list((tmp_path / "cache" / "class_poly").glob("*.json"))
+    assert _loads_mpmath("assert verify_prime(67, cache).status == 'ok'",
+                         tmp_path) == ["False"]
 
 
 @pytest.mark.parametrize("p", sorted(H_FACTORS))

@@ -43,14 +43,11 @@ def test_bench_wronskian_class_poly():
 
 
 def test_bench_wronskian_sweep():
-    # the cache files of the 187 class polynomials.  BENCH_wronskian.json
-    # records those of the mpmath route (74ab0ae5...), whose rungs were
-    # twice these at the 9 discriminants of
-    # test_supersingular.ESCALATED_IN_MPMATH; the payloads are otherwise
-    # the same
+    # the cache files of the 187 class polynomials, as BENCH_wronskian.json
+    # records them
     out = _run("sweep", None)["output"]
     assert out == {"count": 187, "cache_sha256": (
-        "a55f9159511ef98bfc4a0ac58c6923919c5344c6514a9d0f54850ba0e43b2c74")}
+        "74ab0ae58b16b695459e802f1f2c24d02c4fb43cfe354fe5347f3ed2d122a73e")}
 
 
 def test_bench_basis_basis():
@@ -98,3 +95,22 @@ def test_bench_child_names_its_failure():
     message = str(err.value)
     assert "no_such_kind 67" in message and str(ROOT) in message
     assert "exited 1" in message and "ValueError" in message
+
+
+def test_bench_environment_without_mpmath(monkeypatch):
+    # the basis suite runs without mpmath, so its absence is recorded, not
+    # raised
+    import importlib.metadata
+
+    import bench
+
+    version = importlib.metadata.version
+
+    def missing_mpmath(package):
+        if package == "mpmath":
+            raise importlib.metadata.PackageNotFoundError(package)
+        return version(package)
+
+    monkeypatch.setattr(importlib.metadata, "version", missing_mpmath)
+    env = bench.environment()
+    assert env["mpmath"] is None and env["numpy"] == version("numpy")
