@@ -13,7 +13,8 @@ to x^(ip) mod g, is built once by float64 products, and h -> h^p mod g is
 then one vector-matrix product.  Distinct-degree splitting steps
 x^(p^d) through Q and takes one gcd per block of degrees; equal-degree
 (Cantor-Zassenhaus) splitting forms a^((p^d - 1)/2) from the a^(p^i) that Q
-gives, with random a drawn from an explicit seeded RNG for reproducibility.
+gives, with random a drawn from random.Random(0); the sorted factors do not
+depend on the draws.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 import numpy as np
 
 from .errors import InexactDivisionError, OddMultiplicityError
+from .linalg import exact_matmul
 
 #: np.convolve on int64 wraps silently once a sum of products reaches 2^63.
 #: Each output term sums at most min(len a, len b) products of residues, each
@@ -483,19 +485,18 @@ class FpPoly:
             pieces = unsplit
         return done
 
-    def factor(self, rng=None):
+    def factor(self):
         """Full factorization into monic irreducibles.
 
         Returns a list of (irreducible FpPoly, multiplicity), sorted, with
-        self = leading * prod.  The RNG drives equal-degree splitting only;
-        pass a seeded random.Random for reproducible runs (default seed 0).
-        The result does not depend on the RNG.  Raises OverflowError when a
-        squarefree part of degree n has n (p - 1)^2 >= 2^53 (see Frobenius).
+        self = leading * prod.  Equal-degree splitting draws from
+        random.Random(0); the sorted result does not depend on the draws.
+        Raises OverflowError when a squarefree part of degree n has
+        n (p - 1)^2 >= 2^53 (see Frobenius).
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
-        if rng is None:
-            rng = random.Random(0)
+        rng = random.Random(0)
         out = []
         for g, e in self.squarefree_decomposition():
             frob = Frobenius(g)
@@ -596,6 +597,10 @@ class Frobenius:
     constructor raises OverflowError, before any arithmetic, when
     n (p - 1)^2 >= 2^53.  Q holds 8 n^2 bytes (14 MB for H at p = 1009,
     n = 1306), and building it holds two more matrices of that size.
+
+    Q is kept in float64 and multiplied by _matmul_mod, not by
+    linalg.exact_matmul: each call is one vector times the n x n matrix,
+    and a bound scan of Q on every call would cost more than the product.
     """
 
     def __init__(self, g):
@@ -669,12 +674,17 @@ class Fp2:
     """F_{p^2} = F_p[w]/(w^2 - n), n the least quadratic non-residue mod p.
 
     An element is a pair (re, im) standing for re + im w, of Python ints or
-    of int64 arrays of residues that broadcast together.  A product sums two
-    products of residues, so the caller bounds its int64 sums as
-    convolve_mod does.
+    of int64 arrays of residues that broadcast together.  An elementwise
+    int64 sum (mul, inverse, a row update of det) adds at most three
+    products of residues, so the constructor raises OverflowError, before
+    the table of inverses (8p bytes) is built, unless three fit; matvec
+    multiplies exactly at any p (linalg.exact_matmul).
     """
 
     def __init__(self, p):
+        if not int64_sums_fit(3, p):
+            raise OverflowError(
+                f"modulus {p} too large for int64 sums of 3 products")
         self.p = p
         self.n = next(a for a in range(2, p) if legendre(a, p) == -1)
         self.inv = inverse_table(p)
@@ -727,12 +737,13 @@ class Fp2:
         raise ArithmeticError(f"F_{p}^2 has no element of order {order}")
 
     def matvec(self, x, m):
-        """x @ m for a vector x and a matrix m; each int64 product sums
-        len(x) products of residues."""
+        """x @ m for a vector x and a matrix m, each of the four products
+        of parts by linalg.exact_matmul."""
         p = self.p
         (a, b), (c, d) = x, m
-        return ((a @ c % p + self.n * (b @ d % p)) % p,
-                (a @ d % p + b @ c % p) % p)
+        ac, bd, ad, bc = (exact_matmul(u, v) % p
+                          for u, v in ((a, c), (b, d), (a, d), (b, c)))
+        return (ac + self.n * bd) % p, (ad + bc) % p
 
     def det(self, m):
         """Determinants of a stack of square matrices m = (re, im), each

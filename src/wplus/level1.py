@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ClosedFormMismatchError, NonPolynomialQuotientError, PrecisionError
 from .fppoly import FpPoly, convolve_mod, int64_sums_fit, inverse_mod_xn
+from .linalg import exact_matmul
 from .series import QExpansion
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
@@ -284,23 +285,21 @@ def divisor_expansion(poly, k, terms):
     divisor_polynomials on a head: (residues of q^v .. q^(v + terms - 1),
     v), v = m - deg F = ord f.  D j^t is monomial m - t, q^(m - t) + ..., so
     only the top `terms` coefficients of F and the heads of monomials
-    v .. v + terms - 1 count (_monomial_rows).  ValueError unless
-    0 <= deg F <= m; OverflowError, before any arithmetic, when an int64
-    sum could wrap."""
+    v .. v + terms - 1 count (_monomial_rows): the head is one product
+    (linalg.exact_matmul) of those coefficients with the monomial rows,
+    row r shifted to q^(v + r).  ValueError unless 0 <= deg F <= m."""
     p, d = poly.p, poly.degree()
     m = weight_profile(k).m
     if not 0 <= d <= m:
         raise ValueError(f"degree {d} is no divisor polynomial of weight {k}")
     count = min(terms, d + 1)
-    if not int64_sums_fit(count, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {count} products")
     v = m - d
     rows = _monomial_rows(k, p, terms, v, count)
-    head = np.zeros(terms, dtype=np.int64)
+    shifted = np.zeros_like(rows)
     for r in range(count):
-        head[r:] += poly.coeffs[d - r] * rows[r, :terms - r]
-    return head % p, v
+        shifted[r, r:] = rows[r, :terms - r]
+    head = exact_matmul(poly.coeffs[::-1][:count], shifted) % p
+    return head.astype(np.int64), v
 
 
 def miller_basis(k, prec):
@@ -395,15 +394,11 @@ def miller_basis_mod(k, p, prec, monos=None):
 
     The monomial rows (monomials_mod) are unit upper triangular on the columns
     0..d, so one back-substitution, from the last row up, clears the
-    columns above the diagonal.  OverflowError, before any arithmetic, when
-    an int64 sum could wrap.
+    columns above the diagonal, one product (linalg.exact_matmul) per row.
     """
     if k < 4 or k % 2:
         raise ValueError("need even weight k >= 4")
     d = weight_profile(k).m
-    if not int64_sums_fit(d + 1, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {d + 1} products")
     n = max(prec, d + 2)
     if monos is None:
         basis = monomials_mod(k, p, n)
@@ -413,7 +408,8 @@ def miller_basis_mod(k, p, prec, monos=None):
     else:
         basis = monos.copy()
     for i in range(d - 1, -1, -1):
-        basis[i] = (basis[i] - basis[i, i + 1:d + 1] @ basis[i + 1:]) % p
+        basis[i] = (basis[i]
+                    - exact_matmul(basis[i, i + 1:d + 1], basis[i + 1:])) % p
     return basis
 
 
@@ -486,16 +482,6 @@ def square_divisor_exponents(k):
     return _SQUARE_FACTORS[k % 12]
 
 
-def qpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def square_divisor_relation(f, ctx=None):
     """Check F(f^2, x) against x^a (x-1728)^b F(f, x)^2 for a QExpansion f.
 
@@ -505,9 +491,10 @@ def square_divisor_relation(f, ctx=None):
     a, b = square_divisor_exponents(f.weight)
     direct = divisor_polynomial(f * f, ctx)
     base = divisor_polynomial(f, ctx)
-    expected = qpoly_mul(base, base)
+    expected = np.convolve(base, base)
     for _ in range(a):
-        expected = qpoly_mul(expected, [Fraction(0), Fraction(1)])
+        expected = np.convolve(expected, [0, 1])
     for _ in range(b):
-        expected = qpoly_mul(expected, [Fraction(-1728), Fraction(1)])
+        expected = np.convolve(expected, [-1728, 1])
+    expected = expected.tolist()
     return expected == direct, direct, expected

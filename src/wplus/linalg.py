@@ -6,7 +6,11 @@ Python ints, which divides each pivot row by its leading entry exactly and
 raises when that entry does not divide the row.  Integer
 matrices are numpy arrays: ``exact_matmul`` multiplies them in float64
 through BLAS or in int64 when a bound proves every partial sum exact there,
-and in Python ints otherwise, pivots
+and in Python ints otherwise; it is also the one product of residue
+matrices mod p outside the polynomial kernels of ``fppoly`` (the Miller
+basis, the lifts and the head expansion of level 1, W_x's evaluation and
+interpolation, the Lagrange weights of the S_p oracle), each caller
+reducing the result mod p.  Pivots
 are searched modulo the word-size prime ``PIVOT_PRIME`` in int64 or, as the
 exact oracle, by fraction-free elimination, and the inverse is
 fraction-free.

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import (BoundExceededError, InexactDivisionError,
                      PrecisionExhaustedError, SplitDegreeMismatchError)
-from .fppoly import FpPoly, int64_sums_fit
+from .fppoly import FpPoly
 from .level1 import divisor_polynomials, j_function, weight_profile
+from .linalg import exact_matmul
 
 #: upper bound for the point-counting oracle; the pipeline runs it up to here
 ORACLE_BOUND = 103
@@ -203,12 +204,10 @@ def _lagrange_interpolate(xs, ys, p):
     The master polynomial M = prod (x - x_k) is formed once.  The numerator
     M / (x - x_i) of each Lagrange basis polynomial is one exact synthetic
     division of M, run for all i at once, and its value at x_i is the
-    denominator.
+    denominator; the interpolant is one product (linalg.exact_matmul) of
+    the weights y_i / den_i with the numerators.
     """
     n = len(xs)
-    if not int64_sums_fit(n, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {n} products")
     x = np.array(xs, dtype=np.int64) % p
     master = FpPoly.from_roots(p, xs).coeffs
     # nums[i] = M / (x - x_i), low degree first; M is monic
@@ -223,7 +222,7 @@ def _lagrange_interpolate(xs, ys, p):
         dens = (dens * x + nums[:, k]) % p
     weights = np.array([y * pow(int(d), -1, p) % p
                         for y, d in zip(ys, dens)], dtype=np.int64)
-    return FpPoly(p, weights @ nums % p)
+    return FpPoly(p, exact_matmul(weights, nums) % p)
 
 
 # -- class polynomials ---------------------------------------------------------
@@ -295,7 +294,7 @@ def _j_coefficients(nterms):
 _j_coefficients.cache = []
 
 
-def class_poly(D, start_bits=None, cache=None):
+def class_poly(D, cache=None):
     """Hilbert class polynomial of discriminant -D by CM evaluation.
 
     j is evaluated at tau = (-b + sqrt(-D))/(2a) for every reduced form via
@@ -318,7 +317,7 @@ def class_poly(D, start_bits=None, cache=None):
 
     forms = reduced_forms(D)
     h = len(forms)
-    bits = start_bits if start_bits else _start_bits(D, forms)
+    bits = _start_bits(D, forms)
     start = bits
     size = _qsize_bits(D, forms)
     while bits < size and bits < start * _MAX_PRECISION_FACTOR:
@@ -397,19 +396,11 @@ def fixed_point_poly(p, cache=None):
     h4p = class_poly(4 * p, cache=cache).H_D
     if p % 4 == 3:
         hp = class_poly(p, cache=cache).H_D
-        out = _zpoly_mul(hp, h4p)
+        out = np.convolve(np.array(hp, dtype=object),
+                          np.array(h4p, dtype=object)).tolist()
     else:
         out = h4p
     return out, len(out) - 1
-
-
-def _zpoly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def verify_fixedlinear(p, split=None, cache=None):

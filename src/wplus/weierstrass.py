@@ -43,13 +43,14 @@ import numpy as np
 from .errors import (ConsistencyError, InexactDivisionError, NoLiftError,
                      OddMultiplicityError, ParityViolationError,
                      PrecisionError, ZeroWronskianError)
-from .fppoly import Fp2, FpPoly, int64_sums_fit, legendre
+from .fppoly import Fp2, FpPoly, legendre
 # divisor_polynomial stays importable from this module
 from .level1 import (divisor_degree, divisor_expansion,
                      divisor_polynomial,  # noqa: F401
                      divisor_polynomials, gp_exponents, gp_poly,
                      miller_basis_mod, monomials_mod,
                      square_divisor_exponents, weight_profile)
+from .linalg import exact_matmul
 
 
 def theta(f):
@@ -127,10 +128,11 @@ def lift_to_level1(forms, p, miller=None):
     several, one per row (GoodBasis.residues); miller is
     miller_basis_mod(p + 1, p, n), built when None.  The lift of f is
     sum_t a_t(f) h_t over the Miller cusp rows h_1 .. h_d, so the lifts are
-    the one product F[..., 1:d+1] @ M[1:] mod p, on the window the two
-    share.  It must equal the forms there (it always does: every p-integral
-    weight-2 form of level p is congruent to a level-1 form of weight
-    p + 1), else NoLiftError.  Returns the lifts' residues on that window.
+    the one product F[..., 1:d+1] @ M[1:] mod p (linalg.exact_matmul), on
+    the window the two share.  It must equal the forms there (it always
+    does: every p-integral weight-2 form of level p is congruent to a
+    level-1 form of weight p + 1), else NoLiftError.  Returns the lifts'
+    int64 residues on that window.
     """
     if miller is None:
         miller = miller_basis_mod(p + 1, p, forms.shape[-1])
@@ -139,14 +141,11 @@ def lift_to_level1(forms, p, miller=None):
     if n < d + 2:
         raise PrecisionError(
             f"shared precision {n} cannot determine a weight-{p + 1} lift")
-    if not int64_sums_fit(d, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {d} products")
-    lifts = forms[..., 1:d + 1] @ miller[1:, :n] % p
+    lifts = exact_matmul(forms[..., 1:d + 1], miller[1:, :n]) % p
     if not np.array_equal(lifts, forms[..., :n]):
         raise NoLiftError(
             f"no weight-{p + 1} level-1 lift mod {p}: residual nonzero")
-    return lifts
+    return lifts.astype(np.int64)
 
 
 #: evaluation points per block in polynomial_wronskian: a block holds g^2
@@ -165,23 +164,19 @@ def polynomial_wronskian(polys):
     B = sum deg P_j - g(g-1)/2.  The points are the powers of an element
     zeta of order N, the least divisor of p^2 - 1 above B, in F_{p^2} (they
     lie in F_p when N divides p - 1).  The derivative coefficients are in
-    F_p, so the g^2 entries at a block of points are two int64 products
-    with the parts of the Vandermonde block [zeta^(nk)]; one elimination
-    runs over the block at once (Fp2.det); an inverse DFT of length N
-    returns the coefficients.
+    F_p, so the g^2 entries at a block of points are two products with the
+    parts of the Vandermonde block [zeta^(nk)], and a block's share of the
+    inverse DFT of length N, which returns the coefficients, is one
+    Fp2.matvec: all of them by linalg.exact_matmul, exact at any p.  One
+    elimination runs over the block at once (Fp2.det).
 
-    Raises OverflowError, before any arithmetic, when an int64 sum could
-    wrap; ZeroWronskianError when the Wronskian is 0; ConsistencyError,
-    which is no falsifier, when a coefficient leaves F_p or lies above B.
+    Raises OverflowError from Fp2, before the F_{p^2} arithmetic, when one
+    of its int64 sums could wrap; ZeroWronskianError when the Wronskian is
+    0; ConsistencyError, which is no falsifier, when a coefficient leaves
+    F_p or lies above B.
     """
     p, g = polys[0].p, len(polys)
     width = max(f.degree() for f in polys) + 1
-    # an entry's value sums `width` products, a block's share of the
-    # interpolation _BLOCK_POINTS, and an F_{p^2} product two
-    terms = max(width, _BLOCK_POINTS)
-    if not int64_sums_fit(terms, p):
-        raise OverflowError(
-            f"modulus {p} too large for int64 sums of {terms} products")
     # entries[r, j] holds the coefficients of P_j^(r), low degree first
     entries = np.zeros((g, g, width), dtype=np.int64)
     for j, f in enumerate(polys):
@@ -214,8 +209,8 @@ def _determinant_by_interpolation(entries, p, bound):
     for start in range(0, n_points, _BLOCK_POINTS):
         block = every[start:start + _BLOCK_POINTS]
         forward = np.outer(exps, block) % n_points
-        mats = tuple((flat @ pw[forward] % p).T.reshape(-1, g, g)
-                     for pw in (pw_re, pw_im))
+        mats = tuple((exact_matmul(flat, pw[forward]) % p).astype(np.int64)
+                     .T.reshape(-1, g, g) for pw in (pw_re, pw_im))
         values = field.det(mats)
         back = -np.outer(block, every) % n_points
         part = field.matvec(values, (pw_re[back], pw_im[back]))

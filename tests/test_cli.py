@@ -43,7 +43,7 @@ def test_verify_67_json_schema(capsys, tmp_path):
 def test_verify_text_names_a_factoring_error(capsys, tmp_path, monkeypatch):
     # only the text report factors H: --json is unaffected, and the text
     # path exits 3 with the stage in the message
-    def refuse(self, rng=None):
+    def refuse(self):
         raise RuntimeError("factor called")
 
     monkeypatch.setattr(FpPoly, "factor", refuse)

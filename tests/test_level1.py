@@ -204,6 +204,30 @@ def test_miller_matrix_at_weight_p_plus_1_matches_rational(p):
         residue_matrix(series_miller_basis(p + 1, p, prec), p, prec), basis_p)
 
 
+def test_miller_basis_mod_is_exact_past_the_old_int64_bound():
+    # at p > 2^31 / sqrt(3) the d + 1 = 3 products of one back-substitution
+    # row could pass 2^62, where int64 sums were refused; the monomial rows
+    # of that size are given, unit upper triangular on columns 0..d as
+    # monomials_mod makes them, and the basis is checked against a
+    # back-substitution on Python ints
+    p = next(n for n in range(2**31 + 1, 2**31 + 1000) if is_prime(n))
+    k, d, n = 24, 2, 7
+    rng = random.Random(p)
+    monos = np.zeros((d + 1, n), dtype=np.int64)
+    for i in range(d + 1):
+        monos[i, i] = 1
+        monos[i, i + 1:] = [rng.randrange(p) for _ in range(n - i - 1)]
+    expected = [[int(c) for c in row] for row in monos]
+    for i in range(d - 1, -1, -1):
+        expected[i] = [(c - sum(expected[i][j] * expected[j][col]
+                                for j in range(i + 1, d + 1))) % p
+                       for col, c in enumerate(expected[i])]
+    basis = miller_basis_mod(k, p, n, monos)
+    assert basis.dtype == np.int64
+    assert basis.tolist() == expected
+    assert np.array_equal(basis[:, :d + 1], np.eye(d + 1, dtype=np.int64))
+
+
 def test_miller_basis_mod_short_window_and_bad_weights():
     # a window below d + 2 is widened to d + 2, as the series route does
     assert miller_basis_mod(68, 67, 3).shape == (6, 7)

@@ -113,7 +113,7 @@ def test_json_report_never_factors_H(monkeypatch):
     config = Config(use_cache=False)
     expected = _untimed(verify_prime(389, config))
 
-    def refuse(self, rng=None):
+    def refuse(self):
         raise RuntimeError("factor called")
 
     monkeypatch.setattr(FpPoly, "factor", refuse)

@@ -152,6 +152,33 @@ def test_lift_of_miller_element_is_itself():
     assert lift_to_level1(miller[1:, :12], p, miller).shape == (5, 12)
 
 
+def _prime_above(bits):
+    return next(n for n in range(2**bits + 1, 2**bits + 1000) if is_prime(n))
+
+
+def test_lift_is_exact_past_the_old_int64_bound():
+    # at p > 2^31 / sqrt(2) the d = 2 products of one lift coefficient could
+    # pass 2^62, where int64 sums were refused; forms built on Python ints
+    # from Miller-shaped rows h_i = q^i + O(q^(d+1)) lift to themselves, and
+    # a form off their span does not
+    p = _prime_above(31)
+    d, n = 2, 8
+    rng = random.Random(p)
+    miller = np.zeros((d + 1, n), dtype=np.int64)
+    for i in range(d + 1):
+        miller[i, i] = 1
+        miller[i, d + 1:] = [rng.randrange(p) for _ in range(n - d - 1)]
+    rows = [[rng.randrange(p) for _ in range(d)] for _ in range(3)]
+    forms = np.array([[sum(a * int(miller[t + 1, col])
+                           for t, a in enumerate(row)) % p
+                       for col in range(n)] for row in rows], dtype=np.int64)
+    lifts = lift_to_level1(forms, p, miller)
+    assert lifts.dtype == np.int64 and np.array_equal(lifts, forms)
+    forms[1, -1] = (forms[1, -1] + 1) % p
+    with pytest.raises(NoLiftError):
+        lift_to_level1(forms, p, miller)
+
+
 def test_lift_rejects_non_p_integral():
     f = QExpansion.from_dict({1: Fraction(1, 67)}, 10, weight=2, level=67)
     with pytest.raises(NotPIntegralError):
@@ -572,8 +599,34 @@ def test_divisor_expansion_inverts_divisor_polynomials(p):
                 assert np.array_equal(head, row[val:val + terms])
 
 
+def test_divisor_expansion_head_is_exact_past_the_old_int64_bound(
+        monkeypatch):
+    # at p > 2^31 / sqrt(3) the 3 products of one head coefficient could
+    # pass 2^62, where int64 sums were refused.  The monomial rows at such a
+    # p come from convolve_mod, which refuses them, so random rows of that
+    # size stand in for them; the head is checked against the sum of the
+    # shifted rows on Python ints
+    import wplus.level1 as level1
+    p, k, terms = _prime_above(31), 48, 5
+    m = divisor_degree(k)
+    rng = random.Random(p)
+    poly = FpPoly(p, [rng.randrange(p) for _ in range(m)] + [1])
+    d = poly.degree()
+    rows = np.array([[rng.randrange(p) for _ in range(terms)]
+                     for _ in range(min(terms, d + 1))], dtype=np.int64)
+    monkeypatch.setattr(level1, "_monomial_rows", lambda *args: rows)
+    head, v = divisor_expansion(poly, k, terms)
+    top = [int(c) for c in poly.coeffs[::-1]]
+    assert v == m - d and head.dtype == np.int64
+    assert head.tolist() == [
+        sum(top[r] * int(rows[r, n - r]) for r in range(min(n + 1, len(rows))))
+        % p for n in range(terms)]
+
+
 def test_divisor_expansion_refuses_int64_overflow_and_bad_degree():
-    p = next(n for n in range(2**31 + 1, 2**31 + 1000) if is_prime(n))
+    # the refusal at p > 2^31 comes from convolve_mod, which builds the
+    # monomial rows
+    p = _prime_above(31)
     with pytest.raises(OverflowError):
         divisor_expansion(FpPoly(p, [1, 1]), 24, 3)
     m = divisor_degree(24)
@@ -703,19 +756,19 @@ def test_polynomial_wronskian_random_lists_match_series_oracle(p):
         series_polynomial_wronskian([f, h, f * 3 + h * 5])
 
 
-@pytest.mark.parametrize("bits, degree", [(31, 2), (28, 100)])
+@pytest.mark.parametrize("bits, degree", [(31, 2)])
 def test_polynomial_wronskian_refuses_int64_overflow(monkeypatch, bits,
                                                      degree):
-    # 32 terms of (p - 1)^2 pass 2^62 at p > 2^31 / sqrt(32); at p near
-    # 2^28 the 101 coefficients of a degree-100 entry do
-    import wplus.weierstrass as ws
-    p = next(n for n in range(2**bits + 1, 2**bits + 1000) if is_prime(n))
+    # the evaluation and interpolation products are exact at any p; Fp2's
+    # sums of three products of residues pass 2^62 at p > 2^31 / sqrt(3),
+    # and it refuses before its table of inverses (16 GB at 2^31) is built
+    import wplus.fppoly as fppoly
+    p = _prime_above(bits)
 
     def never(*args):
-        raise AssertionError("arithmetic before the int64 guard")
+        raise AssertionError("inverse table built before the int64 guard")
 
-    monkeypatch.setattr(ws, "Fp2", never)
-    monkeypatch.setattr(ws, "_determinant_by_interpolation", never)
+    monkeypatch.setattr(fppoly, "inverse_table", never)
     with pytest.raises(OverflowError):
         polynomial_wronskian([FpPoly(p, [1] * (degree + 1)), FpPoly(p, [0, 1])])
 
