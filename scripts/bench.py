@@ -17,9 +17,10 @@ The kinds marked * run `--runs` times, the rest once:
   (`factor_degrees(S_q) == {2}` at the same primes).
 - basis: `scan`* (the cold `scan_primes(200, 400, basis_only=True)` of the
   `basis-scan` benchmark workload); `basis`* (cold
-  `BasisComputer(p).basis((p + 1)//6 + 12)` at 1009 and 2003, split into
-  `ModSymSpace.__init__`, `BasisComputer._extend`, the pivot searches and
-  the rest, by wrappers around functions that never nest).
+  `BasisComputer(p).basis((p + 1)//6 + 12)` at 1009 and 2003); both split
+  into `ModSymSpace.__init__` (space), `BasisComputer._extend` (hecke), the
+  pivot searches and the rest, by wrappers around functions that never
+  nest.
 - wronskian, from a cold good basis at 389, 601 and 1009, as the chain and
   its cross-check form them: `wx`* (`polynomial_wronskian` of the divisor
   polynomials P_i of the lifts), `lifts`* (Miller basis, lifts and P_i),
@@ -142,19 +143,10 @@ def _split(p):
             "output": splits}
 
 
-def _scan(_):
-    import wplus
-    from wplus.config import Config
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        scan, wall = _clock(lambda: wplus.scan_primes(
-            *SCAN, Config(cache_dir=cache_dir), basis_only=True))
-    results = [{k: v for k, v in r.items() if k != "timings_ms"}
-               for r in scan["results"]]
-    return {"timings_ms": {"total": wall}, "output": results}
-
-
-def _basis(p):
+def _basis_parts():
+    """Wrap ModSymSpace.__init__ ("space"), BasisComputer._extend ("hecke")
+    and the two pivot searches ("pivots"), functions that never nest, so
+    that each adds its wall time to the returned dict."""
     from wplus import linalg, modsym
 
     parts = dict.fromkeys(("space", "hecke", "pivots"), 0.0)
@@ -173,12 +165,37 @@ def _basis(p):
                               (linalg, "pivot_columns", "pivots"),
                               (linalg, "pivot_columns_mod", "pivots")]:
         setattr(owner, attr, timed(name, vars(owner)[attr]))
+    return parts
+
+
+def _split_ms(parts, total, rest):
+    """parts in ms, with the remainder of total (ms) under rest."""
+    out = {name: 1e3 * s for name, s in parts.items()}
+    out[rest] = total - sum(out.values())
+    out["total"] = total
+    return out
+
+
+def _scan(_):
+    import wplus
+    from wplus.config import Config
+
+    parts = _basis_parts()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        scan, wall = _clock(lambda: wplus.scan_primes(
+            *SCAN, Config(cache_dir=cache_dir), basis_only=True))
+    results = [{k: v for k, v in r.items() if k != "timings_ms"}
+               for r in scan["results"]]
+    return {"timings_ms": _split_ms(parts, wall, "rest"), "output": results}
+
+
+def _basis(p):
+    from wplus import modsym
+
+    parts = _basis_parts()
     gb, total = _clock(
         lambda: modsym.BasisComputer(p).basis((p + 1) // 6 + 12))
-    out = {name: 1e3 * s for name, s in parts.items()}
-    out["echelon"] = total - sum(out.values())
-    out["total"] = total
-    return {"timings_ms": out, "output": {
+    return {"timings_ms": _split_ms(parts, total, "echelon"), "output": {
         "g": gb.g, "pivots": gb.pivots,
         "payload_sha256": _sha256(modsym._basis_to_payload(gb))}}
 

@@ -56,7 +56,8 @@ def _build_parser():
     b = sub.add_parser("basis", help="print the good basis of S_2^+(p)")
     b.add_argument("p", type=int)
     b.add_argument("--prec", type=int,
-                   help="q-expansion precision (default: Sturm bound + 10)")
+                   help="q-expansion precision (default: (p + 1)//6 + 12, "
+                        "the precision verify builds and caches)")
     return parser
 
 
@@ -147,9 +148,9 @@ def main(argv=None):
 
     if args.command == "basis":
         _require_prime(args.p, parser)
-        from .modsym import good_basis
+        from .modsym import good_basis, pivot_precision
         from .pipeline import _cache_for
-        prec = (args.p + 1) // 6 + 10 if args.prec is None else args.prec
+        prec = pivot_precision(args.p) if args.prec is None else args.prec
         try:
             gb = good_basis(args.p, prec, cache=_cache_for(_config(args)))
         except PrecisionError as exc:

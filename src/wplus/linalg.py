@@ -277,8 +277,11 @@ class SparseRREF:
     entry exactly, so every pivot row has leading entry 1 and stays on
     Python ints; ValueError, naming the column and the pivot, when that
     entry does not divide every entry of the row.  After feeding all rows,
-    ``finish`` back-substitutes so that every pivot row is supported on its
-    pivot column and free columns only.
+    ``finish`` back-substitutes row by row, in descending order of the
+    pivots: each row subtracts only the pivot rows whose columns it holds,
+    which are final by then (a pivot row holds no column left of its
+    pivot), so every pivot row ends up supported on its pivot column and
+    free columns only.
     """
 
     def __init__(self):
@@ -305,18 +308,18 @@ class SparseRREF:
                     row.pop(k, None)
 
     def finish(self):
-        for c in sorted(self.pivot_rows, reverse=True):
-            row = self.pivot_rows[c]
-            for c2, row2 in self.pivot_rows.items():
-                if c2 == c or c not in row2:
-                    continue
-                f = row2.pop(c)
-                for k, v in row.items():
-                    if k == c:
-                        continue
-                    nv = row2.get(k, 0) - f * v
-                    if nv:
-                        row2[k] = nv
-                    else:
-                        row2.pop(k, None)
-        return self.pivot_rows
+        rows = self.pivot_rows
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            # a final row holds free columns only besides its pivot, so
+            # substituting it brings in no pivot column
+            for c2 in [k for k in row if k != c and k in rows]:
+                f = row.pop(c2)
+                for k, v in rows[c2].items():
+                    if k != c2:
+                        nv = row.get(k, 0) - f * v
+                        if nv:
+                            row[k] = nv
+                        else:
+                            row.pop(k, None)
+        return rows

@@ -20,11 +20,15 @@ acts on the cuspidal subspace as -U_p, and its +1 eigenspace M+ corresponds
 to the quotient curve.  M+ is free of rank one over the Hecke algebra, so
 for a cyclic vector x of M+ each coordinate i gives a form
 sum_n (T_n x)_i q^n of S_2^+(p), and these span it; x = (1 + W_p) y for a
-y on four coordinates, tried in turn until x is cyclic.  The unique reduced
-echelon basis of the rows ((T_n x)_i)_{n < prec} is the good basis, with
-pivots c_1 < ... < c_g.  Every pivot of the three-term relations divides
-its row (linalg.SparseRREF raises otherwise), so the reduction map, the
-Hecke matrices and the Krylov vectors T_n x are integral.  The basis is
+y on four coordinates, tried in turn until x is cyclic.  The columns T_n x
+are built level by level, by the number Omega(n) of prime factors of n and
+then by its least prime factor ell, one product with T_ell per group; the
+T_ell with ell^2 past the precision act on the support of y alone, all in
+one image count.  The unique reduced echelon basis of the rows
+((T_n x)_i)_{n < prec} is the good basis, with pivots c_1 < ... < c_g.
+Every pivot of the three-term relations divides its row
+(linalg.SparseRREF raises otherwise), so the reduction map, the Hecke
+matrices and the Krylov vectors T_n x are integral.  The basis is
 held on integers: a g x P numerator matrix and one least denominator D_i
 per form, taken from K x span (see GoodBasis).
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -217,10 +221,10 @@ class ModSymSpace:
             return (1, 0, 0, 1)
         return (0, -1, 1, d)
 
-    def _count_images(self, mats, symbols):
-        """counts[s, j] = number of matrices sending symbols[j] to symbol s,
-        for all the symbols in one pass; images (0:0) are dropped."""
-        p, n = self.p, self.n
+    def _images(self, mats, symbols):
+        """idx[j, i] = index of the image of symbols[j] under mats[i], all in
+        one pass; the non-symbol (0:0) gets index n."""
+        p = self.p
         a, b, c, d = np.asarray(mats, dtype=np.int64).T
         u0 = self._sym_c[symbols][:, None]
         v0 = self._sym_d[symbols][:, None]
@@ -232,7 +236,13 @@ class ModSymSpace:
         v = u0 * b
         v += v0 * d
         v %= p
-        idx = self._indices(u, v)
+        return self._indices(u, v)
+
+    def _count_images(self, mats, symbols):
+        """counts[s, j] = number of matrices sending symbols[j] to symbol s;
+        images (0:0) are dropped."""
+        n = self.n
+        idx = self._images(mats, symbols)
         idx += (n + 1) * np.arange(len(symbols))[:, None]
         counts = np.bincount(idx.ravel(), minlength=(n + 1) * len(symbols))
         return counts.reshape(len(symbols), n + 1)[:, :n].T
@@ -294,14 +304,22 @@ class ModSymSpace:
             self._count_images(self._hecke_mats(ell), self.free))
 
     def hecke_columns(self, ells, y):
-        """T_ell y, one column per prime ell, for an integer vector y: only
-        the free symbols in the support of y go through the matrices of
-        each T_ell, and the reduction map runs once on all the images."""
-        support = np.flatnonzero(y)
-        symbols = np.asarray(self.free)[support]
-        images = np.stack([self._count_images(self._hecke_mats(ell), symbols)
-                           @ y[support] for ell in ells], axis=1)
-        return self._counts_to_matrix(images)
+        """T_ell y, one column per prime ell, for an integer vector y.  The
+        matrices of all the T_ell form one set, each labelled by its ell,
+        and the images of the free symbols in the support of y under it are
+        added into one count, weighted by y, with no per-symbol axis; the
+        symbols go one at a time, so that every temporary is one set long.
+        The reduction map then runs once on the n x len(ells) block.  The
+        count has the dtype of y, and each entry is at most sum|y| times
+        the number of matrices in absolute value."""
+        sets = [np.asarray(self._hecke_mats(ell)) for ell in ells]
+        label = np.repeat(np.arange(len(ells)), [len(m) for m in sets])
+        mats = np.concatenate(sets)
+        counts = np.zeros((len(ells), self.n + 1), dtype=y.dtype)
+        for j in np.flatnonzero(y):
+            np.add.at(counts, (label, self._images(mats, self.free[j:j + 1])),
+                      y[j])
+        return self._counts_to_matrix(counts[:, :-1].T)
 
     def hecke_matrix_path(self, ell):
         """T_ell by the coset representatives (1, j; 0, ell) for
@@ -425,9 +443,10 @@ class BasisComputer:
     and in C for every y; trial t takes y = sum_j j e_(j + 4t mod dim),
     j = 1..4, both facts are checked exactly, and the next trial runs when x
     is not cyclic.  The columns T_n x are integer vectors (int64, or Python
-    ints where a product could overflow).  W_p commutes with T_ell for
-    ell != p, so T_ell x = (1 + W_p) T_ell y, and T_ell y needs the images
-    of four symbols only.  ``rows`` are g coordinates that are independent
+    ints where a product could overflow), built a group of n at a time by
+    ``_extend``.  W_p commutes with T_ell for ell != p, so
+    T_ell x = (1 + W_p) T_ell y, and T_ell y needs the images of four
+    symbols only.  ``rows`` are g coordinates that are independent
     over n <= (p + 1) / 6 + 2, so x is cyclic and their forms span S_2^+(p).
 
     Both pivot searches, for ``rows`` and for the echelon pivots of their
@@ -440,7 +459,7 @@ class BasisComputer:
     def __init__(self, p):
         self.p = p
         self.space = space = ModSymSpace(p)
-        self._hecke = {}
+        self._steps = {}
         self._cols = []
         self.g = 0
         if space.genus == 0:
@@ -504,43 +523,48 @@ class BasisComputer:
                 return pivots, k, kinv
         return None
 
-    def _t(self, ell):
-        """T_ell, built once per ell."""
-        t = self._hecke.get(ell)
-        if t is None:
+    def _step(self, ell):
+        """[T_ell^t; -ell I], built once per ell: the row [T_m x, v] times
+        it is T_ell T_m x - ell v, which is T_(ell m) x for v = T_(m/ell) x
+        when ell divides m and for v = 0 otherwise."""
+        if ell not in self._steps:
             t = self.space.hecke_matrix(ell)
-            self._hecke[ell] = t
-        return t
+            self._steps[ell] = np.concatenate(
+                [t.T, -ell * np.eye(len(t), dtype=np.int64)])
+        return self._steps[ell]
 
     def _extend(self, upto):
-        """Columns T_n x for every n < upto: T_{ell m} = T_ell T_m for ell
-        not dividing m, T_{ell^{k+1} m} = T_ell T_{ell^k m} - ell T_{ell^{k-1} m},
-        and U_p = -1 on M+.  A prime ell with ell^2 >= upto occurs only as
-        n = ell, and its matrix is never formed: W_p commutes with T_ell, so
-        T_ell x = (1 + W_p) T_ell y, and T_ell y needs the images of the
-        support of y alone."""
+        """Columns T_n x for every n < upto, level by level: the new n are
+        grouped by Omega(n), their number of prime factors with
+        multiplicity, and within a level by their least prime factor ell, so
+        that the sources n / ell and n / ell^2 are already there.  Each group
+        is one product with ``_step(ell)``, by
+        T_n = T_ell T_(n/ell) - ell T_(n/ell^2), the second term where
+        ell^2 divides n; U_p = -1 on M+ gives T_n x = -T_(n/p) x.  A prime
+        ell with ell^2 >= upto occurs only as n = ell, and its matrix is
+        never formed: W_p commutes with T_ell, so T_ell x = (1 + W_p) T_ell y,
+        and all those T_ell y come from one ``hecke_columns``."""
         cols = self._cols
         start = len(cols) + 1
-        late = [n for n in range(start, upto) if n * n >= upto
-                and n != self.p and _smallest_prime_factor(n) == n]
-        if late:
-            late = dict(zip(late, self._plus(
-                self.space.hecke_columns(late, self._y)).T))
+        cols += [None] * (upto - start)
+        spf, omega = _factor_table(upto)
+        groups = {}
         for n in range(start, upto):
-            ell = _smallest_prime_factor(n)
-            m = n // ell
-            if ell == self.p:
-                cols.append(-cols[m - 1])
-                continue
-            if ell * ell >= upto:
-                col = late[ell]
+            late = spf[n] == n != self.p and n * n >= upto
+            groups.setdefault((omega[n], 0 if late else spf[n]), []).append(n)
+        zero = np.zeros_like(cols[0])
+        for (_, ell), ns in sorted(groups.items()):
+            if not ell:
+                block = self._plus(self.space.hecke_columns(ns, self._y)).T
+            elif ell == self.p:
+                block = [-cols[n // ell - 1] for n in ns]
             else:
-                col = linalg.exact_matmul(self._t(ell), cols[m - 1])
-            if m % ell == 0:
-                col = linalg.exact_matmul(
-                    np.stack([col, cols[m // ell - 1]], axis=1),
-                    np.array([1, -ell], dtype=object))
-            cols.append(col)
+                block = linalg.exact_matmul(np.hstack([
+                    [cols[n // ell - 1] for n in ns],
+                    [cols[n // ell ** 2 - 1] if n % ell ** 2 == 0 else zero
+                     for n in ns]]), self._step(ell))
+            for n, col in zip(ns, block):
+                cols[n - 1] = col
 
     def basis(self, prec):
         """GoodBasis at the given q-expansion precision."""
@@ -591,15 +615,25 @@ def _plus_dimension(space, w):
     return twice // 2
 
 
-def _smallest_prime_factor(n):
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
+def _factor_table(upto):
+    """The least prime factor and the number Omega(n) of prime factors,
+    with multiplicity, of every n < upto: a sieve in which the least
+    factor f <= sqrt(n) of n is the last written at n."""
+    spf = np.arange(upto)
+    for f in range(isqrt(upto), 1, -1):
+        spf[f * f::f] = f
+    spf, omega = spf.tolist(), [0] * upto
+    for n in range(2, upto):
+        omega[n] = omega[n // spf[n]] + 1
+    return spf, omega
+
+
+def pivot_precision(p):
+    """P = (p + 1)//6 + 12, the one precision at which verify_prime builds
+    the good basis and ``wplus basis`` caches it: every pivot is at most
+    (p + 1)/6 (Sturm), and the chain reads K = 12 terms from each pivot on
+    (see weierstrass.extract_Fp)."""
+    return (p + 1) // 6 + 12
 
 
 def good_basis(p, prec, cache=None):

@@ -16,7 +16,7 @@ from .cache import DiskCache, NullCache
 from .config import Config
 from .errors import FALSIFIERS
 from .fppoly import is_prime
-from .modsym import good_basis
+from .modsym import good_basis, pivot_precision
 from .report import VerificationReport
 from .supersingular import (ORACLE_BOUND, ss_oracle, ss_polys,
                             verify_fixedlinear)
@@ -40,7 +40,7 @@ def verify_prime(p, config=None, basis_only=False):
     report = VerificationReport(p=p)
     try:
         t0 = time.perf_counter()
-        gb = good_basis(p, (p + 1) // 6 + 12, cache)
+        gb = good_basis(p, pivot_precision(p), cache)
         report.timings_ms["basis_pivots"] = 1e3 * (time.perf_counter() - t0)
         report.g_p = gb.genus_x0
         report.g_plus = gb.g

@@ -165,6 +165,19 @@ def test_basis_67(capsys, tmp_path):
     assert "pivots: [1, 2]" in out
 
 
+def test_basis_caches_the_precision_verify_reads(capsys, tmp_path,
+                                                  monkeypatch):
+    # wplus basis builds and caches the basis at (p + 1)//6 + 12, the one
+    # precision verify_prime asks for, so verify then builds none
+    from wplus import modsym
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    assert run(capsys, "--cache-dir", str(tmp_path), "basis", "67")[0] == 0
+    monkeypatch.setattr(modsym, "BasisComputer", None)
+    report = verify_prime(67, Config(cache_dir=str(tmp_path)))
+    assert report.status == "ok"
+
+
 @pytest.mark.parametrize("prec", ["2", "-3", "0"])
 def test_basis_precision_below_pivots_is_a_usage_error(capsys, tmp_path,
                                                        prec):

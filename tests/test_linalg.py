@@ -154,3 +154,44 @@ def test_sparse_rref_planted_row_whose_lead_does_not_divide_it():
     assert all(type(v) is int for row in finished.values()
                for v in row.values())
 
+
+
+def test_sparse_rref_with_fill_in_matches_dense_fraction_rref():
+    # rows L U with U unit upper triangular on random pivot columns and L
+    # unit lower triangular reduce to the rows of U as they arrive, so every
+    # lead is 1; the sparse rows of U hold other pivot columns, whose back
+    # substitution fills in free columns.  Dependent rows reduce to nothing.
+    # The finished rows are those of Fraction elimination of the same rows.
+    rng = random.Random(5)
+    fills = 0
+    for _ in range(200):
+        width, rank = rng.randint(4, 24), rng.randint(1, 8)
+        rank = min(rank, width)
+        pivots = sorted(rng.sample(range(width), rank))
+        upper = []
+        for c in pivots:
+            row = [0] * width
+            row[c] = 1
+            for k in rng.sample(range(c + 1, width), min(3, width - c - 1)):
+                row[k] = rng.randint(-4, 4)
+            upper.append(row)
+        lower = [[rng.randint(-2, 2) for _ in range(i)] + [1]
+                 for i in range(rank)]
+        rows = [[sum(m * u[k] for m, u in zip(mix, upper))
+                 for k in range(width)] for mix in lower]
+        for _ in range(rng.randint(0, 2)):
+            mix = [rng.randint(-2, 2) for _ in range(rank)]
+            rows.append([sum(m * r[k] for m, r in zip(mix, rows))
+                         for k in range(width)])
+        reducer = linalg.SparseRREF()
+        for row in rows:
+            reducer.add_row({k: v for k, v in enumerate(row) if v})
+        before = sum(len(r) for r in reducer.pivot_rows.values())
+        finished = reducer.finish()
+        red, dense_pivots = linalg.rref(rows)
+        assert sorted(finished) == dense_pivots == pivots
+        for row, c in zip(red, dense_pivots):
+            assert finished[c] == {k: v for k, v in enumerate(row) if v}
+            assert all(type(v) is int for v in finished[c].values())
+        fills += sum(len(r) for r in finished.values()) > before
+    assert fills > 25

@@ -849,3 +849,79 @@ def test_good_basis_leaves_cuspidal_unbuilt(monkeypatch):
     assert "cuspidal" not in vars(spaces[0])
     assert len(spaces[0].cuspidal) == spaces[0].dim
     assert "cuspidal" in vars(spaces[0])
+
+
+@pytest.mark.parametrize("p,prec", [(11, 14), (13, 14), (37, 80), (67, 23),
+                                    (389, 77)])
+def test_krylov_columns_match_merel_hecke_operators(p, prec):
+    # every column T_n x, n < prec, against the matrix of T_n from Merel's
+    # determinant-n matrices times x, which shares with the engine only
+    # the index of a symbol's image: not the levels, the recurrence, the
+    # Heilbronn sets or the late-prime count.  The columns come from the
+    # extension of __init__ and from a second one.
+    # At 11 and 13 (g+ = 0) no column is made; at 37 the column n = 37
+    # takes U_p = -1, and n = 74 is T_2 of it, a level later
+    from wplus.modsym import pivot_precision
+    bc = BasisComputer(p)
+    if bc.g == 0:
+        assert bc._cols == [] and prec == pivot_precision(p)
+        return
+    bc._extend(prec)
+    x = bc._cols[0]
+    for n in range(1, prec):
+        assert np.array_equal(bc._cols[n - 1],
+                              bc.space.hecke_matrix_merel(n) @ x), (p, n)
+
+
+@pytest.mark.parametrize("p", [67, 389])
+def test_hecke_columns_mixing_two_odd_primes_and_p(p, monkeypatch):
+    # one batched count against the matrix of each T_ell (U_p at ell = p),
+    # for lists in any order, with repeats, on sparse and dense y
+    space = ModSymSpace(p)
+    rng = np.random.default_rng(p)
+    for ells in ([2, 3, p], [p, 13, 2, 5, 13], [97, 2, p, 53, 3]):
+        for size in (1, 4, space.dim):
+            y = np.zeros(space.dim, dtype=np.int64)
+            y[rng.choice(space.dim, size=size, replace=False)] = (
+                rng.integers(1, 9, size=size) * rng.choice([-1, 1], size))
+            h = space.hecke_columns(ells, y)
+            for col, ell in zip(h.T, ells):
+                assert np.array_equal(col, space.hecke_matrix(ell) @ y), (
+                    p, ells, ell)
+    # a non-prime is refused before any image is counted
+    monkeypatch.setattr(ModSymSpace, "_images", None)
+    with pytest.raises(ValueError, match="must be prime"):
+        space.hecke_columns([2, 3, 9], y)
+
+
+def test_extend_makes_one_product_per_level_and_prime(monkeypatch):
+    # the columns n in [68, 200) at 389: one product with T_ell per group
+    # (Omega(n), ell = least prime factor of n), counted against a plain
+    # factorisation; a product per n would make about 130
+    def factor(n):
+        out, f = [], 2
+        while n > 1:
+            while n % f == 0:
+                out.append(f)
+                n //= f
+            f += 1
+        return out
+
+    bc = BasisComputer(389)
+    start, upto = len(bc._cols) + 1, 200
+    groups = {(len(factor(n)), factor(n)[0]) for n in range(start, upto)
+              if len(factor(n)) > 1 or n * n < upto}
+    calls = []
+    exact_matmul = linalg.exact_matmul
+
+    def recording(a, b):
+        calls.append(any(b is s for s in bc._steps.values()))
+        return exact_matmul(a, b)
+
+    monkeypatch.setattr(linalg, "exact_matmul", recording)
+    bc._extend(upto)
+    assert sum(calls) == len(groups)
+    # the rest: T_11 and T_13 are formed (one product with R each), and
+    # the late primes take one product with R and one with 1 + W_p
+    assert sorted(bc._steps) == [2, 3, 5, 7, 11, 13]
+    assert len(calls) == len(groups) + 4

@@ -3,6 +3,7 @@ fresh interpreter on this checkout, as `--baseline` runs make them: a name
 of `wplus` that a measurement uses and that is gone fails here, not only
 when a benchmark is next recorded."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -56,9 +57,15 @@ def test_bench_basis_basis():
 
 
 def test_bench_basis_scan():
-    out = _run("scan", None)["output"]
+    got = _run("scan", None)
+    out = got["output"]
     assert len(out) == 32
     assert {r["status"] for r in out} <= {"ok", "not_good_basis"}
+    # split as the basis kind is: the parts and the rest add up to the total
+    ms = got["timings_ms"]
+    assert set(ms) == {"space", "hecke", "pivots", "rest", "total"}
+    assert min(ms.values()) >= 0
+    assert math.isclose(sum(ms.values()) - ms["total"], ms["total"])
 
 
 def test_bench_fppoly_ladder():
