@@ -165,8 +165,8 @@ def test_sparse_rref_with_fill_in_matches_dense_fraction_rref():
     rng = random.Random(5)
     fills = 0
     for _ in range(200):
-        width, rank = rng.randint(4, 24), rng.randint(1, 8)
-        rank = min(rank, width)
+        width = rng.randint(4, 24)
+        rank = min(rng.randint(1, 8), width)
         pivots = sorted(rng.sample(range(width), rank))
         upper = []
         for c in pivots:
