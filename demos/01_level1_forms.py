@@ -12,7 +12,8 @@ from wplus.level1 import divisor_polynomials
 from wplus.series import residue_matrix
 
 # The Eisenstein series have exact rational coefficients built from
-# Bernoulli numbers; the discriminant and j come out of them.
+# Bernoulli numbers, and the discriminant comes out of them.  j comes from
+# the same formulas on integers, as the list c(-1), c(0), c(1), ...
 e4 = eisenstein(4, 8)
 e6 = eisenstein(6, 8)
 print("E_4  =", [e4.coefficient(n) for n in range(4)], "...")
@@ -21,8 +22,7 @@ print("E_6  =", [e6.coefficient(n) for n in range(4)], "...")
 d = delta(8)
 print("Delta =", [d.coefficient(n) for n in range(1, 5)], "(from q^1)")
 
-j = j_function(4)
-print("j    =", [j.coefficient(n) for n in range(-1, 2)], "(from q^-1)")
+print("j    =", j_function(2), "(from q^-1)")
 
 # Dividing a weight-k form by Delta^m(k) and the elliptic-point clearing
 # factor leaves a polynomial in j: the divisor polynomial.

@@ -10,18 +10,17 @@ coordinate of T_n x read as the coefficient of q^n is a form; echelonizing
 these gives the unique basis f_i = q^{c_i} + ... with increasing pivots.
 """
 
-from wplus import ModSymSpace, atkin_lehner_plus, good_basis
+from wplus import ModSymSpace, good_basis
+from wplus.weierstrass import basis_heads
 
 space = ModSymSpace(67)
 print("p = 67: quotient dimension", space.dim, " genus of X_0(67) =", space.genus)
 
-plus = atkin_lehner_plus(space)
-print("dimension of the +1 eigenspace:", len(plus[0]))
-
 gb = good_basis(67, 12)
+print("dimension of the +1 eigenspace:", gb.g)
 print("pivots:", gb.pivots, " p-integral:", gb.p_integral)
-for i, f in enumerate(gb.forms):
-    print(f"  f_{i + 1} =", [f.coefficient(n) for n in range(1, 9)], "...")
+for i, head in enumerate(basis_heads(gb)):
+    print(f"  f_{i + 1} =", head)
 
 # The cusp of the quotient curve is a Weierstrass point exactly when the
 # pivots are not 1..g.  For p = 67 they are; p = 109 is the first prime

@@ -14,8 +14,7 @@ rows over one denominator per form), int64 residue arrays and F_p[x] for
 the mod-p chain, and big floats only inside the class-polynomial
 evaluation (with verified integer rounding).  The rational q-expansions
 (QExpansion) and the F_p series (FpSeries) serve the tests, their oracles
-and the level-1 forms over Q; the pipeline builds a QExpansion only for the
-q-expansion of j.
+and the level-1 forms over Q; the pipeline builds neither, nor a Fraction.
 """
 
 from .config import Config
@@ -24,7 +23,7 @@ from .fppoly import FpPoly, is_prime, legendre
 from .level1 import (bernoulli, cp_factor, delta, divisor_polynomial,
                      eisenstein, gp_poly, j_function, miller_basis,
                      square_divisor_relation, weight_profile)
-from .modsym import GoodBasis, ModSymSpace, atkin_lehner_plus, good_basis
+from .modsym import GoodBasis, ModSymSpace, good_basis
 from .pipeline import scan_primes, verify_prime
 from .report import VerificationReport
 from .series import FpSeries, QExpansion
@@ -40,7 +39,7 @@ __all__ = [
     "Config", "WplusError", "FpPoly", "is_prime", "legendre", "bernoulli",
     "cp_factor", "delta", "divisor_polynomial", "eisenstein", "gp_poly",
     "j_function", "miller_basis", "square_divisor_relation", "weight_profile",
-    "GoodBasis", "ModSymSpace", "atkin_lehner_plus", "good_basis",
+    "GoodBasis", "ModSymSpace", "good_basis",
     "scan_primes", "verify_prime", "VerificationReport", "FpSeries",
     "QExpansion", "ClassPolyData", "SupersingularSplit",
     "class_number", "class_poly", "fixed_point_poly", "reduced_forms",

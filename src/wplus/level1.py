@@ -110,10 +110,12 @@ def _e4_e6_delta(prec, p=None):
 
 
 def j_function(prec):
-    """j = E_4^3 / Delta = q^{-1} + 744 + 196884 q + ..., known below q^prec.
+    """The coefficients c(-1), c(0), ..., c(prec - 1) of
+    j = E_4^3 / Delta = q^{-1} + 744 + 196884 q + ..., as Python ints.
 
     E_4 and Delta are integral and Delta / q = 1 - 24 q + ... is monic, so
-    the quotient is computed exactly in Python integers.
+    the quotient is computed exactly in Python integers.  As a series:
+    QExpansion(j_function(prec), -1, prec).
     """
     if prec < 2:
         raise ValueError("prec must be at least 2")
@@ -125,7 +127,7 @@ def j_function(prec):
     out[0] = num[0]
     for k in range(1, n):
         out[k] = num[k] - out[:k].dot(unit[k:0:-1])
-    return QExpansion(out.tolist(), -1, prec)
+    return out.tolist()
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ on the symbols, so those relations are read off its orbits, all symbols at
 once; the three-term relations are then eliminated on Python ints.  T_ell
 acts on Manin symbols through a set of integer matrices of determinant ell,
 applied to all symbols at once: Cremona's Heilbronn matrices for an odd
-prime ell != p, Merel's matrices for ell = 2.  The Atkin-Lehner involution
-is the single matrix W_p = (0, -1; p, 0), whose image of each symbol comes
-back through continued-fraction convergents.  U_p from Merel's matrices,
-and the coset representatives acting on paths, remain as independent
-routes for tests.  See Cremona, "Algorithms for Modular Elliptic Curves",
-ch. 2, and Stein, "Modular Forms: A Computational Approach", ch. 8-9.
+prime ell != p, Merel's matrices for ell = 2.  U_p is never formed: the
+Atkin-Lehner involution is the single matrix W_p = (0, -1; p, 0), whose
+image of each symbol comes back through continued-fraction convergents.
+See Cremona, "Algorithms for Modular Elliptic Curves", ch. 2, and Stein,
+"Modular Forms: A Computational Approach", ch. 8-9.
 
 Since every cusp form of prime level is new, the Atkin-Lehner involution
 acts on the cuspidal subspace as -U_p, and its +1 eigenspace M+ corresponds
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -45,9 +43,6 @@ import numpy as np
 from . import linalg
 from .errors import NotPIntegralError, PrecisionError, WplusError
 from .fppoly import inverse_table, is_prime
-from .series import QExpansion
-
-_ONE = Fraction(1)
 
 #: payload version of cached good bases; any other version is a miss
 _PAYLOAD_VERSION = 2
@@ -110,8 +105,6 @@ class ModSymSpace:
         dim:         dimension of the quotient (genus of X_0(p) plus one)
         genus:       dimension of the cuspidal subspace
         boundary:    int64 vector b over the coordinates, the boundary map
-        cuspidal:    dim x genus matrix, as rows of Python ints, whose columns
-                     are an integer basis of the kernel of b (on first use)
     """
 
     def __init__(self, p):
@@ -180,17 +173,6 @@ class ModSymSpace:
         if not self.boundary.any():
             raise WplusError("the boundary map vanishes")
         self.genus = self.dim - 1              # the kernel of a nonzero row
-
-    @functools.cached_property
-    def cuspidal(self):
-        """The kernel of the boundary map, built on first use: column i is
-        b_k e_i - b_i e_k for each i != k, with k the first nonzero entry
-        of b."""
-        b = self.boundary.tolist()
-        k = next(i for i, x in enumerate(b) if x)
-        others = [i for i in range(self.dim) if i != k]
-        return [[b[k] if r == i else -b[i] if r == k else 0
-                 for i in others] for r in range(self.dim)]
 
     def index(self, c, d):
         """Index of the Manin symbol (c:d), for Python ints."""
@@ -291,15 +273,15 @@ class ModSymSpace:
         return self._counts_to_matrix(self._path_counts([(0, -1, self.p, 0)]))
 
     def _hecke_mats(self, ell):
-        if not is_prime(ell):
-            raise ValueError(f"T_{ell}: ell must be prime")
-        return merel_set(ell) if ell in (2, self.p) else heilbronn_cremona(ell)
+        if not is_prime(ell) or ell == self.p:
+            raise ValueError(f"T_{ell}: ell must be prime and not the level")
+        return merel_set(2) if ell == 2 else heilbronn_cremona(ell)
 
     def hecke_matrix(self, ell):
-        """Integer matrix of T_ell on the quotient; ell must be prime, and
-        ell = p gives U_p.  Heilbronn-Cremona matrices for odd ell != p,
-        Merel's matrices otherwise (for ell = p only as a reference: the
-        production basis uses W_p)."""
+        """Integer matrix of T_ell on the quotient, for a prime ell != p:
+        Merel's matrices for ell = 2, Heilbronn-Cremona matrices for odd
+        ell.  ell = p is refused: the basis reaches U_p, which is -W_p on
+        the cusp forms, through W_p."""
         return self._counts_to_matrix(
             self._count_images(self._hecke_mats(ell), self.free))
 
@@ -321,55 +303,9 @@ class ModSymSpace:
                       y[j])
         return self._counts_to_matrix(counts[:, :-1].T)
 
-    def hecke_matrix_path(self, ell):
-        """T_ell by the coset representatives (1, j; 0, ell) for
-        0 <= j < ell, plus (ell, 0; 0, 1) when ell != p, acting on paths;
-        kept only as an independent test oracle for the production route."""
-        reps = [(1, j, 0, ell) for j in range(ell)]
-        if ell != self.p:
-            reps.append((ell, 0, 0, 1))
-        return self._counts_to_matrix(self._path_counts(reps))
-
-    def hecke_matrix_merel(self, ell):
-        """T_ell from Merel's determinant-ell matrices for every ell; kept as
-        an independent cross-check."""
-        return self._counts_to_matrix(
-            self._count_images(merel_set(ell), self.free))
-
     def _counts_to_matrix(self, counts):
         """The reduction map applied to symbol counts, exactly."""
         return linalg.exact_matmul(self._r_num, counts)
-
-    def restrict_to_cuspidal(self, t):
-        """Matrix of t (over Q) on the cuspidal subspace, in the cuspidal
-        basis."""
-        if self.genus == 0:
-            return []
-        tc = linalg.mat_mul(t, self.cuspidal)
-        sol = linalg.solve(self.cuspidal, tc)
-        if sol is None:
-            raise WplusError("operator does not preserve the cuspidal subspace")
-        return sol
-
-
-def atkin_lehner_plus(space):
-    """Basis (genus x g matrix of columns) of the w_p = +1 cuspidal part.
-
-    w_p acts as -U_p on the cuspidal subspace (prime level is all new), so
-    this is the kernel of U_p + 1 in the cuspidal basis.
-    """
-    if space.genus == 0:
-        return []
-    u = space.restrict_to_cuspidal(space.hecke_matrix(space.p).tolist())
-    g = space.genus
-    usq = linalg.mat_mul(u, u)
-    if usq != linalg.identity(g):
-        raise WplusError("U_p is not an involution on the cuspidal subspace")
-    up1 = [row[:] for row in u]
-    for i in range(g):
-        up1[i][i] += _ONE
-    kern = linalg.nullspace(up1)
-    return linalg.transpose(kern) if kern else [[] for _ in range(g)]
 
 
 @dataclass
@@ -385,8 +321,7 @@ class GoodBasis:
     num is a g x precision integer matrix (int64, or Python ints where
     int64 could overflow) and den[i] > 0 the least common denominator of
     f_i there, so f_i is p-integral exactly when p does not divide den[i].
-    ``residues`` reduces the rows mod p for the chain; ``forms`` views them
-    as QExpansions, for display and tests only."""
+    ``residues`` reduces the rows mod p for the chain."""
 
     p: int
     g: int
@@ -412,13 +347,6 @@ class GoodBasis:
             inverses.append(pow(d, -1, self.p))
         rows = (self.num % self.p).astype(np.int64)
         return rows * np.array(inverses, dtype=np.int64)[:, None] % self.p
-
-    @functools.cached_property
-    def forms(self):
-        """The forms as QExpansions over Fraction, built on first use."""
-        return [QExpansion([Fraction(int(c), d) for c in row], 0,
-                           self.precision, weight=2, level=self.p)
-                for row, d in zip(self.num, self.den)]
 
     def wt_infinity(self):
         """Weierstrass weight of the cusp at infinity on the quotient curve:
@@ -540,10 +468,11 @@ class BasisComputer:
         that the sources n / ell and n / ell^2 are already there.  Each group
         is one product with ``_step(ell)``, by
         T_n = T_ell T_(n/ell) - ell T_(n/ell^2), the second term where
-        ell^2 divides n; U_p = -1 on M+ gives T_n x = -T_(n/p) x.  A prime
-        ell with ell^2 >= upto occurs only as n = ell, and its matrix is
-        never formed: W_p commutes with T_ell, so T_ell x = (1 + W_p) T_ell y,
-        and all those T_ell y come from one ``hecke_columns``."""
+        ell^2 divides n; U_p = -1 on M+ gives T_n x = -T_(n/p) x, so no
+        matrix of U_p is formed.  A prime ell != p with ell^2 >= upto occurs
+        only as n = ell, and its matrix is never formed: W_p commutes with
+        T_ell, so T_ell x = (1 + W_p) T_ell y, and all those T_ell y come
+        from one ``hecke_columns``."""
         cols = self._cols
         start = len(cols) + 1
         cols += [None] * (upto - start)

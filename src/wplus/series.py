@@ -12,11 +12,11 @@ j-function) are allowed.  ``weight`` is formal bookkeeping: it adds under
 multiplication, subtracts under division, and must match under addition.
 
 ``residue_matrix`` reduces series to one int64 row of residues each.  The
-verification pipeline builds no FpSeries, and a QExpansion only for the
-q-expansion of j behind the class polynomials (``level1.j_function``): it
-reduces the good basis from its integer numerator rows
-(``GoodBasis.residues``) and runs the chain on residue arrays.  The other
-uses are the tests, their oracles and the rational level-1 route.
+verification pipeline builds neither: it reduces the good basis from its
+integer numerator rows (``GoodBasis.residues``), runs the chain on residue
+arrays, and sums the q-series of j from a list of Python ints
+(``level1.j_function``).  The users are the tests, their oracles and the
+rational level-1 route.
 """
 
 from __future__ import annotations

@@ -286,8 +286,7 @@ def _j_coefficients(nterms):
     """Integer q-coefficients of j, from q^{-1} on, cached and extended."""
     cache = _j_coefficients.cache
     if len(cache) < nterms:
-        jq = j_function(nterms + 1)
-        cache[:] = [int(jq.coefficient(n)) for n in range(-1, nterms)]
+        cache[:] = j_function(nterms)
     return cache[:nterms]
 
 

@@ -5,6 +5,7 @@ It starts from the same Krylov columns and the same scaled inverse K of the
 pivot block, and builds one `Fraction` per coefficient, (K span)[i, n] / k
 at q^(n+1), and one `QExpansion` per form;
 the payload is written from those Fractions, "numerator/denominator" each.
+`basis_forms` views a GoodBasis the same way, one QExpansion per form.
 """
 
 from fractions import Fraction
@@ -13,6 +14,14 @@ import numpy as np
 
 from wplus.modsym import _PAYLOAD_VERSION
 from wplus.series import QExpansion
+
+
+def basis_forms(basis):
+    """The forms of a GoodBasis as QExpansions over Fraction: num[i, n] /
+    den[i] at q^n."""
+    return [QExpansion([Fraction(int(c), d) for c in row], 0,
+                       basis.precision, weight=2, level=basis.p)
+            for row, d in zip(basis.num, basis.den)]
 
 
 def fraction_forms(bc, prec):

@@ -1,4 +1,7 @@
-"""The union-find route to the Manin-relation quotient, kept as an oracle for
+"""Reference routes for `ModSymSpace`: the union-find quotient, the rational
+w_p = +1 space and two spare routes to T_ell.
+
+The union-find route to the Manin-relation quotient is kept as an oracle for
 `ModSymSpace`, which reads the two-term and star relations as orbits.
 
 Here each relation x_i = x_(iota i) (star) and x_i = -x_(S i) (two-term) is
@@ -15,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from wplus import linalg
+from wplus.errors import WplusError
+from wplus.modsym import merel_set
 
 
 class SignedUnionFind:
@@ -119,3 +124,67 @@ class OracleRelations:
         self.r_num = rnum
         # the two cusps are the images of (0:1) and (1:0) = symbol 1
         self.genus = self.dim - bool((rnum[:, 0] - rnum[:, 1]).any())
+
+
+# The rational route to the w_p = +1 space: the cuspidal basis, U_p from
+# Merel's matrices and the kernel of U_p + 1 over Fraction.  Production
+# reaches that space through W_p alone, on integers.
+
+
+def cuspidal(space):
+    """The kernel of the boundary map b, as dim rows of genus Python ints:
+    column i is b_k e_i - b_i e_k for each i != k, with k the first nonzero
+    entry of b."""
+    b = space.boundary.tolist()
+    k = next(i for i, x in enumerate(b) if x)
+    others = [i for i in range(space.dim) if i != k]
+    return [[b[k] if r == i else -b[i] if r == k else 0
+             for i in others] for r in range(space.dim)]
+
+
+def restrict_to_cuspidal(space, t):
+    """Matrix of t (over Q) on the cuspidal subspace, in the basis
+    cuspidal(space)."""
+    if space.genus == 0:
+        return []
+    cusp = cuspidal(space)
+    sol = linalg.solve(cusp, linalg.mat_mul(t, cusp))
+    if sol is None:
+        raise WplusError("operator does not preserve the cuspidal subspace")
+    return sol
+
+
+def hecke_matrix_path(space, ell):
+    """T_ell by the coset representatives (1, j; 0, ell) for 0 <= j < ell,
+    plus (ell, 0; 0, 1) when ell != p, acting on paths."""
+    reps = [(1, j, 0, ell) for j in range(ell)]
+    if ell != space.p:
+        reps.append((ell, 0, 0, 1))
+    return space._counts_to_matrix(space._path_counts(reps))
+
+
+def hecke_matrix_merel(space, n):
+    """T_n from Merel's determinant-n matrices, for every n >= 1; n = p
+    gives U_p."""
+    return space._counts_to_matrix(
+        space._count_images(merel_set(n), space.free))
+
+
+def atkin_lehner_plus(space):
+    """Basis (genus x g matrix of columns) of the w_p = +1 cuspidal part.
+
+    w_p acts as -U_p on the cuspidal subspace (prime level is all new), so
+    this is the kernel of U_p + 1 in the basis cuspidal(space).
+    """
+    if space.genus == 0:
+        return []
+    u = restrict_to_cuspidal(space,
+                             hecke_matrix_merel(space, space.p).tolist())
+    g = space.genus
+    if linalg.mat_mul(u, u) != linalg.identity(g):
+        raise WplusError("U_p is not an involution on the cuspidal subspace")
+    up1 = [row[:] for row in u]
+    for i in range(g):
+        up1[i][i] += 1
+    kern = linalg.nullspace(up1)
+    return linalg.transpose(kern) if kern else [[] for _ in range(g)]

@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+from basis_oracle import basis_forms
+from modsym_oracle import atkin_lehner_plus
 from wplus import linalg
 from wplus.config import Config
 from wplus.fppoly import FpPoly, is_prime
 from wplus.level1 import delta, eisenstein, gp_poly, square_divisor_relation
-from wplus.modsym import ModSymSpace, atkin_lehner_plus, good_basis
+from wplus.modsym import ModSymSpace, good_basis
 from wplus.pipeline import scan_primes, verify_prime
 from wplus.supersingular import ss_oracle, ss_polys, verify_fixedlinear
 
@@ -47,13 +49,13 @@ def test_criterion_1_flagship_67():
     report = verify_prime(67, Config(use_cache=False))
     if report.status != "ok" or not report.all_checks_pass:
         problems.append("pipeline status")
-    gb = good_basis(67, 9)
-    if [gb.forms[0].coefficient(n) for n in range(1, 9)] != F1_67:
+    forms = basis_forms(good_basis(67, 9))
+    if [forms[0].coefficient(n) for n in range(1, 9)] != F1_67:
         problems.append("f_1 coefficients")
-    if [gb.forms[1].coefficient(n) for n in range(1, 9)] != F2_67:
+    if [forms[1].coefficient(n) for n in range(1, 9)] != F2_67:
         problems.append("f_2 coefficients")
     from wplus.weierstrass import wronskian
-    det, lead = wronskian([f.truncate(9) for f in gb.forms])
+    det, lead = wronskian([f.truncate(9) for f in forms])
     if lead != 1 or [det.coefficient(n) for n in range(3, 9)] != W67_HEAD:
         problems.append("wronskian coefficients")
     x = FpPoly.x(67)

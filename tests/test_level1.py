@@ -5,6 +5,7 @@ import pytest
 
 import numpy as np
 
+from basis_oracle import basis_forms
 from level1_oracle import (series_divisor_polynomial, series_lift,
                            series_miller_basis)
 from wplus.errors import (ClosedFormMismatchError, NoLiftError,
@@ -58,10 +59,21 @@ def test_delta_printed_coefficients():
 
 
 def test_j_printed_coefficients():
-    j = j_function(4)
-    assert j.valuation == -1 and j.precision == 4 and j.weight == 0
-    assert [j.coefficient(n) for n in range(-1, 4)] == [
-        1, 744, 196884, 21493760, 864299970]
+    assert j_function(4) == [1, 744, 196884, 21493760, 864299970]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 100])
+def test_j_on_integers_matches_rational_route(n):
+    # c(-1) .. c(n - 1) as Python ints, against E_4^3 / Delta over Fraction
+    # from the Bernoulli Eisenstein series of Level1Context, which is known
+    # below q^n at precision n + 2
+    from wplus.level1 import Level1Context
+    coeffs = j_function(n)
+    assert len(coeffs) == n + 1
+    assert all(type(c) is int for c in coeffs)
+    rational = Level1Context(n + 2).j_power(1)
+    assert (rational.valuation, rational.precision) == (-1, n)
+    assert coeffs == [rational.coefficient(k) for k in range(-1, n)]
 
 
 def _jacobi_delta(prec):
@@ -239,14 +251,14 @@ def test_miller_basis_mod_short_window_and_bad_weights():
 def _chain_lifts(p):
     """The good basis at the pivot precision, reduced, and its lifts."""
     gb = good_basis(p, (p + 1) // 6 + 12)
-    forms = residue_matrix(gb.forms, p, gb.precision)
+    forms = residue_matrix(basis_forms(gb), p, gb.precision)
     return gb, forms, lift_to_level1(forms, p)
 
 
 def _assert_lifts_and_polys_match_series_route(p):
     gb, forms, lifts = _chain_lifts(p)
     cusp = series_miller_basis(p + 1, p, gb.precision)[1:]
-    series = [series_lift(f, p, cusp) for f in gb.forms]
+    series = [series_lift(f, p, cusp) for f in basis_forms(gb)]
     assert np.array_equal(residue_matrix(series, p, gb.precision), lifts)
     d = weight_profile(p + 1).m
     polys = divisor_polynomials(lifts, p + 1, p)

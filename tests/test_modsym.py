@@ -6,10 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from basis_oracle import basis_forms
+from modsym_oracle import (atkin_lehner_plus, cuspidal, hecke_matrix_merel,
+                           hecke_matrix_path, restrict_to_cuspidal)
 from wplus import linalg
 from wplus.errors import PrecisionError
-from wplus.modsym import (BasisComputer, ModSymSpace, atkin_lehner_plus,
-                          good_basis, heilbronn_cremona, merel_set)
+from wplus.modsym import (BasisComputer, ModSymSpace, good_basis,
+                          heilbronn_cremona, merel_set)
 
 
 def genus_x0(p):
@@ -32,8 +35,8 @@ F2_67 = [0, 1, -1, -3, 0, 0, 3, 4]
 
 def hecke_on_plus(space, ell):
     """T_ell on the w_p = +1 cuspidal part, in the basis of
-    atkin_lehner_plus: the public reference route, apart from the basis."""
-    embed = linalg.mat_mul(space.cuspidal, atkin_lehner_plus(space))
+    atkin_lehner_plus: the rational reference route, apart from T_ell."""
+    embed = linalg.mat_mul(cuspidal(space), atkin_lehner_plus(space))
     image = linalg.mat_mul(space.hecke_matrix(ell).tolist(), embed)
     restricted = linalg.solve(embed, image)
     assert restricted is not None, "T_ell left the +1 part"
@@ -73,28 +76,32 @@ def test_space_dimensions_match_genus_formula():
 
 
 def test_x0_11_hecke_eigenvalues():
-    # the unique weight-2 newform of level 11 has these a_ell
+    # the unique weight-2 newform of level 11 has these a_ell; U_11 comes
+    # from Merel's matrices
     s = ModSymSpace(11)
     for ell, a in ((2, -2), (3, -1), (5, 1), (7, -2), (13, 4), (11, 1)):
-        t = s.restrict_to_cuspidal(s.hecke_matrix(ell).tolist())
-        assert t == [[Fraction(a)]]
+        t = hecke_matrix_merel(s, ell) if ell == 11 else s.hecke_matrix(ell)
+        assert restrict_to_cuspidal(s, t.tolist()) == [[Fraction(a)]]
 
 
 def test_path_hecke_agrees_with_merel():
     # three routes to T_ell: coset paths, Merel's matrices, and production
-    # (Heilbronn-Cremona for odd ell != p, Merel for 2 and U_p)
+    # (Heilbronn-Cremona for odd ell != p, Merel for 2); at ell = p, U_p,
+    # the two reference routes alone
     for p in (11, 23, 67, 109):
         s = ModSymSpace(p)
         for ell in (2, 3, 5, 7, 11, 13, 31, p):
-            path = s.hecke_matrix_path(ell)
-            assert np.array_equal(s.hecke_matrix_merel(ell), path), (p, ell)
-            assert np.array_equal(s.hecke_matrix(ell), path), (p, ell)
+            path = hecke_matrix_path(s, ell)
+            assert np.array_equal(hecke_matrix_merel(s, ell), path), (p, ell)
+            if ell != p:
+                assert np.array_equal(s.hecke_matrix(ell), path), (p, ell)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 9, 15])
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 15, 67])
 def test_hecke_matrix_refuses_a_non_prime_index(n):
     # the Heilbronn-Cremona and production Merel sets give T_ell for prime
-    # ell only, so hecke_matrix and hecke_columns refuse any other n
+    # ell != p only, so hecke_matrix and hecke_columns refuse any other n,
+    # U_p at n = p = 67 included
     s = ModSymSpace(67)
     with pytest.raises(ValueError, match="must be prime"):
         s.hecke_matrix(n)
@@ -109,7 +116,7 @@ def test_merel_composite_index_matches_recurrence():
         one = np.eye(s.dim, dtype=np.int64)
         for ell in (2, 3):
             t = s.hecke_matrix(ell)
-            assert np.array_equal(s.hecke_matrix_merel(ell * ell),
+            assert np.array_equal(hecke_matrix_merel(s, ell * ell),
                                   t @ t - ell * one), (p, ell)
 
 
@@ -142,8 +149,8 @@ def test_trace_formula_oracle_matches_hecke():
         s = ModSymSpace(p)
         if s.genus == 0:
             continue
-        t_prime = {ell: exact_array(s.restrict_to_cuspidal(
-                       s.hecke_matrix(ell).tolist()))
+        t_prime = {ell: exact_array(restrict_to_cuspidal(
+                       s, s.hecke_matrix(ell).tolist()))
                    for ell in range(2, 51) if ell != p and all(
                        ell % d for d in range(2, ell))}
         ops = hecke_operators(t_prime, 50)
@@ -164,9 +171,9 @@ def test_atkin_lehner_matrix_matches_merel_up():
             continue
         w = s.atkin_lehner_matrix()
         minus_w = [[-x for x in row]
-                   for row in s.restrict_to_cuspidal(w.tolist())]
-        assert minus_w == s.restrict_to_cuspidal(
-            s.hecke_matrix(p).tolist()), p
+                   for row in restrict_to_cuspidal(s, w.tolist())]
+        assert minus_w == restrict_to_cuspidal(
+            s, hecke_matrix_merel(s, p).tolist()), p
 
 
 def test_basis_never_enumerates_merel_for_up(tmp_path, monkeypatch):
@@ -200,8 +207,8 @@ def test_hecke_commutativity():
 
 def test_atkin_lehner_commutes_with_hecke():
     s = ModSymSpace(67)
-    up = s.restrict_to_cuspidal(s.hecke_matrix(67).tolist())
-    t2 = s.restrict_to_cuspidal(s.hecke_matrix(2).tolist())
+    up = restrict_to_cuspidal(s, hecke_matrix_merel(s, 67).tolist())
+    t2 = restrict_to_cuspidal(s, s.hecke_matrix(2).tolist())
     assert linalg.mat_mul(up, t2) == linalg.mat_mul(t2, up)
 
 
@@ -227,8 +234,9 @@ def test_good_basis_67_printed_expansions():
     assert gb.g == 2 and gb.genus_x0 == 5
     assert gb.pivots == [1, 2]
     assert gb.p_integral
-    assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
-    assert [gb.forms[1].coefficient(n) for n in range(1, 9)] == F2_67
+    f1, f2 = basis_forms(gb)
+    assert [f1.coefficient(n) for n in range(1, 9)] == F1_67
+    assert [f2.coefficient(n) for n in range(1, 9)] == F2_67
 
 
 def test_good_basis_small_genus():
@@ -239,7 +247,7 @@ def test_good_basis_small_genus():
 
 def test_good_basis_echelon_identity_block():
     gb = good_basis(97, 25)
-    for i, f in enumerate(gb.forms):
+    for i, f in enumerate(basis_forms(gb)):
         for j, c in enumerate(gb.pivots):
             assert f.coefficient(c) == (1 if i == j else 0)
     assert gb.pivots == sorted(gb.pivots)
@@ -296,17 +304,18 @@ def test_basis_is_hecke_stable():
     # both are known; and U_p f = -f, since w_p = -U_p at prime level
     for p, prec in ((67, 210), (109, 84), (389, 225)):
         gb = good_basis(p, prec)
-        for f in gb.forms:
+        forms = basis_forms(gb)
+        for f in forms:
             assert all(f.coefficient(p * n) == -f.coefficient(n)
                        for n in range(1, (prec - 1) // p + 1))
         for ell in (2, 3):
             known = range(1, (prec - 1) // ell + 1)
-            for f in gb.forms:
+            for f in forms:
                 image = [f.coefficient(ell * n)
                          + (ell * f.coefficient(n // ell) if n % ell == 0 else 0)
                          for n in known]
                 combo = [sum(image[c - 1] * h.coefficient(n)
-                             for c, h in zip(gb.pivots, gb.forms))
+                             for c, h in zip(gb.pivots, forms))
                          for n in known]
                 assert combo == image, (p, ell)
 
@@ -362,10 +371,10 @@ def test_cache_round_trip(tmp_path):
     gb = good_basis(67, 12, cache=cache)
     again = good_basis(67, 12, cache=cache)
     assert again.pivots == gb.pivots
-    assert all(f1 == f2 for f1, f2 in zip(gb.forms, again.forms))
-    shorter = good_basis(67, 8, cache=cache)
-    assert shorter.forms[0].precision == 8
-    assert shorter.forms[0].coefficient(7) == gb.forms[0].coefficient(7)
+    assert all(f1 == f2 for f1, f2 in zip(basis_forms(gb), basis_forms(again)))
+    shorter = basis_forms(good_basis(67, 8, cache=cache))[0]
+    assert shorter.precision == 8
+    assert shorter.coefficient(7) == basis_forms(gb)[0].coefficient(7)
 
 
 def test_cache_recomputes_old_payload_version(tmp_path):
@@ -379,7 +388,7 @@ def test_cache_recomputes_old_payload_version(tmp_path):
     cache.put("good_basis", "67", planted)
     gb = good_basis(67, 12, cache=cache)
     assert gb.pivots == [1, 2]
-    assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
+    assert [basis_forms(gb)[0].coefficient(n) for n in range(1, 9)] == F1_67
     stored = cache.get("good_basis", "67")
     assert stored["version"] == 2 and "galois_blocks" not in stored
     assert stored["precision"] == 12 and stored["pivots"] == [1, 2]
@@ -445,8 +454,9 @@ def test_plus_dimension_from_trace_matches_rank():
         bc = BasisComputer(p)
         space = bc.space
         w = space.atkin_lehner_matrix().astype(object)
-        assert all(type(x) is int for row in space.cuspidal for x in row)
-        cusp = np.array(space.cuspidal, dtype=object)
+        rows = cuspidal(space)
+        assert all(type(x) is int for row in rows for x in row)
+        cusp = np.array(rows, dtype=object)
         assert cusp.shape == (space.dim, space.genus), p
         assert not (space.boundary.astype(object) @ cusp).any(), p
         rank = len(linalg.pivot_columns(cusp + w @ cusp)) \
@@ -521,8 +531,8 @@ def test_hecke_matrices_only_below_square_root_of_precision(monkeypatch):
     bc.basis(200)
     assert sorted(asked) == [2, 3, 5, 7, 11, 13]
     fresh = BasisComputer(389).basis(77)
-    assert [f.coefficients(77) for f in gb.forms] == [
-        f.coefficients(77) for f in fresh.forms]
+    assert [f.coefficients(77) for f in basis_forms(gb)] == [
+        f.coefficients(77) for f in basis_forms(fresh)]
 
 
 @pytest.mark.slow
@@ -558,7 +568,8 @@ def test_cache_rechecks_identity_block_and_p_integral(tmp_path):
         assert cache.get("good_basis", "67") == planted
         gb = good_basis(67, 12, cache=cache)
         assert gb.pivots == [1, 2] and gb.p_integral
-        assert [gb.forms[0].coefficient(n) for n in range(1, 9)] == F1_67
+        assert [basis_forms(gb)[0].coefficient(n)
+                for n in range(1, 9)] == F1_67
         assert cache.get("good_basis", "67") == good
 
 
@@ -639,7 +650,7 @@ def test_codec_round_trips_mixed_denominators():
     assert cut.den == [36, 30] and not cut.p_integral
     assert [[Fraction(n, d) for n in row] for row, d in zip(
         cut.num.tolist(), cut.den)] == [row[:7] for row in MIXED_ROWS]
-    assert cut.forms[0].coefficients(7) == MIXED_ROWS[0][:7]
+    assert basis_forms(cut)[0].coefficients(7) == MIXED_ROWS[0][:7]
     assert _basis_from_payload(dict(payload, p_integral=True), 8) is None
     # numerators past int64 come back as Python ints
     huge = _integer_basis(7, [[0, 1, Fraction(2 ** 70 + 1, 3)]], [1], True)
@@ -650,21 +661,17 @@ def test_codec_round_trips_mixed_denominators():
 
 def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
     # cold and served from the cache, the basis and the chain that reads
-    # it build no QExpansion of the basis; only the forms view does
+    # it build no QExpansion; only the tests' forms view does
     from wplus.cache import DiskCache
     from wplus.config import Config
     from wplus.pipeline import verify_prime
     from wplus.series import QExpansion
-    from wplus.supersingular import fixed_point_poly
     p = 389
     prec = (p + 1) // 6 + 12
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("QExpansion built")
 
-    # the class polynomials read j's q-expansion, built once per process:
-    # build it before the refusal, so the test passes in any order
-    fixed_point_poly(p)
     monkeypatch.setattr(QExpansion, "__init__", refuse)
     cache = DiskCache(tmp_path)
     cold = good_basis(p, prec, cache)
@@ -672,7 +679,7 @@ def test_good_basis_builds_no_qexpansion(tmp_path, monkeypatch):
     assert np.array_equal(cold.num, warm.num) and cold.den == warm.den
     assert verify_prime(p, Config(cache_dir=tmp_path)).status == "ok"
     with pytest.raises(AssertionError, match="QExpansion built"):
-        warm.forms
+        basis_forms(warm)
 
 
 PRIMES_5_400 = [p for p in range(5, 401) if all(p % d for d in range(2, p))]
@@ -753,7 +760,7 @@ def test_good_basis_builds_no_fraction(tmp_path, monkeypatch):
         raise AssertionError("Fraction built")
 
     monkeypatch.setattr(linalg, "Fraction", refuse)
-    monkeypatch.setattr(modsym, "Fraction", refuse)
+    assert not hasattr(modsym, "Fraction")
     cache = DiskCache(tmp_path)
     cold = {p: good_basis(p, (p + 1) // 6 + 12, cache) for p in PRIMES_5_400}
     monkeypatch.setattr(modsym, "BasisComputer", None)
@@ -831,26 +838,6 @@ def test_cyclic_vector_fallback_at_1051():
         "52ae6bbc242ad4959f8670614e2eba51ddbad4b7b979a2f37732cf3b5fb29328")
 
 
-def test_good_basis_leaves_cuspidal_unbuilt(monkeypatch):
-    # production never reads the cuspidal basis, so an uncached basis
-    # leaves it unbuilt; restrict_to_cuspidal builds it on first use
-    from wplus import modsym
-    spaces = []
-
-    class Recorded(ModSymSpace):
-        def __init__(self, p):
-            super().__init__(p)
-            spaces.append(self)
-
-    monkeypatch.setattr(modsym, "ModSymSpace", Recorded)
-    p = 389
-    assert good_basis(p, (p + 1) // 6 + 12).g == 11
-    assert [s.p for s in spaces] == [p]
-    assert "cuspidal" not in vars(spaces[0])
-    assert len(spaces[0].cuspidal) == spaces[0].dim
-    assert "cuspidal" in vars(spaces[0])
-
-
 @pytest.mark.parametrize("p,prec", [(11, 14), (13, 14), (37, 80), (67, 23),
                                     (389, 77)])
 def test_krylov_columns_match_merel_hecke_operators(p, prec):
@@ -870,16 +857,16 @@ def test_krylov_columns_match_merel_hecke_operators(p, prec):
     x = bc._cols[0]
     for n in range(1, prec):
         assert np.array_equal(bc._cols[n - 1],
-                              bc.space.hecke_matrix_merel(n) @ x), (p, n)
+                              hecke_matrix_merel(bc.space, n) @ x), (p, n)
 
 
 @pytest.mark.parametrize("p", [67, 389])
-def test_hecke_columns_mixing_two_odd_primes_and_p(p, monkeypatch):
-    # one batched count against the matrix of each T_ell (U_p at ell = p),
-    # for lists in any order, with repeats, on sparse and dense y
+def test_hecke_columns_mixing_primes_refuses_p(p, monkeypatch):
+    # one batched count against the matrix of each T_ell, for lists in any
+    # order, with repeats, on sparse and dense y
     space = ModSymSpace(p)
     rng = np.random.default_rng(p)
-    for ells in ([2, 3, p], [p, 13, 2, 5, 13], [97, 2, p, 53, 3]):
+    for ells in ([2, 3, 7], [11, 13, 2, 5, 13], [97, 2, 31, 53, 3]):
         for size in (1, 4, space.dim):
             y = np.zeros(space.dim, dtype=np.int64)
             y[rng.choice(space.dim, size=size, replace=False)] = (
@@ -888,10 +875,12 @@ def test_hecke_columns_mixing_two_odd_primes_and_p(p, monkeypatch):
             for col, ell in zip(h.T, ells):
                 assert np.array_equal(col, space.hecke_matrix(ell) @ y), (
                     p, ells, ell)
-    # a non-prime is refused before any image is counted
+    # a non-prime, or the level (U_p), is refused before any image is
+    # counted
     monkeypatch.setattr(ModSymSpace, "_images", None)
-    with pytest.raises(ValueError, match="must be prime"):
-        space.hecke_columns([2, 3, 9], y)
+    for ells in ([2, 3, 9], [2, 3, p]):
+        with pytest.raises(ValueError, match="must be prime"):
+            space.hecke_columns(ells, y)
 
 
 def test_extend_makes_one_product_per_level_and_prime(monkeypatch):

@@ -2,6 +2,7 @@
 load, and the work a JSON run leaves out."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -85,6 +86,59 @@ def test_cold_runs_leave_out_hashlib(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
     assert list((tmp_path / "cache").glob("*/*.json"))
+
+
+#: a cold ladder and a cold basis-only scan, in a fresh interpreter; with
+#: "refuse", every Fraction or QExpansion built after `import wplus` is
+#: recorded and raises.  Prints the reports, timings aside, as JSON.
+_COLD_RUN = """
+import json, sys
+from fractions import Fraction
+from pathlib import Path
+
+import wplus
+from wplus.series import QExpansion
+
+built = []
+if sys.argv[2] == "refuse":
+    def refusal(name):
+        def refuse(*args, **kwargs):
+            built.append(name)
+            raise AssertionError(name + " built")
+        return refuse
+    Fraction.__new__ = refusal("Fraction")
+    QExpansion.__init__ = refusal("QExpansion")
+cache = Path(sys.argv[1])
+ladder = [wplus.verify_prime(p, wplus.Config(cache_dir=cache / "ladder"))
+          for p in (67, 199, 389)]
+scan = wplus.scan_primes(200, 400, wplus.Config(cache_dir=cache / "scan"),
+                         basis_only=True)
+reports = [r.to_json_dict() for r in ladder] + scan["results"]
+for r in reports:
+    r.pop("timings_ms")
+print(json.dumps({"built": sorted(set(built)), "reports": reports,
+                  "text": [r.text_lines() for r in ladder]}))
+"""
+
+
+def test_cold_runs_build_no_fraction_or_qexpansion(tmp_path):
+    # cold verify_prime at 67, 199 and 389 and a cold basis-only scan of
+    # [200, 400] run on integers and residues: with Fraction and QExpansion
+    # refused they give the reports of an unrefused run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for mode in ("refuse", "plain"):
+        run = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN, str(tmp_path / mode), mode],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs[mode] = json.loads(run.stdout)
+    refused, plain = runs["refuse"], runs["plain"]
+    assert refused["built"] == []
+    assert [r["status"] for r in plain["reports"][:3]] == ["ok"] * 3
+    assert len(plain["reports"]) == 3 + 32
+    assert refused["reports"] == plain["reports"]
+    assert refused["text"] == plain["text"]
 
 
 def test_mpmath_loads_on_the_first_class_polynomial(tmp_path):

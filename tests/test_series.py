@@ -25,7 +25,7 @@ def test_self_division_is_one():
 
 def test_delta_times_j_is_e4_cubed():
     from wplus.level1 import delta, eisenstein, j_function
-    prod = j_function(150) * delta(152)
+    prod = QExpansion(j_function(150), -1, 150) * delta(152)
     assert prod.precision == 151
     e43 = eisenstein(4, 151) ** 3
     for n in range(prod.precision):

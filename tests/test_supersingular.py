@@ -185,7 +185,7 @@ def test_fixedlinear_degree_identity():
 
 def test_ramification_count_riemann_hurwitz():
     # 2 g_plus = genus + 1 - sigma/2, with g_plus from modular symbols
-    from wplus.modsym import atkin_lehner_plus
+    from modsym_oracle import atkin_lehner_plus
     for p in (67, 101, 109):
         space = ModSymSpace(p)
         plus = atkin_lehner_plus(space)

@@ -25,6 +25,7 @@ from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
                                vandermonde, wronskian,
                                wronskian_divisor_polynomial)
 from assembly_oracle import expanded_assembly
+from basis_oracle import basis_forms
 from wronskian_oracle import (fraction_wronskian_head,
                               qseries_wronskian_divisor_polynomial,
                               series_polynomial_wronskian)
@@ -131,14 +132,14 @@ def test_wronskian_of_dependent_forms():
 
 
 def test_wronskian_67_printed(basis67):
-    det, lead = wronskian([f.truncate(10) for f in basis67.forms])
+    det, lead = wronskian([f.truncate(10) for f in basis_forms(basis67)])
     assert lead == 1
     assert det.valuation == 3
     assert [det.coefficient(n) for n in range(3, 9)] == W67_HEAD
 
 
 def test_lift_67_residual(basis67):
-    forms = residue_matrix(basis67.forms, 67, basis67.precision)
+    forms = residue_matrix(basis_forms(basis67), 67, basis67.precision)
     lifts = lift_to_level1(forms[:1], 67)
     assert lifts.shape == (1, basis67.precision)
     assert np.array_equal(lifts, forms[:1])
@@ -436,7 +437,7 @@ def test_exact_head_matches_absolute_window(p):
     window = gb.precision
     ok, head, v = cross_check_wronskian_congruence(gb, *_jline(p, gb))
     assert ok
-    full, _ = wronskian([f.truncate(window) for f in gb.forms])
+    full, _ = wronskian([f.truncate(window) for f in basis_forms(gb)])
     assert head.valuation == full.valuation == sum(gb.pivots)
     assert head.precision == sum(gb.pivots) + _HEAD_TERMS < full.precision
     assert _as_qexpansion(head, gb.g, p) == full.truncate(head.precision)
@@ -473,7 +474,7 @@ def test_series_head_writes_fractions_in_lowest_terms(c, den, n, text):
 
 def _head_cut(gb):
     return [f.truncate(min(c + _HEAD_TERMS, f.precision))
-            for f, c in zip(gb.forms, gb.pivots)]
+            for f, c in zip(basis_forms(gb), gb.pivots)]
 
 
 @pytest.mark.parametrize("p", [67, 199, 389])
@@ -661,8 +662,7 @@ def test_chain_uses_no_fp_series_arithmetic(tmp_path, monkeypatch):
 def test_chain_uses_no_fraction_series_arithmetic(monkeypatch):
     # with QExpansion and FpSeries refused, the uncached basis, S_tilde and
     # the chain (the Miller basis, the lifts, the P_i, both Wronskian heads)
-    # still run, so only the q-series of j behind the class polynomials
-    # builds one
+    # still run: none of them builds one
     p = 389
     monkeypatch.setattr(FpSeries, "__init__", _refuse_construction)
     monkeypatch.setattr(QExpansion, "__init__", _refuse_construction)

@@ -12,6 +12,7 @@ valuation sum(c)) is then known far enough for the series peel of
 `level1_oracle` to take off F(W, x), of degree m(k_W) - sum(c).
 """
 
+from basis_oracle import basis_forms
 from level1_oracle import (series_divisor_polynomial, series_lift,
                            series_miller_basis)
 from wplus.errors import PrecisionError
@@ -28,7 +29,8 @@ def qseries_wronskian_divisor_polynomial(p, basis):
     g = basis.g
     prec = sum(basis.pivots) + divisor_degree(g * (g + p)) + 2
     cusp = series_miller_basis(p + 1, p, prec)[1:]
-    lifts = [series_lift(f, p, cusp) for f in good_basis(p, prec).forms]
+    lifts = [series_lift(f, p, cusp)
+             for f in basis_forms(good_basis(p, prec))]
     det, lead = wronskian(lifts)
     return series_divisor_polynomial(det.scale(pow(lead, -1, p))), lead
 
@@ -57,5 +59,6 @@ def fraction_wronskian_head(basis):
     at q^(c_j + K), K = _HEAD_TERMS, by Gaussian elimination over the
     Laurent series with `Fraction` coefficients (series_matrix_determinant)."""
     det, _ = wronskian([f.truncate(min(c + _HEAD_TERMS, f.precision))
-                        for f, c in zip(basis.forms, basis.pivots)])
+                        for f, c in zip(basis_forms(basis),
+                                        basis.pivots)])
     return det
