@@ -1,10 +1,13 @@
 """Dense polynomials over F_p: arithmetic, factorization, square roots.
 
 Coefficients are stored low degree first in an int64 numpy array with the
-leading coefficient nonzero ([] is the zero polynomial).  Long divisions
-multiply by the Newton inverse of the reversed divisor (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 9); pow_mod computes that inverse once
-per call, and gcd runs Euclid on the arrays.
+leading coefficient nonzero ([] is the zero polynomial), so a modulus must
+keep a product of two residues an int64.  Every product of polynomials is
+convolve_mod, which sums in the exact dtype that linalg.exact_dtype gives
+for its length and modulus: float64 through BLAS, int64 or Python ints.
+Long divisions multiply by the Newton inverse of the reversed divisor (von
+zur Gathen and Gerhard, Modern Computer Algebra, ch. 9); pow_mod computes
+that inverse once per call, and gcd runs Euclid on the arrays.
 
 Factorization is squarefree decomposition, then distinct-degree and
 equal-degree splitting on the Frobenius matrix of each squarefree part g
@@ -24,12 +27,7 @@ import random
 import numpy as np
 
 from .errors import InexactDivisionError, OddMultiplicityError
-from .linalg import exact_matmul
-
-#: np.convolve on int64 wraps silently once a sum of products reaches 2^63.
-#: Each output term sums at most min(len a, len b) products of residues, each
-#: below p^2, and convolve_mod refuses inputs that could reach this bound.
-_CONV_GUARD = 2**62
+from .linalg import exact_dtype, exact_matmul
 
 #: Divisions whose quotient has fewer coefficients than this run the
 #: schoolbook loop; longer ones multiply by the Newton inverse of the
@@ -37,9 +35,6 @@ _CONV_GUARD = 2**62
 #: being faster between 12 and 16 coefficients for divisors of degree 50,
 #: between 8 and 12 at degree 368 and between 4 and 8 at degree 2000.
 NEWTON_MIN_QUOTIENT = 16
-
-#: A float64 sum of products of residues is exact while it stays below 2^53.
-_FLOAT_GUARD = 2**53
 
 #: Float64 matrix products run in slices of the inner dimension holding at
 #: most this many entries of the right factor.  On a 2-vCPU Xeon, OpenBLAS
@@ -59,8 +54,9 @@ EDF_MAX_STALLS = 200
 
 
 def int64_sums_fit(terms, p):
-    """Whether an int64 sum of `terms` products of residues mod p is exact."""
-    return terms * (p - 1) ** 2 < _CONV_GUARD
+    """Whether an int64 sum of `terms` products of residues mod p is exact,
+    for elementwise updates that run in int64 whatever the bound."""
+    return exact_dtype(terms * (p - 1) ** 2) is not object
 
 
 def _matmul_mod(a, b, p):
@@ -77,16 +73,16 @@ def _matmul_mod(a, b, p):
 
 def convolve_mod(a, b, p, n=None):
     """Product of two int64 arrays of residues mod p (low degree first), mod
-    p: the first n coefficients, zero-padded, or all of them when n is None.
+    p, as int64 residues: the first n coefficients, zero-padded, or all of
+    them when n is None.
 
-    Raises OverflowError, before any arithmetic, when an int64 sum of
-    products could overflow for this modulus and these lengths.
+    Each coefficient sums at most min(len a, len b) products of residues,
+    each at most (p - 1)^2, so the convolution runs in the exact_dtype of
+    that bound, read from the lengths without scanning the residues.
     """
-    terms = min(len(a), len(b))
-    if not int64_sums_fit(terms, p):
-        raise OverflowError(
-            f"modulus {p} too large for an int64 convolution of {terms} terms")
-    out = np.convolve(a, b)[:n] % p
+    dtype = exact_dtype(min(len(a), len(b)) * (p - 1) ** 2)
+    out = np.convolve(np.asarray(a, dtype), np.asarray(b, dtype))[:n] % p
+    out = out.astype(np.int64, copy=False)
     if n is not None and len(out) < n:
         out = np.pad(out, (0, n - len(out)))
     return out
@@ -115,9 +111,8 @@ def _trim(c):
 def _reversed_inverse(b, p, k):
     """Inverse of rev(b) = x^deg b * b(1/x) modulo x^k, for the quotients of
     up to k coefficients that divide by the trimmed array b; None when
-    those divisions take the loop (short quotients, or a modulus too large
-    for convolve_mod)."""
-    if k < NEWTON_MIN_QUOTIENT or not int64_sums_fit(k, p):
+    those divisions are short and take the loop."""
+    if k < NEWTON_MIN_QUOTIENT:
         return None
     return inverse_mod_xn(b[::-1], p, k)
 
@@ -129,8 +124,8 @@ def _divmod_arrays(a, b, p, rinv=None):
     The quotient q of k = len a - deg b coefficients is rev(q) = rev(a) *
     rev(b)^-1 mod x^k, and the remainder a - q*b on the low deg b terms;
     rinv, from _reversed_inverse, is used when it has at least k terms.
-    Short quotients, and moduli too large for convolve_mod, take the
-    schoolbook loop, one quotient coefficient per step.
+    Short quotients take the schoolbook loop, one quotient coefficient per
+    step.
     """
     d = len(b) - 1
     k = len(a) - d
@@ -195,6 +190,9 @@ class FpPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p, coeffs):
+        if (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"modulus {p} too large: a product of two "
+                             f"residues is no int64")
         c = np.asarray(coeffs, dtype=np.int64) % p
         nz = np.nonzero(c)[0]
         self.p = p
@@ -594,8 +592,8 @@ class Frobenius:
     0..k-1 known, rows k..2k-1 are Q[:k] T_k, where T_k multiplies by
     x^(kp) mod g, and x^(2kp) = x^(kp) T_k.  The products run in float64,
     exact because each entry sums at most n products of residues: the
-    constructor raises OverflowError, before any arithmetic, when
-    n (p - 1)^2 >= 2^53.  Q holds 8 n^2 bytes (14 MB for H at p = 1009,
+    constructor raises OverflowError, before any arithmetic, unless
+    linalg.exact_dtype gives float64 for n (p - 1)^2.  Q holds 8 n^2 bytes (14 MB for H at p = 1009,
     n = 1306), and building it holds two more matrices of that size.
 
     Q is kept in float64 and multiplied by _matmul_mod, not by
@@ -606,7 +604,7 @@ class Frobenius:
     def __init__(self, g):
         p, n = g.p, g.degree()
         self.p, self.n, self.g = p, n, g
-        if n * (p - 1) ** 2 >= _FLOAT_GUARD:
+        if exact_dtype(n * (p - 1) ** 2) is not np.float64:
             raise OverflowError(
                 f"modulus {p} too large for a float64 Frobenius matrix of "
                 f"degree {n}")

@@ -4,13 +4,14 @@ Small matrices over Q are lists of Fraction lists, reduced by plain Gaussian
 elimination.  The Manin-relation matrix gets a sparse routine on dicts of
 Python ints, which divides each pivot row by its leading entry exactly and
 raises when that entry does not divide the row.  Integer
-matrices are numpy arrays: ``exact_matmul`` multiplies them in float64
-through BLAS or in int64 when a bound proves every partial sum exact there,
-and in Python ints otherwise; it is also the one product of residue
-matrices mod p outside the polynomial kernels of ``fppoly`` (the Miller
-basis, the lifts and the head expansion of level 1, W_x's evaluation and
-interpolation, the Lagrange weights of the S_p oracle), each caller
-reducing the result mod p.  Pivots
+matrices are numpy arrays.  One rule decides where a sum of products is
+exact: ``exact_dtype`` maps a bound on every partial sum to float64 (below
+2^53, through BLAS), int64 (below 2^62) or Python ints.  ``exact_matmul``
+multiplies integer matrices in that dtype, and ``fppoly.convolve_mod``
+multiplies polynomials mod p in it; ``exact_matmul`` is also the one
+product of residue matrices mod p (the Miller basis, the lifts and the
+head expansion of level 1, W_x's evaluation and interpolation, the Lagrange
+weights of the S_p oracle), each caller reducing the result mod p.  Pivots
 are searched modulo the word-size prime ``PIVOT_PRIME`` in int64 or, as the
 exact oracle, by fraction-free elimination, and the inverse is
 fraction-free.
@@ -29,10 +30,11 @@ _ONE = Fraction(1)
 #: the prime of ``pivot_columns_mod``: below 2^31, so that a product of two
 #: residues fits in int64
 PIVOT_PRIME = 2 ** 31 - 1
-_INT64_SAFE = 2 ** 62
 #: below this bound every integer, and so every partial sum of a product of
-#: integer matrices, is a float64 exactly, whatever the order of summation
+#: integers, is a float64 exactly, whatever the order of summation
 _FLOAT64_EXACT = 2 ** 53
+#: below this bound every partial sum fits an int64, with a bit to spare
+_INT64_SAFE = 2 ** 62
 
 
 def mat_copy(a):
@@ -59,14 +61,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b, sb=1):
-    return [[x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def rref(a):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     m = mat_copy(a)
@@ -90,10 +84,6 @@ def rref(a):
         if r == rows:
             break
     return m, pivots
-
-
-def rank(a):
-    return len(rref(a)[1])
 
 
 def pivot_columns(a):
@@ -125,19 +115,27 @@ def _abs_max(a):
     return int(np.abs(a).max()) if a.size else 0
 
 
+def exact_dtype(bound):
+    """The narrowest dtype in which every sum of integer products whose
+    partial sums stay below `bound` in absolute value is exact: float64
+    below 2^53, int64 below 2^62, object (Python ints) otherwise."""
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    if bound < _INT64_SAFE:
+        return np.int64
+    return object
+
+
 def exact_matmul(a, b):
     """a @ b for integer arrays (int64 or Python-int object arrays), exactly.
 
-    The bound max|a| * max|b| * inner bounds every partial sum.  Below 2^53
-    the product runs in float64 through BLAS and comes back as int64; below
-    2^62 in int64; in Python ints otherwise."""
+    The bound max|a| * max|b| * inner bounds every partial sum, and the
+    product runs in its exact_dtype; a float64 product comes back as
+    int64."""
     a, b = np.asarray(a), np.asarray(b)
-    bound = _abs_max(a) * _abs_max(b) * a.shape[-1]
-    if bound < _FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    if bound < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return a.astype(object) @ b.astype(object)
+    dtype = exact_dtype(_abs_max(a) * _abs_max(b) * a.shape[-1])
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def exact_scale(a, k):

@@ -244,7 +244,7 @@ def _plus_embedding(p):
         v[i] = Fraction(1)
         v[j] = Fraction(-1)
         vecs.append(v)
-    return linalg.transpose(vecs)
+    return [list(col) for col in zip(*vecs)]
 
 
 def hecke_on_plus_part(p, ell):
@@ -254,6 +254,11 @@ def hecke_on_plus_part(p, ell):
     embed = _plus_embedding(p)
     matq = [[Fraction(c) for c in row] for row in mat]
     return linalg.solve(embed, linalg.mat_mul(matq, embed))
+
+
+def rank(a):
+    """Rank over Q of a matrix of rationals (lists of rows)."""
+    return len(linalg.rref(a)[1])
 
 
 def hecke_operators_on_plus_part(p, upto):
@@ -275,6 +280,7 @@ def hecke_operators_on_plus_part(p, upto):
         elif power == ell:
             ops[n] = hecke_on_plus_part(p, ell)
         else:
-            ops[n] = linalg.mat_add(linalg.mat_mul(ops[ell], ops[n // ell]),
-                                    ops[n // ell ** 2], sb=-ell)
+            prod = linalg.mat_mul(ops[ell], ops[n // ell])
+            ops[n] = [[x - ell * y for x, y in zip(ra, rb)]
+                      for ra, rb in zip(prod, ops[n // ell ** 2])]
     return [ops[n] for n in range(1, upto + 1)]

@@ -187,4 +187,6 @@ def atkin_lehner_plus(space):
     for i in range(g):
         up1[i][i] += 1
     kern = linalg.nullspace(up1)
-    return linalg.transpose(kern) if kern else [[] for _ in range(g)]
+    if not kern:
+        return [[] for _ in range(g)]
+    return [list(col) for col in zip(*kern)]

@@ -12,7 +12,6 @@ import pytest
 
 from basis_oracle import basis_forms
 from modsym_oracle import atkin_lehner_plus
-from wplus import linalg
 from wplus.config import Config
 from wplus.fppoly import FpPoly, is_prime
 from wplus.level1 import delta, eisenstein, gp_poly, square_divisor_relation
@@ -230,7 +229,7 @@ def test_criterion_8_weierstrass_cusp_threshold(scan_67_199):
     (c) wt(infinity) = 0 at p = 389.
     (d) wt(infinity) > 0 at every prime in (389, 440].
     """
-    from graph_oracle import hecke_operators_on_plus_part
+    from graph_oracle import hecke_operators_on_plus_part, rank
     t0 = time.time()
     cfg = Config(use_cache=False)
     below = scan_67_199["results"]
@@ -242,7 +241,7 @@ def test_criterion_8_weierstrass_cusp_threshold(scan_67_199):
         ops = hecke_operators_on_plus_part(r["p"], g)
         flat = [[m[i][j] for i in range(len(m)) for j in range(len(m))]
                 for m in ops]
-        independent = len(ops[0]) == g and linalg.rank(flat) == g
+        independent = len(ops[0]) == g and rank(flat) == g
         if independent != (r["wt_inf"] == 0):
             disagree.append((r["p"], r["wt_inf"], len(ops[0]), g))
     nonzero_below = sorted(r["p"] for r in below if r["wt_inf"] != 0)

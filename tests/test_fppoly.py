@@ -1,11 +1,13 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from kronecker_oracle import kronecker_product
 from wplus.errors import OddMultiplicityError
-from wplus.fppoly import (NEWTON_MIN_QUOTIENT, Fp2, FpPoly, convolve_mod,
-                          inverse_table, is_prime, legendre)
+from wplus.fppoly import (NEWTON_MIN_QUOTIENT, Fp2, FpPoly, _reversed_inverse,
+                          convolve_mod, inverse_table, is_prime, legendre)
 from wplus.level1 import _e4_e6_delta
 from wplus.series import FpSeries
 
@@ -157,21 +159,69 @@ def test_convolve_mod_matches_python_ints():
     assert convolve_mod(np.array(a), np.array(b), p, 70).tolist() == ref + [0] * 6
 
 
-def test_int64_convolutions_refuse_large_moduli():
-    # every int64 convolution goes through one guard; near 2^31 a sum of two
-    # products of residues can overflow, so each route raises OverflowError
-    # on these three-term inputs instead of wrapping silently
+#: the least prime above 2^27: 40 (p - 1)^2 lies between 2^53 and 2^62
+P27 = next(q for q in range(2**27 + 1, 2**27 + 200, 2) if is_prime(q))
+
+
+@pytest.mark.parametrize("p, la, lb, dtype", [
+    (1000003, 40, 25, np.float64), (P27, 40, 40, np.int64),
+    (2**31 - 1, 40, 40, object)])
+def test_convolve_mod_matches_kronecker_oracle(monkeypatch, p, la, lb, dtype):
+    # one case per dtype that linalg.exact_dtype gives for min(la, lb)
+    # (p - 1)^2, each asserting the dtype np.convolve ran in; inputs of
+    # p - 1 only take the middle coefficients to that bound exactly
+    convolve, seen = np.convolve, []
+
+    def spy(a, b):
+        seen.append((a.dtype, b.dtype))
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    rng = random.Random(p)
+    pairs = [([rng.randrange(p) for _ in range(la)],
+              [rng.randrange(p) for _ in range(lb)]),
+             ([p - 1] * la, [p - 1] * lb)]
+    for a, b in pairs:
+        arr_a, arr_b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        for n in (None, 7, la + lb + 5):
+            got = convolve_mod(arr_a, arr_b, p, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == kronecker_product(a, b, p, n)
+    assert set(seen) == {(np.dtype(dtype), np.dtype(dtype))}
+
+
+def test_convolutions_are_exact_at_large_moduli():
+    # near 2^31 a sum of two products of residues passes 2^62, where every
+    # int64 convolution was refused; each route now sums in Python ints and
+    # equals its product on Python ints, on residues next to p that would
+    # wrap an int64 sum of three products
     p = 2**31 - 1
     assert is_prime(p)
-    arr = np.array([1, 2, 3], dtype=np.int64)
-    f = FpSeries(p, [1, 2, 3], 0, 3)
-    poly = FpPoly(p, [1, 2, 3])
-    routes = [lambda: convolve_mod(arr, arr, p), lambda: f * f,
-              lambda: f._unit_inverse(3), lambda: f / f,
-              lambda: poly * poly, lambda: _e4_e6_delta(3, p)]
-    for route in routes:
-        with pytest.raises(OverflowError):
-            route()
+    a = [p - 1, p - 2, p - 3]
+    want = kronecker_product(a, a, p)
+    f = FpSeries(p, a, 0, 3)
+    inverse = f._unit_inverse(3)
+    assert kronecker_product(a, inverse.tolist(), p, 3) == [1, 0, 0]
+    assert convolve_mod(np.array(a), np.array(a), p).tolist() == want
+    assert (f * f).coeffs.tolist() == want[:3]
+    assert f / f == FpSeries.one(p, 3)
+    assert _coeffs(FpPoly(p, a) * FpPoly(p, a)) == want
+    assert [x.tolist() for x in _e4_e6_delta(3, p)] == [
+        [c % p for c in x] for x in _e4_e6_delta(3)]
+
+
+def test_fppoly_refuses_moduli_past_int64_products():
+    # at p = 2^61 - 1 a product of two residues is no int64: scaling x - 1
+    # by p - 2 gave the constant term 9 instead of 2.  The largest modulus
+    # kept has (p - 1)^2 just below 2^63, and there the scaling is exact
+    p = 2**61 - 1
+    assert is_prime(p)
+    with pytest.raises(ValueError, match="too large"):
+        FpPoly(p, [p - 1, 1])
+    top = math.isqrt(2**63 - 1) + 1
+    with pytest.raises(ValueError, match="too large"):
+        FpPoly(top + 1, [1])
+    assert _coeffs(FpPoly(top, [top - 1, 1]) * (top - 2)) == [2, top - 2]
 
 
 def test_negative_powers_raise():
@@ -304,14 +354,17 @@ def test_pow_mod_matches_oracle(p):
 
 
 def test_long_division_near_int64_limit():
-    # near 2^31 convolve_mod refuses any product of more than one term, so a
-    # long quotient comes from the loop instead of raising OverflowError
+    # near 2^31 every product of more than one term sums in Python ints, and
+    # a long quotient takes Newton division as at any p: the inverse of the
+    # reversed divisor is one on Python ints, and the quotient, remainder
+    # and gcd equal the schoolbook oracles
     p = 2**31 - 1
     rng = random.Random(31)
     a = _random_poly(rng, p, 150)
     b = _random_poly(rng, p, 40)
-    with pytest.raises(OverflowError):
-        convolve_mod(np.array(a[:2]), np.array(b[:2]), p)
+    k = len(a) - len(b) + 1
+    rinv = _reversed_inverse(np.array(b), p, k)
+    assert kronecker_product(b[::-1], rinv.tolist(), p, k) == [1] + [0] * (k - 1)
     q, r = FpPoly(p, a).divmod(FpPoly(p, b))
     assert (_coeffs(q), _coeffs(r)) == _oracle_divmod(a, b, p)
     assert _coeffs(FpPoly(p, a).gcd(FpPoly(p, b))) == _oracle_gcd(a, b, p)

@@ -356,13 +356,13 @@ def test_graph_oracle_cross_check():
 def test_graph_oracle_confirms_109_pivot_gap():
     # rank 2 here means a_3 is a linear combination of 1 and a_2 across the
     # three eigenforms, which forces the echelon pivots (1, 2, 4)
-    from graph_oracle import hecke_on_plus_part
+    from graph_oracle import hecke_on_plus_part, rank
     b2 = hecke_on_plus_part(109, 2)
     b3 = hecke_on_plus_part(109, 3)
     g = len(b2)
     flat = [[m[i][j] for i in range(g) for j in range(g)]
             for m in (linalg.identity(g), b2, b3)]
-    assert linalg.rank(flat) == 2
+    assert rank(flat) == 2
 
 
 def test_cache_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
                           OddMultiplicityError, ParityViolationError,
                           PrecisionError, ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
-from wplus.level1 import (divisor_degree, divisor_expansion,
+from wplus.level1 import (_e4_e6_delta, divisor_degree, divisor_expansion,
                           divisor_polynomials, gp_exponents, gp_poly,
                           miller_basis_mod)
 from wplus.modsym import GoodBasis, good_basis
@@ -600,36 +600,49 @@ def test_divisor_expansion_inverts_divisor_polynomials(p):
                 assert np.array_equal(head, row[val:val + terms])
 
 
-def test_divisor_expansion_head_is_exact_past_the_old_int64_bound(
-        monkeypatch):
+def _integer_head(poly, k, terms):
+    """The head of D F(j) for F = poly, as divisor_expansion gives it, from
+    the form sum_t F_t Delta^(m-t) E_4^a E_6^b built on Python ints and
+    reduced mod p only at the end."""
+    p, d, m = poly.p, poly.degree(), divisor_degree(k)
+    prec = m - d + terms
+    e4, e6, dl = _e4_e6_delta(prec)
+    form = np.zeros(prec, dtype=object)
+    for t, c in enumerate(poly.coeffs):
+        rem = k - 12 * (m - t)
+        b = rem % 4 // 2
+        mono = np.zeros(prec, dtype=object)
+        mono[0] = int(c)
+        for series, e in ((dl, m - t), (e4, (rem - 6 * b) // 4), (e6, b)):
+            for _ in range(e):
+                mono = np.convolve(mono, series)[:prec]
+        form += mono
+    return [int(c) % p for c in form[m - d:]]
+
+
+def test_divisor_expansion_head_is_exact_past_the_old_int64_bound():
     # at p > 2^31 / sqrt(3) the 3 products of one head coefficient could
-    # pass 2^62, where int64 sums were refused.  The monomial rows at such a
-    # p come from convolve_mod, which refuses them, so random rows of that
-    # size stand in for them; the head is checked against the sum of the
-    # shifted rows on Python ints
-    import wplus.level1 as level1
+    # pass 2^62, where int64 sums were refused, and so could the monomial
+    # rows' convolutions; the head is checked against the form built on
+    # Python ints
     p, k, terms = _prime_above(31), 48, 5
     m = divisor_degree(k)
     rng = random.Random(p)
     poly = FpPoly(p, [rng.randrange(p) for _ in range(m)] + [1])
-    d = poly.degree()
-    rows = np.array([[rng.randrange(p) for _ in range(terms)]
-                     for _ in range(min(terms, d + 1))], dtype=np.int64)
-    monkeypatch.setattr(level1, "_monomial_rows", lambda *args: rows)
     head, v = divisor_expansion(poly, k, terms)
-    top = [int(c) for c in poly.coeffs[::-1]]
-    assert v == m - d and head.dtype == np.int64
-    assert head.tolist() == [
-        sum(top[r] * int(rows[r, n - r]) for r in range(min(n + 1, len(rows))))
-        % p for n in range(terms)]
+    assert v == m - poly.degree() and head.dtype == np.int64
+    assert head.tolist() == _integer_head(poly, k, terms)
 
 
-def test_divisor_expansion_refuses_int64_overflow_and_bad_degree():
-    # the refusal at p > 2^31 comes from convolve_mod, which builds the
-    # monomial rows
+def test_divisor_expansion_exact_past_2_31_and_refuses_bad_degree():
+    # at p > 2^31 the monomial rows' convolutions sum in Python ints, where
+    # they were refused, and the head equals the form built on Python ints;
+    # a degree above m(k), or the zero polynomial, is refused
     p = _prime_above(31)
-    with pytest.raises(OverflowError):
-        divisor_expansion(FpPoly(p, [1, 1]), 24, 3)
+    poly = FpPoly(p, [1, 1])
+    head, v = divisor_expansion(poly, 24, 3)
+    assert v == divisor_degree(24) - 1
+    assert head.tolist() == _integer_head(poly, 24, 3)
     m = divisor_degree(24)
     with pytest.raises(ValueError):
         divisor_expansion(FpPoly(67, [1] * (m + 2)), 24, 3)
