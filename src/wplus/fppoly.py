@@ -1,10 +1,10 @@
 """Dense polynomials over F_p: arithmetic, factorization, square roots.
 
 Coefficients are stored low degree first in an int64 numpy array with the
-leading coefficient nonzero ([] is the zero polynomial), so a modulus must
-keep a product of two residues an int64.  Every product of polynomials is
-convolve_mod, which sums in the exact dtype that linalg.exact_dtype gives
-for its length and modulus: float64 through BLAS, int64 or Python ints.
+leading coefficient nonzero ([] is the zero polynomial), so FpPoly refuses
+a modulus whose residues have products past int64.  Every product of
+polynomials is convolve_mod, in the dtype that linalg.exact_dtype gives for
+its length and modulus: float64 through BLAS, int64 or Python ints.
 Long divisions multiply by the Newton inverse of the reversed divisor (von
 zur Gathen and Gerhard, Modern Computer Algebra, ch. 9); pow_mod computes
 that inverse once per call, and gcd runs Euclid on the arrays.
@@ -191,8 +191,7 @@ class FpPoly:
 
     def __init__(self, p, coeffs):
         if (p - 1) ** 2 >= 2**63:
-            raise ValueError(f"modulus {p} too large: a product of two "
-                             f"residues is no int64")
+            raise ValueError(f"modulus {p} too large for int64 products")
         c = np.asarray(coeffs, dtype=np.int64) % p
         nz = np.nonzero(c)[0]
         self.p = p
@@ -593,8 +592,9 @@ class Frobenius:
     x^(kp) mod g, and x^(2kp) = x^(kp) T_k.  The products run in float64,
     exact because each entry sums at most n products of residues: the
     constructor raises OverflowError, before any arithmetic, unless
-    linalg.exact_dtype gives float64 for n (p - 1)^2.  Q holds 8 n^2 bytes (14 MB for H at p = 1009,
-    n = 1306), and building it holds two more matrices of that size.
+    linalg.exact_dtype gives float64 for n (p - 1)^2.  Q holds 8 n^2 bytes
+    (14 MB for H at p = 1009, n = 1306), and building it holds two more
+    matrices of that size.
 
     Q is kept in float64 and multiplied by _matmul_mod, not by
     linalg.exact_matmul: each call is one vector times the n x n matrix,

@@ -12,8 +12,9 @@ on a rational number.  E_4 = 1 + 240 sum sigma_3(n) q^n and
 E_6 = 1 - 504 sum sigma_5(n) q^n are integral, so their residues come
 straight from the divisor sums, and Delta = (E_4^3 - E_6^2) / 1728 is
 formed by exact convolutions mod p (fppoly.convolve_mod), where
-1728 = 2^6 3^3 is a unit for p >= 5.  The monomials Delta^i E_4^(a - 3i) E_6^b of weight k are one power
-and then one product by Delta / E_4^3 = 1/j per row; one back-substitution
+1728 = 2^6 3^3 is a unit for p >= 5.  The monomials Delta^i E_4^(a - 3i)
+E_6^b of weight k are one power and then one product by
+Delta / E_4^3 = 1/j per row; one back-substitution
 turns them into the Miller basis mod p, peeling them off a matrix of
 forms gives all the divisor polynomials at once (divisor_polynomials), and
 the head of a form is read back from the top of its divisor polynomial

@@ -17,7 +17,7 @@ def kronecker_product(a, b, p, n=None):
     None."""
     a = [int(c) % p for c in a]
     b = [int(c) % p for c in b]
-    width = max(1, (min(len(a), len(b)) * (p - 1) ** 2).bit_length())
+    width = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
     mask = (1 << width) - 1
 
     def pack(coeffs):
