@@ -3,10 +3,9 @@
 verify_prime fills one VerificationReport per prime: the basis, the
 supersingular split and the class-polynomial checks, then, through
 weierstrass.extract_Fp, the congruence chain's checks and polynomials.
-settle() sets the status from what was filled in, by one rule.  Two values
-are formed only when first read, since no check and no JSON field reads
-them: f_wtilde, the divisor polynomial of the averaged Wronskian, and
-h_factorization, which the text report prints.
+settle() sets the status from what was filled in, by one rule.  The
+factors of H, which the text report prints, are formed only when first read
+(h_factorization), since no check and no JSON field reads them.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ class VerificationReport:
     polynomials as FpPoly (S_p, S_l, S_q, H_p_mod_p, F_p, H).  ``status``
     is one of ok / falsified / not_good_basis / error: settle() sets one
     of the first three, and verify_prime sets falsified or error when a
-    stage raises.  ``wtilde_factors`` holds the chain's (S~, num), the
-    factors of f_wtilde.
+    stage raises.
     """
 
     p: int
@@ -49,7 +47,6 @@ class VerificationReport:
     error: str = ""
     basis_heads: list = field(default_factory=list)
     wronskian_head: list = field(default_factory=list)
-    wtilde_factors: tuple = field(default=(), repr=False)
 
     SCHEMA = 1
     POLY_KEYS = ("S_p", "S_l", "S_q", "H_p_mod_p", "F_p", "H")
@@ -79,18 +76,6 @@ class VerificationReport:
             self.status = "falsified"
         else:
             self.status = "ok"
-
-    @cached_property
-    def f_wtilde(self):
-        """The divisor polynomial of the averaged Wronskian,
-        F_W~ = S~^(g^2-g) num, from wtilde_factors; None unless the chain
-        reached theorem_assembly, which checks it in closed form.  Built
-        on first read, since its degree is about g^2 deg S_p and no check
-        and no JSON field reads it."""
-        if not self.wtilde_factors:
-            return None
-        s_tilde, num = self.wtilde_factors
-        return s_tilde ** (self.g_plus ** 2 - self.g_plus) * num
 
     @cached_property
     def h_factorization(self):

@@ -9,16 +9,15 @@ product of its coefficients with the Miller cusp basis; peel all divisor
 polynomials P_i off the lifts in one elimination; read the divisor
 polynomial of the theta-Wronskian W of the lifts (weight g(g+p)) off the
 Wronskian W_x(P) of the P_i on the j-line, computed by evaluation at roots
-of unity in F_{p^2}, one batched elimination and interpolation; take the
-square-case correction; divide out the elliptic-point and
-linear-supersingular factors exactly; the remaining polynomial H_1 must be
-a perfect square H^2, and
+of unity in F_{p^2}, one batched elimination and interpolation; take H by
+one exact division, x^u (x - 1728)^v F(W) / S~_l^g, whose square is F(W)^2
+with the square-case correction made and the elliptic-point and
+linear-supersingular factors divided out (extract_Fp), and
 
     F_p(x) = S_q(x)^{g^2 - g} * H(x)^2  (mod p).
 
 The assembly of the averaged Wronskian is checked in closed form, by three
-identities of low degree (theorem_assembly), so its g^2-th powers are never
-formed; the report builds its divisor polynomial F_wtilde when first read.
+identities of low degree (theorem_assembly); no g^2-th power is formed.
 
 The cross-check compares the lifts with the reduced forms, and an exact
 head of the Wronskian, by Bareiss elimination over Z[q]/(q^K) on the
@@ -41,8 +40,8 @@ from math import factorial, gcd, prod
 import numpy as np
 
 from .errors import (ConsistencyError, InexactDivisionError, NoLiftError,
-                     OddMultiplicityError, ParityViolationError,
-                     PrecisionError, ZeroWronskianError)
+                     ParityViolationError, PrecisionError,
+                     ZeroWronskianError)
 from .fppoly import Fp2, FpPoly, legendre
 # divisor_polynomial stays importable from this module
 from .level1 import (divisor_degree, divisor_expansion,
@@ -479,39 +478,40 @@ def cross_check_wronskian_congruence(basis, lifts, fw, lead):
 def theorem_assembly(split, elliptic, h, numerator, denominator):
     """The assembled identity of the averaged Wronskian, in closed form.
 
-    With g the genus, E = x^alpha_rho (x - 1728)^alpha_i (elliptic),
-    num = gp x^delta_rho (x - 1728)^delta_i F(W)^2 (numerator) and
-    den = x^eps_rho (x - 1728)^eps_i E^(g^2+g) S~_l^(2g) (denominator),
-    extract_Fp takes H as the square root of num / den, and the identity is
+    With g the genus, E = x^alpha_rho (x - 1728)^alpha_i (elliptic), and
+    num, den, N (numerator) and D (denominator) as in extract_Fp, the
+    identity is
 
         x^eps_rho (x - 1728)^eps_i F_p S_l^(g^2+g) = F_W~,
         F_p = S_q^(g^2-g) H^2,  F_W~ = S~^(g^2-g) num.
 
     This checks three identities of low degree in its place:
-      (i) S~ = S~_l S_q,  (ii) S_l = E S~_l,  (iii) H^2 den = num.
-    They imply it: the left side is then x^eps_rho (x - 1728)^eps_i
-    S_q^(g^2-g) H^2 E^(g^2+g) S~_l^(g^2+g) = H^2 den (S~_l S_q)^(g^2-g) =
-    num S~^(g^2-g), the right side.  Conversely, when the split's E is
-    this E (the alpha_match check), (i) and (ii) hold: ss_polys forms
-    S_p = E S~, then S_q = S_p / S_l and S~_l = S_l / E by exact
-    divisions, which gives (ii), and (i) by cancelling E.  The identity
-    then reads H^2 den S~^(g^2-g) = num S~^(g^2-g); S~ is monic, so
-    nonzero, and in the integral domain F_p[x] it cancels to (iii).  So
+      (i) S~ = S~_l S_q,  (ii) S_l = E S~_l,  (iii) H D = N.
+    For a monic H, (iii) is H^2 den = num: as num / den = (N / D)^2, the
+    latter is (H D)^2 = N^2, so H D = +-N in the integral domain F_p[x],
+    and H D and N are both monic.  They imply the identity: its left side is then
+    x^eps_rho (x - 1728)^eps_i S_q^(g^2-g) H^2 E^(g^2+g) S~_l^(g^2+g) =
+    H^2 den (S~_l S_q)^(g^2-g) = num S~^(g^2-g), the right side.
+    Conversely, when the split's E is this E (the alpha_match check), (i)
+    and (ii) hold: ss_polys forms S_p = E S~, then S_q = S_p / S_l and
+    S~_l = S_l / E by exact divisions, which gives (ii), and (i) by
+    cancelling E.  The identity then reads H^2 den S~^(g^2-g) =
+    num S~^(g^2-g); S~ is monic, so nonzero, and it cancels to (iii).  So
     both forms agree whenever alpha_match holds, and without it
-    verify_prime reports falsified either way; no power of degree about
-    g^2 deg S_p is formed.  The expanded product stays in the tests as this check's
-    oracle.
+    verify_prime reports falsified either way; neither F(W)^2 nor a power
+    of degree about g^2 deg S_p is formed.  The expanded product stays in
+    the tests as this check's oracle.
     """
     return (split.S_tilde == split.S_tilde_l * split.S_q
             and split.S_l == elliptic * split.S_tilde_l
-            and h * h * denominator == numerator)
+            and h * denominator == numerator)
 
 
 def extract_Fp(report, basis, split):
     """Run the congruence chain for one prime, writing its checks, F_p, H,
-    the epsilons, the factors of F_wtilde and the Wronskian head into
-    report, the VerificationReport that verify_prime fills; the status is
-    left to report.settle().
+    the epsilons and the Wronskian head into report, the
+    VerificationReport that verify_prime fills; the status is left to
+    report.settle().
 
     basis: GoodBasis, p-integral, read at its own precision P >= max c + K,
     K = _HEAD_TERMS (PrecisionError otherwise); split: SupersingularSplit.
@@ -527,6 +527,19 @@ def extract_Fp(report, basis, split):
     through the Sturm bound, the same at P as on any longer window; and
     lifts that agree with the forms through P >= max c + K are what the
     cross-check's W(f) = W(b) below q^(sum c + K) needs.
+
+    H is the monic square root of num / den, with
+    num = x^gx (x - 1728)^g1728 x^delta_rho (x - 1728)^delta_i F(W)^2
+    (gp_exponents) and den = x^eps_rho (x - 1728)^eps_i E^(g^2+g) S~_l^(2g).
+    With g^2 + g even, and gx + delta_rho - eps_rho and
+    g1728 + delta_i - eps_i even (elliptic_exponents), u and v in
+    num / den = x^(2u) (x - 1728)^(2v) (F(W) / S~_l^g)^2 are integers
+    (square_extraction), and num / den = (N / D)^2 with the monic
+        N = x^max(u,0) (x - 1728)^max(v,0) F(W),
+        D = x^max(-u,0) (x - 1728)^max(-v,0) S~_l^g.
+    In the unique factorization domain F_p[x], D^2 divides N^2 exactly
+    when D divides N (exact_divisions), and the monic square root is then
+    H = N / D: F(W)^2, num, den and a square root are never formed.
     """
     p, g = basis.p, basis.g
 
@@ -560,35 +573,38 @@ def extract_Fp(report, basis, split):
     lifts = np.array([lift_to_level1(f, p, miller)
                       for f in basis.residues()])
     fw, lead = wronskian_divisor_polynomial(lifts, p, monos)
-    v = vandermonde(basis.pivots)
-    report.checks["vandermonde_lead"] = (lead == v % p and v % p != 0)
+    vdm = vandermonde(basis.pivots)
+    report.checks["vandermonde_lead"] = (lead == vdm % p and vdm % p != 0)
     report.checks["wronskian_valuation"] = (
         fw.degree() == divisor_degree(g * (g + p)) - sum(basis.pivots))
 
-    xpoly = FpPoly.x(p)
-    x1728 = FpPoly.linear(p, 1728)
-    fw2 = xpoly ** exps.delta_rho * x1728 ** exps.delta_i * fw * fw
-
-    gpol = gp_poly(g, p)
+    # gp_poly checks its product form against the closed form gp_exponents,
+    # which u and v read
+    gp_poly(g, p)
+    gx, g1728 = gp_exponents(g, p)
     gg = g * g + g
     report.checks["gp_divides_Sl"] = gp_divides_power(g, p, split.S_l)
 
+    twice_u = gx + exps.delta_rho - exps.eps_rho - gg * exps.alpha_rho
+    twice_v = g1728 + exps.delta_i - exps.eps_i - gg * exps.alpha_i
+    if twice_u % 2 or twice_v % 2:
+        report.checks["square_extraction"] = False
+        return
+    u, v = twice_u // 2, twice_v // 2
+    xpoly = FpPoly.x(p)
+    x1728 = FpPoly.linear(p, 1728)
     elliptic = xpoly ** exps.alpha_rho * x1728 ** exps.alpha_i
-    numerator = gpol * fw2
-    denominator = (xpoly ** exps.eps_rho * x1728 ** exps.eps_i
-                   * elliptic ** gg * split.S_tilde_l ** (2 * g))
+    numerator = xpoly ** max(u, 0) * x1728 ** max(v, 0) * fw
+    denominator = (xpoly ** max(-u, 0) * x1728 ** max(-v, 0)
+                   * split.S_tilde_l ** g)
     try:
-        h1 = numerator.exact_div(denominator)
-        report.checks["exact_divisions"] = True
+        h = numerator.exact_div(denominator)
     except InexactDivisionError:
         report.checks["exact_divisions"] = False
         return
-    try:
-        h = h1.sqrt()
-        report.checks["square_extraction"] = True
-    except OddMultiplicityError:
-        report.checks["square_extraction"] = False
-        return
+    # in the order the JSON and text reports list them
+    report.checks["exact_divisions"] = True
+    report.checks["square_extraction"] = True
 
     f_p = split.S_q ** (g * g - g) * h * h
     report.polys["F_p"] = f_p
@@ -597,11 +613,9 @@ def extract_Fp(report, basis, split):
         f_p.degree() == 2 * (g ** 3 - g - basis.wt_infinity()))
     report.checks["gcd_H_Sp_is_1"] = bool(h.gcd(split.S_p).is_one())
 
-    # the assembled divisor polynomial of the averaged Wronskian: checked
-    # in closed form; the report builds it only if read (f_wtilde)
+    # the assembled identity of the averaged Wronskian, in closed form
     report.checks["theorem_assembly"] = theorem_assembly(
         split, elliptic, h, numerator, denominator)
-    report.wtilde_factors = (split.S_tilde, numerator)
 
     # the exact Wronskian head against the j-line one, and p-integrality of
     # the exact one

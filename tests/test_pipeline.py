@@ -179,21 +179,6 @@ def test_json_report_never_factors_H(monkeypatch):
         report.text_lines()
 
 
-def test_F_wtilde_is_built_on_first_read():
-    # the JSON and text reports never read F_W~, so the report forms it
-    # on first read, from the factors the chain left
-    report = verify_prime(67, Config(use_cache=False))
-    report.to_json_dict()
-    report.text_lines()
-    assert "f_wtilde" not in vars(report)
-    s_tilde, num = report.wtilde_factors
-    f_wtilde = report.f_wtilde
-    assert f_wtilde == s_tilde ** 2 * num
-    assert report.f_wtilde is f_wtilde and "f_wtilde" in vars(report)
-    # no chain past the square root, no F_W~
-    assert verify_prime(23, Config(use_cache=False)).f_wtilde is None
-
-
 def _moved_last_pivot(monkeypatch):
     """Patch the pipeline's good_basis to move the last pivot one past the
     Sturm bound (p + 1)//6."""

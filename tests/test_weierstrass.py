@@ -1,14 +1,15 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wplus.errors import (ConsistencyError, NoLiftError, NotPIntegralError,
-                          OddMultiplicityError, ParityViolationError,
-                          PrecisionError, ZeroWronskianError)
+                          ParityViolationError, PrecisionError,
+                          ZeroWronskianError)
 from wplus.fppoly import FpPoly, is_prime
 from wplus.level1 import (_e4_e6_delta, divisor_degree, divisor_expansion,
                           divisor_polynomials, gp_exponents, gp_poly,
@@ -24,7 +25,7 @@ from wplus.weierstrass import (_HEAD_TERMS, ExactHead, _series_head,
                                lift_to_level1, polynomial_wronskian, theta,
                                vandermonde, wronskian,
                                wronskian_divisor_polynomial)
-from assembly_oracle import expanded_assembly
+from assembly_oracle import expanded_assembly, squared_route
 from basis_oracle import basis_forms
 from wronskian_oracle import (fraction_wronskian_head,
                               qseries_wronskian_divisor_polynomial,
@@ -225,13 +226,16 @@ def test_extract_67_matches_printed_example(report67):
     assert all(rep.checks.values())
 
 
-def test_extract_67_wtilde_assembly(report67):
+def test_extract_67_wtilde_assembly(basis67, report67):
     x = FpPoly.x(67)
-    lin = lambda c: FpPoly.linear(67, c)
     expected = (x ** 4 * (FpPoly(67, [1, 1]) * FpPoly(67, [14, 1])) ** 6
                 * (FpPoly(67, [45, 8, 1]) * FpPoly(67, [24, 44, 1])
                    * FpPoly(67, [62, 10, 1])) ** 2)
-    assert report67.f_wtilde == expected
+    split = ss_polys(67)
+    h, f_wtilde = squared_route(basis67, split)
+    assert f_wtilde == expected
+    assert h == report67.polys["H"]
+    assert expanded_assembly(report67, split, f_wtilde)
 
 
 #: primes p <= 449 at which the chain reaches theorem_assembly (g+ >= 2)
@@ -243,36 +247,57 @@ ASSEMBLY_PRIMES_TO_449 = 63
     pytest.param((601,), id="601", marks=pytest.mark.slow),
     pytest.param((1009,), id="1009", marks=pytest.mark.slow)])
 def test_theorem_assembly_closed_form_matches_expanded(primes):
-    # the three identities of the closed form against the expanded product
+    # the three identities of the closed form against the expanded product,
+    # and H from one exact division against the square root of num / den,
     # at every prime where the chain reaches the check
     checked = 0
     for p in primes:
         split = ss_polys(p)
-        rep = _chain(p, _chain_basis(p), split)
+        basis = _chain_basis(p)
+        rep = _chain(p, basis, split)
         if rep.g_plus < 2:
             continue
         assert rep.status == "ok", p
         assert rep.checks["theorem_assembly"], p
-        assert expanded_assembly(rep, split), p
+        h, f_wtilde = squared_route(basis, split)
+        assert rep.polys["H"] == h, p
+        assert expanded_assembly(rep, split, f_wtilde), p
         checked += 1
     assert checked == (ASSEMBLY_PRIMES_TO_449 if len(primes) > 1 else 1)
 
 
+def _patch_chain_division(monkeypatch, divide):
+    """Patch FpPoly.exact_div so that the one call extract_Fp makes itself,
+    H = N / D, returns divide(N, D); every other call divides."""
+    exact_div = FpPoly.exact_div
+
+    def patched(self, other):
+        if sys._getframe(1).f_code is extract_Fp.__code__:
+            return divide(self, other)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(FpPoly, "exact_div", patched)
+
+
 def test_theorem_assembly_rejects_a_wrong_square_root(basis67, monkeypatch):
+    # H = N / D is the monic square root of num / den: a wrong quotient
+    # fails (iii) H D = N, and the expanded identity of the oracle
     split = ss_polys(67)
-    root = FpPoly.sqrt
-    monkeypatch.setattr(FpPoly, "sqrt",
-                        lambda self: root(self) * FpPoly.linear(self.p, 1))
+    h, f_wtilde = squared_route(basis67, split)
+    exact_div = FpPoly.exact_div
+    _patch_chain_division(
+        monkeypatch, lambda n, d: exact_div(n, d) * FpPoly.linear(67, 1))
     rep = _chain(67, basis67, split)
-    assert rep.checks["square_extraction"]
+    assert rep.checks["exact_divisions"] and rep.checks["square_extraction"]
+    assert rep.polys["H"] == h * FpPoly.linear(67, 1)
     assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
-    assert not expanded_assembly(rep, split)
+    assert not expanded_assembly(rep, split, f_wtilde)
 
 
 def test_theorem_assembly_rejects_a_short_S_tilde_l(basis67):
-    # S~_l = x + 1 at 67; without it num / den gains the square
-    # (x + 1)^(2g), so H^2 den = num still holds and only identities (i)
-    # and (ii) of the closed form see the fault
+    # S~_l = x + 1 at 67; without it N / D gains the factor (x + 1)^g, so
+    # H D = N still holds and only identities (i) and (ii) of the closed
+    # form see the fault
     split = ss_polys(67)
     assert split.S_tilde_l == FpPoly(67, [1, 1])
     short = dataclasses.replace(split, S_tilde_l=FpPoly.one(67))
@@ -280,7 +305,28 @@ def test_theorem_assembly_rejects_a_short_S_tilde_l(basis67):
     assert rep.checks["exact_divisions"] and rep.checks["square_extraction"]
     assert rep.polys["H"] == FpPoly(67, [62, 10, 1]) * FpPoly(67, [1, 1]) ** 2
     assert not rep.checks["theorem_assembly"] and rep.status == "falsified"
-    assert not expanded_assembly(rep, short)
+    assert not expanded_assembly(rep, short, squared_route(basis67, short)[1])
+
+
+def test_exact_divisions_rejects_an_F_W_short_of_one_factor(monkeypatch):
+    # S~_l = x + 1 and g = 2 at 67, so D holds (x + 1)^2 and F(W) holds it
+    # exactly: an F(W) short of one factor x + 1 leaves a remainder, which
+    # is a falsifier and stops the chain before F_p and H
+    from wplus import weierstrass
+    from wplus.config import Config
+    from wplus.pipeline import verify_prime
+    assert ss_polys(67).S_tilde_l == FpPoly(67, [1, 1])
+    full = weierstrass.wronskian_divisor_polynomial
+
+    def short(lifts, p, monos=None):
+        fw, lead = full(lifts, p, monos)
+        return fw.exact_div(FpPoly(p, [1, 1])), lead
+
+    monkeypatch.setattr(weierstrass, "wronskian_divisor_polynomial", short)
+    rep = verify_prime(67, Config(use_cache=False))
+    assert rep.checks["exact_divisions"] is False
+    assert rep.status == "falsified" and rep.error == ""
+    assert "F_p" not in rep.polys and "H" not in rep.polys
 
 
 def test_extract_small_genus_trivial():
@@ -693,30 +739,47 @@ def test_non_integral_basis_reports_not_good(basis67, monkeypatch):
     rep = pipeline.verify_prime(67, Config(use_cache=False))
     assert rep.status == "not_good_basis" and not rep.error
     assert rep.exit_code == 2
-    assert "F_p" not in rep.polys and rep.f_wtilde is None
+    assert "F_p" not in rep.polys and "H" not in rep.polys
     assert "chain" in rep.timings_ms
 
 
-@pytest.mark.parametrize("exc, status", [(RuntimeError, "error"),
-                                         (OddMultiplicityError, "falsified")])
+@pytest.mark.parametrize("fault, status", [
+    pytest.param("division", "error", id="RuntimeError-error"),
+    pytest.param("odd_u", "falsified", id="odd_u-falsified")])
 def test_square_extraction_catches_only_odd_multiplicity(monkeypatch, tmp_path,
-                                                         exc, status):
-    # a fault inside sqrt is an error; only an odd multiplicity falsifies
+                                                         fault, status):
+    # the chain takes no square root: H is one exact division, and
+    # square_extraction reads the parity of the exponents u and v.  A fault
+    # inside the division is an error; only an odd exponent, an odd
+    # multiplicity of 0 in num / den, falsifies
+    from wplus import weierstrass
     from wplus.config import Config
     from wplus.pipeline import verify_prime
 
     def broken(self):
-        raise exc("planted")
+        raise RuntimeError("sqrt called")
 
     monkeypatch.setattr(FpPoly, "sqrt", broken)
-    rep = verify_prime(67, Config(cache_dir=tmp_path))
+    assert verify_prime(67, Config(cache_dir=tmp_path)).status == "ok"
+    if fault == "division":
+        def planted(n, d):
+            raise RuntimeError("planted")
+
+        _patch_chain_division(monkeypatch, planted)
+    else:
+        exponents = weierstrass.elliptic_exponents
+        monkeypatch.setattr(
+            weierstrass, "elliptic_exponents",
+            lambda p, g: dataclasses.replace(
+                exponents(p, g), delta_rho=exponents(p, g).delta_rho + 1))
+    rep = verify_prime(67, Config(use_cache=False))
     assert rep.status == status
-    if exc is OddMultiplicityError:
+    if fault == "odd_u":
         assert rep.checks["square_extraction"] is False
         assert not rep.error
     else:
         assert rep.error == "RuntimeError: planted"
-        assert "square_extraction" not in rep.checks
+        assert "exact_divisions" not in rep.checks
 
 
 def test_polynomial_wronskian_small_cases(monkeypatch):
