@@ -768,10 +768,12 @@ def test_square_extraction_catches_only_odd_multiplicity(monkeypatch, tmp_path,
         _patch_chain_division(monkeypatch, planted)
     else:
         exponents = weierstrass.elliptic_exponents
-        monkeypatch.setattr(
-            weierstrass, "elliptic_exponents",
-            lambda p, g: dataclasses.replace(
-                exponents(p, g), delta_rho=exponents(p, g).delta_rho + 1))
+
+        def odd_u(p, g):
+            exps = exponents(p, g)
+            return dataclasses.replace(exps, delta_rho=exps.delta_rho + 1)
+
+        monkeypatch.setattr(weierstrass, "elliptic_exponents", odd_u)
     rep = verify_prime(67, Config(use_cache=False))
     assert rep.status == status
     if fault == "odd_u":
