@@ -489,7 +489,7 @@ def theorem_assembly(split, elliptic, h, numerator, denominator):
       (i) S~ = S~_l S_q,  (ii) S_l = E S~_l,  (iii) H D = N.
     For a monic H, (iii) is H^2 den = num: as num / den = (N / D)^2, the
     latter is (H D)^2 = N^2, so H D = +-N in the integral domain F_p[x],
-    and H D and N are both monic.  They imply the identity: its left side is then
+    and both are monic.  They imply the identity: its left side is then
     x^eps_rho (x - 1728)^eps_i S_q^(g^2-g) H^2 E^(g^2+g) S~_l^(g^2+g) =
     H^2 den (S~_l S_q)^(g^2-g) = num S~^(g^2-g), the right side.
     Conversely, when the split's E is this E (the alpha_match check), (i)
