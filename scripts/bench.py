@@ -35,12 +35,10 @@ import importlib.metadata
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +60,11 @@ SWEEP_BELOW = 700
 def _median_call_s(fn, min_total_s=0.2, min_reps=3):
     """Median seconds per call over repeats lasting at least min_total_s,
     the number of repeats and the last result."""
+    # imported here, as Fraction in _head: statistics loads fractions and
+    # decimal, which wplus leaves out, so the ladder's peak RSS would count
+    # them
+    import statistics
+
     samples = []
     start = time.perf_counter()
     while len(samples) < min_reps or time.perf_counter() - start < min_total_s:
@@ -239,6 +242,8 @@ def _lifts(p):
 
 
 def _head(p):
+    from fractions import Fraction
+
     from wplus import weierstrass
 
     gb = _chain_basis(p)
@@ -344,6 +349,8 @@ def paired(sides, cases, runs):
 
 def _medians(stats, field, digits=1):
     """The runs of field per side and key, and their (entrywise) medians."""
+    import statistics
+
     runs = {side: {key: [s[field] for s in samples]
                    for key, samples in by_key.items()}
             for side, by_key in stats.items()}

@@ -15,7 +15,12 @@ the mod-p chain, and big floats only inside the class-polynomial
 evaluation (with verified integer rounding).  The rational q-expansions
 (QExpansion) and the F_p series (FpSeries) serve the tests, their oracles
 and the level-1 forms over Q; the pipeline builds neither, nor a Fraction.
+So `import wplus` loads neither `fractions` nor `series`: the Q routes of
+linalg and level1 import them on their first call, and wplus.series,
+wplus.QExpansion and wplus.FpSeries resolve on first access.
 """
+
+import importlib
 
 from .config import Config
 from .errors import WplusError
@@ -26,7 +31,6 @@ from .level1 import (bernoulli, cp_factor, delta, divisor_polynomial,
 from .modsym import GoodBasis, ModSymSpace, good_basis
 from .pipeline import scan_primes, verify_prime
 from .report import VerificationReport
-from .series import FpSeries, QExpansion
 from .supersingular import (ClassPolyData, SupersingularSplit, class_number,
                             class_poly, fixed_point_poly, reduced_forms,
                             ss_oracle, ss_polys, verify_fixedlinear)
@@ -34,6 +38,15 @@ from .weierstrass import (elliptic_exponents, extract_Fp, lift_to_level1,
                           theta, wronskian)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: the series module loads on the first access to it
+    if name in ("series", "QExpansion", "FpSeries"):
+        series = importlib.import_module(f"{__name__}.series")
+        return series if name == "series" else getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Config", "WplusError", "FpPoly", "is_prime", "legendre", "bernoulli",

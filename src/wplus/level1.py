@@ -22,26 +22,29 @@ the head of a form is read back from the top of its divisor polynomial
 The same integer formulas, divided exactly over Z, give j.  The rational
 route (eisenstein and delta through the Bernoulli numbers, QExpansion
 arithmetic, Level1Context) serves divisor polynomials over Q and the
-tests.
+tests; it imports ``fractions`` and ``series`` on its first call, so the
+F_p route loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ClosedFormMismatchError, NonPolynomialQuotientError, PrecisionError
 from .fppoly import FpPoly, convolve_mod, int64_sums_fit, inverse_mod_xn
 from .linalg import exact_matmul
-from .series import QExpansion
 
-_bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
+_bernoulli_cache = []
 
 
 def bernoulli(n):
     """Exact Bernoulli number B_n, by the convolution recurrence (cached)."""
+    from fractions import Fraction
+
+    if not _bernoulli_cache:
+        _bernoulli_cache.extend([Fraction(1), Fraction(-1, 2)])
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
         binom = 1
@@ -65,6 +68,9 @@ def sigma_table(k, prec):
 
 def eisenstein(k, prec):
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact rationals."""
+    from fractions import Fraction
+    from .series import QExpansion
+
     if k < 4 or k % 2:
         raise ValueError("Eisenstein series needs even weight k >= 4")
     factor = Fraction(-2 * k) / bernoulli(k)
@@ -75,6 +81,8 @@ def eisenstein(k, prec):
 
 def delta(prec):
     """Delta = (E_4^3 - E_6^2)/1728 = q - 24q^2 + 252q^3 - 1472q^4 + ..."""
+    from fractions import Fraction
+
     if prec < 2:
         raise ValueError("prec must be at least 2")
     e4 = eisenstein(4, prec)
@@ -205,6 +213,8 @@ def divisor_polynomial(f, ctx=None):
     weight and raises NonPolynomialQuotientError.  Over F_p the divisor
     polynomials of residue rows come from divisor_polynomials.
     """
+    from fractions import Fraction
+
     k = f.weight
     m = weight_profile(k).m
     if f.is_zero():
@@ -416,21 +426,25 @@ def miller_basis_mod(k, p, prec, monos=None):
     return basis
 
 
+#: C_p(k; x) = x^a (x - 1728)^b as (a, b), keyed on (k mod 12, p mod 12);
+#: every other key gives C_p = 1
+_CP_EXPONENTS = {(2, 5): (1, 0), (8, 5): (1, 0), (8, 11): (1, 0),
+                 (2, 7): (0, 1), (6, 7): (0, 1), (10, 7): (0, 1),
+                 (6, 11): (0, 1), (10, 11): (0, 1), (2, 11): (1, 1)}
+
+
+def cp_exponents(k, p):
+    """Exponents (a, b) of C_p(k; x) = x^a (x - 1728)^b (cp_factor)."""
+    if p < 5:
+        raise ValueError("p must be at least 5")
+    return _CP_EXPONENTS.get((k % 12, p % 12), (0, 0))
+
+
 def cp_factor(k, p):
     """Correction factor C_p(k; x) governing how divisor polynomials change
     under multiplication by E_{p-1} mod p, keyed on (k, p) modulo 12."""
-    if p < 5:
-        raise ValueError("p must be at least 5")
-    key = (k % 12, p % 12)
-    xpoly = FpPoly.x(p)
-    x1728 = FpPoly.linear(p, 1728)
-    if key in {(2, 5), (8, 5), (8, 11)}:
-        return xpoly
-    if key in {(2, 7), (6, 7), (10, 7), (6, 11), (10, 11)}:
-        return x1728
-    if key == (2, 11):
-        return xpoly * x1728
-    return FpPoly.one(p)
+    a, b = cp_exponents(k, p)
+    return FpPoly.x(p) ** a * FpPoly.linear(p, 1728) ** b
 
 
 def gp_exponents(g, p):
@@ -450,30 +464,34 @@ def gp_exponents(g, p):
     raise ValueError("p must be coprime to 12")
 
 
-def gp_poly(g, p):
-    """Accumulated correction prod_s C_p(2g(g+p) + (g^2-g-s)(p-1); x).
+def gp_product_exponents(g, p):
+    """Exponents (a, b) of the accumulated correction
+    gp = prod_s C_p(2g(g+p) + (g^2-g-s)(p-1); x) = x^a (x - 1728)^b.
 
-    Every factor is a monomial in x and (x - 1728), so the product form is
-    accumulated as a pair of exponents; a mismatch against the closed form
-    would mean cp_factor is wrong and raises ClosedFormMismatchError.
+    The product form is summed factor by factor (cp_exponents), and a
+    mismatch against the closed form gp_exponents would mean cp_factor is
+    wrong and raises ClosedFormMismatchError; no polynomial is formed.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
     prod_x = prod_1728 = 0
     base = 2 * g * (g + p)
     for s in range(1, g * g - g + 1):
-        c = cp_factor(base + (g * g - g - s) * (p - 1), p)
-        if c.evaluate(0) == 0:
-            prod_x += 1
-        if c.evaluate(1728) == 0:
-            prod_1728 += 1
-        if c.degree() != (c.evaluate(0) == 0) + (c.evaluate(1728) == 0):
-            raise ClosedFormMismatchError("unexpected correction factor")
+        a, b = cp_exponents(base + (g * g - g - s) * (p - 1), p)
+        prod_x += a
+        prod_1728 += b
     a, b = gp_exponents(g, p)
     if (prod_x, prod_1728) != (a, b):
         raise ClosedFormMismatchError(
             f"product and closed forms differ for g={g}, p={p}: "
             f"{(prod_x, prod_1728)} vs {(a, b)}")
+    return a, b
+
+
+def gp_poly(g, p):
+    """The accumulated correction gp = x^a (x - 1728)^b as a polynomial,
+    (a, b) from gp_product_exponents."""
+    a, b = gp_product_exponents(g, p)
     return FpPoly.x(p) ** a * FpPoly.linear(p, 1728) ** b
 
 

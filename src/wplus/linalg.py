@@ -1,10 +1,11 @@
 """Exact linear algebra over Q and Z.
 
 Small matrices over Q are lists of Fraction lists, reduced by plain Gaussian
-elimination.  The Manin-relation matrix gets a sparse routine on dicts of
-Python ints, which divides each pivot row by its leading entry exactly and
-raises when that entry does not divide the row.  Integer
-matrices are numpy arrays.  One rule decides where a sum of products is
+elimination: reference routes for the tests, which import ``fractions`` on
+their first call, so a run of the pipeline never loads it.  The
+Manin-relation matrix gets a sparse routine on dicts of Python ints, which
+divides each pivot row by its leading entry exactly and raises when that
+entry does not divide the row.  Integer matrices are numpy arrays.  One rule decides where a sum of products is
 exact: ``exact_dtype`` maps a bound on every partial sum to float64 (below
 2^53, through BLAS), int64 (below 2^62) or Python ints.  ``exact_matmul``
 multiplies integer matrices in that dtype, and ``fppoly.convolve_mod``
@@ -19,13 +20,9 @@ fraction-free.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: the prime of ``pivot_columns_mod``: below 2^31, so that a product of two
 #: residues fits in int64
@@ -42,12 +39,16 @@ def mat_copy(a):
 
 
 def identity(n):
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    from fractions import Fraction
+
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
+    from fractions import Fraction
+
     n, m, k = len(a), len(b[0]), len(b)
-    out = [[_ZERO] * m for _ in range(n)]
+    out = [[Fraction(0)] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -63,6 +64,8 @@ def mat_mul(a, b):
 
 def rref(a):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    from fractions import Fraction
+
     m = mat_copy(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -73,7 +76,7 @@ def rref(a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = _ONE / m[r][c]
+        inv = Fraction(1) / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
@@ -211,6 +214,8 @@ def scaled_inverse(a):
 
 def nullspace(a):
     """Basis (list of vectors) of the right kernel of a."""
+    from fractions import Fraction
+
     if not a:
         return []
     red, pivots = rref(a)
@@ -218,8 +223,8 @@ def nullspace(a):
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [_ZERO] * cols
-        v[fc] = _ONE
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -232,6 +237,8 @@ def solve(a, b):
     b may be a vector or a matrix (list of columns given as a matrix with
     the same number of rows as a).
     """
+    from fractions import Fraction
+
     vec = not isinstance(b[0], list)
     bm = [[x] for x in b] if vec else b
     rows, cols = len(a), len(a[0])
@@ -243,7 +250,7 @@ def solve(a, b):
             return None
     if any(pc >= cols for pc in pivots):
         return None
-    xm = [[_ZERO] * wid for _ in range(cols)]
+    xm = [[Fraction(0)] * wid for _ in range(cols)]
     for r, pc in enumerate(pivots):
         for j in range(wid):
             xm[pc][j] = red[r][cols + j]
@@ -255,13 +262,15 @@ def charpoly(a):
 
     Returns coefficients low degree first, length n+1, leading 1.
     """
+    from fractions import Fraction
+
     n = len(a)
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
     m = identity(n)
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        c = -sum((m[i][i] for i in range(n)), _ZERO) / k
+        c = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
         coeffs[n - k] = c
         for i in range(n):
             m[i][i] += c

@@ -46,7 +46,7 @@ from .fppoly import Fp2, FpPoly, legendre
 # divisor_polynomial stays importable from this module
 from .level1 import (divisor_degree, divisor_expansion,
                      divisor_polynomial,  # noqa: F401
-                     divisor_polynomials, gp_exponents, gp_poly,
+                     divisor_polynomials, gp_exponents, gp_product_exponents,
                      miller_basis_mod, monomials_mod,
                      square_divisor_exponents, weight_profile)
 from .linalg import exact_matmul
@@ -578,10 +578,8 @@ def extract_Fp(report, basis, split):
     report.checks["wronskian_valuation"] = (
         fw.degree() == divisor_degree(g * (g + p)) - sum(basis.pivots))
 
-    # gp_poly checks its product form against the closed form gp_exponents,
-    # which u and v read
-    gp_poly(g, p)
-    gx, g1728 = gp_exponents(g, p)
+    # gp's exponents, its product form checked against its closed form
+    gx, g1728 = gp_product_exponents(g, p)
     gg = g * g + g
     report.checks["gp_divides_Sl"] = gp_divides_power(g, p, split.S_l)
 

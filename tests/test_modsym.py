@@ -752,14 +752,16 @@ def test_sparse_rref_matches_dense_fraction_rref(monkeypatch, p):
 def test_good_basis_builds_no_fraction(tmp_path, monkeypatch):
     # cold and served from the cache, the basis of every prime in [5, 400]
     # stays on integers: the relations, the reduction map, the Hecke
-    # matrices and the Krylov columns
+    # matrices and the Krylov columns.  Fraction is refused at its source,
+    # which every Q route of linalg imports it from on each call
+    import fractions
     from wplus import modsym
     from wplus.cache import DiskCache
 
     def refuse(*args):
         raise AssertionError("Fraction built")
 
-    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr(fractions, "Fraction", refuse)
     assert not hasattr(modsym, "Fraction")
     cache = DiskCache(tmp_path)
     cold = {p: good_basis(p, (p + 1) // 6 + 12, cache) for p in PRIMES_5_400}

@@ -90,17 +90,24 @@ def test_cold_runs_leave_out_hashlib(tmp_path):
 
 #: a cold ladder and a cold basis-only scan, in a fresh interpreter; with
 #: "refuse", every Fraction or QExpansion built after `import wplus` is
-#: recorded and raises.  Prints the reports, timings aside, as JSON.
+#: recorded and raises, and with "block", fractions, decimal and wplus.series
+#: are set to None in sys.modules before it, so importing them raises.
+#: Prints which of the three `import wplus` loaded, and the reports, timings
+#: aside, as JSON.
 _COLD_RUN = """
 import json, sys
-from fractions import Fraction
 from pathlib import Path
 
+blocked = ("fractions", "decimal", "wplus.series")
+if sys.argv[2] == "block":
+    sys.modules.update(dict.fromkeys(blocked))
 import wplus
-from wplus.series import QExpansion
+loaded = [m for m in blocked if sys.modules.get(m)]
 
 built = []
 if sys.argv[2] == "refuse":
+    from fractions import Fraction
+    from wplus.series import QExpansion
     def refusal(name):
         def refuse(*args, **kwargs):
             built.append(name)
@@ -116,29 +123,70 @@ scan = wplus.scan_primes(200, 400, wplus.Config(cache_dir=cache / "scan"),
 reports = [r.to_json_dict() for r in ladder] + scan["results"]
 for r in reports:
     r.pop("timings_ms")
-print(json.dumps({"built": sorted(set(built)), "reports": reports,
+print(json.dumps({"loaded": loaded, "built": sorted(set(built)),
+                  "reports": reports,
                   "text": [r.text_lines() for r in ladder]}))
 """
+
+
+def _cold_runs(tmp_path, *modes):
+    """{mode: the JSON that _COLD_RUN prints in that mode}."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for mode in modes:
+        run = subprocess.run(
+            [sys.executable, "-c", _COLD_RUN, str(tmp_path / mode), mode],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs[mode] = json.loads(run.stdout)
+    return runs
 
 
 def test_cold_runs_build_no_fraction_or_qexpansion(tmp_path):
     # cold verify_prime at 67, 199 and 389 and a cold basis-only scan of
     # [200, 400] run on integers and residues: with Fraction and QExpansion
     # refused they give the reports of an unrefused run
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = {}
-    for mode in ("refuse", "plain"):
-        run = subprocess.run(
-            [sys.executable, "-c", _COLD_RUN, str(tmp_path / mode), mode],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        runs[mode] = json.loads(run.stdout)
+    runs = _cold_runs(tmp_path, "refuse", "plain")
     refused, plain = runs["refuse"], runs["plain"]
     assert refused["built"] == []
     assert [r["status"] for r in plain["reports"][:3]] == ["ok"] * 3
     assert len(plain["reports"]) == 3 + 32
     assert refused["reports"] == plain["reports"]
     assert refused["text"] == plain["text"]
+
+
+def test_cold_runs_load_no_fractions_or_series(tmp_path):
+    # `import wplus` loads neither fractions, decimal nor wplus.series, and
+    # with the three blocked in sys.modules the cold runs above give the
+    # reports and text lines, "H factors" included, of an unblocked run
+    runs = _cold_runs(tmp_path, "block", "plain")
+    blocked, plain = runs["block"], runs["plain"]
+    assert plain["loaded"] == []
+    assert [r["status"] for r in plain["reports"][:3]] == ["ok"] * 3
+    assert len(plain["reports"]) == 3 + 32
+    assert all(any(line.startswith("  H factors: ") for line in text)
+               for text in plain["text"])
+    assert blocked["reports"] == plain["reports"]
+    assert blocked["text"] == plain["text"]
+    # the series names still resolve, on first access, and no other does
+    probe = ("import sys, wplus\n"
+             "assert wplus.series is sys.modules['wplus.series']\n"
+             "assert wplus.QExpansion is wplus.series.QExpansion\n"
+             "assert wplus.FpSeries is wplus.series.FpSeries\n"
+             "names = {}\n"
+             "exec('from wplus import *', names)\n"
+             "assert set(wplus.__all__) <= set(names)\n"
+             "assert names['QExpansion'] is wplus.QExpansion\n"
+             "try:\n"
+             "    wplus.no_such_name\n"
+             "except AttributeError as e:\n"
+             "    print(e)\n")
+    run = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == \
+        "module 'wplus' has no attribute 'no_such_name'"
 
 
 def test_mpmath_loads_on_the_first_class_polynomial(tmp_path):
